@@ -291,64 +291,61 @@ def ledger(a0: float, a1: float, cfg: "FluidConfig") -> ConstantLedger:
     c8b = record("C8", _c8_series(a0, h2))
     c5 = abs(ak * am) / (1.0 - ak * am)
 
+    c1 = c3 = c4 = c9 = c11 = None
+    lam0 = lam1 = lam2 = lam3 = lam5 = lam6 = lam7 = None
+    sig0 = sig1 = None
     if a1 >= 1.0:
         divergent += ["C6", "C1", "C3"]
-        c6 = c1 = c3 = c4 = c9 = c11 = None
-        lam0 = lam1 = lam2 = lam3 = lam5 = lam6 = lam7 = None
-        sig0 = sig1 = None
+        c6 = None
     else:
         c6 = a1 / (1.0 - a1 ** 2)
-        if c0 is None:
-            c1 = c3 = c4 = c9 = c11 = None
-            lam0 = lam1 = lam2 = lam3 = lam5 = lam6 = lam7 = None
-            sig0 = sig1 = None
-        else:
-            den1 = 1.0 - abs(am) * (2.0 * a1 / (1.0 - a1 ** 2) + abs(ak) * c0 ** 2 * (1.0 + a1))
-            if den1 <= 0.0:
-                raise RegimeError("C1 denominator is nonpositive")
-            c1 = 1.0 / den1
-            c3 = 1.0 + 2.0 * abs(am) * c1 * (
-                a1 * (1.0 + a1 ** 2) / (1.0 - a1 ** 2) ** 2
-                + 0.5 * abs(ak) * c0 * ((c0 + 2.0 * c2) * a1 + c2 * (1.0 + a1))
+    if c6 is not None and c0 is not None:
+        # a nonpositive denominator is a divergent Neumann series: recorded,
+        # and every constant built on it stays None
+        den1 = 1.0 - abs(am) * (2.0 * a1 / (1.0 - a1 ** 2) + abs(ak) * c0 ** 2 * (1.0 + a1))
+        c1 = 1.0 / den1 if den1 > 0.0 else None
+        c9 = c0 * (1.0 + a1)
+        den11 = 1.0 - abs(am) * c6 - abs(ak * am) * c0 * c9
+        c11 = 1.0 / den11 if den11 > 0.0 else None
+        divergent += [name for name, c in (("C1", c1), ("C11", c11)) if c is None]
+        lam1 = 4.0 * c6 + 2.0 * abs(ak) * c0 * (c0 * a1 + (c0 - 1.0))
+        lam5 = 2.0 * c6 + a1 * (c0 + c2)
+        lam6 = 2.0 * (1.0 + a1 ** 2) / (1.0 - a1 ** 2) ** 2 + c0
+        lam7 = (c0 - 1.0) + c2
+    if c1 is not None:
+        c3 = 1.0 + 2.0 * abs(am) * c1 * (
+            a1 * (1.0 + a1 ** 2) / (1.0 - a1 ** 2) ** 2
+            + 0.5 * abs(ak) * c0 * ((c0 + 2.0 * c2) * a1 + c2 * (1.0 + a1))
+        )
+        c4 = c2 + c0 * c3
+        lam0 = c0 * (c0 + c2 + c4) * a1
+        lam2 = 2.0 * (c0 - 1.0) * c3 + 2.0 * c2
+        lam3 = (
+            4.0 * a1 * (1.0 + a1 ** 2) / (1.0 - a1 ** 2) ** 2
+            + 4.0 * c3 * c6
+            + 2.0 * abs(ak) * c0 * (c0 + c2 + c4) * a1
+            + 2.0 * abs(ak) * (c0 * c2 + (c0 - 1.0) * c4)
+        )
+        sig0 = c1 * (
+            (c6 + abs(ak) * c0 ** 2) * a1
+            + 0.5 * abs(1.0 + am) * (
+                2.0 * abs(ak) * (c0 - 1.0)
+                + c5 * (2.0 * abs(ak) * (c0 - 1.0) + lam1)
             )
-            c4 = c2 + c0 * c3
-            c9 = c0 * (1.0 + a1)
-            den11 = 1.0 - abs(am) * c6 - abs(ak * am) * c0 * c9
-            if den11 <= 0.0:
-                raise RegimeError("C11 denominator is nonpositive")
-            c11 = 1.0 / den11
-            lam0 = c0 * (c0 + c2 + c4) * a1
-            lam1 = 4.0 * c6 + 2.0 * abs(ak) * c0 * (c0 * a1 + (c0 - 1.0))
-            lam2 = 2.0 * (c0 - 1.0) * c3 + 2.0 * c2
-            lam3 = (
-                4.0 * a1 * (1.0 + a1 ** 2) / (1.0 - a1 ** 2) ** 2
-                + 4.0 * c3 * c6
-                + 2.0 * abs(ak) * c0 * (c0 + c2 + c4) * a1
-                + 2.0 * abs(ak) * (c0 * c2 + (c0 - 1.0) * c4)
-            )
-            lam5 = 2.0 * c6 + a1 * (c0 + c2)
-            lam6 = 2.0 * (1.0 + a1 ** 2) / (1.0 - a1 ** 2) ** 2 + c0
-            lam7 = (c0 - 1.0) + c2
-            sig0 = c1 * (
-                (c6 + abs(ak) * c0 ** 2) * a1
-                + 0.5 * abs(1.0 + am) * (
-                    2.0 * abs(ak) * (c0 - 1.0)
-                    + c5 * (2.0 * abs(ak) * (c0 - 1.0) + lam1)
-                )
-                + 2.0 * math.pi * abs(ak) * c0 * (c0 - 1.0)
-                + abs(am) * lam1
-                + c6 * a1
-            )
-            # last sigma1 term is 2 C6^2 / a1 written without the 0/0 at a1 = 0
-            sig1 = c1 * (
-                2.0 * (1.0 + 0.5 * c3 * (1.0 - a1 ** 2)) * c6 ** 2
-                + abs(ak) * lam0
-                + 0.5 * abs(1.0 + am) * (abs(ak) * lam2 + c5 * (abs(ak) * lam2 + lam3))
-                + 2.0 * math.pi * abs(ak) * (c0 * c2 + (c0 ** 2 - 1.0) * c4)
-                + 0.5 * abs(am) * lam3
-                + c3 * c6 * a1
-                + 2.0 * a1 / (1.0 - a1 ** 2) ** 2
-            )
+            + 2.0 * math.pi * abs(ak) * c0 * (c0 - 1.0)
+            + abs(am) * lam1
+            + c6 * a1
+        )
+        # last sigma1 term is 2 C6^2 / a1 written without the 0/0 at a1 = 0
+        sig1 = c1 * (
+            2.0 * (1.0 + 0.5 * c3 * (1.0 - a1 ** 2)) * c6 ** 2
+            + abs(ak) * lam0
+            + 0.5 * abs(1.0 + am) * (abs(ak) * lam2 + c5 * (abs(ak) * lam2 + lam3))
+            + 2.0 * math.pi * abs(ak) * (c0 * c2 + (c0 ** 2 - 1.0) * c4)
+            + 0.5 * abs(am) * lam3
+            + c3 * c6 * a1
+            + 2.0 * a1 / (1.0 - a1 ** 2) ** 2
+        )
 
     return ConstantLedger(
         a0=a0, a1=a1, theta=th,
@@ -366,7 +363,7 @@ def ledger(a0: float, a1: float, cfg: "FluidConfig") -> ConstantLedger:
 def _sigma_triple(tau: float, cfg: "FluidConfig"):
     """(sigma0, sigma1, sigma2) at the diagonal-ray point (tau h2, tau)."""
     led = ledger(tau * cfg.h2, tau, cfg)
-    if led.sigma0 is None or led.sigma1 is None:
+    if led.divergent:
         return None
     f_half = tau * math.sqrt(cfg.h2)  # interpolation: F^{1/2,1} <= sqrt(a0 a1)
     s2 = led.sigma2(f_half)

@@ -1,10 +1,12 @@
 """Interface evolution: right-hand side assembly, exponential integrator, trajectories.
 
 The graph height advances by (I1 + I2 + I3 + I4)/2pi.  The fast path computes
-the singular/linear content with exact per-mode multipliers (Hilbert symbol,
-conjugate-Poisson decay symbol) and the remaining nonlinear corrections by
-alternating-rule or exponential-series quadrature; the exact linear multiplier
-m(xi) is removed and handled by the integrating factor of an ETDRK2 scheme.
+the singular part of I1 with the exact Hilbert multiplier, the remaining
+self-induction by the alternating rule, and the line-coupling integrals I3, I4
+on the snapshot's kernel backend (exponential series or quadrature, chosen
+once per snapshot by the rule in ``muskatjump.vorticity``), so large data run
+on quadrature rather than raise.  The exact linear multiplier m(xi) is
+removed and handled by the integrating factor of an ETDRK2 scheme.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certify
-from .errors import (BlowUpError, ConfigurationError, GeometryError, StepSizeError)
+from .errors import (BlowUpError, ConfigurationError, GeometryError, RegimeError,
+                     StepSizeError)
 from .norms import NormSpec, fourier_norm, norm_report, weighted_l2
-from .spectral import (GridSpec, SpectralField, dealias, derivative, forward,
+from .spectral import (GridSpec, SpectralField, dealias, forward,
                        hermitian_symmetrize, hilbert, inverse)
-from .vorticity import (FluidConfig, VorticityPair, _Workspace, check_geometry,
-                        solve_vorticity, target_series_apply, _series_nmax)
+from .vorticity import (DEFAULT_SERIES_TOL, FluidConfig, VorticityPair, _Workspace,
+                        check_geometry, solve_vorticity)
 
 DEFAULT_LEAKAGE_THRESHOLD = 1e-4
 DEFAULT_CFL_BOUND = 1.0
@@ -53,7 +56,7 @@ class InterfaceField:
 class SolverOptions:
     picard_tol: float = 1e-11
     picard_max_iter: int = 80
-    series_tol: float = 1e-10
+    series_tol: float = DEFAULT_SERIES_TOL
     leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD
     cfl_bound: float = DEFAULT_CFL_BOUND
     order: int = 2                 # exponential integrator order, 2 or 4
@@ -67,7 +70,12 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RhsBreakdown:
-    """The four interface integrals and their linear/nonlinear split."""
+    """The four interface integrals and their linear/nonlinear split.
+
+    ``i1`` holds the Hilbert part pi H(omega1) of I1; ``i2`` holds the rest of
+    I1 together with I2, which share one difference-quotient kernel.  The sum
+    of the four is the full I1 + I2 + I3 + I4.
+    """
 
     i1: SpectralField
     i2: SpectralField
@@ -100,43 +108,25 @@ def linear_symbol(xi, cfg: FluidConfig):
     )
 
 
-def _rhs_core(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions):
-    """Samples and spectra of I1..I4 plus the solved strength pair."""
-    check_geometry(f, cfg)
+def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions):
+    """Strength pair, dealiased I1..I4 spectra (as in RhsBreakdown) and the split.
+
+    One kernel backend serves the strength solve and all four integrals.
+    """
     grid = f.f.grid
-    F = f.samples()
-    dF = inverse(derivative(f.f))
-    ws = _Workspace(grid, F, dF)
+    ws = _Workspace(f, cfg, opts.series_tol)
     pair = solve_vorticity(f, cfg, tol=opts.picard_tol, max_iter=opts.picard_max_iter,
                            workspace=ws)
-    w1 = inverse(pair.omega1)
-    w2hat = pair.omega2.coefficients
-
-    a0 = fourier_norm(f.f, NormSpec(0.0))
-    n_max = _series_nmax(a0 / cfg.h2, 1.0, opts.series_tol, cfg.h2)
-    if n_max is None:
-        raise GeometryError(
-            f"target-side series unavailable: ||f||_F01 = {a0:.3g} >= h2 = {cfg.h2:.3g}"
-        )
-
-    # I1 = pi H(w1) plus the alternating-rule correction with the squared
-    # difference-quotient factor
-    i1 = np.pi * inverse(hilbert(pair.omega1)) + ws.matrix_i1_correction() @ w1
-    i2 = ws.matrix_i2() @ w1
-    i3 = target_series_apply(w2hat, F, grid, cfg.h2, n_max, conj=True)
-    i4 = dF * target_series_apply(w2hat, F, grid, cfg.h2, n_max, conj=False)
-    return F, (i1, i2, i3, i4), pair
-
-
-def _split(f: InterfaceField, cfg: FluidConfig, total_hat: np.ndarray):
+    p, cp = ws.target_pair(pair.omega2.coefficients)
+    samples = (np.pi * inverse(hilbert(pair.omega1)), ws.slope_terms(inverse(pair.omega1)),
+               cp, ws.dF * p)
+    parts = [dealias(forward(s, grid).coefficients, grid) for s in samples]
     # both sides of the split live on the dealiased band, so the remainder is
     # identically zero above the 2/3 cutoff and high modes evolve purely by
     # the integrating factor
-    grid = f.f.grid
-    m = linear_symbol(grid.wavenumbers(), cfg)
-    linear_hat = dealias(-m * f.f.coefficients, grid)
-    nonlinear_hat = total_hat - linear_hat
-    return linear_hat, nonlinear_hat
+    linear_hat = dealias(-linear_symbol(grid.wavenumbers(), cfg) * f.f.coefficients, grid)
+    nonlinear_hat = sum(parts) / (2.0 * np.pi) - linear_hat
+    return pair, parts, linear_hat, nonlinear_hat
 
 
 def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) -> RhsBreakdown:
@@ -144,20 +134,11 @@ def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) 
     opts = opts or SolverOptions()
     grid = f.f.grid
     check_leakage(f, opts.leakage_threshold)
-    F, (i1, i2, i3, i4), pair = _rhs_core(f, cfg, opts)
-
-    def to_field(samples):
-        fld = forward(samples, grid, f.time)
-        return fld.with_coefficients(dealias(fld.coefficients, grid))
-
-    i1f, i2f, i3f, i4f = map(to_field, (i1, i2, i3, i4))
-    total_hat = (i1f.coefficients + i2f.coefficients
-                 + i3f.coefficients + i4f.coefficients) / (2.0 * np.pi)
-    linear_hat, nonlinear_hat = _split(f, cfg, total_hat)
-
+    pair, parts, linear_hat, nonlinear_hat = _assemble(f, cfg, opts)
+    i1f, i2f, i3f, i4f = (SpectralField(grid, c, f.time) for c in parts)
     diag = None
     if opts.collect_diagnostics:
-        diag = _nonlinear_diagnostics(f, cfg, pair, i1f, i3f)
+        diag = _nonlinear_diagnostics(f, cfg, pair, i1f, i2f, i3f)
     return RhsBreakdown(
         i1=i1f, i2=i2f, i3=i3f, i4=i4f,
         linear_part=SpectralField(grid, hermitian_symmetrize(linear_hat), f.time),
@@ -167,7 +148,7 @@ def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) 
 
 
 def _nonlinear_diagnostics(f: InterfaceField, cfg: FluidConfig, pair: VorticityPair,
-                           i1f: SpectralField, i3f: SpectralField) -> dict:
+                           i1f: SpectralField, i2f: SpectralField, i3f: SpectralField) -> dict:
     """F^{0,1} sizes of the named nonlinear pieces of the mode-space split."""
     grid = f.f.grid
     xi = grid.wavenumbers()
@@ -182,7 +163,7 @@ def _nonlinear_diagnostics(f: InterfaceField, cfg: FluidConfig, pair: VorticityP
     n1 = -0.5j * sgn * decay * n_w2
     n2 = 0.5j * sgn * cfg.a_kappa / denom * n_w1
     n3 = 0.5j * sgn * cfg.a_kappa * cfg.a_mu * decay / denom * n_w2
-    n0 = i1f.coefficients / (2.0 * np.pi) - 0.5 * (-1j * sgn) * w1hat
+    n0 = (i1f.coefficients + i2f.coefficients) / (2.0 * np.pi) - 0.5 * (-1j * sgn) * w1hat
     n4 = i3f.coefficients / (2.0 * np.pi) - 0.5 * (-1j * sgn) * decay * w2hat
 
     def size(c):
@@ -197,12 +178,7 @@ def nonlinear_tendency(f: InterfaceField, cfg: FluidConfig,
     """Coefficients of the nonlinear remainder N(f) = rhs - linear part."""
     if opts.zero_nonlinear:
         return np.zeros(f.f.grid.n_points, dtype=complex)
-    grid = f.f.grid
-    _, (i1, i2, i3, i4), _ = _rhs_core(f, cfg, opts)
-    total = forward((i1 + i2 + i3 + i4) / (2.0 * np.pi), grid).coefficients
-    total = dealias(total, grid)
-    _, nonlinear_hat = _split(f, cfg, total)
-    return hermitian_symmetrize(nonlinear_hat)
+    return hermitian_symmetrize(_assemble(f, cfg, opts)[3])
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -452,7 +428,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
                  if cert.sigma[s] is not None else 0.0 for s in (0, 1)}
         try:
             growth0 = certify.l2_growth_rates(cert)
-        except Exception:
+        except RegimeError:
             growth0 = None
         monitor = MonitorState(
             nu=nu_cert,

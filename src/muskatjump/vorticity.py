@@ -3,16 +3,22 @@
 The sheet strength on the permeability line is an explicit nonsingular
 integral of the fluid-sheet strength; the fluid-sheet strength solves an
 implicit equation handled by Picard iteration seeded at the zero-coupling
-solution -2 A_rho df/da.  Two interchangeable evaluation paths exist for the
-explicit integral: an O(n_max N log N) truncated exponential series in the
-interface height, and O(N^2) trapezoid quadrature of the periodized kernel.
+solution -2 A_rho df/da.
+
+All nonlocal operators of one interface snapshot are evaluated by one kernel
+backend, chosen once per snapshot by a single rule: an O(n_max N log N)
+truncated exponential series in the interface height when
+||f||_{F^{0,1}} < 0.9 h2 and the series tail bound meets the series
+tolerance, O(N^2) trapezoid quadrature of the periodized kernels otherwise.
+Large data therefore run on quadrature up to the geometric limit
+min f + h2 > 0 instead of failing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 import numpy as np
 
@@ -24,30 +30,17 @@ from .spectral import (GridSpec, SpectralField, conj_poisson_kernel_periodic,
                        derivative, forward, hermitian_symmetrize, inverse, odd_offsets,
                        poisson_kernel_periodic, product_coefficients, pv_kernel_periodic)
 
-if TYPE_CHECKING:
-    from .evolution import InterfaceField
+DEFAULT_SERIES_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class FluidConfig:
-    """Dimensionless contrasts A_kappa, A_mu, A_rho and permeability depth h2.
-
-    Raw permeabilities/viscosities/densities may be supplied; the contrasts
-    are then A_kappa = (k1-k2)/(k1+k2), A_mu = (m1-m2)/(m1+m2) and
-    A_rho = -k1 (r1-r2) g / (m1+m2), and must match the stored values exactly.
-    """
+    """Dimensionless contrasts A_kappa, A_mu, A_rho and permeability depth h2."""
 
     a_kappa: float
     a_mu: float
     a_rho: float
     h2: float
-    kappa1: float | None = None
-    kappa2: float | None = None
-    mu1: float | None = None
-    mu2: float | None = None
-    rho1: float | None = None
-    rho2: float | None = None
-    g: float | None = None
 
     def __post_init__(self):
         if not abs(self.a_kappa) < 1.0:
@@ -58,22 +51,6 @@ class FluidConfig:
             raise ConfigurationError(f"A_rho must be > 0 (stable regime), got {self.a_rho!r}")
         if not self.h2 > 0.0:
             raise ConfigurationError(f"h2 must be > 0, got {self.h2!r}")
-        raw = (self.kappa1, self.kappa2, self.mu1, self.mu2, self.rho1, self.rho2, self.g)
-        if any(v is not None for v in raw):
-            if any(v is None for v in raw):
-                raise ConfigurationError("raw parameters must be given all together")
-            ak = (self.kappa1 - self.kappa2) / (self.kappa1 + self.kappa2)
-            am = (self.mu1 - self.mu2) / (self.mu1 + self.mu2)
-            ar = -self.kappa1 * (self.rho1 - self.rho2) * self.g / (self.mu1 + self.mu2)
-            if not (ak == self.a_kappa and am == self.a_mu and ar == self.a_rho):
-                raise ConfigurationError("contrasts do not match the raw parameters")
-
-    @classmethod
-    def from_raw(cls, kappa1, kappa2, mu1, mu2, rho1, rho2, g, h2):
-        ak = (kappa1 - kappa2) / (kappa1 + kappa2)
-        am = (mu1 - mu2) / (mu1 + mu2)
-        ar = -kappa1 * (rho1 - rho2) * g / (mu1 + mu2)
-        return cls(ak, am, ar, h2, kappa1, kappa2, mu1, mu2, rho1, rho2, g)
 
     def to_dict(self) -> dict:
         return {"a_kappa": self.a_kappa, "a_mu": self.a_mu,
@@ -102,72 +79,10 @@ class PotentialPair:
     Omega2: SpectralField
 
 
-def _interface_samples(f) -> tuple[SpectralField, np.ndarray]:
-    fld: SpectralField = getattr(f, "f", f)
-    return fld, inverse(fld)
-
-
 def check_geometry(f, cfg: FluidConfig) -> None:
-    _, F = _interface_samples(f)
-    gap = float(np.min(F)) + cfg.h2
+    gap = float(np.min(inverse(getattr(f, "f", f)))) + cfg.h2
     if gap <= 0.0:
         raise GeometryError(f"interface touches the permeability line (min f + h2 = {gap:.3g})")
-
-
-def _f01(what: np.ndarray) -> float:
-    return float(np.sum(np.abs(np.fft.fft(what) / len(what))))
-
-
-class _Workspace:
-    """Difference-quotient kernels for one interface snapshot.
-
-    Precomputes the odd-offset principal-value weights and the matrices that
-    turn the alternating trapezoid sums into dense matvecs.  Rebuilt whenever
-    the interface changes; reused across Picard iterations.
-    """
-
-    def __init__(self, grid: GridSpec, F: np.ndarray, dF: np.ndarray):
-        self.grid = grid
-        self.F = F
-        self.dF = dF
-        n, L = grid.n_points, grid.domain_length
-        m = odd_offsets(grid)
-        beta = m * grid.spacing
-        w = pv_kernel_periodic(beta, L) * 2.0 * grid.spacing
-        rows = np.arange(n)[:, None]
-        cols = (rows - m[None, :]) % n
-        delta = (F[:, None] - F[cols]) / beta[None, :]
-        denom = 1.0 + delta ** 2
-        self._rows, self._cols = rows, cols
-        self.delta = delta
-        self.denom = denom
-        self.pv_weights = w
-
-    def _scatter(self, kernel: np.ndarray) -> np.ndarray:
-        n = self.grid.n_points
-        M = np.zeros((n, n))
-        M[np.broadcast_to(self._rows, kernel.shape), self._cols] = kernel
-        return M
-
-    def matrix_omega1_self(self) -> np.ndarray:
-        # (df(a) - Delta_b f(a)) / (1 + Delta_b f(a)^2) against the pv kernel
-        k = (self.dF[:, None] - self.delta) / self.denom * self.pv_weights[None, :]
-        return self._scatter(k)
-
-    def matrix_i1_correction(self) -> np.ndarray:
-        # -Delta^2/(1+Delta^2) against the pv kernel (the nonlinear part of I1)
-        k = -(self.delta ** 2) / self.denom * self.pv_weights[None, :]
-        return self._scatter(k)
-
-    def matrix_i2(self) -> np.ndarray:
-        # df(a) Delta/(1+Delta^2) against the pv kernel
-        k = self.dF[:, None] * self.delta / self.denom * self.pv_weights[None, :]
-        return self._scatter(k)
-
-    def matrix_potential_self(self) -> np.ndarray:
-        # (Delta_b f(a) - df(a-b)) / (1 + Delta^2) against the pv kernel
-        k = (self.delta - self.dF[self._cols]) / self.denom * self.pv_weights[None, :]
-        return self._scatter(k)
 
 
 def _series_nmax(a_over_h: float, norm_scale: float, tol: float, h2: float) -> int | None:
@@ -187,20 +102,144 @@ def _series_nmax(a_over_h: float, norm_scale: float, tol: float, h2: float) -> i
     return None
 
 
-def _source_series_omega2(fhat: np.ndarray, w1hat: np.ndarray, grid: GridSpec,
-                          cfg: FluidConfig, n_max: int) -> np.ndarray:
-    """Exponential series for the permeability-sheet strength, in coefficients."""
-    xi = np.abs(grid.wavenumbers())
-    decay = np.exp(-cfg.h2 * xi)
-    acc = np.zeros(grid.n_points, dtype=complex)
-    power = w1hat.copy()  # coefficients of f^n * omega1, built by dealiased products
-    for n in range(n_max + 1):
-        if n > 0:
-            power = product_coefficients(fhat, power, grid)
-        acc += decay * ((-1.0) ** n) * xi ** n / math.factorial(n) * power
-    acc *= -cfg.a_kappa
-    acc[grid.nyquist_index()] = 0.0
-    return hermitian_symmetrize(acc)
+def _series_weights(grid: GridSpec, h2: float, n_max: int) -> np.ndarray:
+    """Rows e^{-h2|xi|} (-|xi|)^n / n! for n = 0..n_max, Nyquist slot zeroed.
+
+    Built by recurrence: |xi|^n and n! each overflow a double long before
+    their ratio does.
+    """
+    axi = np.abs(grid.wavenumbers())
+    rows = np.empty((n_max + 1, grid.n_points))
+    rows[0] = np.exp(-h2 * axi)
+    rows[0, grid.nyquist_index()] = 0.0
+    for n in range(1, n_max + 1):
+        rows[n] = rows[n - 1] * (-axi / n)
+    return rows
+
+
+def _f_powers(fhat: np.ndarray, n_max: int, grid: GridSpec) -> list[np.ndarray]:
+    """Coefficients of f, f^2, ..., f^n_max by dealiased products."""
+    powers = [fhat]
+    for _ in range(1, n_max):
+        powers.append(product_coefficients(powers[-1], fhat, grid))
+    return powers[:n_max]
+
+
+def _target_series(ghat: np.ndarray, powers: list[np.ndarray], weights: np.ndarray,
+                   grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of (P g, CP g) at the depth f(a) + h2 by the target-side series.
+
+    At a flat depth, P g + i CP g has coefficients pi (1 + sgn xi) e^{-h2|xi|}
+    g_hat, so one complex series carries both kernels.
+    """
+    z = np.pi * (1.0 + np.sign(grid.wavenumbers())) * ghat
+    out = weights[0] * z
+    for fn, wn in zip(powers, weights[1:]):
+        out = out + product_coefficients(fn, wn * z, grid)
+    s = np.fft.ifft(out * grid.n_points)
+    return s.real, s.imag
+
+
+class _Workspace:
+    """Kernel backend of one interface snapshot.
+
+    Checks the geometry and picks the evaluation rule once: the exponential
+    series in the interface height when ||f||_{F^{0,1}} < 0.9 h2 and its
+    majorant tail, for operands of size max(1, 4 A_rho ||f||_{F^{1,1}}), meets
+    series_tol; trapezoid quadrature of the periodized kernels otherwise.
+    ``method`` forces one rule (a forced series raises MethodUnavailableError
+    when no order meets the tolerance) and ``n_max`` fixes the series order.
+    The f-power spectra, or the dense target-side Poisson and
+    conjugate-Poisson matrices, are built here once; the difference-quotient
+    kernels on first use.
+    """
+
+    def __init__(self, f, cfg: FluidConfig, series_tol: float,
+                 method: str | None = None, n_max: int | None = None):
+        check_geometry(f, cfg)
+        fld: SpectralField = getattr(f, "f", f)
+        grid = fld.grid
+        self.fld, self.grid, self.cfg = fld, grid, cfg
+        self.F = inverse(fld)
+        self.dF = inverse(derivative(fld))
+        if method == "quadrature":
+            n_max = None
+        elif method not in (None, "series"):
+            raise ConfigurationError(f"unknown method {method!r}")
+        elif n_max is None:
+            a0 = fourier_norm(fld, NormSpec(0.0))
+            if method == "series" or a0 < 0.9 * cfg.h2:
+                # strength norms scale like 2 A_rho C1 a1; keep the majorant
+                # honest for large density contrasts
+                scale = max(1.0, 4.0 * cfg.a_rho * fourier_norm(fld, NormSpec(1.0)))
+                n_max = _series_nmax(a0 / cfg.h2, scale, series_tol, cfg.h2)
+            if method == "series" and n_max is None:
+                raise MethodUnavailableError(
+                    f"series tail bound unattainable: ||f||_F01 = {a0:.3g}, h2 = {cfg.h2:.3g}"
+                )
+        self.n_max = n_max
+        if n_max is not None:
+            self.weights = _series_weights(grid, cfg.h2, n_max)
+            self.powers = _f_powers(fld.coefficients, n_max, grid)
+        else:
+            n, L = grid.n_points, grid.domain_length
+            i = np.arange(n)
+            beta = ((i[:, None] - i[None, :] + n // 2) % n - n // 2) * grid.spacing
+            depth = (self.F + cfg.h2)[:, None]
+            # target-side kernels; the source-side Poisson kernel is P transposed
+            self.P = poisson_kernel_periodic(depth, beta, L) * grid.spacing
+            self.CP = conj_poisson_kernel_periodic(depth, beta, L) * grid.spacing
+
+    def omega2(self, w1: np.ndarray) -> np.ndarray:
+        """Coefficients of the permeability-sheet strength induced by samples w1."""
+        if self.n_max is None:
+            return forward(-(self.cfg.a_kappa / np.pi) * (self.P.T @ w1), self.grid).coefficients
+        w1hat = forward(w1, self.grid).coefficients
+        acc = self.weights[0] * w1hat
+        for fn, wn in zip(self.powers, self.weights[1:]):
+            acc = acc + wn * product_coefficients(fn, w1hat, self.grid)
+        return hermitian_symmetrize(-self.cfg.a_kappa * acc)
+
+    def target_pair(self, ghat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Samples of int K(f(a)+h2; b) g(a-b) db for K = P and K = CP (conjugate)."""
+        if self.n_max is None:
+            g = np.fft.ifft(ghat * self.grid.n_points).real
+            return self.P @ g, self.CP @ g
+        return _target_series(ghat, self.powers, self.weights, self.grid)
+
+    @cached_property
+    def _dq(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Odd-offset gather indices, difference quotients Delta and pv weights."""
+        grid = self.grid
+        m = odd_offsets(grid)
+        beta = m * grid.spacing
+        cols = (np.arange(grid.n_points)[:, None] - m[None, :]) % grid.n_points
+        delta = (self.F[:, None] - self.F[cols]) / beta[None, :]
+        pv = pv_kernel_periodic(beta, grid.domain_length) * 2.0 * grid.spacing
+        return cols, delta, pv
+
+    @cached_property
+    def _self_kernel(self) -> np.ndarray:
+        # (df(a) - Delta_b f(a)) / (1 + Delta_b f(a)^2) against the pv kernel
+        _, delta, pv = self._dq
+        return (self.dF[:, None] - delta) / (1.0 + delta ** 2) * pv[None, :]
+
+    def _gather(self, kernel: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # alternating-rule sum over odd offsets m: sum_m kernel[a, m] w[a - m]
+        return np.einsum("ij,ij->i", kernel, w[self._dq[0]])
+
+    def self_induction(self, w1: np.ndarray) -> np.ndarray:
+        """Self-induced term of the fluid-sheet strength equation."""
+        return self._gather(self._self_kernel, w1)
+
+    def slope_terms(self, w1: np.ndarray) -> np.ndarray:
+        """(I1 - pi H w1) + I2 as one kernel, Delta (df - Delta) / (1 + Delta^2)."""
+        return self._gather(self._dq[1] * self._self_kernel, w1)
+
+    def potential_self(self, O1: np.ndarray) -> np.ndarray:
+        """Self term of the fluid-side potential identity."""
+        cols, delta, pv = self._dq
+        return self._gather((delta - self.dF[cols]) / (1.0 + delta ** 2) * pv[None, :], O1)
 
 
 def target_series_apply(ghat: np.ndarray, F: np.ndarray, grid: GridSpec, h2: float,
@@ -211,62 +250,24 @@ def target_series_apply(ghat: np.ndarray, F: np.ndarray, grid: GridSpec, h2: flo
     or its conjugate (conj=True, transform -i pi sgn(xi) e^{-a|xi|}).  All
     pointwise products are computed alias-free and 2/3-truncated.
     """
-    xi = grid.wavenumbers()
-    axi = np.abs(xi)
-    base = np.pi * np.exp(-h2 * axi)
-    if conj:
-        base = -1j * np.sign(xi) * base
-    fhat = hermitian_symmetrize(np.fft.fft(F) / grid.n_points)
-    out_hat = np.zeros(grid.n_points, dtype=complex)
-    coef = 1.0
-    fpow_hat = None
-    for n in range(n_max + 1):
-        mult = base * axi ** n
-        mult[grid.nyquist_index()] = 0.0
-        term_hat = mult * ghat
-        if n == 0:
-            out_hat += term_hat
-            continue
-        fpow_hat = fhat if n == 1 else product_coefficients(fpow_hat, fhat, grid)
-        coef /= n
-        out_hat += coef * ((-1.0) ** n) * product_coefficients(fpow_hat, term_hat, grid)
-    return np.fft.ifft(out_hat * grid.n_points).real
+    powers = _f_powers(forward(F, grid).coefficients, n_max, grid)
+    p, cp = _target_series(ghat, powers, _series_weights(grid, h2, n_max), grid)
+    return cp if conj else p
 
 
 def omega2_of_omega1(f, omega1: SpectralField, cfg: FluidConfig,
                      method: str = "series", n_max: int | None = None,
-                     tol: float = 1e-10) -> SpectralField:
+                     tol: float = DEFAULT_SERIES_TOL) -> SpectralField:
     """Permeability-sheet strength induced by a fluid-sheet strength.
 
     method="series": truncated exponential series with the majorant-controlled
     tail; unavailable when ||f||_{F^{0,1}} >= h2.  method="quadrature":
     O(N^2) trapezoid sum of the periodized kernel.
     """
-    fld, F = _interface_samples(f)
-    check_geometry(f, cfg)
-    grid = fld.grid
-    if omega1.grid != grid:
+    ws = _Workspace(f, cfg, tol, method, n_max)
+    if omega1.grid != ws.grid:
         raise ConfigurationError("omega1 lives on a different grid")
-    if method == "series":
-        a0 = fourier_norm(fld, NormSpec(0.0))
-        if n_max is None:
-            w_scale = fourier_norm(omega1, NormSpec(0.0))
-            n_max = _series_nmax(a0 / cfg.h2, max(w_scale, 1e-300), tol, cfg.h2)
-            if n_max is None:
-                raise MethodUnavailableError(
-                    f"series tail bound unattainable: ||f||_F01 = {a0:.3g} >= h2 = {cfg.h2:.3g}"
-                )
-        c = _source_series_omega2(fld.coefficients, omega1.coefficients, grid, cfg, n_max)
-        return SpectralField(grid, c, fld.time_tag)
-    if method == "quadrature":
-        w1 = inverse(omega1)
-        n = grid.n_points
-        beta = ((np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2) % n - n // 2) * grid.spacing
-        a_src = F[None, :] + cfg.h2
-        M = poisson_kernel_periodic(a_src, beta, grid.domain_length) * grid.spacing
-        out = -(cfg.a_kappa / np.pi) * (M @ w1)
-        return forward(out, grid, fld.time_tag)
-    raise ConfigurationError(f"unknown method {method!r}")
+    return SpectralField(ws.grid, ws.omega2(inverse(omega1)), ws.fld.time_tag)
 
 
 def solve_vorticity(f, cfg: FluidConfig, tol: float = 1e-11, max_iter: int = 80,
@@ -276,79 +277,34 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = 1e-11, max_iter: int = 80,
     Iterates strength_1 -> A_mu/pi (self-induction + line-coupling) - 2 A_rho df
     from the seed -2 A_rho df, stopping when the F^{0,1} change drops below tol.
     Divergence raises PicardDivergenceError with the residual history attached.
+    ``workspace`` is the snapshot's kernel backend, built here when not given.
     """
-    fld, F = _interface_samples(f)
-    check_geometry(f, cfg)
-    grid = fld.grid
-    dF = inverse(derivative(fld))
-    ws = workspace or _Workspace(grid, F, dF)
-    a0 = fourier_norm(fld, NormSpec(0.0))
-    a1 = fourier_norm(fld, NormSpec(1.0))
-    series_ok = a0 < 0.9 * cfg.h2
-    # strength norms scale like 2 A_rho C1 a1; keep the majorant honest for
-    # large density contrasts
-    scale = max(1.0, 4.0 * cfg.a_rho * a1)
-    n_max = _series_nmax(a0 / cfg.h2, scale, tol, cfg.h2) if series_ok else None
-    if n_max is None:
-        series_ok = False
-
-    def omega2_samples(w1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w1f = SpectralField(grid, hermitian_symmetrize(np.fft.fft(w1) / grid.n_points),
-                            fld.time_tag)
-        if series_ok:
-            w2fld = omega2_of_omega1(fld, w1f, cfg, method="series", n_max=n_max)
-        else:
-            w2fld = omega2_of_omega1(fld, w1f, cfg, method="quadrature")
-        return inverse(w2fld), w2fld.coefficients
-
-    seed = -2.0 * cfg.a_rho * dF
-    if cfg.a_mu == 0.0:
-        w1 = seed
-        w2, w2hat = omega2_samples(w1)
-        w1fld = forward(w1, grid, fld.time_tag)
-        return VorticityPair(w1fld, SpectralField(grid, w2hat, fld.time_tag),
-                             residual=0.0, iterations=1)
-
-    M1 = ws.matrix_omega1_self()
-
-    def coupling_of(w2: np.ndarray, w2hat: np.ndarray) -> np.ndarray:
-        if series_ok:
-            return (dF * target_series_apply(w2hat, F, grid, cfg.h2, n_max, conj=True)
-                    - target_series_apply(w2hat, F, grid, cfg.h2, n_max, conj=False))
-        return _coupling_quadrature(w2, F, dF, grid, cfg)
-
+    ws = workspace or _Workspace(f, cfg, DEFAULT_SERIES_TOL)
+    grid, time_tag = ws.grid, ws.fld.time_tag
+    seed = -2.0 * cfg.a_rho * ws.dF
     w1 = seed
     history: list[float] = []
     ratio = None
-    for it in range(1, max_iter + 1):
-        w2, w2hat = omega2_samples(w1)
-        w1_new = (cfg.a_mu / np.pi) * (M1 @ w1 + coupling_of(w2, w2hat)) + seed
-        delta = _f01(w1_new - w1)
-        history.append(delta)
-        w1 = w1_new
-        if len(history) >= 2 and history[-2] > 0:
-            ratio = history[-1] / history[-2]
-        if delta < tol:
-            w2, w2hat = omega2_samples(w1)
-            w1fld = forward(w1, grid, fld.time_tag)
-            return VorticityPair(w1fld, SpectralField(grid, w2hat, fld.time_tag),
-                                 residual=delta, iterations=it,
-                                 contraction_ratio=ratio)
-    raise PicardDivergenceError(
-        f"no contraction after {max_iter} iterations (last residual {history[-1]:.3g})",
-        history,
-    )
-
-
-def _coupling_quadrature(w2: np.ndarray, F: np.ndarray, dF: np.ndarray,
-                         grid: GridSpec, cfg: FluidConfig) -> np.ndarray:
-    # int (b df(a) - (f(a)+h2)) / (b^2 + (f(a)+h2)^2) w2(a-b) db, periodized kernels
-    n, L = grid.n_points, grid.domain_length
-    beta = ((np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2) % n - n // 2) * grid.spacing
-    a_tgt = (F + cfg.h2)[:, None]
-    P = poisson_kernel_periodic(a_tgt, beta, L)
-    CP = conj_poisson_kernel_periodic(a_tgt, beta, L)
-    return (dF * (CP @ w2) - (P @ w2)) * grid.spacing
+    delta, it = 0.0, 1
+    if cfg.a_mu != 0.0:
+        for it in range(1, max_iter + 1):
+            p, cp = ws.target_pair(ws.omega2(w1))
+            w1_new = (cfg.a_mu / np.pi) * (ws.self_induction(w1) + ws.dF * cp - p) + seed
+            delta = fourier_norm(forward(w1_new - w1, grid), NormSpec(0.0))
+            history.append(delta)
+            w1 = w1_new
+            if len(history) >= 2 and history[-2] > 0:
+                ratio = history[-1] / history[-2]
+            if delta < tol:
+                break
+        else:
+            raise PicardDivergenceError(
+                f"no contraction after {max_iter} iterations (last residual {history[-1]:.3g})",
+                history,
+            )
+    return VorticityPair(forward(w1, grid, time_tag),
+                         SpectralField(grid, ws.omega2(w1), time_tag),
+                         residual=delta, iterations=it, contraction_ratio=ratio)
 
 
 def potentials(pair: VorticityPair, f, cfg: FluidConfig,
@@ -360,9 +316,8 @@ def potentials(pair: VorticityPair, f, cfg: FluidConfig,
     the first collocation node.  The line-side potential follows by direct
     quadrature.  Both are verified against d/da Potential = strength.
     """
-    fld, F = _interface_samples(f)
-    grid = fld.grid
-    dF = inverse(derivative(fld))
+    ws = _Workspace(f, cfg, DEFAULT_SERIES_TOL, method="quadrature")
+    grid, F, dF = ws.grid, ws.F, ws.dF
     xi = grid.wavenumbers()
     w1hat = pair.omega1.coefficients
     inv_ixi = np.zeros_like(xi, dtype=complex)
@@ -371,24 +326,16 @@ def potentials(pair: VorticityPair, f, cfg: FluidConfig,
     O1hat = w1hat * inv_ixi
     O1hat[grid.nyquist_index()] = 0.0
     O1_0 = np.fft.ifft(O1hat * grid.n_points).real
-
-    n, L = grid.n_points, grid.domain_length
-    beta_full = ((np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2) % n - n // 2) * grid.spacing
-    a_src = F[None, :] + cfg.h2
-    K2 = (poisson_kernel_periodic(a_src, beta_full, L)
-          + dF[None, :] * conj_poisson_kernel_periodic(a_src, beta_full, L)) * grid.spacing
+    n = grid.n_points
 
     def omega2_potential(O1: np.ndarray) -> np.ndarray:
-        return -(cfg.a_kappa / np.pi) * (K2 @ O1)
-
-    ws = _Workspace(grid, F, dF)
-    Mself = ws.matrix_potential_self()
-    a_tgt = (F + cfg.h2)[:, None]
-    P_tgt = poisson_kernel_periodic(a_tgt, beta_full, L) * grid.spacing
+        # source-side kernel P + df(b) CP at depth f(b) + h2: the target-side
+        # matrices transposed, CP changing sign as an odd kernel
+        return -(cfg.a_kappa / np.pi) * (ws.P.T @ O1 - ws.CP.T @ (dF * O1))
 
     def rhs_at(O1: np.ndarray, O2: np.ndarray) -> np.ndarray:
-        return (-(cfg.a_mu / np.pi) * (Mself @ O1)
-                - (cfg.a_mu / np.pi) * (P_tgt @ O2)
+        return (-(cfg.a_mu / np.pi) * ws.potential_self(O1)
+                - (cfg.a_mu / np.pi) * (ws.P @ O2)
                 - 2.0 * cfg.a_rho * F)
 
     # gauge: the identity is affine in the additive constant c1; solve at node 0
@@ -403,11 +350,12 @@ def potentials(pair: VorticityPair, f, cfg: FluidConfig,
     O1 = O1_0 + c1
     O2 = omega2_potential(O1)
 
-    O1fld = forward(O1, grid, fld.time_tag)
-    O2fld = forward(O2, grid, fld.time_tag)
-    err1 = _f01(inverse(derivative(O1fld)) - inverse(pair.omega1))
-    err2 = _f01(inverse(derivative(O2fld)) - inverse(pair.omega2))
-    scale = max(_f01(inverse(pair.omega1)), _f01(inverse(pair.omega2)), 1e-12)
+    O1fld = forward(O1, grid, ws.fld.time_tag)
+    O2fld = forward(O2, grid, ws.fld.time_tag)
+    f01 = NormSpec(0.0)
+    err1 = fourier_norm(forward(inverse(derivative(O1fld)) - inverse(pair.omega1), grid), f01)
+    err2 = fourier_norm(forward(inverse(derivative(O2fld)) - inverse(pair.omega2), grid), f01)
+    scale = max(fourier_norm(pair.omega1, f01), fourier_norm(pair.omega2, f01), 1e-12)
     if max(err1, err2) > consistency_tol * max(1.0, scale):
         raise InternalConsistencyError(
             f"potential derivatives disagree with strengths: {err1:.3g}, {err2:.3g}"
@@ -432,7 +380,7 @@ def vorticity_bound_check(pair: VorticityPair, f, cfg: FluidConfig,
 
     Raises RegimeError when the ledger constants are undefined at this size.
     """
-    fld, _ = _interface_samples(f)
+    fld: SpectralField = getattr(f, "f", f)
     a0 = fourier_norm(fld, NormSpec(0.0, nu, t))
     a1 = fourier_norm(fld, NormSpec(1.0, nu, t))
     led = certify.ledger(a0, a1, cfg)

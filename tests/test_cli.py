@@ -62,6 +62,33 @@ def test_require_certificate_gate(tmp_path):
     assert meta["status"]["exit"] == EXIT_INADMISSIBLE
 
 
+def _out_of_ledger_config(path: Path) -> Path:
+    # README grid, bump amplitude 0.88: the C1 denominator of the ledger is nonpositive
+    return write_config(path, grid={"n_points": 256, "domain_length": 12 * np.pi},
+                        initial_data={"preset": "gaussian_bump", "amplitude": 0.88,
+                                      "width": 1.5})
+
+
+def test_certify_out_of_ledger_datum(tmp_path, capsys):
+    p = _out_of_ledger_config(tmp_path / "c.json")
+    assert main(["certify", "--config", str(p)]) == EXIT_INADMISSIBLE
+    captured = capsys.readouterr()
+    blob = json.loads(captured.out)
+    assert blob["verdict"] == "out-of-ledger"
+    assert "C1" in blob["divergent_series"]
+    assert "verdict: out-of-ledger" in captured.err
+
+
+def test_require_certificate_refuses_out_of_ledger_datum(tmp_path):
+    p = _out_of_ledger_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(p), "--output-dir", str(out), "--require-certificate"])
+    assert code == EXIT_INADMISSIBLE
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"] == {"exit": EXIT_INADMISSIBLE, "reason": "out-of-ledger"}
+    assert meta["certificate"]["verdict"] == "out-of-ledger"
+
+
 def test_certify_command_matches_library(tmp_path, capsys):
     p = write_config(tmp_path / "c.json")
     code = main(["certify", "--config", str(p)])

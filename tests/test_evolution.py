@@ -3,11 +3,12 @@ import pytest
 
 import mpmath as mp
 
-from muskatjump import FluidConfig, GridSpec, linear_symbol
+from muskatjump import FluidConfig, GridSpec, inverse, linear_symbol, oracle
 from muskatjump.errors import BlowUpError, ConfigurationError, StepSizeError
 from muskatjump.evolution import (InterfaceField, Schedule, SolverOptions, checkpoint_payload,
                                   leakage, load_checkpoint, rhs, run, save_checkpoint, step)
 from muskatjump.spectral import SpectralField
+from muskatjump.vorticity import solve_vorticity
 
 from helpers import REF_CFG, gaussian_bump
 
@@ -83,6 +84,22 @@ def test_rhs_diagnostics_present_when_requested():
     assert br.n_terms is not None
     assert set(br.n_terms) == {"N0", "N1", "N2", "N3", "N4", "N(omega1)", "N(omega2)"}
     assert all(np.isfinite(v) for v in br.n_terms.values())
+
+
+@pytest.mark.parametrize("amplitude", [0.95, 1.05])
+def test_rhs_beyond_series_radius(amplitude):
+    # README grid with ||f||_F01 >= 0.9 h2 (and >= h2): the kernel backend is
+    # quadrature, and the rhs and a step go through
+    g = GridSpec(256, L12)
+    f = gaussian_bump(g, amplitude, 1.5)
+    pair = solve_vorticity(f, REF_CFG)
+    br = rhs(f, REF_CFG)
+    fast = sum(inverse(p) for p in (br.i1, br.i2, br.i3, br.i4)) / (2 * np.pi)
+    ref = oracle.quad_rhs(f.samples(), inverse(pair.omega1), inverse(pair.omega2),
+                          REF_CFG, L12)
+    assert np.max(np.abs(fast - ref)) / np.max(np.abs(ref)) <= 1e-6
+    out = step(f, 0.02, REF_CFG)
+    assert np.all(np.isfinite(out.f.coefficients))
 
 
 def test_step_flat_stays_flat():

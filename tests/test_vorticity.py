@@ -7,7 +7,7 @@ from muskatjump import (FluidConfig, GridSpec, NormSpec, SpectralField, forward,
 from muskatjump.errors import GeometryError, MethodUnavailableError
 from muskatjump.evolution import InterfaceField
 from muskatjump.spectral import derivative
-from muskatjump.vorticity import _f01
+from muskatjump.vorticity import _Workspace, target_series_apply
 
 from helpers import REF_CFG, gaussian_bump, random_admissible_interface
 
@@ -158,7 +158,8 @@ def test_potentials_derivative_consistency():
     f = gaussian_bump(g, 0.02, 1.5)
     pair = solve_vorticity(f, REF_CFG, tol=1e-12)
     pp = potentials(pair, f, REF_CFG)
-    err = _f01(inverse(derivative(pp.Omega1)) - inverse(pair.omega1))
+    err = fourier_norm(forward(inverse(derivative(pp.Omega1)) - inverse(pair.omega1), g),
+                       NormSpec(0.0))
     assert err < 1e-8
 
 
@@ -253,3 +254,30 @@ def test_series_path_outpaces_quadrature():
     omega2_of_omega1(f, w1, REF_CFG, method="quadrature")
     t_quad = time.perf_counter() - t0
     assert t_series * 3.0 < t_quad
+
+
+def test_series_and_quadrature_solves_agree_at_large_amplitude():
+    # README grid, bump amplitude 0.88: the series needs n_max > 170, past the
+    # point where n! overflows a double
+    g = GridSpec(256, L12)
+    f = gaussian_bump(g, 0.88, 1.5)
+    ws = _Workspace(f, REF_CFG, 1e-10)
+    assert ws.n_max is not None and ws.n_max > 170
+    ps = solve_vorticity(f, REF_CFG, workspace=ws)
+    pq = solve_vorticity(f, REF_CFG,
+                         workspace=_Workspace(f, REF_CFG, 1e-10, method="quadrature"))
+    for a, b in ((ps.omega1, pq.omega1), (ps.omega2, pq.omega2)):
+        diff = fourier_norm(SpectralField(g, a.coefficients - b.coefficients), NormSpec(0.0))
+        assert diff < 1e-8 * fourier_norm(b, NormSpec(0.0))
+
+
+def test_target_series_matches_quadrature():
+    g = GridSpec(256, L12)
+    x = g.nodes()
+    f = gaussian_bump(g, 0.3, 1.5)
+    ghat = forward(np.sin(2 * np.pi * 3 * x / L12) * np.exp(-((x - L12 / 2) ** 2) / 8.0),
+                   g).coefficients
+    p, cp = _Workspace(f, REF_CFG, 1e-10, method="quadrature").target_pair(ghat)
+    for conj, want in ((False, p), (True, cp)):
+        got = target_series_apply(ghat, f.samples(), g, REF_CFG.h2, 40, conj)
+        assert np.max(np.abs(got - want)) < 1e-10
