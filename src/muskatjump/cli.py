@@ -24,7 +24,7 @@ from .errors import (BlowUpError, ConfigurationError, GeometryError,
 from .evolution import (InterfaceField, Schedule, SolverOptions, linear_symbol,
                         load_checkpoint, rhs, run, save_checkpoint, step)
 from .spectral import GridSpec, SpectralField, inverse
-from .vorticity import FluidConfig, solve_vorticity
+from .vorticity import DEFAULT_SERIES_TOL, FluidConfig, solve_vorticity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,7 +117,7 @@ def solver_options(raw: dict, overrides: dict | None = None) -> SolverOptions:
     return SolverOptions(
         picard_tol=s.get("picard_tol", 1e-11),
         picard_max_iter=int(s.get("picard_max_iter", 80)),
-        series_tol=s.get("series_tol", 1e-10),
+        series_tol=s.get("series_tol", DEFAULT_SERIES_TOL),
         leakage_threshold=s.get("leakage_threshold", 1e-4),
         cfl_bound=s.get("cfl_bound", 1.0),
         order=int(s.get("order", 2)),

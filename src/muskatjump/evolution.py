@@ -70,12 +70,7 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RhsBreakdown:
-    """The four interface integrals and their linear/nonlinear split.
-
-    ``i1`` holds the Hilbert part pi H(omega1) of I1; ``i2`` holds the rest of
-    I1 together with I2, which share one difference-quotient kernel.  The sum
-    of the four is the full I1 + I2 + I3 + I4.
-    """
+    """The four interface integrals and their linear/nonlinear split."""
 
     i1: SpectralField
     i2: SpectralField
@@ -108,18 +103,26 @@ def linear_symbol(xi, cfg: FluidConfig):
     )
 
 
-def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions):
-    """Strength pair, dealiased I1..I4 spectra (as in RhsBreakdown) and the split.
+def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
+              split_i1: bool = False):
+    """Strength pair, four dealiased integral spectra and the linear/nonlinear split.
 
-    One kernel backend serves the strength solve and all four integrals.
+    One kernel backend serves the strength solve and all four integrals.  The
+    first two spectra are pi H(omega1) and the rest of I1 plus I2, which share
+    one difference-quotient kernel; ``split_i1`` moves the I1 remainder into
+    the first, so the four are I1..I4 one by one.
     """
     grid = f.f.grid
     ws = _Workspace(f, cfg, opts.series_tol)
     pair = solve_vorticity(f, cfg, tol=opts.picard_tol, max_iter=opts.picard_max_iter,
                            workspace=ws)
     p, cp = ws.target_pair(pair.omega2.coefficients)
-    samples = (np.pi * inverse(hilbert(pair.omega1)), ws.slope_terms(inverse(pair.omega1)),
-               cp, ws.dF * p)
+    w1 = inverse(pair.omega1)
+    head, slope = np.pi * inverse(hilbert(pair.omega1)), ws.slope_terms(w1)
+    if split_i1:
+        rem = ws.i1_remainder(w1)
+        head, slope = head + rem, slope - rem
+    samples = (head, slope, cp, ws.dF * p)
     parts = [dealias(forward(s, grid).coefficients, grid) for s in samples]
     # both sides of the split live on the dealiased band, so the remainder is
     # identically zero above the 2/3 cutoff and high modes evolve purely by
@@ -134,11 +137,11 @@ def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) 
     opts = opts or SolverOptions()
     grid = f.f.grid
     check_leakage(f, opts.leakage_threshold)
-    pair, parts, linear_hat, nonlinear_hat = _assemble(f, cfg, opts)
+    pair, parts, linear_hat, nonlinear_hat = _assemble(f, cfg, opts, split_i1=True)
     i1f, i2f, i3f, i4f = (SpectralField(grid, c, f.time) for c in parts)
     diag = None
     if opts.collect_diagnostics:
-        diag = _nonlinear_diagnostics(f, cfg, pair, i1f, i2f, i3f)
+        diag = _nonlinear_diagnostics(f, cfg, pair, i1f, i3f)
     return RhsBreakdown(
         i1=i1f, i2=i2f, i3=i3f, i4=i4f,
         linear_part=SpectralField(grid, hermitian_symmetrize(linear_hat), f.time),
@@ -148,7 +151,7 @@ def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) 
 
 
 def _nonlinear_diagnostics(f: InterfaceField, cfg: FluidConfig, pair: VorticityPair,
-                           i1f: SpectralField, i2f: SpectralField, i3f: SpectralField) -> dict:
+                           i1f: SpectralField, i3f: SpectralField) -> dict:
     """F^{0,1} sizes of the named nonlinear pieces of the mode-space split."""
     grid = f.f.grid
     xi = grid.wavenumbers()
@@ -163,7 +166,7 @@ def _nonlinear_diagnostics(f: InterfaceField, cfg: FluidConfig, pair: VorticityP
     n1 = -0.5j * sgn * decay * n_w2
     n2 = 0.5j * sgn * cfg.a_kappa / denom * n_w1
     n3 = 0.5j * sgn * cfg.a_kappa * cfg.a_mu * decay / denom * n_w2
-    n0 = (i1f.coefficients + i2f.coefficients) / (2.0 * np.pi) - 0.5 * (-1j * sgn) * w1hat
+    n0 = i1f.coefficients / (2.0 * np.pi) - 0.5 * (-1j * sgn) * w1hat
     n4 = i3f.coefficients / (2.0 * np.pi) - 0.5 * (-1j * sgn) * decay * w2hat
 
     def size(c):

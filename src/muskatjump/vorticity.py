@@ -148,25 +148,23 @@ class _Workspace:
     majorant tail, for operands of size max(1, 4 A_rho ||f||_{F^{1,1}}), meets
     series_tol; trapezoid quadrature of the periodized kernels otherwise.
     ``method`` forces one rule (a forced series raises MethodUnavailableError
-    when no order meets the tolerance) and ``n_max`` fixes the series order.
+    when no order meets the tolerance).
     The f-power spectra, or the dense target-side Poisson and
     conjugate-Poisson matrices, are built here once; the difference-quotient
     kernels on first use.
     """
 
-    def __init__(self, f, cfg: FluidConfig, series_tol: float,
-                 method: str | None = None, n_max: int | None = None):
+    def __init__(self, f, cfg: FluidConfig, series_tol: float, method: str | None = None):
         check_geometry(f, cfg)
         fld: SpectralField = getattr(f, "f", f)
         grid = fld.grid
         self.fld, self.grid, self.cfg = fld, grid, cfg
         self.F = inverse(fld)
         self.dF = inverse(derivative(fld))
-        if method == "quadrature":
-            n_max = None
-        elif method not in (None, "series"):
+        if method not in (None, "series", "quadrature"):
             raise ConfigurationError(f"unknown method {method!r}")
-        elif n_max is None:
+        n_max = None
+        if method != "quadrature":
             a0 = fourier_norm(fld, NormSpec(0.0))
             if method == "series" or a0 < 0.9 * cfg.h2:
                 # strength norms scale like 2 A_rho C1 a1; keep the majorant
@@ -236,27 +234,19 @@ class _Workspace:
         """(I1 - pi H w1) + I2 as one kernel, Delta (df - Delta) / (1 + Delta^2)."""
         return self._gather(self._dq[1] * self._self_kernel, w1)
 
+    def i1_remainder(self, w1: np.ndarray) -> np.ndarray:
+        """I1 - pi H w1 alone: -Delta^2 / (1 + Delta^2) against the pv kernel."""
+        _, delta, pv = self._dq
+        return self._gather(-(delta ** 2) / (1.0 + delta ** 2) * pv[None, :], w1)
+
     def potential_self(self, O1: np.ndarray) -> np.ndarray:
         """Self term of the fluid-side potential identity."""
         cols, delta, pv = self._dq
         return self._gather((delta - self.dF[cols]) / (1.0 + delta ** 2) * pv[None, :], O1)
 
 
-def target_series_apply(ghat: np.ndarray, F: np.ndarray, grid: GridSpec, h2: float,
-                        n_max: int, conj: bool) -> np.ndarray:
-    """Samples of int K(f(a)+h2; b) g(a-b) db via the target-side exponential series.
-
-    K is the periodized Poisson kernel (conj=False, transform pi e^{-a|xi|})
-    or its conjugate (conj=True, transform -i pi sgn(xi) e^{-a|xi|}).  All
-    pointwise products are computed alias-free and 2/3-truncated.
-    """
-    powers = _f_powers(forward(F, grid).coefficients, n_max, grid)
-    p, cp = _target_series(ghat, powers, _series_weights(grid, h2, n_max), grid)
-    return cp if conj else p
-
-
 def omega2_of_omega1(f, omega1: SpectralField, cfg: FluidConfig,
-                     method: str = "series", n_max: int | None = None,
+                     method: str = "series", *,
                      tol: float = DEFAULT_SERIES_TOL) -> SpectralField:
     """Permeability-sheet strength induced by a fluid-sheet strength.
 
@@ -264,7 +254,7 @@ def omega2_of_omega1(f, omega1: SpectralField, cfg: FluidConfig,
     tail; unavailable when ||f||_{F^{0,1}} >= h2.  method="quadrature":
     O(N^2) trapezoid sum of the periodized kernel.
     """
-    ws = _Workspace(f, cfg, tol, method, n_max)
+    ws = _Workspace(f, cfg, tol, method)
     if omega1.grid != ws.grid:
         raise ConfigurationError("omega1 lives on a different grid")
     return SpectralField(ws.grid, ws.omega2(inverse(omega1)), ws.fld.time_tag)

@@ -86,6 +86,20 @@ def test_rhs_diagnostics_present_when_requested():
     assert all(np.isfinite(v) for v in br.n_terms.values())
 
 
+def test_rhs_parts_are_the_four_integrals():
+    # i1..i4 hold I1..I4 one by one (not only their sum), each against the
+    # direct quadrature of the oracle
+    g = GridSpec(256, L12)
+    f = gaussian_bump(g, 0.3, 1.5)
+    pair = solve_vorticity(f, REF_CFG)
+    br = rhs(f, REF_CFG)
+    F, w1, w2 = f.samples(), inverse(pair.omega1), inverse(pair.omega2)
+    parts = (br.i1, br.i2, br.i3, br.i4)
+    for which, (part, w) in enumerate(zip(parts, (w1, w1, w2, w2)), start=1):
+        ref = oracle.quad_I(F, w, REF_CFG, which, L12)
+        assert np.max(np.abs(inverse(part) - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("amplitude", [0.95, 1.05])
 def test_rhs_beyond_series_radius(amplitude):
     # README grid with ||f||_F01 >= 0.9 h2 (and >= h2): the kernel backend is

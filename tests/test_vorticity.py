@@ -7,7 +7,7 @@ from muskatjump import (FluidConfig, GridSpec, NormSpec, SpectralField, forward,
 from muskatjump.errors import GeometryError, MethodUnavailableError
 from muskatjump.evolution import InterfaceField
 from muskatjump.spectral import derivative
-from muskatjump.vorticity import _Workspace, target_series_apply
+from muskatjump.vorticity import _Workspace
 
 from helpers import REF_CFG, gaussian_bump, random_admissible_interface
 
@@ -277,7 +277,9 @@ def test_target_series_matches_quadrature():
     f = gaussian_bump(g, 0.3, 1.5)
     ghat = forward(np.sin(2 * np.pi * 3 * x / L12) * np.exp(-((x - L12 / 2) ** 2) / 8.0),
                    g).coefficients
-    p, cp = _Workspace(f, REF_CFG, 1e-10, method="quadrature").target_pair(ghat)
-    for conj, want in ((False, p), (True, cp)):
-        got = target_series_apply(ghat, f.samples(), g, REF_CFG.h2, 40, conj)
-        assert np.max(np.abs(got - want)) < 1e-10
+    series = _Workspace(f, REF_CFG, 1e-10, method="series")
+    assert series.n_max is not None
+    got = series.target_pair(ghat)
+    want = _Workspace(f, REF_CFG, 1e-10, method="quadrature").target_pair(ghat)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) < 1e-10
