@@ -383,28 +383,41 @@ def _admissible_tau(tau: float, cfg: "FluidConfig") -> bool:
     return all(th - s > 0.0 for s in sig)
 
 
-def thresholds(cfg: "FluidConfig", haircut: float = 0.99, iterations: int = 60):
+_THRESHOLD_HAIRCUT = 0.99
+_BISECTION_STEPS = 60
+_thresholds_cache: dict = {}
+
+
+def thresholds(cfg: "FluidConfig") -> tuple[float, float]:
     """Largest diagonal-ray point (k0, k1) = tau (h2, 1) with positive margins.
 
     Bisection for the supremum of admissible tau in (0, 1), then a 1% haircut.
+    Cached per (A_kappa, A_mu, h2), the only parameters the margins depend on;
+    a RegimeError is raised again on every call.
     """
+    key = (cfg.a_kappa, cfg.a_mu, cfg.h2)
+    if key in _thresholds_cache:
+        return _thresholds_cache[key]
     if theta(cfg) <= 0.0:
         raise RegimeError("theta must be positive")
     lo = 1e-6
     if not _admissible_tau(lo, cfg):
         raise RegimeError("no admissible tau >= 1e-6: degenerate regime")
+    # The upper end is never admissible, so it is not probed.  Wherever the
+    # ledger converges, C1 >= 1 (its denominator is <= 1) and every other
+    # term of sigma0 is >= 0 (C0 >= 1, C5 >= 0, lambda1 >= 0), so
+    # sigma0 >= 2 C6 a1 = 2 tau^2 / (1 - tau^2) ~ 1e12 > 1 >= theta there;
+    # where it diverges, _sigma_triple returns None.
     hi = 1.0 - 1e-12
-    if _admissible_tau(hi, cfg):
-        lo = hi
-    else:
-        for _ in range(iterations):
-            mid = 0.5 * (lo + hi)
-            if _admissible_tau(mid, cfg):
-                lo = mid
-            else:
-                hi = mid
-    tau_star = lo * haircut
-    return tau_star * cfg.h2, tau_star
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if _admissible_tau(mid, cfg):
+            lo = mid
+        else:
+            hi = mid
+    tau_star = lo * _THRESHOLD_HAIRCUT
+    _thresholds_cache[key] = (tau_star * cfg.h2, tau_star)
+    return _thresholds_cache[key]
 
 
 # ---------------------------------------------------------------------------

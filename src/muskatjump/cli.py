@@ -184,22 +184,21 @@ def cmd_run(args) -> int:
     ckptdir.mkdir(exist_ok=True)
     started = time.time()
 
-    monitor = None
-    start_step = 0
+    f0 = build_initial_data(raw, grid)
+    state0, start_step, monitor = f0, 0, None
     if args.resume:
-        f0, start_step, dt_saved, monitor = load_checkpoint(args.resume, cfg)
+        state0, start_step, dt_saved, monitor = load_checkpoint(args.resume, cfg)
         if abs(dt_saved - schedule.dt) > 0:
             raise ConfigurationError("checkpoint dt differs from config dt")
-        cert = None
-    else:
-        f0 = build_initial_data(raw, grid)
-        cert = certify.certify_datum(f0, cfg)
-        if args.require_certificate and cert.verdict != "admissible":
-            print(f"datum is {cert.verdict}; refusing to run", file=sys.stderr)
-            _write_metadata(outdir, raw, cfg, cert,
-                            {"exit": EXIT_INADMISSIBLE, "reason": cert.verdict},
-                            started, time.time())
-            return EXIT_INADMISSIBLE
+    # a resumed run certifies the initial datum too, so its metadata match
+    # those of the uninterrupted run
+    cert = certify.certify_datum(f0, cfg)
+    if args.require_certificate and cert.verdict != "admissible":
+        print(f"datum is {cert.verdict}; refusing to run", file=sys.stderr)
+        _write_metadata(outdir, raw, cfg, cert,
+                        {"exit": EXIT_INADMISSIBLE, "reason": cert.verdict},
+                        started, time.time())
+        return EXIT_INADMISSIBLE
 
     csv_path = outdir / "trajectory.csv"
     csv_fh = open(csv_path, "w")
@@ -218,7 +217,7 @@ def cmd_run(args) -> int:
     status = {"exit": EXIT_OK}
     rec = None
     try:
-        rec = run(f0, cfg, schedule, opts, certificate=cert,
+        rec = run(state0, cfg, schedule, opts, certificate=cert,
                   on_snapshot=on_snapshot, start_step=start_step, monitor=monitor)
     except GeometryError as exc:
         status = {"exit": EXIT_GEOMETRY, "reason": str(exc)}
@@ -228,8 +227,7 @@ def cmd_run(args) -> int:
         csv_fh.close()
     if status["exit"] == EXIT_OK and rec is not None and rec.budget_violated:
         status = {"exit": EXIT_BUDGET, "reason": "decay budget inequality violated"}
-    _write_metadata(outdir, raw, cfg, cert if not args.resume else None, status,
-                    started, time.time())
+    _write_metadata(outdir, raw, cfg, cert, status, started, time.time())
     if status["exit"] != EXIT_OK:
         print(status["reason"], file=sys.stderr)
     return status["exit"]

@@ -2,9 +2,13 @@ import math
 from decimal import Decimal, getcontext
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from muskatjump import FluidConfig, GridSpec, certify_datum, forward, ledger, theta, thresholds
-from muskatjump.certify import l2_growth_rates, theta_closed_form, theta_grid_scan
+from muskatjump import FluidConfig, GridSpec, certify, certify_datum, forward, ledger, theta, thresholds
+from muskatjump.certify import _admissible_tau, l2_growth_rates, theta_closed_form, theta_grid_scan
+from muskatjump.errors import RegimeError
 
 from helpers import REF_CFG
 
@@ -137,6 +141,75 @@ def test_thresholds_monotone_in_permeability_contrast():
             _, k1 = thresholds(FluidConfig(ak, am, 1.0, 1.0))
             taus.append(k1)
         assert all(taus[i + 1] >= taus[i] - 1e-12 for i in range(len(taus) - 1))
+
+
+# frozen from the bisection that still probed tau = 1 - 1e-12 first
+PINNED_THRESHOLDS = [
+    (REF_CFG, "0x1.5fd607728b98cp-5", "0x1.5fd607728b98cp-5"),
+    (FluidConfig(0.0, 0.0, 1.0, 1.0), "0x1.085395c722b62p-3", "0x1.085395c722b62p-3"),
+    (FluidConfig(0.95, 0.95, 1.0, 0.1), "0x1.105ccd1252258p-15", "0x1.54740056e6aeep-12"),
+    (FluidConfig(-0.95, -0.95, 1.0, 5.0), "0x1.39b453c75011cp-6", "0x1.f5ed52d8801c6p-9"),
+]
+
+
+@pytest.mark.parametrize("cfg, k0_hex, k1_hex", PINNED_THRESHOLDS)
+def test_thresholds_pinned_bits(cfg, k0_hex, k1_hex, monkeypatch):
+    monkeypatch.setattr(certify, "_thresholds_cache", {})
+    k0, k1 = thresholds(cfg)
+    assert (k0.hex(), k1.hex()) == (k0_hex, k1_hex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau=st.floats(0.6, 0.95),
+       ak=st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True),
+       am=st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True),
+       h2=st.floats(0.1, 5.0))
+def test_no_admissible_tau_above_sigma0_bound(tau, ak, am, h2):
+    # sigma0 >= 2 tau^2 / (1 - tau^2) > 1 >= theta for tau >= 0.6, which is
+    # why the bisection never probes its upper end
+    assert not _admissible_tau(tau, FluidConfig(ak, am, 1.0, h2))
+
+
+def _count_ledger_calls(monkeypatch) -> list:
+    calls = []
+    real = certify.ledger
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(certify, "ledger", counting)
+    return calls
+
+
+def test_thresholds_cached_per_config(monkeypatch):
+    monkeypatch.setattr(certify, "_thresholds_cache", {})
+    calls = _count_ledger_calls(monkeypatch)
+    first = thresholds(REF_CFG)
+    assert len(calls) == 1 + certify._BISECTION_STEPS
+    calls.clear()
+    assert thresholds(REF_CFG) == first
+    assert calls == []
+
+
+def test_thresholds_independent_of_a_rho(monkeypatch):
+    values = []
+    for a_rho in (1.0, 2.5):
+        monkeypatch.setattr(certify, "_thresholds_cache", {})
+        values.append(thresholds(FluidConfig(0.5, 0.2, a_rho, 1.0)))
+    assert values[0] == values[1]
+
+
+def test_degenerate_thresholds_raise_on_every_call(monkeypatch):
+    monkeypatch.setattr(certify, "_thresholds_cache", {})
+    calls = _count_ledger_calls(monkeypatch)
+    cfg = FluidConfig(1.0 - 1e-9, 0.0, 1.0, 1.0)  # theta ~ 1e-9
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(RegimeError, match="degenerate"):
+            thresholds(cfg)
+        assert len(calls) == 1
+    assert certify._thresholds_cache == {}
 
 
 def test_certify_zero_datum():

@@ -162,6 +162,13 @@ def test_resume_reproduces_final_checkpoint(tmp_path):
     last = "ckpt_00000010.json"
     assert (full / "checkpoints" / last).read_bytes() == \
         (resumed / "checkpoints" / last).read_bytes()
+    metas = []
+    for out in (full, resumed):
+        m = json.loads((out / "metadata.json").read_text())
+        m.pop("timestamps")
+        metas.append(m)
+    assert metas[1]["certificate"] is not None
+    assert metas[0] == metas[1]
 
 
 def test_from_file_initial_data(tmp_path):
