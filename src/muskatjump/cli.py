@@ -201,8 +201,13 @@ def cmd_run(args) -> int:
         return EXIT_INADMISSIBLE
 
     csv_path = outdir / "trajectory.csv"
+    # a resume keeps the complete rows before its checkpoint; run() writes the
+    # checkpoint's own row again
+    rows = csv_path.read_text().splitlines(True)[1:] if args.resume and csv_path.exists() else []
+    kept = [r for r in rows
+            if r.endswith("\n") and round(float(r.split(",", 1)[0]) / schedule.dt) < start_step]
     csv_fh = open(csv_path, "w")
-    csv_fh.write(",".join(_CSV_COLUMNS) + "\n")
+    csv_fh.write(",".join(_CSV_COLUMNS) + "\n" + "".join(kept))
     last_step = int(round(schedule.t_end / schedule.dt))
 
     def on_snapshot(step_index, state, rec, mon):

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,11 +46,21 @@ class GridSpec:
         return np.arange(self.n_points) * self.spacing
 
     def wavenumbers(self) -> np.ndarray:
-        """xi_k = 2 pi k / L in FFT order (Nyquist slot carries -n/2)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=1.0 / self.n_points) / self.domain_length
+        """xi_k = 2 pi k / L in FFT order (Nyquist slot carries -n/2); read-only."""
+        return self._modes[1]
 
     def mode_numbers(self) -> np.ndarray:
-        return np.rint(np.fft.fftfreq(self.n_points, d=1.0 / self.n_points)).astype(int)
+        return self._modes[0]
+
+    @cached_property
+    def _modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only mode numbers, wavenumbers and |k| <= n/3 mask, cached outside the fields."""
+        freq = np.fft.fftfreq(self.n_points, d=1.0 / self.n_points)
+        k = np.rint(freq).astype(int)
+        out = (k, 2.0 * np.pi * freq / self.domain_length, np.abs(k) <= self.n_points // 3)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def nyquist_index(self) -> int:
         return self.n_points // 2
@@ -80,8 +91,7 @@ class SpectralField:
 
     def is_real_symmetric(self, tol: float = 1e-12) -> bool:
         c = self.coefficients
-        n = self.grid.n_points
-        mirror = np.conj(c[(-np.arange(n)) % n])
+        mirror = np.conj(np.concatenate((c[:1], c[:0:-1])))
         scale = max(np.max(np.abs(c)), 1.0)
         return bool(np.max(np.abs(c - mirror)) <= tol * scale)
 
@@ -111,16 +121,13 @@ def inverse(fld: SpectralField) -> np.ndarray:
 
 
 def hermitian_symmetrize(c: np.ndarray) -> np.ndarray:
-    n = len(c)
-    idx = (-np.arange(n)) % n
-    out = 0.5 * (c + np.conj(c[idx]))
-    return out
+    # the mirror [c_0, c_{n-1}, ..., c_1] is c_{-k mod n} without an index array
+    return 0.5 * (c + np.conj(np.concatenate((c[:1], c[:0:-1]))))
 
 
 def apply_multiplier(fld: SpectralField, multiplier: np.ndarray) -> SpectralField:
     """Multiply mode-wise and zero the Nyquist slot."""
     c = fld.coefficients * multiplier
-    c = c.copy()
     c[fld.grid.nyquist_index()] = 0.0
     return fld.with_coefficients(c)
 
@@ -188,41 +195,46 @@ def odd_offsets(grid: GridSpec) -> np.ndarray:
     return m[m % 2 != 0]
 
 
+def odd_offset_view(w: np.ndarray) -> np.ndarray:
+    """Read-only n x n/2 circulant view V[a, j] = w[(a - m_j) % n], m_j from odd_offsets.
+
+    m_j = 2j - n/2 + 1, so row a is a window over three periods of w that
+    starts at w[a + n/2 - 1] and steps back two nodes per offset.
+    """
+    n = len(w)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([w, w, w]), n - 1)
+    return windows[n // 2 + 1: 3 * n // 2 + 1, n - 2::-2]
+
+
 # ---------------------------------------------------------------------------
 # Dealiased products (2/3 rule via zero-padded transforms).
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:
-    k = grid.mode_numbers()
-    keep = np.abs(k) <= grid.n_points // 3
-    keep[grid.nyquist_index()] = False
-    return keep
+    return grid._modes[2]
 
 
 def dealias(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    out = np.where(dealias_mask(grid), c, 0.0)
-    return out
+    return np.where(dealias_mask(grid), c, 0.0)
+
+
+def padded_samples(chat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Samples on the 2n grid of a spectrum, or of each row of a stack, zero-padded."""
+    half = grid.n_points // 2
+    pad = np.zeros(chat.shape[:-1] + (4 * half,), dtype=complex)
+    pad[..., : half + 1] = chat[..., : half + 1]
+    pad[..., 3 * half + 1:] = chat[..., half + 1:]
+    return np.fft.ifft(pad * (4 * half))
+
+
+def padded_coefficients(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Coefficients of 2n-grid samples (the last axis), restricted to |k| <= n/3."""
+    big = 2 * grid.n_points
+    return dealias(np.fft.fft(samples)[..., grid.mode_numbers() % big] / big, grid)
 
 
 def product_coefficients(chat: np.ndarray, dhat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Coefficients of the pointwise product, alias-free, 2/3-truncated.
-
-    Both inputs are zero-padded to a 2n grid so the quadratic product is an
-    exact convolution; the result is then restricted to |k| <= n/3.
-    """
-    n = grid.n_points
-    big = 2 * n
-    cpad = np.zeros(big, dtype=complex)
-    dpad = np.zeros(big, dtype=complex)
-    half = n // 2
-    cpad[: half + 1] = chat[: half + 1]
-    cpad[big - (half - 1):] = chat[half + 1:]
-    dpad[: half + 1] = dhat[: half + 1]
-    dpad[big - (half - 1):] = dhat[half + 1:]
-    prod = np.fft.fft(np.fft.ifft(cpad * big) * np.fft.ifft(dpad * big)) / big
-    out = np.zeros(n, dtype=complex)
-    out[: half + 1] = prod[: half + 1]
-    out[half + 1:] = prod[big - (half - 1):]
-    return dealias(out, grid)
+    """Coefficients of the pointwise product, alias-free (padded to 2n), 2/3-truncated."""
+    return padded_coefficients(padded_samples(chat, grid) * padded_samples(dhat, grid), grid)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:

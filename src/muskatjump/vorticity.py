@@ -27,7 +27,8 @@ from .errors import (ConfigurationError, GeometryError, InternalConsistencyError
                      MethodUnavailableError, PicardDivergenceError, RegimeError)
 from .norms import NormSpec, fourier_norm
 from .spectral import (GridSpec, SpectralField, conj_poisson_kernel_periodic,
-                       derivative, forward, hermitian_symmetrize, inverse, odd_offsets,
+                       derivative, forward, hermitian_symmetrize, inverse, odd_offset_view,
+                       odd_offsets, padded_coefficients, padded_samples,
                        poisson_kernel_periodic, product_coefficients, pv_kernel_periodic)
 
 DEFAULT_SERIES_TOL = 1e-10
@@ -117,29 +118,6 @@ def _series_weights(grid: GridSpec, h2: float, n_max: int) -> np.ndarray:
     return rows
 
 
-def _f_powers(fhat: np.ndarray, n_max: int, grid: GridSpec) -> list[np.ndarray]:
-    """Coefficients of f, f^2, ..., f^n_max by dealiased products."""
-    powers = [fhat]
-    for _ in range(1, n_max):
-        powers.append(product_coefficients(powers[-1], fhat, grid))
-    return powers[:n_max]
-
-
-def _target_series(ghat: np.ndarray, powers: list[np.ndarray], weights: np.ndarray,
-                   grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of (P g, CP g) at the depth f(a) + h2 by the target-side series.
-
-    At a flat depth, P g + i CP g has coefficients pi (1 + sgn xi) e^{-h2|xi|}
-    g_hat, so one complex series carries both kernels.
-    """
-    z = np.pi * (1.0 + np.sign(grid.wavenumbers())) * ghat
-    out = weights[0] * z
-    for fn, wn in zip(powers, weights[1:]):
-        out = out + product_coefficients(fn, wn * z, grid)
-    s = np.fft.ifft(out * grid.n_points)
-    return s.real, s.imag
-
-
 class _Workspace:
     """Kernel backend of one interface snapshot.
 
@@ -149,9 +127,9 @@ class _Workspace:
     series_tol; trapezoid quadrature of the periodized kernels otherwise.
     ``method`` forces one rule (a forced series raises MethodUnavailableError
     when no order meets the tolerance).
-    The f-power spectra, or the dense target-side Poisson and
-    conjugate-Poisson matrices, are built here once; the difference-quotient
-    kernels on first use.
+    The f powers, kept as 2N-padded samples in one (n_max, 2N) array, or the
+    dense target-side Poisson and conjugate-Poisson matrices, are built here
+    once; the difference-quotient kernels on first use.
     """
 
     def __init__(self, f, cfg: FluidConfig, series_tol: float, method: str | None = None):
@@ -178,7 +156,11 @@ class _Workspace:
         self.n_max = n_max
         if n_max is not None:
             self.weights = _series_weights(grid, cfg.h2, n_max)
-            self.powers = _f_powers(fld.coefficients, n_max, grid)
+            # f, f^2, ..., f^n_max by dealiased products, kept as padded samples
+            powers = [fld.coefficients]
+            for _ in range(1, n_max):
+                powers.append(product_coefficients(powers[-1], fld.coefficients, grid))
+            self.power_samples = padded_samples(np.array(powers), grid)
         else:
             n, L = grid.n_points, grid.domain_length
             i = np.arange(n)
@@ -192,39 +174,48 @@ class _Workspace:
         """Coefficients of the permeability-sheet strength induced by samples w1."""
         if self.n_max is None:
             return forward(-(self.cfg.a_kappa / np.pi) * (self.P.T @ w1), self.grid).coefficients
+        # sum_n weights[n] * trunc(f^n w1): one padded inverse, one batched forward
         w1hat = forward(w1, self.grid).coefficients
-        acc = self.weights[0] * w1hat
-        for fn, wn in zip(self.powers, self.weights[1:]):
-            acc = acc + wn * product_coefficients(fn, w1hat, self.grid)
+        prods = padded_coefficients(self.power_samples * padded_samples(w1hat, self.grid),
+                                    self.grid)
+        acc = self.weights[0] * w1hat + (self.weights[1:] * prods).sum(axis=0)
         return hermitian_symmetrize(-self.cfg.a_kappa * acc)
 
     def target_pair(self, ghat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Samples of int K(f(a)+h2; b) g(a-b) db for K = P and K = CP (conjugate)."""
+        """Samples of int K(f(a)+h2; b) g(a-b) db for K = P and K = CP (conjugate).
+
+        On the series backend P g + i CP g is one complex series in f^n, summed
+        in sample space and truncated once (the truncation is linear).
+        """
+        grid = self.grid
         if self.n_max is None:
-            g = np.fft.ifft(ghat * self.grid.n_points).real
+            g = np.fft.ifft(ghat * grid.n_points).real
             return self.P @ g, self.CP @ g
-        return _target_series(ghat, self.powers, self.weights, self.grid)
+        # at a flat depth P g + i CP g has coefficients pi (1 + sgn xi) e^{-h2|xi|} g_hat
+        z = np.pi * (1.0 + np.sign(grid.wavenumbers())) * ghat
+        rows = padded_samples(self.weights[1:] * z, grid)
+        tail = padded_coefficients((self.power_samples * rows).sum(axis=0), grid)
+        s = np.fft.ifft((self.weights[0] * z + tail) * grid.n_points)
+        return s.real, s.imag
 
     @cached_property
-    def _dq(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Odd-offset gather indices, difference quotients Delta and pv weights."""
+    def _dq(self) -> tuple[np.ndarray, np.ndarray]:
+        """Difference quotients Delta over the odd offsets and the pv weights."""
         grid = self.grid
-        m = odd_offsets(grid)
-        beta = m * grid.spacing
-        cols = (np.arange(grid.n_points)[:, None] - m[None, :]) % grid.n_points
-        delta = (self.F[:, None] - self.F[cols]) / beta[None, :]
+        beta = odd_offsets(grid) * grid.spacing
+        delta = (self.F[:, None] - odd_offset_view(self.F)) / beta[None, :]
         pv = pv_kernel_periodic(beta, grid.domain_length) * 2.0 * grid.spacing
-        return cols, delta, pv
+        return delta, pv
 
     @cached_property
     def _self_kernel(self) -> np.ndarray:
         # (df(a) - Delta_b f(a)) / (1 + Delta_b f(a)^2) against the pv kernel
-        _, delta, pv = self._dq
+        delta, pv = self._dq
         return (self.dF[:, None] - delta) / (1.0 + delta ** 2) * pv[None, :]
 
     def _gather(self, kernel: np.ndarray, w: np.ndarray) -> np.ndarray:
         # alternating-rule sum over odd offsets m: sum_m kernel[a, m] w[a - m]
-        return np.einsum("ij,ij->i", kernel, w[self._dq[0]])
+        return np.einsum("ij,ij->i", kernel, odd_offset_view(w))
 
     def self_induction(self, w1: np.ndarray) -> np.ndarray:
         """Self-induced term of the fluid-sheet strength equation."""
@@ -232,17 +223,18 @@ class _Workspace:
 
     def slope_terms(self, w1: np.ndarray) -> np.ndarray:
         """(I1 - pi H w1) + I2 as one kernel, Delta (df - Delta) / (1 + Delta^2)."""
-        return self._gather(self._dq[1] * self._self_kernel, w1)
+        return self._gather(self._dq[0] * self._self_kernel, w1)
 
     def i1_remainder(self, w1: np.ndarray) -> np.ndarray:
         """I1 - pi H w1 alone: -Delta^2 / (1 + Delta^2) against the pv kernel."""
-        _, delta, pv = self._dq
+        delta, pv = self._dq
         return self._gather(-(delta ** 2) / (1.0 + delta ** 2) * pv[None, :], w1)
 
     def potential_self(self, O1: np.ndarray) -> np.ndarray:
         """Self term of the fluid-side potential identity."""
-        cols, delta, pv = self._dq
-        return self._gather((delta - self.dF[cols]) / (1.0 + delta ** 2) * pv[None, :], O1)
+        delta, pv = self._dq
+        kernel = (delta - odd_offset_view(self.dF)) / (1.0 + delta ** 2) * pv[None, :]
+        return self._gather(kernel, O1)
 
 
 def omega2_of_omega1(f, omega1: SpectralField, cfg: FluidConfig,

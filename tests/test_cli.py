@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,13 @@ def test_resume_reproduces_final_checkpoint(tmp_path):
         metas.append(m)
     assert metas[1]["certificate"] is not None
     assert metas[0] == metas[1]
+    # resuming inside a copy of the full run's directory keeps the rows before
+    # the checkpoint, so the CSV ends byte-identical to the uninterrupted one
+    copy = tmp_path / "copy"
+    shutil.copytree(full, copy)
+    assert main(["run", "--config", str(p), "--output-dir", str(copy),
+                 "--resume", str(copy / "checkpoints" / "ckpt_00000005.json")]) == EXIT_OK
+    assert (copy / "trajectory.csv").read_bytes() == (full / "trajectory.csv").read_bytes()
 
 
 def test_from_file_initial_data(tmp_path):

@@ -3,7 +3,8 @@ import pytest
 
 from muskatjump import GridSpec, conj_poisson_hat, derivative, forward, hilbert, inverse, poisson_hat
 from muskatjump.errors import ConfigurationError, DomainError
-from muskatjump.spectral import dealiased_product, odd_offsets, pv_kernel_periodic
+from muskatjump.spectral import (dealias_mask, dealiased_product, odd_offset_view, odd_offsets,
+                                 pv_kernel_periodic)
 
 
 def test_forward_constant():
@@ -209,3 +210,33 @@ def test_dealiased_product_single_modes():
     assert abs(p.coefficients[1] - 0.25) < 1e-13
     assert abs(p.coefficients[5] - 0.25) < 1e-13
     assert abs(p.coefficients[2]) < 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 64, 512])
+def test_grid_constants_built_once_and_read_only(n):
+    g = GridSpec(n, 7.3)
+    freq = np.fft.fftfreq(n, d=1.0 / n)
+    k = np.rint(freq).astype(int)
+    keep = np.abs(k) <= n // 3
+    keep[n // 2] = False
+    assert np.array_equal(g.wavenumbers(), 2.0 * np.pi * freq / 7.3)
+    assert np.array_equal(g.mode_numbers(), k)
+    assert np.array_equal(dealias_mask(g), keep)
+    for arr in (g.wavenumbers(), g.mode_numbers(), dealias_mask(g)):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert g.wavenumbers() is g.wavenumbers()
+    # the cache lives outside the dataclass fields: a grid that never built
+    # it is still equal, with an equal hash
+    twin = GridSpec(n, 7.3)
+    assert g == twin and hash(g) == hash(twin)
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_odd_offset_view_is_read_only_circulant(n):
+    w = np.random.default_rng(n).standard_normal(n)
+    m = odd_offsets(GridSpec(n, 1.0))
+    view = odd_offset_view(w)
+    assert np.array_equal(view, w[(np.arange(n)[:, None] - m[None, :]) % n])
+    with pytest.raises(ValueError):
+        view[0, 0] = 0.0

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muskatjump import (FluidConfig, GridSpec, NormSpec, SpectralField, forward, fourier_norm,
                         inverse, omega2_of_omega1, potentials, solve_vorticity,
                         vorticity_bound_check)
+from muskatjump.certify import thresholds
 from muskatjump.errors import GeometryError, MethodUnavailableError
 from muskatjump.evolution import InterfaceField
-from muskatjump.spectral import derivative
+from muskatjump.spectral import derivative, hermitian_symmetrize, product_coefficients
 from muskatjump.vorticity import _Workspace
 
 from helpers import REF_CFG, gaussian_bump, random_admissible_interface
@@ -283,3 +286,53 @@ def test_target_series_matches_quadrature():
     want = _Workspace(f, REF_CFG, 1e-10, method="quadrature").target_pair(ghat)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) < 1e-10
+
+
+def _series_by_products(ws, w1, ghat):
+    """omega2 and target_pair of a series backend, one dealiased product per term."""
+    grid, fhat = ws.grid, ws.fld.coefficients
+    powers = [fhat]
+    for _ in range(1, ws.n_max):
+        powers.append(product_coefficients(powers[-1], fhat, grid))
+    w1hat = forward(w1, grid).coefficients
+    acc = ws.weights[0] * w1hat
+    for fn, wn in zip(powers, ws.weights[1:]):
+        acc = acc + wn * product_coefficients(fn, w1hat, grid)
+    z = np.pi * (1.0 + np.sign(grid.wavenumbers())) * ghat
+    out = ws.weights[0] * z
+    for fn, wn in zip(powers, ws.weights[1:]):
+        out = out + product_coefficients(fn, wn * z, grid)
+    s = np.fft.ifft(out * grid.n_points)
+    return hermitian_symmetrize(-ws.cfg.a_kappa * acc), (s.real, s.imag)
+
+
+def _assert_series_matches_products(f):
+    g = f.f.grid
+    x = g.nodes()
+    L = g.domain_length
+    ws = _Workspace(f, REF_CFG, 1e-10, method="series")
+    w1 = np.sin(2 * np.pi * 3 * x / L) * np.exp(-((x - L / 2) ** 2) / 8.0) + ws.dF
+    ghat = forward(np.cos(2 * np.pi * 5 * x / L) * np.exp(-((x - L / 3) ** 2) / 4.0),
+                   g).coefficients
+    want_w2, want_pair = _series_by_products(ws, w1, ghat)
+    got_w2 = ws.omega2(w1)
+    assert np.max(np.abs(got_w2 - want_w2)) <= 1e-12 * np.max(np.abs(want_w2))
+    for a, b in zip(ws.target_pair(ghat), want_pair):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    return ws.n_max
+
+
+@pytest.mark.parametrize("amplitude, n_range", [(0.01, (1, 10)), (0.5, (20, 60)),
+                                                (0.88, (150, 250))])
+def test_sample_space_series_matches_products(amplitude, n_range):
+    n_max = _assert_series_matches_products(gaussian_bump(GridSpec(256, L12), amplitude, 1.5))
+    assert n_range[0] <= n_max <= n_range[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.05, 1.0))
+def test_sample_space_series_matches_products_on_admissible_data(seed, frac):
+    k0, k1 = thresholds(REF_CFG)
+    g = GridSpec(256, L12)
+    f = random_admissible_interface(g, np.random.default_rng(seed), REF_CFG, k0, k1, frac)
+    _assert_series_matches_products(f)
