@@ -103,21 +103,39 @@ def linear_symbol(xi, cfg: FluidConfig):
     )
 
 
+@dataclass
+class _Carry:
+    """What one run hands from each right-hand side evaluation to the next.
+
+    ``correction`` holds samples of omega1 + 2 A_rho df from the last strength
+    solve, its next starting point; ``kernels`` the difference-quotient kernel
+    storage of ``vorticity._Workspace``, allocated by the first snapshot.
+    """
+
+    correction: np.ndarray | None = None
+    kernels: np.ndarray | None = None
+
+
 def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
-              split_i1: bool = False):
+              split_i1: bool = False, carry: _Carry | None = None):
     """Strength pair, four dealiased integral spectra and the linear/nonlinear split.
 
     One kernel backend serves the strength solve and all four integrals.  The
     first two spectra are pi H(omega1) and the rest of I1 plus I2, which share
     one difference-quotient kernel; ``split_i1`` moves the I1 remainder into
-    the first, so the four are I1..I4 one by one.
+    the first, so the four are I1..I4 one by one.  With a ``carry`` the solve
+    starts from the previous correction and the kernels reuse its storage;
+    both are updated here.
     """
     grid = f.f.grid
-    ws = _Workspace(f, cfg, opts.series_tol)
+    carry = carry or _Carry()
+    ws = _Workspace(f, cfg, opts.series_tol, storage=carry.kernels)
     pair = solve_vorticity(f, cfg, tol=opts.picard_tol, max_iter=opts.picard_max_iter,
-                           workspace=ws)
+                           workspace=ws, guess=carry.correction)
     p, cp = ws.target_pair(pair.omega2.coefficients)
     w1 = inverse(pair.omega1)
+    carry.correction = w1 + 2.0 * cfg.a_rho * ws.dF
+    carry.kernels = ws.storage
     head, slope = np.pi * inverse(hilbert(pair.omega1)), ws.slope_terms(w1)
     if split_i1:
         rem = ws.i1_remainder(w1)
@@ -176,12 +194,15 @@ def _nonlinear_diagnostics(f: InterfaceField, cfg: FluidConfig, pair: VorticityP
             "N4": size(n4), "N(omega1)": size(n_w1), "N(omega2)": size(n_w2)}
 
 
-def nonlinear_tendency(f: InterfaceField, cfg: FluidConfig,
-                       opts: SolverOptions) -> np.ndarray:
-    """Coefficients of the nonlinear remainder N(f) = rhs - linear part."""
+def nonlinear_tendency(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
+                       carry: _Carry | None = None) -> np.ndarray:
+    """Coefficients of the nonlinear remainder N(f) = rhs - linear part.
+
+    ``carry`` warm-starts the strength solve from the previous evaluation's.
+    """
     if opts.zero_nonlinear:
         return np.zeros(f.f.grid.n_points, dtype=complex)
-    return hermitian_symmetrize(_assemble(f, cfg, opts)[3])
+    return hermitian_symmetrize(_assemble(f, cfg, opts, carry=carry)[3])
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -254,13 +275,16 @@ def _stepper_coeffs(grid: GridSpec, cfg: FluidConfig, dt: float,
 
 def step(state: InterfaceField, dt: float, cfg: FluidConfig,
          opts: SolverOptions | None = None,
-         coeffs: _StepperCoeffs | None = None) -> InterfaceField:
+         coeffs: _StepperCoeffs | None = None,
+         carry: _Carry | None = None) -> InterfaceField:
     """One exponential-integrator step (two-stage by default, four-stage optional).
 
     The linear multiplier is applied through its exact integrating factor; the
-    nonlinear remainder is treated explicitly.
+    nonlinear remainder is treated explicitly.  Each stage's strength solve
+    starts from the previous one's, across steps too when ``carry`` is kept.
     """
     opts = opts or SolverOptions()
+    carry = carry or _Carry()
     if dt <= 0:
         raise StepSizeError(f"dt must be positive, got {dt!r}")
     grid = state.f.grid
@@ -271,13 +295,13 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
     def tendency(hat, label):
         fld = InterfaceField(SpectralField(grid, hermitian_symmetrize(hat), state.time),
                              state.time)
-        n = nonlinear_tendency(fld, cfg, opts)
+        n = nonlinear_tendency(fld, cfg, opts, carry=carry)
         if not np.all(np.isfinite(n)):
             raise BlowUpError(f"non-finite nonlinear tendency ({label})", state, state.time)
         return n
 
     fhat = state.f.coefficients
-    n0 = nonlinear_tendency(state, cfg, opts)
+    n0 = nonlinear_tendency(state, cfg, opts, carry=carry)
     if not np.all(np.isfinite(n0)):
         raise BlowUpError("non-finite nonlinear tendency", state, state.time)
 
@@ -367,8 +391,9 @@ class MonitorState:
     """Resumable accumulator for the budget and weighted-L2 monitors.
 
     Carries everything derived from the *initial* certificate (nu, budget
-    coefficients, growth rates) so a resumed run reproduces the fresh run's
-    arithmetic bit for bit.
+    coefficients, growth rates), and the strength solve's last coupling
+    correction, so a resumed run reproduces the fresh run's arithmetic bit
+    for bit.  A payload without the correction starts its first solve cold.
     """
 
     nu: float
@@ -383,10 +408,11 @@ class MonitorState:
     prev_f11: float | None = None
     prev_f21: float | None = None
     prev_f32: float | None = None
+    correction: np.ndarray | None = None
 
     def to_payload(self) -> dict:
         hx = lambda v: float(v).hex()
-        return {
+        payload = {
             "nu": hx(self.nu),
             "rhs0": [hx(self.rhs0[0]), hx(self.rhs0[1])],
             "coef": [hx(self.coef[0]), hx(self.coef[1])],
@@ -394,6 +420,9 @@ class MonitorState:
             "integral": [hx(self.integral[0]), hx(self.integral[1])],
             "y0": hx(self.y0), "f32_max": hx(self.f32_max), "f32_int": hx(self.f32_int),
         }
+        if self.correction is not None:
+            payload["correction"] = [hx(v) for v in self.correction]
+        return payload
 
     @classmethod
     def from_payload(cls, p: dict) -> "MonitorState":
@@ -403,7 +432,9 @@ class MonitorState:
                    coef={0: fh(p["coef"][0]), 1: fh(p["coef"][1])},
                    growth=None if p["growth"] is None else tuple(fh(v) for v in p["growth"]),
                    integral={0: fh(p["integral"][0]), 1: fh(p["integral"][1])},
-                   y0=fh(p["y0"]), f32_max=fh(p["f32_max"]), f32_int=fh(p["f32_int"]))
+                   y0=fh(p["y0"]), f32_max=fh(p["f32_max"]), f32_int=fh(p["f32_int"]),
+                   correction=(np.array([fh(v) for v in p["correction"]])
+                               if "correction" in p else None))
 
 
 def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
@@ -415,7 +446,8 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
 
     The budget checks use nu from the certificate (computed here when not
     supplied) and the time integral of F^{s+1,1}_nu by the trapezoid rule over
-    snapshots.  Budget violations are flagged, never silently dropped.  Passing
+    snapshots.  Budget violations are flagged, never silently dropped.  Every
+    strength solve starts from the previous one's correction.  Passing
     ``start_step`` and the checkpointed ``monitor`` continues a previous run
     with bitwise-identical arithmetic.
     """
@@ -449,6 +481,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     rec = TrajectoryRecord(config_hash=cfg.hash(), nu=nu, certificate=cert)
     n_steps = int(round(schedule.t_end / schedule.dt))
     coeffs = _stepper_coeffs(f0.f.grid, cfg, schedule.dt, opts.order)
+    carry = _Carry(correction=monitor.correction)
     state = f0
 
     def take_snapshot(step_index: int, st: InterfaceField):
@@ -478,6 +511,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
                 0.5 * (c * t + (c_sq * monitor.f32_max + c_lin) * monitor.f32_int)))
         else:
             rec.l2_bound.append(float("nan"))
+        monitor.correction = carry.correction
         if on_snapshot is not None:
             on_snapshot(step_index, st, rec, monitor)
         if leak > opts.leakage_threshold:
@@ -488,7 +522,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
 
     take_snapshot(start_step, state)
     for i in range(start_step, n_steps):
-        state = step(state, schedule.dt, cfg, opts, coeffs=coeffs)
+        state = step(state, schedule.dt, cfg, opts, coeffs=coeffs, carry=carry)
         # keep time exactly reproducible across restarts
         t_exact = (i + 1) * schedule.dt
         state = InterfaceField(SpectralField(state.f.grid, state.f.coefficients, t_exact),
@@ -544,4 +578,7 @@ def load_checkpoint(path, cfg: FluidConfig | None = None):
     t = float.fromhex(payload["time_hex"])
     state = InterfaceField(SpectralField(grid, re + 1j * im, t), t)
     monitor = MonitorState.from_payload(payload["monitor"]) if "monitor" in payload else None
+    if monitor is not None and monitor.correction is not None \
+            and monitor.correction.shape != (grid.n_points,):
+        raise ConfigurationError("checkpoint strength correction does not match its grid")
     return state, payload["step_index"], float.fromhex(payload["dt_hex"]), monitor

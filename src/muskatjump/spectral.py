@@ -195,15 +195,15 @@ def odd_offsets(grid: GridSpec) -> np.ndarray:
     return m[m % 2 != 0]
 
 
-def odd_offset_view(w: np.ndarray) -> np.ndarray:
-    """Read-only n x n/2 circulant view V[a, j] = w[(a - m_j) % n], m_j from odd_offsets.
+def odd_offset_rows(w: np.ndarray) -> np.ndarray:
+    """Read-only n/2 x n circulant view R[j, a] = w[(a - m_j) % n], m_j from odd_offsets.
 
-    m_j = 2j - n/2 + 1, so row a is a window over three periods of w that
-    starts at w[a + n/2 - 1] and steps back two nodes per offset.
+    m_j = 2j - n/2 + 1, so row j is w shifted by m_j: a contiguous window over
+    three periods of w that starts at 3n/2 - 1 - 2j.
     """
     n = len(w)
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([w, w, w]), n - 1)
-    return windows[n // 2 + 1: 3 * n // 2 + 1, n - 2::-2]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([w, w, w]), n)
+    return windows[3 * n // 2 - 1: n // 2: -2]
 
 
 # ---------------------------------------------------------------------------

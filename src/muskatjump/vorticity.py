@@ -3,7 +3,8 @@
 The sheet strength on the permeability line is an explicit nonsingular
 integral of the fluid-sheet strength; the fluid-sheet strength solves an
 implicit equation handled by Picard iteration seeded at the zero-coupling
-solution -2 A_rho df/da.
+solution -2 A_rho df/da, plus the coupling correction of a previous solve
+when one is at hand.
 
 All nonlocal operators of one interface snapshot are evaluated by one kernel
 backend, chosen once per snapshot by a single rule: an O(n_max N log N)
@@ -27,7 +28,7 @@ from .errors import (ConfigurationError, GeometryError, InternalConsistencyError
                      MethodUnavailableError, PicardDivergenceError, RegimeError)
 from .norms import NormSpec, fourier_norm
 from .spectral import (GridSpec, SpectralField, conj_poisson_kernel_periodic,
-                       derivative, forward, hermitian_symmetrize, inverse, odd_offset_view,
+                       derivative, forward, hermitian_symmetrize, inverse, odd_offset_rows,
                        odd_offsets, padded_coefficients, padded_samples,
                        poisson_kernel_periodic, product_coefficients, pv_kernel_periodic)
 
@@ -129,14 +130,20 @@ class _Workspace:
     when no order meets the tolerance).
     The f powers, kept as 2N-padded samples in one (n_max, 2N) array, or the
     dense target-side Poisson and conjugate-Poisson matrices, are built here
-    once; the difference-quotient kernels on first use.
+    once; the difference-quotient kernels on first use, into ``storage``: a
+    (2, N/2, N) array that successive snapshots of one run may share, so the
+    O(N^2) build allocates no O(N^2) temporaries.  Without it the workspace
+    allocates its own.
     """
 
-    def __init__(self, f, cfg: FluidConfig, series_tol: float, method: str | None = None):
+    def __init__(self, f, cfg: FluidConfig, series_tol: float, method: str | None = None,
+                 storage: np.ndarray | None = None):
         check_geometry(f, cfg)
         fld: SpectralField = getattr(f, "f", f)
         grid = fld.grid
         self.fld, self.grid, self.cfg = fld, grid, cfg
+        n = grid.n_points
+        self.storage = np.empty((2, n // 2, n)) if storage is None else storage
         self.F = inverse(fld)
         self.dF = inverse(derivative(fld))
         if method not in (None, "series", "quadrature"):
@@ -199,41 +206,58 @@ class _Workspace:
         return s.real, s.imag
 
     @cached_property
-    def _dq(self) -> tuple[np.ndarray, np.ndarray]:
-        """Difference quotients Delta over the odd offsets and the pv weights."""
+    def _offset_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """1/beta and the pv weights at the odd offsets, as columns."""
         grid = self.grid
         beta = odd_offsets(grid) * grid.spacing
-        delta = (self.F[:, None] - odd_offset_view(self.F)) / beta[None, :]
         pv = pv_kernel_periodic(beta, grid.domain_length) * 2.0 * grid.spacing
-        return delta, pv
+        return (1.0 / beta)[:, None], pv[:, None]
 
     @cached_property
-    def _self_kernel(self) -> np.ndarray:
-        # (df(a) - Delta_b f(a)) / (1 + Delta_b f(a)^2) against the pv kernel
-        delta, pv = self._dq
-        return (self.dF[:, None] - delta) / (1.0 + delta ** 2) * pv[None, :]
+    def _kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Delta_m f(a) and the self kernel (df(a) - Delta)/(1 + Delta^2) x pv_m.
 
-    def _gather(self, kernel: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # alternating-rule sum over odd offsets m: sum_m kernel[a, m] w[a - m]
-        return np.einsum("ij,ij->i", kernel, odd_offset_view(w))
+        One row per odd offset m, written in place into the storage.  Delta is
+        computed a second time rather than held in a third array while
+        1 + Delta^2 takes its place.
+        """
+        inv_beta, pv = self._offset_weights
+        delta, kernel = self.storage
+        rows = odd_offset_rows(self.F)
+        np.subtract(self.F, rows, out=delta)
+        delta *= inv_beta
+        np.subtract(self.dF, delta, out=kernel)
+        np.multiply(delta, delta, out=delta)
+        delta += 1.0
+        kernel /= delta
+        kernel *= pv
+        np.subtract(self.F, rows, out=delta)
+        delta *= inv_beta
+        return delta, kernel
+
+    @staticmethod
+    def _gather(kernel: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # alternating-rule sum over odd offsets m: sum_m kernel[m, a] w[a - m]
+        return np.einsum("ja,ja->a", kernel, odd_offset_rows(w))
 
     def self_induction(self, w1: np.ndarray) -> np.ndarray:
         """Self-induced term of the fluid-sheet strength equation."""
-        return self._gather(self._self_kernel, w1)
+        return self._gather(self._kernels[1], w1)
 
     def slope_terms(self, w1: np.ndarray) -> np.ndarray:
         """(I1 - pi H w1) + I2 as one kernel, Delta (df - Delta) / (1 + Delta^2)."""
-        return self._gather(self._dq[0] * self._self_kernel, w1)
+        delta, kernel = self._kernels
+        return np.einsum("ja,ja,ja->a", delta, kernel, odd_offset_rows(w1))
 
     def i1_remainder(self, w1: np.ndarray) -> np.ndarray:
         """I1 - pi H w1 alone: -Delta^2 / (1 + Delta^2) against the pv kernel."""
-        delta, pv = self._dq
-        return self._gather(-(delta ** 2) / (1.0 + delta ** 2) * pv[None, :], w1)
+        delta, pv = self._kernels[0], self._offset_weights[1]
+        return self._gather(-(delta ** 2) / (1.0 + delta ** 2) * pv, w1)
 
     def potential_self(self, O1: np.ndarray) -> np.ndarray:
         """Self term of the fluid-side potential identity."""
-        delta, pv = self._dq
-        kernel = (delta - odd_offset_view(self.dF)) / (1.0 + delta ** 2) * pv[None, :]
+        delta, pv = self._kernels[0], self._offset_weights[1]
+        kernel = (delta - odd_offset_rows(self.dF)) / (1.0 + delta ** 2) * pv
         return self._gather(kernel, O1)
 
 
@@ -253,11 +277,14 @@ def omega2_of_omega1(f, omega1: SpectralField, cfg: FluidConfig,
 
 
 def solve_vorticity(f, cfg: FluidConfig, tol: float = 1e-11, max_iter: int = 80,
-                    workspace: _Workspace | None = None) -> VorticityPair:
+                    workspace: _Workspace | None = None,
+                    guess: np.ndarray | None = None) -> VorticityPair:
     """Picard solve of the coupled sheet-strength system.
 
     Iterates strength_1 -> A_mu/pi (self-induction + line-coupling) - 2 A_rho df
     from the seed -2 A_rho df, stopping when the F^{0,1} change drops below tol.
+    ``guess``, samples of a coupling correction strength_1 + 2 A_rho df (from
+    a previous, nearby solve), moves the start to seed + guess.
     Divergence raises PicardDivergenceError with the residual history attached.
     ``workspace`` is the snapshot's kernel backend, built here when not given.
     """
@@ -269,6 +296,8 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = 1e-11, max_iter: int = 80,
     ratio = None
     delta, it = 0.0, 1
     if cfg.a_mu != 0.0:
+        if guess is not None:
+            w1 = seed + guess
         for it in range(1, max_iter + 1):
             p, cp = ws.target_pair(ws.omega2(w1))
             w1_new = (cfg.a_mu / np.pi) * (ws.self_induction(w1) + ws.dF * cp - p) + seed

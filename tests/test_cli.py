@@ -136,6 +136,14 @@ def test_oracle_check_passes_and_detects_corruption(tmp_path, capsys):
     assert main(["oracle-check", "--config", str(p), "--corrupt-fast"]) == EXIT_ORACLE
 
 
+def test_readme_example_config_is_the_readme_block():
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("```json\n", 1)[1].split("```", 1)[0]
+    example = root / "examples" / "readme.json"
+    assert json.loads(example.read_text()) == json.loads(block)
+    assert main(["oracle-check", "--config", str(example)]) == EXIT_OK
+
+
 def test_run_determinism_byte_identical(tmp_path):
     p = write_config(tmp_path / "c.json")
     outs = []

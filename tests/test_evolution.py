@@ -250,6 +250,36 @@ def test_restart_reproduces_state_bitwise():
     assert resumed.budget[0][-1].lhs == full.budget[0][-1].lhs
 
 
+def test_checkpoint_without_correction_resumes_cold(tmp_path):
+    # checkpoints written before the strength solve carried its correction
+    import json
+
+    g = GridSpec(128, L12)
+    f0 = gaussian_bump(g, 0.01, 1.5)
+    sched = Schedule(t_end=0.4, dt=0.05, snapshot_every=2)
+    path = tmp_path / "ck.json"
+
+    def keep(step_index, state, rec, mon):
+        if step_index == 4:
+            save_checkpoint(path, state, REF_CFG, step_index, sched.dt, mon)
+
+    full = run(f0, REF_CFG, sched, on_snapshot=keep)
+    payload = json.loads(path.read_text())
+    assert len(payload["monitor"].pop("correction")) == g.n_points
+    path.write_text(json.dumps(payload))
+    mid, start, _, monitor = load_checkpoint(path, REF_CFG)
+    assert monitor.correction is None
+    resumed = run(mid, REF_CFG, sched, start_step=start, monitor=monitor)
+    assert resumed.times[-1] == full.times[-1]
+    diff = resumed.final_state.f.coefficients - full.final_state.f.coefficients
+    assert np.max(np.abs(diff)) <= 1e-9 * np.max(np.abs(full.final_state.f.coefficients))
+    # a correction of the wrong length is refused, not broadcast
+    payload["monitor"]["correction"] = ["0x0p+0"] * (g.n_points // 2)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError):
+        load_checkpoint(path, REF_CFG)
+
+
 def test_leakage_diagnostic():
     g = GridSpec(128, 2 * np.pi)
     F = np.zeros(128)
@@ -264,7 +294,7 @@ def test_step_blowup_detector(monkeypatch):
     g = GridSpec(128, 2 * np.pi)
     f = InterfaceField.from_samples(1e-3 * np.cos(g.nodes()), g)
 
-    def bad_tendency(state, cfg, opts):
+    def bad_tendency(state, cfg, opts, carry=None):
         out = np.zeros(128, complex)
         out[1] = np.nan
         return out

@@ -3,7 +3,7 @@ import pytest
 
 from muskatjump import GridSpec, conj_poisson_hat, derivative, forward, hilbert, inverse, poisson_hat
 from muskatjump.errors import ConfigurationError, DomainError
-from muskatjump.spectral import (dealias_mask, dealiased_product, odd_offset_view, odd_offsets,
+from muskatjump.spectral import (dealias_mask, dealiased_product, odd_offset_rows, odd_offsets,
                                  pv_kernel_periodic)
 
 
@@ -233,10 +233,10 @@ def test_grid_constants_built_once_and_read_only(n):
 
 
 @pytest.mark.parametrize("n", [8, 64, 512])
-def test_odd_offset_view_is_read_only_circulant(n):
+def test_odd_offset_rows_is_read_only_circulant(n):
     w = np.random.default_rng(n).standard_normal(n)
     m = odd_offsets(GridSpec(n, 1.0))
-    view = odd_offset_view(w)
-    assert np.array_equal(view, w[(np.arange(n)[:, None] - m[None, :]) % n])
+    rows = odd_offset_rows(w)
+    assert np.array_equal(rows, w[(np.arange(n)[None, :] - m[:, None]) % n])
     with pytest.raises(ValueError):
-        view[0, 0] = 0.0
+        rows[0, 0] = 0.0

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from muskatjump import (FluidConfig, GridSpec, NormSpec, SpectralField, forward, fourier_norm,
                         inverse, omega2_of_omega1, potentials, solve_vorticity,
                         vorticity_bound_check)
-from muskatjump.certify import thresholds
+from muskatjump.certify import ledger, thresholds
 from muskatjump.errors import GeometryError, MethodUnavailableError
 from muskatjump.evolution import InterfaceField
-from muskatjump.spectral import derivative, hermitian_symmetrize, product_coefficients
+from muskatjump.spectral import derivative, hermitian_symmetrize
 from muskatjump.vorticity import _Workspace
 
 from helpers import REF_CFG, gaussian_bump, random_admissible_interface
@@ -288,20 +288,34 @@ def test_target_series_matches_quadrature():
         assert np.max(np.abs(a - b)) < 1e-10
 
 
+def _product_by_convolution(chat, dhat):
+    """Coefficients of the pointwise product by direct convolution, cut to |k| <= n/3."""
+    n = len(chat)
+    k = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
+    full = np.convolve(np.fft.fftshift(chat), np.fft.fftshift(dhat))  # modes -n .. n - 2
+    out = full[k + n]
+    out[np.abs(k) > n // 3] = 0.0
+    return out
+
+
 def _series_by_products(ws, w1, ghat):
-    """omega2 and target_pair of a series backend, one dealiased product per term."""
+    """omega2 and target_pair of a series backend, one convolution product per term.
+
+    The products avoid the transforms and the truncation of ``spectral``, so a
+    fault shared by the fast path and ``product_coefficients`` still shows.
+    """
     grid, fhat = ws.grid, ws.fld.coefficients
     powers = [fhat]
     for _ in range(1, ws.n_max):
-        powers.append(product_coefficients(powers[-1], fhat, grid))
+        powers.append(_product_by_convolution(powers[-1], fhat))
     w1hat = forward(w1, grid).coefficients
     acc = ws.weights[0] * w1hat
     for fn, wn in zip(powers, ws.weights[1:]):
-        acc = acc + wn * product_coefficients(fn, w1hat, grid)
+        acc = acc + wn * _product_by_convolution(fn, w1hat)
     z = np.pi * (1.0 + np.sign(grid.wavenumbers())) * ghat
     out = ws.weights[0] * z
     for fn, wn in zip(powers, ws.weights[1:]):
-        out = out + product_coefficients(fn, wn * z, grid)
+        out = out + _product_by_convolution(fn, wn * z)
     s = np.fft.ifft(out * grid.n_points)
     return hermitian_symmetrize(-ws.cfg.a_kappa * acc), (s.real, s.imag)
 
@@ -323,9 +337,18 @@ def _assert_series_matches_products(f):
 
 
 @pytest.mark.parametrize("amplitude, n_range", [(0.01, (1, 10)), (0.5, (20, 60)),
-                                                (0.88, (150, 250))])
+                                                (0.88, (150, 250)),
+                                                pytest.param(None, (1, 10), id="broadband")])
 def test_sample_space_series_matches_products(amplitude, n_range):
-    n_max = _assert_series_matches_products(gaussian_bump(GridSpec(256, L12), amplitude, 1.5))
+    g = GridSpec(256, L12)
+    if amplitude is None:
+        # spectrum ~e^{-|xi|/2}: unlike the bumps, it has content above the
+        # 2/3 cutoff, so a product that skips the truncation shows
+        k0, k1 = thresholds(REF_CFG)
+        f = random_admissible_interface(g, np.random.default_rng(3), REF_CFG, k0, k1)
+    else:
+        f = gaussian_bump(g, amplitude, 1.5)
+    n_max = _assert_series_matches_products(f)
     assert n_range[0] <= n_max <= n_range[1]
 
 
@@ -336,3 +359,55 @@ def test_sample_space_series_matches_products_on_admissible_data(seed, frac):
     g = GridSpec(256, L12)
     f = random_admissible_interface(g, np.random.default_rng(seed), REF_CFG, k0, k1, frac)
     _assert_series_matches_products(f)
+
+
+def _correction(f, pair):
+    """Samples of the coupling correction omega1 + 2 A_rho df of a solved pair."""
+    return inverse(pair.omega1) + 2.0 * REF_CFG.a_rho * inverse(derivative(f.f))
+
+
+def test_exact_correction_as_guess_converges_in_one_iteration():
+    g = GridSpec(256, L12)
+    k0, k1 = thresholds(REF_CFG)
+    f = random_admissible_interface(g, np.random.default_rng(1), REF_CFG, k0, k1)
+    tight = solve_vorticity(f, REF_CFG, tol=1e-15)
+    assert tight.iterations > 5
+    warm = solve_vorticity(f, REF_CFG, guess=_correction(f, tight))
+    assert warm.iterations == 1
+    assert warm.residual < 1e-11
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.05, 1.0),
+       scale=st.floats(0.0, 2.0))
+def test_warm_and_cold_solves_agree(seed, frac, scale):
+    # the guess is the correction of a rescaled datum, as a previous step
+    # would leave it; the guess moves the start, not the fixed point
+    k0, k1 = thresholds(REF_CFG)
+    g = GridSpec(256, L12)
+    f = random_admissible_interface(g, np.random.default_rng(seed), REF_CFG, k0, k1, frac)
+    prev = InterfaceField(SpectralField(g, scale * f.f.coefficients, 0.0), 0.0)
+    guess = _correction(prev, solve_vorticity(prev, REF_CFG))
+    cold = solve_vorticity(f, REF_CFG)
+    warm = solve_vorticity(f, REF_CFG, guess=guess)
+    # q = 1 - 1/C1 bounds the Picard contraction in F^{0,1}, so each final
+    # iterate lies within q/(1-q) = C1 - 1 times its last step of the fixed point
+    led = ledger(fourier_norm(f.f, NormSpec(0.0)), fourier_norm(f.f, NormSpec(1.0)), REF_CFG)
+    diff = fourier_norm(SpectralField(g, warm.omega1.coefficients - cold.omega1.coefficients),
+                        NormSpec(0.0))
+    assert diff <= (led.c1 - 1.0) * (cold.residual + warm.residual)
+
+
+@pytest.mark.parametrize("method", ["series", "quadrature"])
+def test_kernel_storage_reused_bit_identically(method):
+    g = GridSpec(256, L12)
+    x = g.nodes()
+    w1 = np.sin(2 * np.pi * 3 * x / L12) * np.exp(-((x - L12 / 2) ** 2) / 8.0)
+    first = _Workspace(gaussian_bump(g, 0.3, 1.5), REF_CFG, 1e-10, method=method)
+    first.self_induction(w1)
+    f = gaussian_bump(g, 0.02, 2.0)
+    shared = _Workspace(f, REF_CFG, 1e-10, method=method, storage=first.storage)
+    fresh = _Workspace(f, REF_CFG, 1e-10, method=method)
+    assert shared.storage is first.storage
+    assert np.array_equal(shared.self_induction(w1), fresh.self_induction(w1))
+    assert np.array_equal(shared.slope_terms(w1), fresh.slope_terms(w1))
