@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__, certify, oracle
 from .errors import (BlowUpError, ConfigurationError, GeometryError,
-                     PicardDivergenceError, StepSizeError)
+                     PicardDivergenceError, RegimeError, StepSizeError)
 from .evolution import (InterfaceField, Schedule, SolverOptions, linear_symbol,
                         load_checkpoint, rhs, run, save_checkpoint, step)
 from .spectral import GridSpec, SpectralField, inverse
-from .vorticity import DEFAULT_SERIES_TOL, FluidConfig, solve_vorticity
+from .vorticity import FluidConfig, solve_vorticity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,14 +114,12 @@ def grid_spec(raw: dict) -> GridSpec:
 def solver_options(raw: dict, overrides: dict | None = None) -> SolverOptions:
     s = dict(raw.get("solver", {}))
     s.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    return SolverOptions(
-        picard_tol=s.get("picard_tol", 1e-11),
-        picard_max_iter=int(s.get("picard_max_iter", 80)),
-        series_tol=s.get("series_tol", DEFAULT_SERIES_TOL),
-        leakage_threshold=s.get("leakage_threshold", 1e-4),
-        cfl_bound=s.get("cfl_bound", 1.0),
-        order=int(s.get("order", 2)),
-    )
+    # version-1 configs may name the integrator; ETDRK2 is the only one
+    order = s.pop("order", 2)
+    if order != 2:
+        raise ConfigurationError(f"solver.order must be 2 (ETDRK2 is the only integrator), "
+                                 f"got {order!r}")
+    return SolverOptions(**s)
 
 
 def build_initial_data(raw: dict, grid: GridSpec) -> InterfaceField:
@@ -347,9 +345,7 @@ def cmd_oracle_check(args) -> int:
 
 def _sweep_worker(payload):
     config_path, outdir = payload
-    args = argparse.Namespace(config=config_path, output_dir=outdir, resume=None,
-                              require_certificate=False, checkpoint_every=1,
-                              picard_tol=None, series_tol=None, leakage_threshold=None)
+    args = build_parser().parse_args(["run", "--config", config_path, "--output-dir", outdir])
     return config_path, cmd_run(args)
 
 
@@ -413,7 +409,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, RegimeError) as exc:
+        # a RegimeError means the fluid parameters admit no certificate
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GeometryError as exc:

@@ -59,13 +59,11 @@ class SolverOptions:
     series_tol: float = DEFAULT_SERIES_TOL
     leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD
     cfl_bound: float = DEFAULT_CFL_BOUND
-    order: int = 2                 # exponential integrator order, 2 or 4
-    zero_nonlinear: bool = False   # test hook: pure linear evolution
-    collect_diagnostics: bool = False
 
     def __post_init__(self):
-        if self.order not in (2, 4):
-            raise ConfigurationError(f"integrator order must be 2 or 4, got {self.order!r}")
+        if self.picard_max_iter < 1:
+            raise ConfigurationError(
+                f"picard_max_iter must be at least 1, got {self.picard_max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,6 @@ class RhsBreakdown:
     i4: SpectralField
     linear_part: SpectralField
     nonlinear_part: SpectralField
-    n_terms: dict | None = None
 
 
 def leakage(f: InterfaceField, band_fraction: float = 0.10) -> float:
@@ -155,16 +152,12 @@ def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) 
     opts = opts or SolverOptions()
     grid = f.f.grid
     check_leakage(f, opts.leakage_threshold)
-    pair, parts, linear_hat, nonlinear_hat = _assemble(f, cfg, opts, split_i1=True)
+    _, parts, linear_hat, nonlinear_hat = _assemble(f, cfg, opts, split_i1=True)
     i1f, i2f, i3f, i4f = (SpectralField(grid, c, f.time) for c in parts)
-    diag = None
-    if opts.collect_diagnostics:
-        diag = _nonlinear_diagnostics(f, cfg, pair, i1f, i3f)
     return RhsBreakdown(
         i1=i1f, i2=i2f, i3=i3f, i4=i4f,
         linear_part=SpectralField(grid, hermitian_symmetrize(linear_hat), f.time),
         nonlinear_part=SpectralField(grid, hermitian_symmetrize(nonlinear_hat), f.time),
-        n_terms=diag,
     )
 
 
@@ -200,8 +193,6 @@ def nonlinear_tendency(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
 
     ``carry`` warm-starts the strength solve from the previous evaluation's.
     """
-    if opts.zero_nonlinear:
-        return np.zeros(f.f.grid.n_points, dtype=complex)
     return hermitian_symmetrize(_assemble(f, cfg, opts, carry=carry)[3])
 
 
@@ -225,80 +216,30 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _etdrk4_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature weights f1, f2, f3 of the four-stage exponential scheme.
-
-    Small arguments use the Taylor expansions to avoid the z^3 cancellation;
-    the linear spectrum here is real and nonpositive, so no contour averaging
-    is needed.
-    """
-    f1 = np.empty_like(z)
-    f2 = np.empty_like(z)
-    f3 = np.empty_like(z)
-    small = np.abs(z) < 1e-2
-    zs = z[small]
-    f1[small] = 1.0 / 6.0 + zs / 6.0 + 3.0 * zs ** 2 / 40.0 + zs ** 3 / 45.0
-    f2[small] = 1.0 / 6.0 + zs / 12.0 + zs ** 2 / 40.0 + zs ** 3 / 180.0
-    f3[small] = 1.0 / 6.0 - zs ** 2 / 120.0 - zs ** 3 / 360.0
-    zb = z[~small]
-    ez = np.exp(zb)
-    f1[~small] = (-4.0 - zb + ez * (4.0 - 3.0 * zb + zb ** 2)) / zb ** 3
-    f2[~small] = (2.0 + zb + ez * (-2.0 + zb)) / zb ** 3
-    f3[~small] = (-4.0 - 3.0 * zb - zb ** 2 + ez * (4.0 - zb)) / zb ** 3
-    return f1, f2, f3
-
-
-@dataclass(frozen=True)
-class _StepperCoeffs:
-    order: int
-    exp_lin: np.ndarray
-    dt_phi1: np.ndarray
-    dt_phi2: np.ndarray
-    exp_half: np.ndarray | None = None
-    half_phi1: np.ndarray | None = None
-    w1: np.ndarray | None = None
-    w2: np.ndarray | None = None
-    w3: np.ndarray | None = None
-
-
-def _stepper_coeffs(grid: GridSpec, cfg: FluidConfig, dt: float,
-                    order: int = 2) -> _StepperCoeffs:
+def _stepper_coeffs(grid: GridSpec, cfg: FluidConfig, dt: float):
+    """exp(z), dt phi1(z) and dt phi2(z) of the two-stage scheme, z = -m(xi) dt."""
     z = -linear_symbol(grid.wavenumbers(), cfg) * dt
-    if order == 2:
-        return _StepperCoeffs(2, np.exp(z), dt * _phi1(z), dt * _phi2(z))
-    f1, f2, f3 = _etdrk4_weights(z)
-    return _StepperCoeffs(4, np.exp(z), dt * f1, dt * _phi2(z),
-                          exp_half=np.exp(z / 2.0),
-                          half_phi1=0.5 * dt * _phi1(z / 2.0),
-                          w1=dt * f1, w2=dt * f2, w3=dt * f3)
+    return np.exp(z), dt * _phi1(z), dt * _phi2(z)
 
 
 def step(state: InterfaceField, dt: float, cfg: FluidConfig,
          opts: SolverOptions | None = None,
-         coeffs: _StepperCoeffs | None = None,
+         coeffs: tuple | None = None,
          carry: _Carry | None = None) -> InterfaceField:
-    """One exponential-integrator step (two-stage by default, four-stage optional).
+    """One two-stage exponential-integrator (ETDRK2) step.
 
     The linear multiplier is applied through its exact integrating factor; the
-    nonlinear remainder is treated explicitly.  Each stage's strength solve
-    starts from the previous one's, across steps too when ``carry`` is kept.
+    nonlinear remainder is treated explicitly.  ``coeffs`` are the
+    ``_stepper_coeffs`` of this dt, computed here when not supplied.  Each
+    stage's strength solve starts from the previous one's, across steps too
+    when ``carry`` is kept.
     """
     opts = opts or SolverOptions()
     carry = carry or _Carry()
     if dt <= 0:
         raise StepSizeError(f"dt must be positive, got {dt!r}")
     grid = state.f.grid
-    co = coeffs or _stepper_coeffs(grid, cfg, dt, opts.order)
-    if co.order != opts.order:
-        co = _stepper_coeffs(grid, cfg, dt, opts.order)
-
-    def tendency(hat, label):
-        fld = InterfaceField(SpectralField(grid, hermitian_symmetrize(hat), state.time),
-                             state.time)
-        n = nonlinear_tendency(fld, cfg, opts, carry=carry)
-        if not np.all(np.isfinite(n)):
-            raise BlowUpError(f"non-finite nonlinear tendency ({label})", state, state.time)
-        return n
+    exp_lin, dt_phi1, dt_phi2 = coeffs or _stepper_coeffs(grid, cfg, dt)
 
     fhat = state.f.coefficients
     n0 = nonlinear_tendency(state, cfg, opts, carry=carry)
@@ -312,19 +253,13 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
             f"dt*max|N|*xi_max = {dt * speed * xi_max:.3g} exceeds bound {opts.cfl_bound}"
         )
 
-    if opts.order == 2:
-        stage = co.exp_lin * fhat + co.dt_phi1 * n0
-        n1 = tendency(stage, "stage two")
-        new_hat = stage + co.dt_phi2 * (n1 - n0)
-    else:
-        a = co.exp_half * fhat + co.half_phi1 * n0
-        na = tendency(a, "stage a")
-        b = co.exp_half * fhat + co.half_phi1 * na
-        nb = tendency(b, "stage b")
-        c = co.exp_half * a + co.half_phi1 * (2.0 * nb - n0)
-        nc = tendency(c, "stage c")
-        new_hat = (co.exp_lin * fhat + co.w1 * n0 + 2.0 * co.w2 * (na + nb)
-                   + co.w3 * nc)
+    stage = exp_lin * fhat + dt_phi1 * n0
+    fld = InterfaceField(SpectralField(grid, hermitian_symmetrize(stage), state.time),
+                         state.time)
+    n1 = nonlinear_tendency(fld, cfg, opts, carry=carry)
+    if not np.all(np.isfinite(n1)):
+        raise BlowUpError("non-finite nonlinear tendency (stage two)", state, state.time)
+    new_hat = stage + dt_phi2 * (n1 - n0)
     if not np.all(np.isfinite(new_hat)):
         raise BlowUpError("non-finite coefficients after step", state, state.time)
     t_new = state.time + dt
@@ -480,7 +415,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
 
     rec = TrajectoryRecord(config_hash=cfg.hash(), nu=nu, certificate=cert)
     n_steps = int(round(schedule.t_end / schedule.dt))
-    coeffs = _stepper_coeffs(f0.f.grid, cfg, schedule.dt, opts.order)
+    coeffs = _stepper_coeffs(f0.f.grid, cfg, schedule.dt)
     carry = _Carry(correction=monitor.correction)
     state = f0
 

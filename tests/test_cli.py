@@ -4,8 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
+import tempfile
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from muskatjump import cli
 from muskatjump.cli import (EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_OK, EXIT_ORACLE,
                             build_initial_data, grid_spec, load_config, main)
 
@@ -269,3 +274,58 @@ def test_run_leakage_exit_code(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(p), "--output-dir", str(out)]) == EXIT_GEOMETRY
     assert (out / "metadata.json").exists()
+
+
+def _run_exit(tmp_path, capsys, **overrides):
+    p = write_config(tmp_path / "c.json", **overrides)
+    code = main(["run", "--config", str(p), "--output-dir", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+def test_solver_order_accepts_only_two(tmp_path, capsys):
+    # version-1 configs may keep "order": 2; ETDRK2 is the only integrator
+    assert _run_exit(tmp_path, capsys, solver={"order": 2})[0] == EXIT_OK
+    for order in (4, 3):
+        code, err = _run_exit(tmp_path, capsys, solver={"order": order})
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error:") and "ETDRK2" in err
+
+
+def test_picard_max_iter_zero_is_a_configuration_error(tmp_path, capsys):
+    code, err = _run_exit(tmp_path, capsys, solver={"picard_max_iter": 0})
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error:") and "picard_max_iter" in err
+
+
+def test_degenerate_regime_is_a_configuration_error(tmp_path, capsys):
+    # no admissible threshold exists this close to |A_kappa| = 1
+    p = write_config(tmp_path / "c.json",
+                     fluid={"a_kappa": 0.999999, "a_mu": 0.2, "a_rho": 1.0, "h2": 1.0})
+    for argv in (["certify"], ["run", "--output-dir", str(tmp_path / "out")]):
+        assert main([*argv, "--config", str(p)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+
+_README_EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_GEOMETRY, cli.EXIT_DIVERGENCE,
+                      cli.EXIT_BUDGET, cli.EXIT_INADMISSIBLE, cli.EXIT_ORACLE}
+
+
+@settings(max_examples=25, deadline=None)
+@given(solver=st.fixed_dictionaries({}, optional={
+    "picard_tol": st.sampled_from([1e-11, 1e-6, 0.0, -1e-8, 1e-300, 1e300]),
+    # kept small: with a tolerance of zero every iteration runs
+    "picard_max_iter": st.sampled_from([80, 1, 0, -3, 200]),
+    "series_tol": st.sampled_from([1e-10, 1e-4, 0.0, -1.0, 1e-300, 1e300]),
+    "leakage_threshold": st.sampled_from([1e-4, 1.0, 0.0, -1.0, 1e300]),
+    "cfl_bound": st.sampled_from([1.0, 0.5, 0.0, -1.0, 1e300]),
+    "order": st.sampled_from([2, 4, 3, 0, -2]),
+}))
+def test_solver_block_values_end_in_an_exit_code(solver):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = write_config(Path(tmp) / "c.json", solver=solver,
+                         grid={"n_points": 64, "domain_length": 12 * np.pi},
+                         schedule={"t_end": 0.06, "dt": 0.03, "snapshot_every": 1})
+        code = main(["run", "--config", str(p), "--output-dir", str(Path(tmp) / "out")])
+    assert code in _README_EXIT_CODES
+    if solver.get("order", 2) != 2 or solver.get("picard_max_iter", 80) < 1:
+        assert code == EXIT_CONFIG
