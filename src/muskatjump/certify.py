@@ -47,11 +47,11 @@ def _log_env_half(n: int, depth: float) -> float:
     return p * (math.log(p / depth) - 1.0) - math.lgamma(n + 1)
 
 
-def _series(term_fn, cap_fn, start: int, tol: float = SERIES_TAIL_TOL):
+def _series(term_fn, cap_fn, start: int):
     """Sum term_fn(n) for n >= start with cap_fn(n) >= sup_{m>=n} term(m+1)/term(m).
 
-    Returns (value, tail_bound) or None when no geometric tail bound below tol
-    can be certified (divergent or at the radius).
+    Returns (value, tail_bound) or None when no geometric tail bound below
+    SERIES_TAIL_TOL can be certified (divergent or at the radius).
     """
     total = 0.0
     n = start
@@ -61,7 +61,7 @@ def _series(term_fn, cap_fn, start: int, tol: float = SERIES_TAIL_TOL):
         total += t
         if cap < 1.0:
             tail = term_fn(n + 1) / (1.0 - cap)
-            if tail < tol:
+            if tail < SERIES_TAIL_TOL:
                 return total, tail
         n += 1
     return None
@@ -136,13 +136,10 @@ def theta_closed_form(cfg: "FluidConfig") -> float:
     return 1.0
 
 
-def theta_grid_scan(cfg: "FluidConfig", xi_max: float | None = None,
-                    step: float = 1e-3) -> float:
-    # the default range keeps exp(2 h2 xi_max) >= e^50 so the at-infinity
-    # infimum is resolved well below the 1e-9 agreement tolerance
-    if xi_max is None:
-        xi_max = max(50.0, 25.0 / cfg.h2)
-    xi = np.arange(0.0, xi_max + step, step)
+def theta_grid_scan(cfg: "FluidConfig") -> float:
+    # the range keeps exp(2 h2 xi_max) >= e^50 so the at-infinity infimum is
+    # resolved well below the 1e-9 agreement tolerance
+    xi = np.arange(0.0, max(50.0, 25.0 / cfg.h2) + 1e-3, 1e-3)
     vals = 1.0 - cfg.a_kappa * (1.0 - cfg.a_mu) / (np.exp(2.0 * cfg.h2 * xi) - cfg.a_kappa * cfg.a_mu)
     return float(np.min(vals))
 

@@ -24,7 +24,7 @@ from .errors import (BlowUpError, ConfigurationError, GeometryError,
 from .evolution import (InterfaceField, Schedule, SolverOptions, linear_symbol,
                         load_checkpoint, rhs, run, save_checkpoint, step)
 from .spectral import GridSpec, SpectralField, inverse
-from .vorticity import FluidConfig, solve_vorticity
+from .vorticity import FluidConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -33,6 +33,18 @@ EXIT_DIVERGENCE = 4
 EXIT_BUDGET = 5
 EXIT_INADMISSIBLE = 6
 EXIT_ORACLE = 7
+
+# failures that end a command, and a run's metadata, in a README exit code; a
+# RegimeError means the fluid parameters admit no certificate
+_EXIT_CODES = {ConfigurationError: EXIT_CONFIG, RegimeError: EXIT_CONFIG,
+               GeometryError: EXIT_GEOMETRY, PicardDivergenceError: EXIT_DIVERGENCE,
+               StepSizeError: EXIT_DIVERGENCE, BlowUpError: EXIT_DIVERGENCE}
+_EXIT_LABELS = {EXIT_CONFIG: "configuration error", EXIT_GEOMETRY: "geometry error",
+                EXIT_DIVERGENCE: "solver failure"}
+
+
+def _exit_code(exc: Exception) -> int:
+    return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 _CSV_COLUMNS = ["t", "F01", "F11", "F21", "F3half", "L2nu", "strip_radius",
                 "budget_s0_lhs", "budget_s0_rhs", "budget_s1_lhs", "budget_s1_rhs",
@@ -111,9 +123,9 @@ def grid_spec(raw: dict) -> GridSpec:
     return GridSpec(int(g["n_points"]), float(g["domain_length"]))
 
 
-def solver_options(raw: dict, overrides: dict | None = None) -> SolverOptions:
+def solver_options(raw: dict) -> SolverOptions:
+    """The config's solver block; every subcommand that solves reads it here."""
     s = dict(raw.get("solver", {}))
-    s.update({k: v for k, v in (overrides or {}).items() if v is not None})
     # version-1 configs may name the integrator; ETDRK2 is the only one
     order = s.pop("order", 2)
     if order != 2:
@@ -168,8 +180,7 @@ def cmd_run(args) -> int:
     raw = load_config(args.config)
     cfg = fluid_config(raw)
     grid = grid_spec(raw)
-    opts = solver_options(raw, {"picard_tol": args.picard_tol, "series_tol": args.series_tol,
-                                "leakage_threshold": args.leakage_threshold})
+    opts = solver_options(raw)
     sched_raw = raw["schedule"]
     schedule = Schedule(float(sched_raw["t_end"]), float(sched_raw["dt"]),
                         int(sched_raw["snapshot_every"]))
@@ -222,10 +233,8 @@ def cmd_run(args) -> int:
     try:
         rec = run(state0, cfg, schedule, opts, certificate=cert,
                   on_snapshot=on_snapshot, start_step=start_step, monitor=monitor)
-    except GeometryError as exc:
-        status = {"exit": EXIT_GEOMETRY, "reason": str(exc)}
-    except (PicardDivergenceError, StepSizeError, BlowUpError) as exc:
-        status = {"exit": EXIT_DIVERGENCE, "reason": str(exc)}
+    except tuple(_EXIT_CODES) as exc:
+        status = {"exit": _exit_code(exc), "reason": str(exc)}
     finally:
         csv_fh.close()
     if status["exit"] == EXIT_OK and rec is not None and rec.budget_violated:
@@ -258,6 +267,7 @@ def cmd_linear(args) -> int:
     raw = load_config(args.config)
     cfg = fluid_config(raw)
     grid = grid_spec(raw)
+    opts = solver_options(raw)
     modes = range(1, args.max_mode + 1)
     lines = ["k,xi,m_exact,m_measured,rel_err"]
     for k in modes:
@@ -265,7 +275,7 @@ def cmd_linear(args) -> int:
         m_exact = float(linear_symbol(xi, cfg))
         m_meas, rel = float("nan"), float("nan")
         if args.measure:
-            m_meas = _measure_mode_rate(k, grid, cfg, args.amplitude)
+            m_meas = _measure_mode_rate(k, grid, cfg, opts, args.amplitude)
             rel = abs(m_meas - m_exact) / abs(m_exact)
         lines.append(",".join([str(k), _fmt(xi), _fmt(m_exact), _fmt(m_meas), _fmt(rel)]))
     text = "\n".join(lines) + "\n"
@@ -276,13 +286,13 @@ def cmd_linear(args) -> int:
     return EXIT_OK
 
 
-def _measure_mode_rate(k: int, grid: GridSpec, cfg: FluidConfig, amplitude: float,
-                       t_end: float = 0.2, dt: float = 0.01) -> float:
+def _measure_mode_rate(k: int, grid: GridSpec, cfg: FluidConfig, opts: SolverOptions,
+                       amplitude: float) -> float:
+    """Decay rate of mode k over 20 steps of 0.01 from the given amplitude."""
     x = grid.nodes()
     state = InterfaceField.from_samples(amplitude * np.cos(2.0 * np.pi * k * x / grid.domain_length), grid)
     c0 = abs(state.f.coefficients[k])
-    opts = SolverOptions()
-    n = int(round(t_end / dt))
+    n, dt = 20, 0.01
     for _ in range(n):
         state = step(state, dt, cfg, opts)
     c1 = abs(state.f.coefficients[k])
@@ -293,21 +303,21 @@ def cmd_oracle_check(args) -> int:
     raw = load_config(args.config)
     cfg = fluid_config(raw)
     grid = grid_spec(raw)
+    opts = solver_options(raw)
     f0 = build_initial_data(raw, grid)
     F = f0.samples()
     L = grid.domain_length
-    pair = solve_vorticity(f0, cfg)
-    w1 = inverse(pair.omega1)
-    w2 = inverse(pair.omega2)
 
     def rel(a, b):
         scale = max(np.max(np.abs(b)), 1e-300)
         return float(np.max(np.abs(a - b)) / scale)
 
-    w2_oracle = oracle.quad_omega2(F, w1, cfg, L)
     t_fast = time.perf_counter()
-    breakdown = rhs(f0, cfg)
+    breakdown = rhs(f0, cfg, opts)
     t_fast = time.perf_counter() - t_fast
+    w1 = inverse(breakdown.pair.omega1)
+    w2 = inverse(breakdown.pair.omega2)
+    w2_oracle = oracle.quad_omega2(F, w1, cfg, L)
     fast = sum(inverse(part) for part in
                (breakdown.i1, breakdown.i2, breakdown.i3, breakdown.i4)) / (2.0 * np.pi)
     if args.corrupt_fast:
@@ -373,9 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--resume", default=None, help="checkpoint file to continue from")
     pr.add_argument("--checkpoint-every", type=int, default=1,
                     help="write a checkpoint every k-th snapshot")
-    pr.add_argument("--picard-tol", type=float, default=None)
-    pr.add_argument("--series-tol", type=float, default=None)
-    pr.add_argument("--leakage-threshold", type=float, default=None)
     pr.set_defaults(func=cmd_run)
 
     pc = sub.add_parser("certify", help="print the admissibility certificate as JSON")
@@ -409,16 +416,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, RegimeError) as exc:
-        # a RegimeError means the fluid parameters admit no certificate
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GeometryError as exc:
-        print(f"geometry error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except (PicardDivergenceError, StepSizeError, BlowUpError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    except tuple(_EXIT_CODES) as exc:
+        code = _exit_code(exc)
+        print(f"{_EXIT_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -23,8 +23,9 @@ from .errors import (BlowUpError, ConfigurationError, GeometryError, RegimeError
 from .norms import NormSpec, fourier_norm, norm_report, weighted_l2
 from .spectral import (GridSpec, SpectralField, dealias, forward,
                        hermitian_symmetrize, hilbert, inverse)
-from .vorticity import (DEFAULT_SERIES_TOL, FluidConfig, VorticityPair, _Workspace,
-                        check_geometry, solve_vorticity)
+from .vorticity import (DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, DEFAULT_SERIES_TOL,
+                        FluidConfig, VorticityPair, _Workspace, check_geometry,
+                        solve_vorticity)
 
 DEFAULT_LEAKAGE_THRESHOLD = 1e-4
 DEFAULT_CFL_BOUND = 1.0
@@ -45,8 +46,8 @@ class InterfaceField:
             raise ConfigurationError("time must be nonnegative")
 
     @classmethod
-    def from_samples(cls, samples, grid: GridSpec, time: float = 0.0) -> "InterfaceField":
-        return cls(forward(np.asarray(samples, dtype=float), grid, time), time)
+    def from_samples(cls, samples, grid: GridSpec) -> "InterfaceField":
+        return cls(forward(np.asarray(samples, dtype=float), grid))
 
     def samples(self) -> np.ndarray:
         return inverse(self.f)
@@ -54,8 +55,8 @@ class InterfaceField:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    picard_tol: float = 1e-11
-    picard_max_iter: int = 80
+    picard_tol: float = DEFAULT_PICARD_TOL
+    picard_max_iter: int = DEFAULT_PICARD_MAX_ITER
     series_tol: float = DEFAULT_SERIES_TOL
     leakage_threshold: float = DEFAULT_LEAKAGE_THRESHOLD
     cfl_bound: float = DEFAULT_CFL_BOUND
@@ -64,11 +65,17 @@ class SolverOptions:
         if self.picard_max_iter < 1:
             raise ConfigurationError(
                 f"picard_max_iter must be at least 1, got {self.picard_max_iter!r}")
+        # a Picard residual never drops below a zero tolerance, and no series
+        # order meets one
+        for name in ("picard_tol", "series_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class RhsBreakdown:
-    """The four interface integrals and their linear/nonlinear split."""
+    """The four interface integrals, their linear/nonlinear split and the strengths solved."""
 
     i1: SpectralField
     i2: SpectralField
@@ -76,13 +83,14 @@ class RhsBreakdown:
     i4: SpectralField
     linear_part: SpectralField
     nonlinear_part: SpectralField
+    pair: VorticityPair
 
 
-def leakage(f: InterfaceField, band_fraction: float = 0.10) -> float:
-    """max |f| over the outer band (split across both domain ends)."""
+def leakage(f: InterfaceField) -> float:
+    """max |f| over the outer 10% band (split across both domain ends)."""
     F = f.samples()
     n = len(F)
-    half_band = max(int(round(n * band_fraction / 2.0)), 1)
+    half_band = max(int(round(n * 0.05)), 1)
     return float(max(np.max(np.abs(F[:half_band])), np.max(np.abs(F[-half_band:]))))
 
 
@@ -148,16 +156,17 @@ def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
 
 
 def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) -> RhsBreakdown:
-    """Assemble the interface right-hand side and its linear/nonlinear split."""
+    """Assemble the interface right-hand side, its linear/nonlinear split and strengths."""
     opts = opts or SolverOptions()
     grid = f.f.grid
     check_leakage(f, opts.leakage_threshold)
-    _, parts, linear_hat, nonlinear_hat = _assemble(f, cfg, opts, split_i1=True)
+    pair, parts, linear_hat, nonlinear_hat = _assemble(f, cfg, opts, split_i1=True)
     i1f, i2f, i3f, i4f = (SpectralField(grid, c, f.time) for c in parts)
     return RhsBreakdown(
         i1=i1f, i2=i2f, i3=i3f, i4=i4f,
         linear_part=SpectralField(grid, hermitian_symmetrize(linear_hat), f.time),
         nonlinear_part=SpectralField(grid, hermitian_symmetrize(nonlinear_hat), f.time),
+        pair=pair,
     )
 
 
@@ -289,9 +298,7 @@ class TrajectoryRecord:
     budget: dict = field(default_factory=lambda: {0: [], 1: []})
     leakage: list = field(default_factory=list)
     l2_bound: list = field(default_factory=list)
-    config_hash: str = ""
     nu: float = 0.0
-    certificate: "certify.Certificate | None" = None
     final_state: InterfaceField | None = None
     budget_violated: bool = False
 
@@ -389,10 +396,11 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     opts = opts or SolverOptions()
     check_geometry(f0, cfg)
     check_leakage(f0, opts.leakage_threshold)
-    cert = certificate
     if monitor is None:
-        cert = cert or certify.certify_datum(f0, cfg)
-        nu_cert = cert.nu if cert.nu is not None else 0.0
+        cert = certificate or certify.certify_datum(f0, cfg)
+        # the monitors need nu >= 0; an out-of-ledger datum may certify none
+        # or a negative one
+        nu_cert = max(cert.nu or 0.0, 0.0)
         th = certify.theta(cfg)
         coef0 = {s: (cfg.a_rho * (th - cert.sigma[s]) - nu_cert)
                  if cert.sigma[s] is not None else 0.0 for s in (0, 1)}
@@ -413,7 +421,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     coef = monitor.coef
     growth = monitor.growth
 
-    rec = TrajectoryRecord(config_hash=cfg.hash(), nu=nu, certificate=cert)
+    rec = TrajectoryRecord(nu=nu)
     n_steps = int(round(schedule.t_end / schedule.dt))
     coeffs = _stepper_coeffs(f0.f.grid, cfg, schedule.dt)
     carry = _Carry(correction=monitor.correction)

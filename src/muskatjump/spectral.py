@@ -95,8 +95,8 @@ class SpectralField:
         scale = max(np.max(np.abs(c)), 1.0)
         return bool(np.max(np.abs(c - mirror)) <= tol * scale)
 
-    def with_coefficients(self, c: np.ndarray, time_tag: float | None = None) -> "SpectralField":
-        return SpectralField(self.grid, c, self.time_tag if time_tag is None else time_tag)
+    def with_coefficients(self, c: np.ndarray) -> "SpectralField":
+        return SpectralField(self.grid, c, self.time_tag)
 
 
 def forward(samples: np.ndarray, grid: GridSpec, time_tag: float = 0.0) -> SpectralField:

@@ -33,6 +33,8 @@ from .spectral import (GridSpec, SpectralField, conj_poisson_kernel_periodic,
                        poisson_kernel_periodic, product_coefficients, pv_kernel_periodic)
 
 DEFAULT_SERIES_TOL = 1e-10
+DEFAULT_PICARD_TOL = 1e-11
+DEFAULT_PICARD_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -261,22 +263,8 @@ class _Workspace:
         return self._gather(kernel, O1)
 
 
-def omega2_of_omega1(f, omega1: SpectralField, cfg: FluidConfig,
-                     method: str = "series", *,
-                     tol: float = DEFAULT_SERIES_TOL) -> SpectralField:
-    """Permeability-sheet strength induced by a fluid-sheet strength.
-
-    method="series": truncated exponential series with the majorant-controlled
-    tail; unavailable when ||f||_{F^{0,1}} >= h2.  method="quadrature":
-    O(N^2) trapezoid sum of the periodized kernel.
-    """
-    ws = _Workspace(f, cfg, tol, method)
-    if omega1.grid != ws.grid:
-        raise ConfigurationError("omega1 lives on a different grid")
-    return SpectralField(ws.grid, ws.omega2(inverse(omega1)), ws.fld.time_tag)
-
-
-def solve_vorticity(f, cfg: FluidConfig, tol: float = 1e-11, max_iter: int = 80,
+def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
+                    max_iter: int = DEFAULT_PICARD_MAX_ITER,
                     workspace: _Workspace | None = None,
                     guess: np.ndarray | None = None) -> VorticityPair:
     """Picard solve of the coupled sheet-strength system.
@@ -318,14 +306,14 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = 1e-11, max_iter: int = 80,
                          residual=delta, iterations=it, contraction_ratio=ratio)
 
 
-def potentials(pair: VorticityPair, f, cfg: FluidConfig,
-               consistency_tol: float = 1e-6) -> PotentialPair:
+def potentials(pair: VorticityPair, f, cfg: FluidConfig) -> PotentialPair:
     """Potential jumps recovered from a solved strength pair.
 
     The fluid-side potential is the spectral antiderivative of its strength;
     its additive constant is fixed so the defining integral identity holds at
     the first collocation node.  The line-side potential follows by direct
-    quadrature.  Both are verified against d/da Potential = strength.
+    quadrature.  Both are verified against d/da Potential = strength, to 1e-6
+    relative.
     """
     ws = _Workspace(f, cfg, DEFAULT_SERIES_TOL, method="quadrature")
     grid, F, dF = ws.grid, ws.F, ws.dF
@@ -367,7 +355,7 @@ def potentials(pair: VorticityPair, f, cfg: FluidConfig,
     err1 = fourier_norm(forward(inverse(derivative(O1fld)) - inverse(pair.omega1), grid), f01)
     err2 = fourier_norm(forward(inverse(derivative(O2fld)) - inverse(pair.omega2), grid), f01)
     scale = max(fourier_norm(pair.omega1, f01), fourier_norm(pair.omega2, f01), 1e-12)
-    if max(err1, err2) > consistency_tol * max(1.0, scale):
+    if max(err1, err2) > 1e-6 * max(1.0, scale):
         raise InternalConsistencyError(
             f"potential derivatives disagree with strengths: {err1:.3g}, {err2:.3g}"
         )

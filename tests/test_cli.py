@@ -1,4 +1,7 @@
+import argparse
 import json
+import math
+import re
 import shutil
 import subprocess
 import sys
@@ -7,12 +10,18 @@ from pathlib import Path
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muskatjump import cli
-from muskatjump.cli import (EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_OK, EXIT_ORACLE,
-                            build_initial_data, grid_spec, load_config, main)
+from muskatjump.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_GEOMETRY, EXIT_INADMISSIBLE,
+                            EXIT_OK, EXIT_ORACLE, build_initial_data, build_parser, grid_spec,
+                            load_config, main)
+from muskatjump.errors import BlowUpError, PicardDivergenceError
+
+ROOT = Path(__file__).resolve().parents[1]
+README_GRID = {"n_points": 256, "domain_length": 12 * np.pi}
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -70,7 +79,7 @@ def test_require_certificate_gate(tmp_path):
 
 def _out_of_ledger_config(path: Path) -> Path:
     # README grid, bump amplitude 0.88: the C1 denominator of the ledger is nonpositive
-    return write_config(path, grid={"n_points": 256, "domain_length": 12 * np.pi},
+    return write_config(path, grid=README_GRID,
                         initial_data={"preset": "gaussian_bump", "amplitude": 0.88,
                                       "width": 1.5})
 
@@ -142,11 +151,27 @@ def test_oracle_check_passes_and_detects_corruption(tmp_path, capsys):
 
 
 def test_readme_example_config_is_the_readme_block():
-    root = Path(__file__).resolve().parents[1]
-    block = (root / "README.md").read_text().split("```json\n", 1)[1].split("```", 1)[0]
-    example = root / "examples" / "readme.json"
+    block = (ROOT / "README.md").read_text().split("```json\n", 1)[1].split("```", 1)[0]
+    example = ROOT / "examples" / "readme.json"
     assert json.loads(example.read_text()) == json.loads(block)
     assert main(["oracle-check", "--config", str(example)]) == EXIT_OK
+
+
+def test_readme_cli_synopsis_lists_every_flag():
+    block = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    block = block.split("```\n", 1)[1].split("```", 1)[0]
+    documented: dict = {}
+    for line in block.splitlines():
+        if line.startswith("muskatjump "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(
+            re.findall(r"--[a-z][a-z-]*", line.split("#", 1)[0]))
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {name: {opt for a in sub._actions if a.help != argparse.SUPPRESS
+                     for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
+              for name, sub in commands.items()}
+    assert documented == parsed
 
 
 def test_run_determinism_byte_identical(tmp_path):
@@ -297,6 +322,58 @@ def test_picard_max_iter_zero_is_a_configuration_error(tmp_path, capsys):
     assert err.startswith("configuration error:") and "picard_max_iter" in err
 
 
+def test_negative_nu_runs_with_unweighted_monitors(tmp_path):
+    # wide bump near the radius: the certificate is out-of-ledger with nu < 0
+    p = write_config(tmp_path / "c.json", grid={"n_points": 512, "domain_length": 400 * np.pi},
+                     initial_data={"preset": "gaussian_bump", "amplitude": 0.92, "width": 20.0},
+                     schedule={"t_end": 0.04, "dt": 0.02, "snapshot_every": 1})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--output-dir", str(out)]) == EXIT_OK
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["certificate"]["verdict"] == "out-of-ledger"
+    assert meta["nu"] == meta["certificate"]["nu"] < 0
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",", 1)[0]) for r in rows] == [0.0, 0.02, 0.04]
+
+
+def test_every_solving_subcommand_reads_the_solver_block(tmp_path, capsys):
+    # README datum at width 3.0: its tails exceed a 1e-12 leakage threshold
+    p = write_config(tmp_path / "c.json", grid=README_GRID,
+                     initial_data={"preset": "gaussian_bump", "amplitude": 0.01, "width": 3.0},
+                     solver={"leakage_threshold": 1e-12})
+    assert main(["run", "--config", str(p), "--output-dir", str(tmp_path / "out")]) \
+        == EXIT_GEOMETRY
+    assert main(["oracle-check", "--config", str(p)]) == EXIT_GEOMETRY
+    capsys.readouterr()
+    # no step of a tiny mode passes a vanishing stability bound
+    p = write_config(tmp_path / "c.json", grid={"n_points": 128, "domain_length": 2 * np.pi},
+                     solver={"cfl_bound": 1e-300})
+    assert main(["linear", "--config", str(p), "--measure", "--max-mode", "1"]) \
+        == EXIT_DIVERGENCE
+    assert capsys.readouterr().err.startswith("solver failure:")
+
+
+_README_EXIT_TABLE = {"ConfigurationError": 2, "RegimeError": 2, "GeometryError": 3,
+                      "PicardDivergenceError": 4, "StepSizeError": 4, "BlowUpError": 4}
+
+
+@pytest.mark.parametrize("exc_type", list(cli._EXIT_CODES), ids=lambda t: t.__name__)
+def test_failures_inside_run_end_in_the_readme_exit_code(tmp_path, monkeypatch, capsys, exc_type):
+    extra = {PicardDivergenceError: ([],), BlowUpError: (None, 0.0)}.get(exc_type, ())
+
+    def failing_run(*args, **kwargs):
+        raise exc_type("injected failure", *extra)
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    p = write_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(p), "--output-dir", str(out)])
+    assert code == _README_EXIT_TABLE[exc_type.__name__]
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"] == {"exit": code, "reason": "injected failure"}
+    assert "injected failure" in capsys.readouterr().err
+
+
 def test_degenerate_regime_is_a_configuration_error(tmp_path, capsys):
     # no admissible threshold exists this close to |A_kappa| = 1
     p = write_config(tmp_path / "c.json",
@@ -312,10 +389,10 @@ _README_EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_GEOMETRY, cli.EXIT_
 
 @settings(max_examples=25, deadline=None)
 @given(solver=st.fixed_dictionaries({}, optional={
-    "picard_tol": st.sampled_from([1e-11, 1e-6, 0.0, -1e-8, 1e-300, 1e300]),
-    # kept small: with a tolerance of zero every iteration runs
+    "picard_tol": st.sampled_from([1e-11, 1e-6, 0.0, -1e-8, 1e-300, 1e300, math.inf, math.nan]),
+    # kept small: with a tolerance of 1e-300 every iteration runs
     "picard_max_iter": st.sampled_from([80, 1, 0, -3, 200]),
-    "series_tol": st.sampled_from([1e-10, 1e-4, 0.0, -1.0, 1e-300, 1e300]),
+    "series_tol": st.sampled_from([1e-10, 1e-4, 0.0, -1.0, 1e-300, 1e300, math.inf, math.nan]),
     "leakage_threshold": st.sampled_from([1e-4, 1.0, 0.0, -1.0, 1e300]),
     "cfl_bound": st.sampled_from([1.0, 0.5, 0.0, -1.0, 1e300]),
     "order": st.sampled_from([2, 4, 3, 0, -2]),
@@ -327,5 +404,6 @@ def test_solver_block_values_end_in_an_exit_code(solver):
                          schedule={"t_end": 0.06, "dt": 0.03, "snapshot_every": 1})
         code = main(["run", "--config", str(p), "--output-dir", str(Path(tmp) / "out")])
     assert code in _README_EXIT_CODES
-    if solver.get("order", 2) != 2 or solver.get("picard_max_iter", 80) < 1:
+    if solver.get("order", 2) != 2 or solver.get("picard_max_iter", 80) < 1 \
+            or not all(0.0 < solver.get(k, 1.0) < math.inf for k in ("picard_tol", "series_tol")):
         assert code == EXIT_CONFIG

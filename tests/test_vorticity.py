@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muskatjump import (FluidConfig, GridSpec, NormSpec, SpectralField, forward, fourier_norm,
-                        inverse, omega2_of_omega1, potentials, solve_vorticity,
-                        vorticity_bound_check)
+                        inverse, potentials, solve_vorticity, vorticity_bound_check)
 from muskatjump.certify import ledger, thresholds
 from muskatjump.errors import GeometryError, MethodUnavailableError
 from muskatjump.evolution import InterfaceField
 from muskatjump.spectral import derivative, hermitian_symmetrize
-from muskatjump.vorticity import _Workspace
+from muskatjump.vorticity import DEFAULT_SERIES_TOL, _Workspace
 
 from helpers import REF_CFG, gaussian_bump, random_admissible_interface
 
@@ -21,15 +20,21 @@ def _flat(grid):
     return InterfaceField.from_samples(np.zeros(grid.n_points), grid)
 
 
+def _omega2(f, w1, cfg, method, tol=DEFAULT_SERIES_TOL):
+    """Permeability-sheet strength induced by w1 on the backend ``method`` forces."""
+    ws = _Workspace(f, cfg, tol, method)
+    return SpectralField(ws.grid, ws.omega2(inverse(w1)))
+
+
 def test_omega2_flat_interface_single_mode():
     # f = 0, strength cos(a): the line-sheet response is -A_k e^{-h2} / 2 per mode
     g = GridSpec(128, 2 * np.pi)
     w1 = forward(np.cos(g.nodes()), g)
-    w2 = omega2_of_omega1(_flat(g), w1, REF_CFG, method="series")
+    w2 = _omega2(_flat(g), w1, REF_CFG, method="series")
     want = -REF_CFG.a_kappa * np.exp(-REF_CFG.h2) * 0.5
     assert abs(w2.coefficients[1] - want) < 1e-13
     assert abs(w2.coefficients[-1] - want) < 1e-13
-    w2q = omega2_of_omega1(_flat(g), w1, REF_CFG, method="quadrature")
+    w2q = _omega2(_flat(g), w1, REF_CFG, method="quadrature")
     assert abs(w2q.coefficients[1] - want) < 1e-13
 
 
@@ -37,7 +42,7 @@ def test_omega2_vanishes_without_jump():
     cfg = FluidConfig(0.0, 0.2, 1.0, 1.0)
     g = GridSpec(128, 2 * np.pi)
     w1 = forward(np.cos(g.nodes()), g)
-    w2 = omega2_of_omega1(_flat(g), w1, cfg, method="series")
+    w2 = _omega2(_flat(g), w1, cfg, method="series")
     assert np.max(np.abs(w2.coefficients)) < 1e-16
 
 
@@ -48,8 +53,8 @@ def test_omega2_series_vs_quadrature_random_medium():
     f = random_admissible_interface(g, rng, REF_CFG, k0, k1)
     w1 = forward(np.sin(2 * np.pi * 3 * g.nodes() / L12)
                  * np.exp(-((g.nodes() - L12 / 2) ** 2) / 8.0), g)
-    ws = omega2_of_omega1(f, w1, REF_CFG, method="series")
-    wq = omega2_of_omega1(f, w1, REF_CFG, method="quadrature")
+    ws = _omega2(f, w1, REF_CFG, method="series")
+    wq = _omega2(f, w1, REF_CFG, method="quadrature")
     diff = fourier_norm(SpectralField(g, ws.coefficients - wq.coefficients), NormSpec(0.0))
     assert diff < 1e-8
 
@@ -62,9 +67,9 @@ def test_omega2_series_unavailable_for_large_interface():
     w1 = forward(np.cos(x), g)
     shallow = FluidConfig(0.5, 0.2, 1.0, 0.5)
     with pytest.raises(MethodUnavailableError):
-        omega2_of_omega1(f, w1, shallow, method="series")
+        _omega2(f, w1, shallow, method="series")
     # quadrature fallback still works
-    w2 = omega2_of_omega1(f, w1, shallow, method="quadrature")
+    w2 = _omega2(f, w1, shallow, method="quadrature")
     assert np.all(np.isfinite(w2.coefficients))
 
 
@@ -74,7 +79,7 @@ def test_omega2_geometry_error_when_touching():
     f = InterfaceField.from_samples(np.full(128, -0.3), g)
     w1 = forward(np.cos(g.nodes()), g)
     with pytest.raises(GeometryError):
-        omega2_of_omega1(f, w1, shallow, method="quadrature")
+        _omega2(f, w1, shallow, method="quadrature")
 
 
 def test_solve_flat_interface_gives_zero():
@@ -213,8 +218,8 @@ def test_series_quadrature_equivalence_near_radius():
     a0 = fourier_norm(f.f, NormSpec(0.0))
     assert a0 < 0.9 * REF_CFG.h2
     w1 = forward(np.sin(x) * 0.3, g)
-    ws = omega2_of_omega1(f, w1, REF_CFG, method="series", tol=1e-12)
-    wq = omega2_of_omega1(f, w1, REF_CFG, method="quadrature")
+    ws = _omega2(f, w1, REF_CFG, method="series", tol=1e-12)
+    wq = _omega2(f, w1, REF_CFG, method="quadrature")
     diff = fourier_norm(SpectralField(g, ws.coefficients - wq.coefficients), NormSpec(0.0))
     assert diff < 1e-8
 
@@ -251,10 +256,10 @@ def test_series_path_outpaces_quadrature():
     f = InterfaceField.from_samples(0.01 * np.exp(-((x - L / 2) ** 2) / (2 * 1.5 ** 2)), g)
     w1 = forward(np.sin(2 * np.pi * 3 * x / L) * np.exp(-((x - L / 2) ** 2) / 8), g)
     t0 = time.perf_counter()
-    omega2_of_omega1(f, w1, REF_CFG, method="series")
+    _omega2(f, w1, REF_CFG, method="series")
     t_series = time.perf_counter() - t0
     t0 = time.perf_counter()
-    omega2_of_omega1(f, w1, REF_CFG, method="quadrature")
+    _omega2(f, w1, REF_CFG, method="quadrature")
     t_quad = time.perf_counter() - t0
     assert t_series * 3.0 < t_quad
 
