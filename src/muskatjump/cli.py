@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__, certify, oracle
 from .errors import (BlowUpError, ConfigurationError, GeometryError,
                      PicardDivergenceError, RegimeError, StepSizeError)
-from .evolution import (InterfaceField, Schedule, SolverOptions, linear_symbol,
-                        load_checkpoint, rhs, run, save_checkpoint, step)
+from .evolution import (TRAJECTORY_COLUMNS, InterfaceField, Schedule, SolverOptions,
+                        linear_symbol, load_checkpoint, rhs, run, save_checkpoint, step)
 from .spectral import GridSpec, SpectralField, inverse
 from .vorticity import FluidConfig
 
@@ -45,10 +45,6 @@ _EXIT_LABELS = {EXIT_CONFIG: "configuration error", EXIT_GEOMETRY: "geometry err
 
 def _exit_code(exc: Exception) -> int:
     return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
-
-_CSV_COLUMNS = ["t", "F01", "F11", "F21", "F3half", "L2nu", "strip_radius",
-                "budget_s0_lhs", "budget_s0_rhs", "budget_s1_lhs", "budget_s1_rhs",
-                "leakage"]
 
 _SCHEMA = {
     "version": int,
@@ -216,15 +212,13 @@ def cmd_run(args) -> int:
     kept = [r for r in rows
             if r.endswith("\n") and round(float(r.split(",", 1)[0]) / schedule.dt) < start_step]
     csv_fh = open(csv_path, "w")
-    csv_fh.write(",".join(_CSV_COLUMNS) + "\n" + "".join(kept))
-    last_step = int(round(schedule.t_end / schedule.dt))
+    csv_fh.write(",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(kept))
 
-    def on_snapshot(step_index, state, rec, mon):
-        row = rec.snapshot_rows()[-1]
-        csv_fh.write(",".join(_fmt(row[c]) for c in _CSV_COLUMNS) + "\n")
+    def on_snapshot(step_index, state, row, mon):
+        csv_fh.write(",".join(_fmt(row[c]) for c in TRAJECTORY_COLUMNS) + "\n")
         csv_fh.flush()
         if step_index % (schedule.snapshot_every * max(1, args.checkpoint_every)) == 0 \
-                or step_index == last_step:
+                or step_index == schedule.n_steps:
             save_checkpoint(ckptdir / f"ckpt_{step_index:08d}.json", state, cfg,
                             step_index, schedule.dt, mon)
 

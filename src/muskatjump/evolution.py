@@ -275,46 +275,20 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
     return InterfaceField(SpectralField(grid, hermitian_symmetrize(new_hat), t_new), t_new)
 
 
-@dataclass
-class BudgetRow:
-    """One snapshot of the running decay-budget inequality for one weight s."""
-
-    s: int
-    time: float
-    lhs: float
-    rhs: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + 1e-6)
+# one trajectory row per snapshot, in the column order of trajectory.csv
+TRAJECTORY_COLUMNS = ("t", "F01", "F11", "F21", "F3half", "L2nu", "strip_radius",
+                      "budget_s0_lhs", "budget_s0_rhs", "budget_s1_lhs", "budget_s1_rhs",
+                      "leakage")
 
 
 @dataclass
 class TrajectoryRecord:
-    """Snapshot norms, budget checks and the checkpoint payload of one run."""
+    """One row per snapshot keyed by ``TRAJECTORY_COLUMNS``, and how the run ended."""
 
-    times: list = field(default_factory=list)
-    reports: list = field(default_factory=list)
-    budget: dict = field(default_factory=lambda: {0: [], 1: []})
-    leakage: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
     l2_bound: list = field(default_factory=list)
-    nu: float = 0.0
     final_state: InterfaceField | None = None
     budget_violated: bool = False
-
-    def snapshot_rows(self) -> list[dict]:
-        rows = []
-        for i, (t, rep) in enumerate(zip(self.times, self.reports)):
-            rows.append({
-                "t": t,
-                "F01": rep.f01, "F11": rep.f11, "F21": rep.f21, "F3half": rep.f3half,
-                "L2nu": rep.l2nu,
-                "strip_radius": rep.strip_radius if rep.strip_radius is not None else float("nan"),
-                "budget_s0_lhs": self.budget[0][i].lhs, "budget_s0_rhs": self.budget[0][i].rhs,
-                "budget_s1_lhs": self.budget[1][i].lhs, "budget_s1_rhs": self.budget[1][i].rhs,
-                "leakage": self.leakage[i],
-            })
-        return rows
 
 
 @dataclass(frozen=True)
@@ -324,8 +298,17 @@ class Schedule:
     snapshot_every: int = 1   # snapshot every k-th step
 
     def __post_init__(self):
-        if self.t_end <= 0 or self.dt <= 0 or self.snapshot_every < 1:
-            raise ConfigurationError("schedule needs t_end > 0, dt > 0, snapshot_every >= 1")
+        if not (0 < self.t_end < math.inf and 0 < self.dt < math.inf) or self.snapshot_every < 1:
+            raise ConfigurationError("schedule needs finite t_end > 0 and dt > 0, "
+                                     "snapshot_every >= 1")
+        # the run takes whole steps, so it ends at t_end only if dt divides it
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ConfigurationError(f"t_end {self.t_end!r} is not a whole number of steps "
+                                     f"of dt {self.dt!r}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -346,10 +329,6 @@ class MonitorState:
     y0: float
     f32_max: float
     f32_int: float
-    prev_t: float | None = None
-    prev_f11: float | None = None
-    prev_f21: float | None = None
-    prev_f32: float | None = None
     correction: np.ndarray | None = None
 
     def to_payload(self) -> dict:
@@ -384,14 +363,15 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
         certificate: "certify.Certificate | None" = None,
         on_snapshot=None, start_step: int = 0,
         monitor: MonitorState | None = None) -> TrajectoryRecord:
-    """Advance to t_end recording norm reports and the running budget inequality.
+    """Advance to t_end recording one row per snapshot, with the running budget inequality.
 
-    The budget checks use nu from the certificate (computed here when not
-    supplied) and the time integral of F^{s+1,1}_nu by the trapezoid rule over
-    snapshots.  Budget violations are flagged, never silently dropped.  Every
-    strength solve starts from the previous one's correction.  Passing
-    ``start_step`` and the checkpointed ``monitor`` continues a previous run
-    with bitwise-identical arithmetic.
+    Each row is handed to ``on_snapshot(step_index, state, row, monitor)`` as
+    it is taken.  The budget checks use nu from the certificate (computed here
+    when not supplied) and the time integral of F^{s+1,1}_nu by the trapezoid
+    rule over snapshots.  Budget violations are flagged, never silently
+    dropped.  Every strength solve starts from the previous one's correction.
+    Passing ``start_step`` and the checkpointed ``monitor`` continues a
+    previous run with bitwise-identical arithmetic.
     """
     opts = opts or SolverOptions()
     check_geometry(f0, cfg)
@@ -402,7 +382,9 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
         # or a negative one
         nu_cert = max(cert.nu or 0.0, 0.0)
         th = certify.theta(cfg)
-        coef0 = {s: (cfg.a_rho * (th - cert.sigma[s]) - nu_cert)
+        # an inadmissible datum may have sigma_s > theta; a negative coefficient
+        # would let the budget pass vacuously, so it checks F^{s,1}(t) <= F^{s,1}(0)
+        coef0 = {s: max(cfg.a_rho * (th - cert.sigma[s]) - nu_cert, 0.0)
                  if cert.sigma[s] is not None else 0.0 for s in (0, 1)}
         try:
             growth0 = certify.l2_growth_rates(cert)
@@ -421,8 +403,8 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     coef = monitor.coef
     growth = monitor.growth
 
-    rec = TrajectoryRecord(nu=nu)
-    n_steps = int(round(schedule.t_end / schedule.dt))
+    rec = TrajectoryRecord()
+    n_steps = schedule.n_steps
     coeffs = _stepper_coeffs(f0.f.grid, cfg, schedule.dt)
     carry = _Carry(correction=monitor.correction)
     state = f0
@@ -430,24 +412,22 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     def take_snapshot(step_index: int, st: InterfaceField):
         t = st.time
         rep = norm_report(st.f, nu, t)
-        rec.times.append(t)
-        rec.reports.append(rep)
-        leak = leakage(st)
-        rec.leakage.append(leak)
-        if monitor.prev_t is not None:
-            dt_snap = t - monitor.prev_t
-            monitor.integral[0] += 0.5 * dt_snap * (monitor.prev_f11 + rep.f11)
-            monitor.integral[1] += 0.5 * dt_snap * (monitor.prev_f21 + rep.f21)
-            monitor.f32_int += 0.5 * dt_snap * (monitor.prev_f32 + rep.f3half)
+        # trapezoid from the previous row; a resumed run's first snapshot has none
+        if rec.rows:
+            prev = rec.rows[-1]
+            dt_snap = t - prev["t"]
+            monitor.integral[0] += 0.5 * dt_snap * (prev["F11"] + rep.f11)
+            monitor.integral[1] += 0.5 * dt_snap * (prev["F21"] + rep.f21)
+            monitor.f32_int += 0.5 * dt_snap * (prev["F3half"] + rep.f3half)
         monitor.f32_max = max(monitor.f32_max, rep.f3half)
-        monitor.prev_t, monitor.prev_f11 = t, rep.f11
-        monitor.prev_f21, monitor.prev_f32 = rep.f21, rep.f3half
-        for s in (0, 1):
-            lhs = fourier_norm(st.f, NormSpec(float(s), nu, t)) + coef[s] * monitor.integral[s]
-            row = BudgetRow(s=s, time=t, lhs=lhs, rhs=monitor.rhs0[s])
-            rec.budget[s].append(row)
-            if not row.satisfied:
-                rec.budget_violated = True
+        lhs = [norm + coef[s] * monitor.integral[s] for s, norm in enumerate((rep.f01, rep.f11))]
+        if not all(lhs[s] <= monitor.rhs0[s] * (1.0 + 1e-6) for s in (0, 1)):
+            rec.budget_violated = True
+        radius = float("nan") if rep.strip_radius is None else rep.strip_radius
+        row = dict(zip(TRAJECTORY_COLUMNS, (
+            t, rep.f01, rep.f11, rep.f21, rep.f3half, rep.l2nu, radius,
+            lhs[0], monitor.rhs0[0], lhs[1], monitor.rhs0[1], leakage(st))))
+        rec.rows.append(row)
         if growth is not None:
             c, c_sq, c_lin = growth
             rec.l2_bound.append(monitor.y0 * math.exp(
@@ -456,10 +436,10 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
             rec.l2_bound.append(float("nan"))
         monitor.correction = carry.correction
         if on_snapshot is not None:
-            on_snapshot(step_index, st, rec, monitor)
-        if leak > opts.leakage_threshold:
+            on_snapshot(step_index, st, row, monitor)
+        if row["leakage"] > opts.leakage_threshold:
             raise GeometryError(
-                f"boundary leakage {leak:.3g} exceeds threshold "
+                f"boundary leakage {row['leakage']:.3g} exceeds threshold "
                 f"{opts.leakage_threshold:.3g} at t={t:g}"
             )
 

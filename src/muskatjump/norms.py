@@ -66,15 +66,15 @@ def weighted_l2(fld: SpectralField, spec: NormSpec) -> float:
     return float(math.sqrt(fld.grid.domain_length * total))
 
 
-def strip_radius(fld: SpectralField, k_min: int = 1) -> float | None:
-    """Least-squares slope of -log|c_k| against xi_k over modes above the noise floor.
+def strip_radius(fld: SpectralField) -> float | None:
+    """Least-squares slope of -log|c_k| against xi_k over modes k >= 1 above the noise floor.
 
     Returns None when fewer than 8 usable modes remain (diagnostic unavailable,
     not a failure).  Clamped below at zero.
     """
     k = fld.grid.mode_numbers()
     xi = fld.grid.wavenumbers()
-    sel = (k >= k_min) & (np.abs(fld.coefficients) > NOISE_FLOOR)
+    sel = (k >= 1) & (np.abs(fld.coefficients) > NOISE_FLOOR)
     if int(np.count_nonzero(sel)) < _MIN_FIT_MODES:
         return None
     x = xi[sel]
@@ -142,13 +142,13 @@ class NormReport:
             raise DomainError("interpolation violated: f3half > sqrt(f11*f21)")
 
 
-def norm_report(fld: SpectralField, nu: float, time: float, k_min: int = 1) -> NormReport:
+def norm_report(fld: SpectralField, nu: float, time: float) -> NormReport:
     return NormReport(
         f01=fourier_norm(fld, NormSpec(0.0, nu, time)),
         f11=fourier_norm(fld, NormSpec(1.0, nu, time)),
         f21=fourier_norm(fld, NormSpec(2.0, nu, time)),
         f3half=fourier_norm(fld, NormSpec(1.5, nu, time)),
         l2nu=weighted_l2(fld, NormSpec(0.0, nu, time)),
-        strip_radius=strip_radius(fld, k_min=k_min),
+        strip_radius=strip_radius(fld),
         time=time,
     )

@@ -19,6 +19,7 @@ from muskatjump.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_GEOMETRY, EXIT_IN
                             EXIT_OK, EXIT_ORACLE, build_initial_data, build_parser, grid_spec,
                             load_config, main)
 from muskatjump.errors import BlowUpError, PicardDivergenceError
+from muskatjump.evolution import TRAJECTORY_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
 README_GRID = {"n_points": 256, "domain_length": 12 * np.pi}
@@ -172,6 +173,12 @@ def test_readme_cli_synopsis_lists_every_flag():
                      for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
               for name, sub in commands.items()}
     assert documented == parsed
+
+
+def test_readme_lists_the_trajectory_columns():
+    listed = (ROOT / "README.md").read_text().split("`trajectory.csv` with columns", 1)[1]
+    listed = listed.split("`", 2)[1]
+    assert [c.strip() for c in listed.split(",")] == list(TRAJECTORY_COLUMNS)
 
 
 def test_run_determinism_byte_identical(tmp_path):
@@ -332,8 +339,24 @@ def test_negative_nu_runs_with_unweighted_monitors(tmp_path):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["certificate"]["verdict"] == "out-of-ledger"
     assert meta["nu"] == meta["certificate"]["nu"] < 0
-    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
-    assert [float(r.split(",", 1)[0]) for r in rows] == [0.0, 0.02, 0.04]
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), map(float, r.split(",")))) for r in lines[1:]]
+    assert [row["t"] for row in rows] == [0.0, 0.02, 0.04]
+    # sigma_s > theta here: the budget coefficient is clamped at zero, so the
+    # budget checks F^{s,1}(t) <= F^{s,1}(0) instead of passing vacuously
+    assert all(row["budget_s0_lhs"] == row["F01"] and row["budget_s1_lhs"] == row["F11"]
+               for row in rows)
+
+
+@pytest.mark.parametrize("t_end, dt", [(0.05, 0.1), (1.0, 0.3), (0.03, 0.02),
+                                       (math.inf, 0.1), (1.0, math.nan)])
+def test_schedule_must_end_at_t_end(tmp_path, capsys, t_end, dt):
+    # the first three took zero steps, stopped at 0.8999999999999999 and
+    # overshot to 0.04; the last two ended in a traceback
+    code, err = _run_exit(tmp_path, capsys,
+                          schedule={"t_end": t_end, "dt": dt, "snapshot_every": 1})
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error:") and "t_end" in err
 
 
 def test_every_solving_subcommand_reads_the_solver_block(tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_strip_radius_exponential():
     c = np.exp(-0.7 * np.abs(xi))
     c[g.nyquist_index()] = 0.0
     f = SpectralField(g, hermitian_symmetrize(c))
-    r = strip_radius(f, k_min=1)
+    r = strip_radius(f)
     assert r is not None and abs(r - 0.7) < 1e-6
 
 
@@ -78,14 +78,14 @@ def test_strip_radius_algebraic_decay():
     c[nz] = np.abs(xi[nz]) ** -4.0
     c[g.nyquist_index()] = 0.0
     f = SpectralField(g, hermitian_symmetrize(c.astype(complex)))
-    r = strip_radius(f, k_min=1)
+    r = strip_radius(f)
     assert r is not None and r < 0.05
 
 
 def test_strip_radius_unavailable_below_floor():
     g = GridSpec(64, 2 * np.pi)
     f = forward(np.full(64, 1e-15), g)
-    assert strip_radius(f, k_min=1) is None
+    assert strip_radius(f) is None
 
 
 def test_decay_fit_exact_power_laws():
