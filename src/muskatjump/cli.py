@@ -23,7 +23,7 @@ from .errors import (BlowUpError, ConfigurationError, GeometryError,
                      PicardDivergenceError, RegimeError, StepSizeError)
 from .evolution import (TRAJECTORY_COLUMNS, InterfaceField, Schedule, SolverOptions,
                         linear_symbol, load_checkpoint, rhs, run, save_checkpoint, step)
-from .spectral import GridSpec, SpectralField, inverse
+from .spectral import GridSpec, inverse
 from .vorticity import FluidConfig
 
 EXIT_OK = 0
@@ -144,8 +144,9 @@ def build_initial_data(raw: dict, grid: GridSpec) -> InterfaceField:
     if preset == "from_file":
         state, _, _, _ = load_checkpoint(spec["path"])
         if state.f.grid != grid:
-            raise ConfigurationError("initial-data file grid does not match config grid")
-        return InterfaceField(SpectralField(grid, state.f.coefficients, 0.0), 0.0)
+            raise ConfigurationError(f"initial-data file {spec['path']} grid does not match "
+                                     f"config grid")
+        return InterfaceField(state.f)
     raise ConfigurationError(f"unknown preset {preset!r}")
 
 
@@ -190,13 +191,16 @@ def cmd_run(args) -> int:
     started = time.time()
 
     f0 = build_initial_data(raw, grid)
-    state0, start_step, monitor = f0, 0, None
+    resume, start_step = None, 0
     if args.resume:
-        state0, start_step, dt_saved, monitor = load_checkpoint(args.resume, cfg)
-        if abs(dt_saved - schedule.dt) > 0:
+        state, start_step, dt_saved, monitor = load_checkpoint(args.resume, cfg)
+        if dt_saved != schedule.dt:
             raise ConfigurationError("checkpoint dt differs from config dt")
-    # a resumed run certifies the initial datum too, so its metadata match
-    # those of the uninterrupted run
+        if state.f.grid != grid:
+            raise ConfigurationError(f"checkpoint {args.resume} grid does not match config grid")
+        resume = (state, start_step, monitor)
+    # a resumed run certifies the initial datum too, so its monitors and
+    # metadata match those of the uninterrupted run
     cert = certify.certify_datum(f0, cfg)
     if args.require_certificate and cert.verdict != "admissible":
         print(f"datum is {cert.verdict}; refusing to run", file=sys.stderr)
@@ -217,7 +221,7 @@ def cmd_run(args) -> int:
     def on_snapshot(step_index, state, row, mon):
         csv_fh.write(",".join(_fmt(row[c]) for c in TRAJECTORY_COLUMNS) + "\n")
         csv_fh.flush()
-        if step_index % (schedule.snapshot_every * max(1, args.checkpoint_every)) == 0 \
+        if step_index % (schedule.snapshot_every * args.checkpoint_every) == 0 \
                 or step_index == schedule.n_steps:
             save_checkpoint(ckptdir / f"ckpt_{step_index:08d}.json", state, cfg,
                             step_index, schedule.dt, mon)
@@ -225,8 +229,8 @@ def cmd_run(args) -> int:
     status = {"exit": EXIT_OK}
     rec = None
     try:
-        rec = run(state0, cfg, schedule, opts, certificate=cert,
-                  on_snapshot=on_snapshot, start_step=start_step, monitor=monitor)
+        rec = run(f0, cfg, schedule, opts, certificate=cert, on_snapshot=on_snapshot,
+                  resume=resume)
     except tuple(_EXIT_CODES) as exc:
         status = {"exit": _exit_code(exc), "reason": str(exc)}
     finally:
@@ -365,6 +369,14 @@ def cmd_sweep(args) -> int:
     return worst
 
 
+def _count(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="muskatjump",
                                 description="interface evolution over a permeability jump")
@@ -375,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--output-dir", default=None)
     pr.add_argument("--require-certificate", action="store_true")
     pr.add_argument("--resume", default=None, help="checkpoint file to continue from")
-    pr.add_argument("--checkpoint-every", type=int, default=1,
+    pr.add_argument("--checkpoint-every", type=_count, default=1,
                     help="write a checkpoint every k-th snapshot")
     pr.set_defaults(func=cmd_run)
 
@@ -401,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="run several configs in parallel workers")
     ps.add_argument("configs", nargs="+")
     ps.add_argument("--output-dir", required=True)
-    ps.add_argument("--threads", type=int, default=2)
+    ps.add_argument("--threads", type=_count, default=2)
     ps.set_defaults(func=cmd_sweep)
     return p
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import certify
 from .errors import (BlowUpError, ConfigurationError, GeometryError, RegimeError,
                      StepSizeError)
-from .norms import NormSpec, fourier_norm, norm_report, weighted_l2
+from .norms import NormSpec, norm_report, weighted_l2
 from .spectral import (GridSpec, SpectralField, dealias, forward,
                        hermitian_symmetrize, hilbert, inverse)
 from .vorticity import (DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, DEFAULT_SERIES_TOL,
@@ -161,11 +161,11 @@ def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) 
     grid = f.f.grid
     check_leakage(f, opts.leakage_threshold)
     pair, parts, linear_hat, nonlinear_hat = _assemble(f, cfg, opts, split_i1=True)
-    i1f, i2f, i3f, i4f = (SpectralField(grid, c, f.time) for c in parts)
+    i1f, i2f, i3f, i4f = (SpectralField(grid, c) for c in parts)
     return RhsBreakdown(
         i1=i1f, i2=i2f, i3=i3f, i4=i4f,
-        linear_part=SpectralField(grid, hermitian_symmetrize(linear_hat), f.time),
-        nonlinear_part=SpectralField(grid, hermitian_symmetrize(nonlinear_hat), f.time),
+        linear_part=SpectralField(grid, hermitian_symmetrize(linear_hat)),
+        nonlinear_part=SpectralField(grid, hermitian_symmetrize(nonlinear_hat)),
         pair=pair,
     )
 
@@ -263,16 +263,14 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
         )
 
     stage = exp_lin * fhat + dt_phi1 * n0
-    fld = InterfaceField(SpectralField(grid, hermitian_symmetrize(stage), state.time),
-                         state.time)
+    fld = InterfaceField(SpectralField(grid, hermitian_symmetrize(stage)), state.time)
     n1 = nonlinear_tendency(fld, cfg, opts, carry=carry)
     if not np.all(np.isfinite(n1)):
         raise BlowUpError("non-finite nonlinear tendency (stage two)", state, state.time)
     new_hat = stage + dt_phi2 * (n1 - n0)
     if not np.all(np.isfinite(new_hat)):
         raise BlowUpError("non-finite coefficients after step", state, state.time)
-    t_new = state.time + dt
-    return InterfaceField(SpectralField(grid, hermitian_symmetrize(new_hat), t_new), t_new)
+    return InterfaceField(SpectralField(grid, hermitian_symmetrize(new_hat)), state.time + dt)
 
 
 # one trajectory row per snapshot, in the column order of trajectory.csv
@@ -313,34 +311,24 @@ class Schedule:
 
 @dataclass
 class MonitorState:
-    """Resumable accumulator for the budget and weighted-L2 monitors.
+    """What the budget and weighted-L2 monitors accumulate along one run.
 
-    Carries everything derived from the *initial* certificate (nu, budget
-    coefficients, growth rates), and the strength solve's last coupling
-    correction, so a resumed run reproduces the fresh run's arithmetic bit
-    for bit.  A payload without the correction starts its first solve cold.
+    The constants they compare against (nu, the budget coefficients,
+    F^{s,1}(0), the growth rates, the initial weighted L2 norm) are functions
+    of the initial datum's certificate, so a resume recomputes them instead of
+    reading them back.  ``correction`` is the strength solve's last coupling
+    correction; a payload without it starts its first solve cold.
     """
 
-    nu: float
-    rhs0: dict
-    coef: dict
-    growth: tuple | None
-    integral: dict
-    y0: float
-    f32_max: float
-    f32_int: float
+    integral: dict = field(default_factory=lambda: {0: 0.0, 1: 0.0})
+    f32_max: float = 0.0
+    f32_int: float = 0.0
     correction: np.ndarray | None = None
 
     def to_payload(self) -> dict:
         hx = lambda v: float(v).hex()
-        payload = {
-            "nu": hx(self.nu),
-            "rhs0": [hx(self.rhs0[0]), hx(self.rhs0[1])],
-            "coef": [hx(self.coef[0]), hx(self.coef[1])],
-            "growth": None if self.growth is None else [hx(v) for v in self.growth],
-            "integral": [hx(self.integral[0]), hx(self.integral[1])],
-            "y0": hx(self.y0), "f32_max": hx(self.f32_max), "f32_int": hx(self.f32_int),
-        }
+        payload = {"integral": [hx(self.integral[0]), hx(self.integral[1])],
+                   "f32_max": hx(self.f32_max), "f32_int": hx(self.f32_int)}
         if self.correction is not None:
             payload["correction"] = [hx(v) for v in self.correction]
         return payload
@@ -348,12 +336,8 @@ class MonitorState:
     @classmethod
     def from_payload(cls, p: dict) -> "MonitorState":
         fh = float.fromhex
-        return cls(nu=fh(p["nu"]),
-                   rhs0={0: fh(p["rhs0"][0]), 1: fh(p["rhs0"][1])},
-                   coef={0: fh(p["coef"][0]), 1: fh(p["coef"][1])},
-                   growth=None if p["growth"] is None else tuple(fh(v) for v in p["growth"]),
-                   integral={0: fh(p["integral"][0]), 1: fh(p["integral"][1])},
-                   y0=fh(p["y0"]), f32_max=fh(p["f32_max"]), f32_int=fh(p["f32_int"]),
+        return cls(integral={0: fh(p["integral"][0]), 1: fh(p["integral"][1])},
+                   f32_max=fh(p["f32_max"]), f32_int=fh(p["f32_int"]),
                    correction=(np.array([fh(v) for v in p["correction"]])
                                if "correction" in p else None))
 
@@ -361,53 +345,44 @@ class MonitorState:
 def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
         opts: SolverOptions | None = None,
         certificate: "certify.Certificate | None" = None,
-        on_snapshot=None, start_step: int = 0,
-        monitor: MonitorState | None = None) -> TrajectoryRecord:
+        on_snapshot=None,
+        resume: "tuple[InterfaceField, int, MonitorState] | None" = None) -> TrajectoryRecord:
     """Advance to t_end recording one row per snapshot, with the running budget inequality.
 
     Each row is handed to ``on_snapshot(step_index, state, row, monitor)`` as
-    it is taken.  The budget checks use nu from the certificate (computed here
-    when not supplied) and the time integral of F^{s+1,1}_nu by the trapezoid
-    rule over snapshots.  Budget violations are flagged, never silently
-    dropped.  Every strength solve starts from the previous one's correction.
-    Passing ``start_step`` and the checkpointed ``monitor`` continues a
-    previous run with bitwise-identical arithmetic.
+    it is taken.  The budget checks use nu from the certificate of ``f0``
+    (computed here when not supplied) and the time integral of F^{s+1,1}_nu by
+    the trapezoid rule over snapshots.  Budget violations are flagged, never
+    silently dropped.  Every strength solve starts from the previous one's
+    correction.  ``resume = (state, step_index, monitor)``, as checkpointed,
+    continues a previous run of the same ``f0`` with bitwise-identical
+    arithmetic; a monitor of None starts the accumulators at zero.
     """
     opts = opts or SolverOptions()
-    check_geometry(f0, cfg)
-    check_leakage(f0, opts.leakage_threshold)
-    if monitor is None:
-        cert = certificate or certify.certify_datum(f0, cfg)
-        # the monitors need nu >= 0; an out-of-ledger datum may certify none
-        # or a negative one
-        nu_cert = max(cert.nu or 0.0, 0.0)
-        th = certify.theta(cfg)
-        # an inadmissible datum may have sigma_s > theta; a negative coefficient
-        # would let the budget pass vacuously, so it checks F^{s,1}(t) <= F^{s,1}(0)
-        coef0 = {s: max(cfg.a_rho * (th - cert.sigma[s]) - nu_cert, 0.0)
-                 if cert.sigma[s] is not None else 0.0 for s in (0, 1)}
-        try:
-            growth0 = certify.l2_growth_rates(cert)
-        except RegimeError:
-            growth0 = None
-        monitor = MonitorState(
-            nu=nu_cert,
-            rhs0={s: fourier_norm(f0.f, NormSpec(float(s))) for s in (0, 1)},
-            coef=coef0,
-            growth=growth0,
-            integral={0: 0.0, 1: 0.0},
-            y0=weighted_l2(f0.f, NormSpec(0.0, nu_cert, f0.time)),
-            f32_max=0.0, f32_int=0.0,
-        )
-    nu = monitor.nu
-    coef = monitor.coef
-    growth = monitor.growth
+    state, start_step, monitor = resume or (f0, 0, None)
+    monitor = monitor or MonitorState()
+    check_geometry(state, cfg)
+    check_leakage(state, opts.leakage_threshold)
+    cert = certificate or certify.certify_datum(f0, cfg)
+    # the monitors need nu >= 0; an out-of-ledger datum may certify none or a
+    # negative one
+    nu = max(cert.nu or 0.0, 0.0)
+    th = certify.theta(cfg)
+    # an inadmissible datum may have sigma_s > theta; a negative coefficient
+    # would let the budget pass vacuously, so it checks F^{s,1}(t) <= F^{s,1}(0)
+    coef = {s: max(cfg.a_rho * (th - cert.sigma[s]) - nu, 0.0)
+            if cert.sigma[s] is not None else 0.0 for s in (0, 1)}
+    rhs0 = (cert.a0, cert.a1)
+    try:
+        growth = certify.l2_growth_rates(cert)
+    except RegimeError:
+        growth = None
+    y0 = weighted_l2(f0.f, NormSpec(0.0, nu, f0.time))
 
     rec = TrajectoryRecord()
     n_steps = schedule.n_steps
     coeffs = _stepper_coeffs(f0.f.grid, cfg, schedule.dt)
     carry = _Carry(correction=monitor.correction)
-    state = f0
 
     def take_snapshot(step_index: int, st: InterfaceField):
         t = st.time
@@ -421,16 +396,16 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
             monitor.f32_int += 0.5 * dt_snap * (prev["F3half"] + rep.f3half)
         monitor.f32_max = max(monitor.f32_max, rep.f3half)
         lhs = [norm + coef[s] * monitor.integral[s] for s, norm in enumerate((rep.f01, rep.f11))]
-        if not all(lhs[s] <= monitor.rhs0[s] * (1.0 + 1e-6) for s in (0, 1)):
+        if not all(lhs[s] <= rhs0[s] * (1.0 + 1e-6) for s in (0, 1)):
             rec.budget_violated = True
         radius = float("nan") if rep.strip_radius is None else rep.strip_radius
         row = dict(zip(TRAJECTORY_COLUMNS, (
             t, rep.f01, rep.f11, rep.f21, rep.f3half, rep.l2nu, radius,
-            lhs[0], monitor.rhs0[0], lhs[1], monitor.rhs0[1], leakage(st))))
+            lhs[0], rhs0[0], lhs[1], rhs0[1], leakage(st))))
         rec.rows.append(row)
         if growth is not None:
             c, c_sq, c_lin = growth
-            rec.l2_bound.append(monitor.y0 * math.exp(
+            rec.l2_bound.append(y0 * math.exp(
                 0.5 * (c * t + (c_sq * monitor.f32_max + c_lin) * monitor.f32_int)))
         else:
             rec.l2_bound.append(float("nan"))
@@ -446,10 +421,8 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     take_snapshot(start_step, state)
     for i in range(start_step, n_steps):
         state = step(state, schedule.dt, cfg, opts, coeffs=coeffs, carry=carry)
-        # keep time exactly reproducible across restarts
-        t_exact = (i + 1) * schedule.dt
-        state = InterfaceField(SpectralField(state.f.grid, state.f.coefficients, t_exact),
-                               t_exact)
+        # the clock counts whole steps, so a resumed run keeps the same times
+        state = InterfaceField(state.f, (i + 1) * schedule.dt)
         if (i + 1) % schedule.snapshot_every == 0 or (i + 1) == n_steps:
             take_snapshot(i + 1, state)
 
@@ -489,19 +462,30 @@ def save_checkpoint(path, state: InterfaceField, cfg: FluidConfig, step_index: i
 
 
 def load_checkpoint(path, cfg: FluidConfig | None = None):
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("schema") != CHECKPOINT_SCHEMA:
-        raise ConfigurationError(f"unknown checkpoint schema {payload.get('schema')!r}")
-    if cfg is not None and payload["config_hash"] != cfg.hash():
-        raise ConfigurationError("checkpoint was written under a different configuration")
-    grid = GridSpec(payload["n_points"], float.fromhex(payload["domain_length_hex"]))
-    re = np.array([float.fromhex(v) for v in payload["coeff_re_hex"]])
-    im = np.array([float.fromhex(v) for v in payload["coeff_im_hex"]])
-    t = float.fromhex(payload["time_hex"])
-    state = InterfaceField(SpectralField(grid, re + 1j * im, t), t)
-    monitor = MonitorState.from_payload(payload["monitor"]) if "monitor" in payload else None
-    if monitor is not None and monitor.correction is not None \
-            and monitor.correction.shape != (grid.n_points,):
-        raise ConfigurationError("checkpoint strength correction does not match its grid")
-    return state, payload["step_index"], float.fromhex(payload["dt_hex"]), monitor
+    """State, step index, dt and monitor accumulators of a checkpoint file.
+
+    Monitor keys other than the accumulators, written by older versions, are
+    ignored.  A file that is missing, not JSON or incomplete raises
+    ConfigurationError naming the path.
+    """
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if payload.get("schema") != CHECKPOINT_SCHEMA:
+            raise ConfigurationError(f"unknown checkpoint schema {payload.get('schema')!r}")
+        if cfg is not None and payload["config_hash"] != cfg.hash():
+            raise ConfigurationError("checkpoint was written under a different configuration")
+        grid = GridSpec(payload["n_points"], float.fromhex(payload["domain_length_hex"]))
+        re = np.array([float.fromhex(v) for v in payload["coeff_re_hex"]])
+        im = np.array([float.fromhex(v) for v in payload["coeff_im_hex"]])
+        state = InterfaceField(SpectralField(grid, re + 1j * im),
+                               float.fromhex(payload["time_hex"]))
+        monitor = MonitorState.from_payload(payload["monitor"]) if "monitor" in payload else None
+        if monitor is not None and monitor.correction is not None \
+                and monitor.correction.shape != (grid.n_points,):
+            raise ConfigurationError("checkpoint strength correction does not match its grid")
+        return state, payload["step_index"], float.fromhex(payload["dt_hex"]), monitor
+    except KeyError as exc:
+        raise ConfigurationError(f"checkpoint {path} lacks key {exc}") from exc
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(f"checkpoint {path}: {exc}") from exc

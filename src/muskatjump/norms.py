@@ -104,17 +104,16 @@ def decay_fit(series) -> float:
 
 
 def check_interpolation(fld: SpectralField, s1: float, s: float, s2: float, nu: float = 0.0,
-                        time: float | None = None, slack: float = 1e-9) -> bool:
+                        time: float = 0.0, slack: float = 1e-9) -> bool:
     """True iff ||g||_{s} <= ||g||_{s1}^theta ||g||_{s2}^(1-theta) with relative slack."""
     if not (s1 <= s <= s2) or s1 == s2 and s != s1:
         raise DomainError(f"need s1 <= s <= s2, got ({s1}, {s}, {s2})")
-    t = fld.time_tag if time is None else time
     if s1 == s2:
         return True
     theta = (s2 - s) / (s2 - s1)
-    mid = fourier_norm(fld, NormSpec(s, nu, t))
-    lo = fourier_norm(fld, NormSpec(s1, nu, t))
-    hi = fourier_norm(fld, NormSpec(s2, nu, t))
+    mid = fourier_norm(fld, NormSpec(s, nu, time))
+    lo = fourier_norm(fld, NormSpec(s1, nu, time))
+    hi = fourier_norm(fld, NormSpec(s2, nu, time))
     bound = lo ** theta * hi ** (1.0 - theta)
     return mid <= bound * (1.0 + slack)
 

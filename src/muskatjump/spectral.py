@@ -68,10 +68,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier-series coefficients of one real periodic field at one time."""
+    """Fourier-series coefficients of one real periodic field.
+
+    A field carries no time; the interface state that holds it does.
+    """
 
     grid: GridSpec
     coefficients: np.ndarray
+    # accepted and never read, so SpectralField(grid, c, t) still constructs
     time_tag: float = 0.0
 
     def __post_init__(self):
@@ -80,8 +84,6 @@ class SpectralField:
             raise ConfigurationError(
                 f"coefficient count {c.shape} does not match n_points={self.grid.n_points}"
             )
-        if self.time_tag < 0:
-            raise ConfigurationError("time_tag must be nonnegative")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
@@ -96,10 +98,10 @@ class SpectralField:
         return bool(np.max(np.abs(c - mirror)) <= tol * scale)
 
     def with_coefficients(self, c: np.ndarray) -> "SpectralField":
-        return SpectralField(self.grid, c, self.time_tag)
+        return SpectralField(self.grid, c)
 
 
-def forward(samples: np.ndarray, grid: GridSpec, time_tag: float = 0.0) -> SpectralField:
+def forward(samples: np.ndarray, grid: GridSpec) -> SpectralField:
     """Transform real collocation samples to Fourier-series coefficients.
 
     The coefficients are Hermitian-symmetrized exactly so that reality
@@ -112,7 +114,7 @@ def forward(samples: np.ndarray, grid: GridSpec, time_tag: float = 0.0) -> Spect
         )
     c = np.fft.fft(x) / grid.n_points
     c = hermitian_symmetrize(c)
-    return SpectralField(grid, c, time_tag)
+    return SpectralField(grid, c)
 
 
 def inverse(fld: SpectralField) -> np.ndarray:

@@ -277,7 +277,7 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
     ``workspace`` is the snapshot's kernel backend, built here when not given.
     """
     ws = workspace or _Workspace(f, cfg, DEFAULT_SERIES_TOL)
-    grid, time_tag = ws.grid, ws.fld.time_tag
+    grid = ws.grid
     seed = -2.0 * cfg.a_rho * ws.dF
     w1 = seed
     history: list[float] = []
@@ -301,8 +301,7 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
                 f"no contraction after {max_iter} iterations (last residual {history[-1]:.3g})",
                 history,
             )
-    return VorticityPair(forward(w1, grid, time_tag),
-                         SpectralField(grid, ws.omega2(w1), time_tag),
+    return VorticityPair(forward(w1, grid), SpectralField(grid, ws.omega2(w1)),
                          residual=delta, iterations=it, contraction_ratio=ratio)
 
 
@@ -349,8 +348,8 @@ def potentials(pair: VorticityPair, f, cfg: FluidConfig) -> PotentialPair:
     O1 = O1_0 + c1
     O2 = omega2_potential(O1)
 
-    O1fld = forward(O1, grid, ws.fld.time_tag)
-    O2fld = forward(O2, grid, ws.fld.time_tag)
+    O1fld = forward(O1, grid)
+    O2fld = forward(O2, grid)
     f01 = NormSpec(0.0)
     err1 = fourier_norm(forward(inverse(derivative(O1fld)) - inverse(pair.omega1), grid), f01)
     err2 = fourier_norm(forward(inverse(derivative(O2fld)) - inverse(pair.omega2), grid), f01)

@@ -19,7 +19,9 @@ from muskatjump.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_GEOMETRY, EXIT_IN
                             EXIT_OK, EXIT_ORACLE, build_initial_data, build_parser, grid_spec,
                             load_config, main)
 from muskatjump.errors import BlowUpError, PicardDivergenceError
-from muskatjump.evolution import TRAJECTORY_COLUMNS
+from muskatjump.evolution import TRAJECTORY_COLUMNS, InterfaceField, save_checkpoint
+from muskatjump.spectral import GridSpec
+from muskatjump.vorticity import FluidConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 README_GRID = {"n_points": 256, "domain_length": 12 * np.pi}
@@ -404,6 +406,43 @@ def test_degenerate_regime_is_a_configuration_error(tmp_path, capsys):
     for argv in (["certify"], ["run", "--output-dir", str(tmp_path / "out")]):
         assert main([*argv, "--config", str(p)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("entry", ["resume", "from_file"])
+@pytest.mark.parametrize("case", ["missing", "not_json", "incomplete", "other_grid"])
+def test_unusable_checkpoint_is_a_configuration_error(tmp_path, capsys, entry, case):
+    ck = tmp_path / "ck.json"
+    if case == "not_json":
+        ck.write_text("{not json")
+    elif case == "incomplete":
+        ck.write_text(json.dumps({"schema": "muskatjump-checkpoint-v1"}))
+    elif case == "other_grid":
+        # the config hash covers the fluid only; the config's grid has 128 points
+        flat = InterfaceField.from_samples(np.zeros(64), GridSpec(64, 12 * np.pi))
+        save_checkpoint(ck, flat, FluidConfig(0.5, 0.2, 1.0, 1.0), 0, 0.03)
+    argv = ["run", "--output-dir", str(tmp_path / "out")]
+    if entry == "resume":
+        p = write_config(tmp_path / "c.json")
+        argv += ["--resume", str(ck)]
+    else:
+        p = write_config(tmp_path / "c.json",
+                         initial_data={"preset": "from_file", "path": str(ck)})
+    assert main([*argv, "--config", str(p)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(ck) in err
+
+
+@pytest.mark.parametrize("argv", [["run", "--config", "c.json", "--checkpoint-every", "0"],
+                                  ["run", "--config", "c.json", "--checkpoint-every", "-2"],
+                                  ["sweep", "c.json", "--output-dir", "out", "--threads", "0"],
+                                  ["sweep", "c.json", "--output-dir", "out", "--threads", "-1"]])
+def test_counts_below_one_are_argument_errors(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 _README_EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_GEOMETRY, cli.EXIT_DIVERGENCE,

@@ -5,9 +5,8 @@ import mpmath as mp
 
 from muskatjump import FluidConfig, GridSpec, inverse, linear_symbol, oracle
 from muskatjump.errors import BlowUpError, ConfigurationError, StepSizeError
-from muskatjump.evolution import (InterfaceField, Schedule, checkpoint_payload,
-                                  leakage, load_checkpoint, rhs, run, save_checkpoint, step)
-from muskatjump.spectral import SpectralField
+from muskatjump.evolution import (InterfaceField, Schedule, leakage, load_checkpoint, rhs,
+                                  run, save_checkpoint, step)
 from muskatjump.vorticity import solve_vorticity
 
 from helpers import REF_CFG, gaussian_bump
@@ -227,35 +226,37 @@ def test_checkpoint_config_mismatch(tmp_path):
         load_checkpoint(path, other)
 
 
-def test_restart_reproduces_state_bitwise():
+def test_restart_reproduces_state_bitwise(tmp_path):
+    # older checkpoints also carry the monitor constants nu, rhs0, coef, growth
+    # and y0; a resume recomputes them from the datum, so wrong values there
+    # change nothing
+    import json
+
     g = GridSpec(128, L12)
     f0 = gaussian_bump(g, 0.01, 1.5)
     sched = Schedule(t_end=0.4, dt=0.05, snapshot_every=2)
-    full = run(f0, REF_CFG, sched)
+    path = tmp_path / "ck.json"
 
-    holder = {}
-
-    def grab(step_index, state, row, mon):
+    def keep(step_index, state, row, mon):
         if step_index == 4:
-            holder["payload"] = checkpoint_payload(state, REF_CFG, step_index, sched.dt, mon)
+            save_checkpoint(path, state, REF_CFG, step_index, sched.dt, mon)
 
-    run(f0, REF_CFG, sched, on_snapshot=grab)
-    import json
-    path_free = json.dumps(holder["payload"])  # simulate disk round trip
-    payload = json.loads(path_free)
-    from muskatjump.evolution import MonitorState
-
-    mid = InterfaceField(SpectralField(
-        GridSpec(payload["n_points"], float.fromhex(payload["domain_length_hex"])),
-        np.array([float.fromhex(v) for v in payload["coeff_re_hex"]])
-        + 1j * np.array([float.fromhex(v) for v in payload["coeff_im_hex"]]),
-        float.fromhex(payload["time_hex"])), float.fromhex(payload["time_hex"]))
-    resumed = run(mid, REF_CFG, sched, start_step=payload["step_index"],
-                  monitor=MonitorState.from_payload(payload["monitor"]))
+    full = run(f0, REF_CFG, sched, on_snapshot=keep)
+    payload = json.loads(path.read_text())
+    wrong = (1.0).hex()
+    payload["monitor"].update(nu=wrong, rhs0=[wrong, wrong], coef=[wrong, wrong],
+                              growth=[wrong] * 3, y0=wrong)
+    path.write_text(json.dumps(payload))
+    mid, start, _, monitor = load_checkpoint(path, REF_CFG)
+    resumed = run(f0, REF_CFG, sched, resume=(mid, start, monitor))
     assert np.array_equal(resumed.final_state.f.coefficients,
                           full.final_state.f.coefficients)
-    for col in ("budget_s0_lhs", "budget_s1_lhs"):
-        assert resumed.rows[-1][col] == full.rows[-1][col]
+    kept = len(full.rows) - len(resumed.rows)
+    assert kept == 2
+    # repr, so that NaN strip radii compare equal too
+    assert [[repr(v) for v in row.values()] for row in resumed.rows] == \
+        [[repr(v) for v in row.values()] for row in full.rows[kept:]]
+    assert [repr(v) for v in resumed.l2_bound] == [repr(v) for v in full.l2_bound[kept:]]
 
 
 def test_checkpoint_without_correction_resumes_cold(tmp_path):
@@ -277,7 +278,7 @@ def test_checkpoint_without_correction_resumes_cold(tmp_path):
     path.write_text(json.dumps(payload))
     mid, start, _, monitor = load_checkpoint(path, REF_CFG)
     assert monitor.correction is None
-    resumed = run(mid, REF_CFG, sched, start_step=start, monitor=monitor)
+    resumed = run(f0, REF_CFG, sched, resume=(mid, start, monitor))
     assert resumed.rows[-1]["t"] == full.rows[-1]["t"]
     diff = resumed.final_state.f.coefficients - full.final_state.f.coefficients
     assert np.max(np.abs(diff)) <= 1e-9 * np.max(np.abs(full.final_state.f.coefficients))
