@@ -6,9 +6,9 @@ Every series here is a power series in the size parameters
     a1 = ||f||_{F^{1,1}}   (radius 1)
 
 summed with a rigorous geometric tail bound below 1e-12; outside its radius a
-series is marked divergent rather than evaluated.  Constants that additionally
-depend on ||f||_{F^{1/2,1}} or ||f||_{F^{3/2,1}} are exposed as methods taking
-those norms as arguments.
+series is marked divergent rather than evaluated.  ``ledger`` evaluates every
+constant once; those that also depend on ||f||_{F^{1/2,1}} or ||f||_{F^{3/2,1}}
+are None unless those norms are passed to it.
 """
 
 from __future__ import annotations
@@ -165,11 +165,20 @@ def theta(cfg: "FluidConfig") -> float:
 
 @dataclass(frozen=True)
 class ConstantLedger:
-    """Evaluable admissibility constants at one (a0, a1) point.
+    """The admissibility constants at one (a0, a1) point, each evaluated once.
 
-    Constants depending on the extra norms ||f||_{F^{1/2,1}} (f_half) and
-    ||f||_{F^{3/2,1}} (f_3half) are methods.  ``divergent`` names the series
-    whose radius was exceeded; every dependent entry is then None.
+    A constant is None when a series it uses diverges, when a denominator it
+    uses is not positive, or when it needs ||f||_{F^{1/2,1}} (f_half) or
+    ||f||_{F^{3/2,1}} (f_3half) and that norm was not passed to ``ledger``.
+    The constants that need those norms (C7, C8, C10, C12-C14, sigma2) are
+    evaluated only where ``divergent`` is empty.
+
+    ``divergent`` lists, in evaluation order, each series that exceeded its
+    radius (C0, C2, C2/a0, lambda4, C8; C6, C1 and C3 when a1 >= 1) and C1 or
+    C11 when its Neumann-series denominator is not positive.  It is empty
+    exactly when C0-C6, C9, C11 and lambda0-lambda7 are all defined.  A
+    nonpositive C12 denominator is not listed: C12 is then None, and so are
+    C13, C14 and sigma2.
     """
 
     a0: float
@@ -182,8 +191,14 @@ class ConstantLedger:
     c4: float | None
     c5: float
     c6: float | None
+    c7: float | None
+    c8: float | None
     c9: float | None
+    c10: float | None
     c11: float | None
+    c12: float | None
+    c13: float | None
+    c14: float | None
     lambda0: float | None
     lambda1: float | None
     lambda2: float | None
@@ -194,78 +209,19 @@ class ConstantLedger:
     lambda7: float | None
     sigma0: float | None
     sigma1: float | None
+    sigma2: float | None
     divergent: tuple[str, ...]
-    tail_bounds: dict = field(default_factory=dict, repr=False)
-    _cfg: tuple = field(default=(), repr=False)
-    _dc2: float | None = field(default=None, repr=False)
-    _c8_base: float | None = field(default=None, repr=False)
-
-    # --- constants needing the extra norm arguments -----------------------
-
-    def c7(self, f_3half: float) -> float | None:
-        if self.c6 is None:
-            return None
-        return f_3half * (1.0 + self.a1 ** 2) / (1.0 - self.a1 ** 2) ** 2
-
-    def c8(self, f_half: float) -> float | None:
-        if self._c8_base is None:
-            return None
-        return f_half * self._c8_base
-
-    def c10(self, f_half: float, f_3half: float) -> float | None:
-        if self._dc2 is None or self.c0 is None:
-            return None
-        return self._dc2 * f_half * (1.0 + self.a1) + self.c0 * f_3half
-
-    def c12(self, f_half: float) -> float | None:
-        c8 = self.c8(f_half)
-        if c8 is None or self.c6 is None or self.c0 is None or self.c9 is None:
-            return None
-        ak, am = self._cfg[0], self._cfg[1]
-        den = 1.0 - abs(am) * (self.c6 + abs(ak) * (self.c0 + c8) * self.c9)
-        if den <= 0.0:
-            raise RegimeError("C12 denominator is nonpositive")
-        return 1.0 / den
-
-    def c13(self, f_half: float, f_3half: float) -> float | None:
-        c10 = self.c10(f_half, f_3half)
-        c8 = self.c8(f_half)
-        c7 = self.c7(f_3half)
-        if None in (c10, c8, c7, self.c11, self.c0):
-            return None
-        ak, am = self._cfg[0], self._cfg[1]
-        return abs(am) * self.c11 * (c7 + abs(ak) * (self.c0 + c8) * c10)
-
-    def c14(self, f_half: float, f_3half: float) -> float | None:
-        c13 = self.c13(f_half, f_3half)
-        c12 = self.c12(f_half)
-        c10 = self.c10(f_half, f_3half)
-        if None in (c13, c12, c10, self.c9, self.c11):
-            return None
-        return self.c9 * c12 * c13 + c10 * self.c11
-
-    def sigma2(self, f_half: float) -> float | None:
-        c12 = self.c12(f_half)
-        need = (c12, self.c0, self.c2, self.c6, self.c9,
-                self.lambda4, self.lambda5, self.lambda7)
-        if None in need:
-            return None
-        ak, am = self._cfg[0], self._cfg[1]
-        return (
-            c12 * (self.c6 + self.c0 + self.c2) * self.a1
-            + abs(1.0 + am) * c12 * (
-                2.0 * abs(ak) * self.lambda4
-                + self.c5 * (self.lambda5 + abs(ak) * (self.lambda7 * self.c9 + self.lambda4))
-            )
-            + 2.0 * math.pi * abs(ak) * (self.c0 - 1.0 + self.c2) * self.c9 * c12
-            + self.c6 * c12 * self.a1
-            + 2.0 * self.lambda5 * c12
-            + 2.0 * abs(ak) * self.lambda7 * self.c9 * c12
-        )
+    tail_bounds: dict = field(repr=False)
 
 
-def ledger(a0: float, a1: float, cfg: "FluidConfig") -> ConstantLedger:
-    """Evaluate the constant ledger at (a0, a1) for a given fluid configuration."""
+def ledger(a0: float, a1: float, cfg: "FluidConfig",
+           f_half: float | None = None, f_3half: float | None = None) -> ConstantLedger:
+    """Evaluate every admissibility constant at (a0, a1), in dependency order.
+
+    ``f_half`` and ``f_3half`` are ||f||_{F^{1/2,1}} and ||f||_{F^{3/2,1}}.
+    ``divergent`` lists the series and Neumann denominators that failed, but
+    never C12; ConstantLedger says when each constant is None.
+    """
     if a0 < 0 or a1 < 0:
         raise DomainError("size parameters a0, a1 must be nonnegative")
     ak, am, h2 = cfg.a_kappa, cfg.a_mu, cfg.h2
@@ -285,15 +241,14 @@ def ledger(a0: float, a1: float, cfg: "FluidConfig") -> ConstantLedger:
     c2 = record("C2", _c2_series(a0, h2))
     dc2 = record("C2/a0", _dc2_series(a0, h2))
     lam4 = record("lambda4", _lambda4_series(a0, h2))
-    c8b = record("C8", _c8_series(a0, h2))
+    c8_base = record("C8", _c8_series(a0, h2))
     c5 = abs(ak * am) / (1.0 - ak * am)
 
-    c1 = c3 = c4 = c9 = c11 = None
+    c1 = c3 = c4 = c6 = c7 = c8 = c9 = c10 = c11 = c12 = c13 = c14 = None
     lam0 = lam1 = lam2 = lam3 = lam5 = lam6 = lam7 = None
-    sig0 = sig1 = None
+    sig0 = sig1 = sig2 = None
     if a1 >= 1.0:
         divergent += ["C6", "C1", "C3"]
-        c6 = None
     else:
         c6 = a1 / (1.0 - a1 ** 2)
     if c6 is not None and c0 is not None:
@@ -306,10 +261,23 @@ def ledger(a0: float, a1: float, cfg: "FluidConfig") -> ConstantLedger:
         c11 = 1.0 / den11 if den11 > 0.0 else None
         divergent += [name for name, c in (("C1", c1), ("C11", c11)) if c is None]
         lam1 = 4.0 * c6 + 2.0 * abs(ak) * c0 * (c0 * a1 + (c0 - 1.0))
-        lam5 = 2.0 * c6 + a1 * (c0 + c2)
         lam6 = 2.0 * (1.0 + a1 ** 2) / (1.0 - a1 ** 2) ** 2 + c0
-        lam7 = (c0 - 1.0) + c2
+        # C0 can converge where C2, with its extra factor n, does not
+        if c2 is not None:
+            lam5 = 2.0 * c6 + a1 * (c0 + c2)
+            lam7 = (c0 - 1.0) + c2
     if c1 is not None:
+        sig0 = c1 * (
+            (c6 + abs(ak) * c0 ** 2) * a1
+            + 0.5 * abs(1.0 + am) * (
+                2.0 * abs(ak) * (c0 - 1.0)
+                + c5 * (2.0 * abs(ak) * (c0 - 1.0) + lam1)
+            )
+            + 2.0 * math.pi * abs(ak) * c0 * (c0 - 1.0)
+            + abs(am) * lam1
+            + c6 * a1
+        )
+    if c1 is not None and c2 is not None:
         c3 = 1.0 + 2.0 * abs(am) * c1 * (
             a1 * (1.0 + a1 ** 2) / (1.0 - a1 ** 2) ** 2
             + 0.5 * abs(ak) * c0 * ((c0 + 2.0 * c2) * a1 + c2 * (1.0 + a1))
@@ -323,16 +291,6 @@ def ledger(a0: float, a1: float, cfg: "FluidConfig") -> ConstantLedger:
             + 2.0 * abs(ak) * c0 * (c0 + c2 + c4) * a1
             + 2.0 * abs(ak) * (c0 * c2 + (c0 - 1.0) * c4)
         )
-        sig0 = c1 * (
-            (c6 + abs(ak) * c0 ** 2) * a1
-            + 0.5 * abs(1.0 + am) * (
-                2.0 * abs(ak) * (c0 - 1.0)
-                + c5 * (2.0 * abs(ak) * (c0 - 1.0) + lam1)
-            )
-            + 2.0 * math.pi * abs(ak) * c0 * (c0 - 1.0)
-            + abs(am) * lam1
-            + c6 * a1
-        )
         # last sigma1 term is 2 C6^2 / a1 written without the 0/0 at a1 = 0
         sig1 = c1 * (
             2.0 * (1.0 + 0.5 * c3 * (1.0 - a1 ** 2)) * c6 ** 2
@@ -344,40 +302,51 @@ def ledger(a0: float, a1: float, cfg: "FluidConfig") -> ConstantLedger:
             + 2.0 * a1 / (1.0 - a1 ** 2) ** 2
         )
 
+    # every constant the remaining ones use is defined when nothing diverged
+    if not divergent and f_3half is not None:
+        c7 = f_3half * (1.0 + a1 ** 2) / (1.0 - a1 ** 2) ** 2
+    if not divergent and f_half is not None:
+        c8 = f_half * c8_base
+        den12 = 1.0 - abs(am) * (c6 + abs(ak) * (c0 + c8) * c9)
+        c12 = 1.0 / den12 if den12 > 0.0 else None
+        if f_3half is not None:
+            c10 = dc2 * f_half * (1.0 + a1) + c0 * f_3half
+    # C13 does not use C12, but certificates have always reported it only
+    # together with C12 (null whenever C12 is), and their JSON is kept
+    if c12 is not None and c10 is not None:
+        c13 = abs(am) * c11 * (c7 + abs(ak) * (c0 + c8) * c10)
+        c14 = c9 * c12 * c13 + c10 * c11
+    if c12 is not None:
+        sig2 = (
+            c12 * (c6 + c0 + c2) * a1
+            + abs(1.0 + am) * c12 * (
+                2.0 * abs(ak) * lam4
+                + c5 * (lam5 + abs(ak) * (lam7 * c9 + lam4))
+            )
+            + 2.0 * math.pi * abs(ak) * (c0 - 1.0 + c2) * c9 * c12
+            + c6 * c12 * a1
+            + 2.0 * lam5 * c12
+            + 2.0 * abs(ak) * lam7 * c9 * c12
+        )
+
     return ConstantLedger(
         a0=a0, a1=a1, theta=th,
-        c0=c0, c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6, c9=c9, c11=c11,
+        c0=c0, c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6, c7=c7, c8=c8, c9=c9,
+        c10=c10, c11=c11, c12=c12, c13=c13, c14=c14,
         lambda0=lam0, lambda1=lam1, lambda2=lam2, lambda3=lam3,
         lambda4=lam4, lambda5=lam5, lambda6=lam6, lambda7=lam7,
-        sigma0=sig0, sigma1=sig1,
+        sigma0=sig0, sigma1=sig1, sigma2=sig2,
         divergent=tuple(divergent), tail_bounds=tails,
-        _cfg=(ak, am, h2), _dc2=dc2, _c8_base=c8b,
     )
 
 
 # ---------------------------------------------------------------------------
 
-def _sigma_triple(tau: float, cfg: "FluidConfig"):
-    """(sigma0, sigma1, sigma2) at the diagonal-ray point (tau h2, tau)."""
-    led = ledger(tau * cfg.h2, tau, cfg)
-    if led.divergent:
-        return None
-    f_half = tau * math.sqrt(cfg.h2)  # interpolation: F^{1/2,1} <= sqrt(a0 a1)
-    s2 = led.sigma2(f_half)
-    if s2 is None:
-        return None
-    return led.sigma0, led.sigma1, s2
-
-
 def _admissible_tau(tau: float, cfg: "FluidConfig") -> bool:
-    try:
-        sig = _sigma_triple(tau, cfg)
-    except RegimeError:
-        return False
-    if sig is None:
-        return False
-    th = theta(cfg)
-    return all(th - s > 0.0 for s in sig)
+    # on the diagonal ray (tau h2, tau), F^{1/2,1} <= sqrt(a0 a1) = tau sqrt(h2)
+    led = ledger(tau * cfg.h2, tau, cfg, f_half=tau * math.sqrt(cfg.h2))
+    sig = (led.sigma0, led.sigma1, led.sigma2)
+    return None not in sig and all(led.theta - s > 0.0 for s in sig)
 
 
 _THRESHOLD_HAIRCUT = 0.99
@@ -404,7 +373,7 @@ def thresholds(cfg: "FluidConfig") -> tuple[float, float]:
     # ledger converges, C1 >= 1 (its denominator is <= 1) and every other
     # term of sigma0 is >= 0 (C0 >= 1, C5 >= 0, lambda1 >= 0), so
     # sigma0 >= 2 C6 a1 = 2 tau^2 / (1 - tau^2) ~ 1e12 > 1 >= theta there;
-    # where it diverges, _sigma_triple returns None.
+    # where it diverges, sigma2 is None.
     hi = 1.0 - 1e-12
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
@@ -420,6 +389,9 @@ def thresholds(cfg: "FluidConfig") -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 CERTIFICATE_SCHEMA_VERSION = 1
+# the ledger constants a certificate reports
+_CONSTANT_NAMES = (tuple(f"c{i}" for i in range(15))
+                   + tuple(f"lambda{i}" for i in range(8)))
 
 
 @dataclass(frozen=True)
@@ -441,28 +413,6 @@ class Certificate:
     verdict: str
     ledger: ConstantLedger
 
-    def constants(self) -> dict:
-        """Full evaluable constant table at the datum (None where divergent)."""
-        led = self.ledger
-        out = {"c0": led.c0, "c1": led.c1, "c2": led.c2, "c3": led.c3, "c4": led.c4,
-               "c5": led.c5, "c6": led.c6, "c9": led.c9, "c11": led.c11}
-        for name in ("lambda0", "lambda1", "lambda2", "lambda3",
-                     "lambda4", "lambda5", "lambda6", "lambda7"):
-            out[name] = getattr(led, name)
-        if not led.divergent:
-            out["c7"] = led.c7(self.f_3half)
-            out["c8"] = led.c8(self.f_half)
-            out["c10"] = led.c10(self.f_half, self.f_3half)
-            try:
-                out["c12"] = led.c12(self.f_half)
-                out["c13"] = led.c13(self.f_half, self.f_3half)
-                out["c14"] = led.c14(self.f_half, self.f_3half)
-            except RegimeError:
-                out["c12"] = out["c13"] = out["c14"] = None
-        else:
-            out.update({k: None for k in ("c7", "c8", "c10", "c12", "c13", "c14")})
-        return out
-
     def to_dict(self) -> dict:
         return {
             "schema_version": CERTIFICATE_SCHEMA_VERSION,
@@ -474,7 +424,7 @@ class Certificate:
             "theta": self.theta,
             "k0": self.k0,
             "k1": self.k1,
-            "constants": self.constants(),
+            "constants": {name: getattr(self.ledger, name) for name in _CONSTANT_NAMES},
             "sigma": {str(k): v for k, v in self.sigma.items()},
             "margins": {str(k): v for k, v in self.margins.items()},
             "nu": self.nu,
@@ -503,27 +453,18 @@ def certify_datum(f0, cfg: "FluidConfig") -> Certificate:
     f_3half = fourier_norm(fld, NormSpec(1.5))
     th = theta(cfg)
     k0, k1 = thresholds(cfg)
-    led = ledger(a0, a1, cfg)
+    led = ledger(a0, a1, cfg, f_half, f_3half)
     eps = 1e-3 * cfg.a_rho * th
 
-    sigma = {0: led.sigma0, 1: led.sigma1, 2: None}
-    margins = {0: None, 1: None, 2: None}
-    nu = None
-    if led.sigma0 is not None and led.sigma1 is not None:
-        try:
-            sigma[2] = led.sigma2(f_half)
-        except RegimeError:
-            sigma[2] = None
-        margins[0] = cfg.a_rho * (th - led.sigma0)
-        margins[1] = cfg.a_rho * (th - led.sigma1)
-        if sigma[2] is not None:
-            margins[2] = cfg.a_rho * (th - sigma[2])
-        nu = 0.5 * min(margins[0], margins[1])
+    sigma = {0: led.sigma0, 1: led.sigma1, 2: led.sigma2}
+    margins = {s: None if v is None else cfg.a_rho * (th - v) for s, v in sigma.items()}
+    nu = None if None in (margins[0], margins[1]) else 0.5 * min(margins[0], margins[1])
 
-    if led.divergent or sigma[2] is None:
+    # sigma2 is None wherever the ledger diverges
+    if sigma[2] is None:
         verdict = "out-of-ledger"
     elif (a0 < k0 and a1 < k1
-          and all(m is not None and m > 0.0 for m in margins.values())
+          and all(m > 0.0 for m in margins.values())
           and nu < min(margins.values())):
         verdict = "admissible"
     else:
@@ -536,7 +477,7 @@ def certify_datum(f0, cfg: "FluidConfig") -> Certificate:
     )
 
 
-def l2_growth_rates(cert: Certificate) -> tuple[float, float, float]:
+def l2_growth_rates(cert: Certificate) -> tuple[float, float, float] | None:
     """Qualitative Gronwall-rate ingredients (c, c_sq, c_lin) for the L2_nu monitor.
 
     Assembled from the ledger by Young's inequality with the certificate's
@@ -546,16 +487,14 @@ def l2_growth_rates(cert: Certificate) -> tuple[float, float, float]:
 
     once the dissipation margin absorbs the gradient terms.  The paper-side
     object is only existential; this is our explicit reconstruction, used as
-    a monitored upper bound, never as a pass/fail acceptance gate.
+    a monitored upper bound, never as a pass/fail acceptance gate.  None
+    where C14 is undefined.
     """
     led = cert.ledger
-    if led.divergent:
-        raise RegimeError("ledger divergent; no growth rates available")
+    if led.c14 is None:
+        return None
     ak, am, arho = cert.cfg["a_kappa"], cert.cfg["a_mu"], cert.cfg["a_rho"]
-    a1, f_half, f_3half = cert.a1, cert.f_half, cert.f_3half
-    c12 = led.c12(f_half)
-    c13 = led.c13(f_half, f_3half)
-    c14 = led.c14(f_half, f_3half)
+    a1, c12, c13, c14 = cert.a1, led.c12, led.c13, led.c14
     d2 = 2.0 * a1 / (1.0 - a1 ** 2) ** 2
     e2 = led.c6 * a1
     opm = abs(1.0 + am)

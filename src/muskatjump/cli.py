@@ -165,12 +165,10 @@ def _write_metadata(outdir: Path, raw: dict, cfg: FluidConfig, cert, status: dic
         "status": status,
         "versions": {"muskatjump": __version__, "numpy": np.__version__,
                      "python": ".".join(map(str, sys.version_info[:3]))},
+        "timestamps": {"started": started, "finished": finished},
     }
-    body = json.dumps(meta, sort_keys=True, indent=1)
-    meta_ts = json.loads(body)
-    meta_ts["timestamps"] = {"started": started, "finished": finished}
     with open(outdir / "metadata.json", "w") as fh:
-        json.dump(meta_ts, fh, sort_keys=True, indent=1)
+        json.dump(meta, fh, sort_keys=True, indent=1)
 
 
 def cmd_run(args) -> int:
@@ -198,6 +196,9 @@ def cmd_run(args) -> int:
             raise ConfigurationError("checkpoint dt differs from config dt")
         if state.f.grid != grid:
             raise ConfigurationError(f"checkpoint {args.resume} grid does not match config grid")
+        # without the accumulators the budget integrals would restart from zero
+        if start_step > 0 and monitor is None:
+            raise ConfigurationError(f"checkpoint {args.resume} has no monitor block")
         resume = (state, start_step, monitor)
     # a resumed run certifies the initial datum too, so its monitors and
     # metadata match those of the uninterrupted run

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certify
-from .errors import (BlowUpError, ConfigurationError, GeometryError, RegimeError,
-                     StepSizeError)
+from .errors import BlowUpError, ConfigurationError, GeometryError, StepSizeError
 from .norms import NormSpec, norm_report, weighted_l2
 from .spectral import (GridSpec, SpectralField, dealias, forward,
                        hermitian_symmetrize, hilbert, inverse)
@@ -373,10 +372,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     coef = {s: max(cfg.a_rho * (th - cert.sigma[s]) - nu, 0.0)
             if cert.sigma[s] is not None else 0.0 for s in (0, 1)}
     rhs0 = (cert.a0, cert.a1)
-    try:
-        growth = certify.l2_growth_rates(cert)
-    except RegimeError:
-        growth = None
+    growth = certify.l2_growth_rates(cert)
     y0 = weighted_l2(f0.f, NormSpec(0.0, nu, f0.time))
 
     rec = TrajectoryRecord()

@@ -1,16 +1,21 @@
+import dataclasses
+import json
 import math
+import re
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muskatjump import FluidConfig, GridSpec, certify, certify_datum, forward, ledger, theta, thresholds
 from muskatjump.certify import _admissible_tau, l2_growth_rates, theta_closed_form, theta_grid_scan
 from muskatjump.errors import RegimeError
+from muskatjump.evolution import Schedule, run
 
-from helpers import REF_CFG
+from helpers import REF_CFG, gaussian_bump
 
 LATTICE_AK = [-0.8, -0.4, 0.0, 0.4, 0.8]
 LATTICE_AM = [-0.8, -0.4, 0.0, 0.4, 0.8]
@@ -80,14 +85,14 @@ def test_paper_limits_at_tiny_size():
     for ak in LATTICE_AK:
         for am in LATTICE_AM:
             cfg = FluidConfig(ak, am, 1.0, 1.0)
-            led = ledger(eps, eps, cfg)
+            led = ledger(eps, eps, cfg, f_half=eps)
             lim = 1.0 / (1.0 - abs(ak * am))
             assert abs(led.c1 - lim) < 1e-8
             assert abs(led.c3 - 1.0) < 1e-8
             assert abs(led.c4 - 1.0) < 1e-8
             for lam in (led.lambda0, led.lambda1, led.lambda2, led.lambda3):
                 assert abs(lam) < 1e-8
-            assert abs(led.c12(eps) - lim) < 1e-8
+            assert abs(led.c12 - lim) < 1e-8
 
 
 def test_sigma_continuity_shrinking_sequence():
@@ -98,9 +103,8 @@ def test_sigma_continuity_shrinking_sequence():
     for j in range(1, 25):
         a0 = 2.0 ** -j * h2 / 2.0
         a1 = 2.0 ** -j * 0.5
-        led = ledger(a0, a1, REF_CFG)
-        s2 = led.sigma2(math.sqrt(a0 * a1))
-        vals = (led.sigma0, led.sigma1, s2)
+        led = ledger(a0, a1, REF_CFG, f_half=math.sqrt(a0 * a1))
+        vals = (led.sigma0, led.sigma1, led.sigma2)
         assert all(v is not None and v >= 0.0 for v in vals)
         if prev is not None:
             assert all(v <= p + 1e-15 for v, p in zip(vals, prev))
@@ -122,10 +126,9 @@ def test_thresholds_postcondition_replay():
     k0, k1 = thresholds(REF_CFG)
     assert k0 > 0 and k1 > 0
     tau = k1
-    led = ledger(tau * REF_CFG.h2, tau, REF_CFG)
+    led = ledger(tau * REF_CFG.h2, tau, REF_CFG, f_half=tau * math.sqrt(REF_CFG.h2))
     th = theta(REF_CFG)
-    s2 = led.sigma2(tau * math.sqrt(REF_CFG.h2))
-    for s in (led.sigma0, led.sigma1, s2):
+    for s in (led.sigma0, led.sigma1, led.sigma2):
         assert th - s > 0.0
 
 
@@ -170,13 +173,37 @@ def test_no_admissible_tau_above_sigma0_bound(tau, ak, am, h2):
     assert not _admissible_tau(tau, FluidConfig(ak, am, 1.0, h2))
 
 
+# the constants that need neither f_half nor f_3half
+_A0_A1_CONSTANTS = ("c0", "c1", "c2", "c3", "c4", "c5", "c6", "c9", "c11",
+                    *(f"lambda{i}" for i in range(8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ak=st.floats(-0.95, 0.95), am=st.floats(-0.95, 0.95), h2=st.floats(0.1, 5.0),
+       a0=st.floats(0.0, 1.2), a1=st.floats(0.0, 1.2), frac=st.floats(0.0, 1.0),
+       f_3half=st.none() | st.floats(0.0, 10.0))
+# C0 converges at a0 = 0.9994 h2, but C2 with its extra factor n does not
+@example(ak=0.0, am=0.2, h2=1.0, a0=0.9994, a1=0.1, frac=1.0, f_3half=1.0)
+def test_ledger_undefined_constants_are_none(ak, am, h2, a0, a1, frac, f_3half):
+    # interpolation: F^{1/2,1} <= sqrt(a0 a1)
+    led = ledger(a0, a1, FluidConfig(ak, am, 1.0, h2),
+                 f_half=frac * math.sqrt(a0 * a1), f_3half=f_3half)
+    for f in dataclasses.fields(led):
+        if f.name not in ("divergent", "tail_bounds"):
+            value = getattr(led, f.name)
+            assert value is None or math.isfinite(value), f.name
+    assert (led.divergent == ()) == all(getattr(led, n) is not None for n in _A0_A1_CONSTANTS)
+    if f_3half is None:
+        assert (led.c7, led.c10, led.c13, led.c14) == (None, None, None, None)
+
+
 def _count_ledger_calls(monkeypatch) -> list:
     calls = []
     real = certify.ledger
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(certify, "ledger", counting)
     return calls
@@ -274,3 +301,46 @@ def test_thresholds_extreme_contrast_sweep():
                 th = theta(cfg)
                 assert th - led.sigma0 > 0.0
                 assert th - led.sigma1 > 0.0
+
+
+PINNED_CERTIFICATES = Path(__file__).with_name("pinned_certificates.json")
+_HEX_FLOAT = re.compile(r"-?0x[01]\.[0-9a-f]+p[+-][0-9]+")
+
+
+def _pinned_datum(name: str):
+    readme = GridSpec(256, 12 * np.pi)
+    if name == "readme":
+        return REF_CFG, gaussian_bump(readme, 0.01, 1.5)
+    if name == "inadmissible":
+        return REF_CFG, gaussian_bump(readme, 0.1, 1.5)
+    if name == "c0_divergent":
+        g = GridSpec(64, 2 * np.pi)
+        return REF_CFG, forward(2.0 * REF_CFG.h2 * np.cos(g.nodes()), g)
+    if name == "c1_denominator":
+        return REF_CFG, gaussian_bump(readme, 0.88, 1.5)
+    # only the C12 denominator is nonpositive: the rest of the ledger converges
+    return FluidConfig(-0.5, -0.3, 1.3, 0.1), gaussian_bump(readme, 0.088, 0.7)
+
+
+def _unhex(obj):
+    if isinstance(obj, dict):
+        return {k: _unhex(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_unhex(v) for v in obj]
+    if isinstance(obj, str) and _HEX_FLOAT.fullmatch(obj):
+        return float.fromhex(obj)
+    return obj
+
+
+@pytest.mark.parametrize("name", ["readme", "inadmissible", "c0_divergent",
+                                  "c1_denominator", "c12_only"])
+def test_certificate_json_pinned(name):
+    # every float of the frozen certificates is stored as float.hex, so the
+    # comparison is of exact bytes
+    expected = _unhex(json.loads(PINNED_CERTIFICATES.read_text())[name])
+    cfg, f0 = _pinned_datum(name)
+    cert = certify_datum(f0, cfg)
+    assert cert.to_json() == json.dumps(expected, sort_keys=True, indent=2)
+    if name == "c12_only":
+        rec = run(f0, cfg, Schedule(0.01, 0.01), certificate=cert)
+        assert all(math.isnan(b) for b in rec.l2_bound)

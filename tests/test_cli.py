@@ -226,6 +226,29 @@ def test_resume_reproduces_final_checkpoint(tmp_path):
     assert (copy / "trajectory.csv").read_bytes() == (full / "trajectory.csv").read_bytes()
 
 
+def test_resume_needs_the_monitor_block_after_step_zero(tmp_path, capsys):
+    p = write_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--output-dir", str(out)]) == EXIT_OK
+    csv = (out / "trajectory.csv").read_bytes()
+    for step in (0, 5):
+        ck = out / "checkpoints" / f"ckpt_{step:08d}.json"
+        payload = json.loads(ck.read_text())
+        del payload["monitor"]
+        ck.write_text(json.dumps(payload))
+    # the budget integrals before step 5 cannot be recovered
+    mid = out / "checkpoints" / "ckpt_00000005.json"
+    assert main(["run", "--config", str(p), "--output-dir", str(out),
+                 "--resume", str(mid)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(mid) in err
+    assert (out / "trajectory.csv").read_bytes() == csv
+    # at step 0 there is nothing to recover
+    assert main(["run", "--config", str(p), "--output-dir", str(out),
+                 "--resume", str(out / "checkpoints" / "ckpt_00000000.json")]) == EXIT_OK
+    assert (out / "trajectory.csv").read_bytes() == csv
+
+
 def test_from_file_initial_data(tmp_path):
     p = write_config(tmp_path / "c.json")
     out = tmp_path / "out"
