@@ -111,9 +111,11 @@ def linear_symbol(xi, cfg: FluidConfig):
 class _Carry:
     """What one run hands from each right-hand side evaluation to the next.
 
-    ``correction`` holds samples of omega1 + 2 A_rho df from the last strength
-    solve, its next starting point; ``kernels`` the difference-quotient kernel
-    storage of ``vorticity._Workspace``, allocated by the first snapshot.
+    ``correction`` holds samples of the nonlinear part of the last strength
+    solve, omega1 minus its snapshot's linear strength M (-2 A_rho df), which
+    the next solve adds to its own linear strength to start from;
+    ``kernels`` the difference-quotient kernel storage of
+    ``vorticity._Workspace``, allocated by the first snapshot.
     """
 
     correction: np.ndarray | None = None
@@ -138,7 +140,7 @@ def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
                            workspace=ws, guess=carry.correction)
     p, cp = ws.target_pair(pair.omega2.coefficients)
     w1 = inverse(pair.omega1)
-    carry.correction = w1 + 2.0 * cfg.a_rho * ws.dF
+    carry.correction = w1 - ws.linear
     carry.kernels = ws.storage
     head, slope = np.pi * inverse(hilbert(pair.omega1)), ws.slope_terms(w1)
     if split_i1:
@@ -315,8 +317,11 @@ class MonitorState:
     The constants they compare against (nu, the budget coefficients,
     F^{s,1}(0), the growth rates, the initial weighted L2 norm) are functions
     of the initial datum's certificate, so a resume recomputes them instead of
-    reading them back.  ``correction`` is the strength solve's last coupling
-    correction; a payload without it starts its first solve cold.
+    reading them back.  ``correction`` is the strength solve's last nonlinear
+    correction (see ``_Carry``); a payload without it starts its first solve
+    cold, from the linear strength.  A correction written before the solve was
+    preconditioned, omega1 + 2 A_rho df, still loads and serves as a starting
+    point: the solve reaches the same strengths, though not bit for bit.
     """
 
     integral: dict = field(default_factory=lambda: {0: 0.0, 1: 0.0})

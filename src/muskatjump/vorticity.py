@@ -2,9 +2,13 @@
 
 The sheet strength on the permeability line is an explicit nonsingular
 integral of the fluid-sheet strength; the fluid-sheet strength solves an
-implicit equation handled by Picard iteration seeded at the zero-coupling
-solution -2 A_rho df/da, plus the coupling correction of a previous solve
-when one is at hand.
+implicit equation omega1 = T(omega1).  At the flat interface T is the
+diagonal Fourier map omega1 -> A_kappa A_mu e^{-2 h2 |xi|} omega1 - 2 A_rho df/da,
+so the solve is a Richardson iteration preconditioned by that exact
+linearization: omega1 <- omega1 + M (T(omega1) - omega1) with
+M(xi) = 1 / (1 - A_kappa A_mu e^{-2 h2 |xi|}), seeded at the linear strength
+M (-2 A_rho df/da) plus the nonlinear correction of a previous solve when one
+is at hand.
 
 All nonlocal operators of one interface snapshot are evaluated by one kernel
 backend, chosen once per snapshot by a single rule: an O(n_max N log N)
@@ -30,7 +34,7 @@ from .norms import NormSpec, fourier_norm
 from .spectral import (GridSpec, SpectralField, conj_poisson_kernel_periodic,
                        derivative, forward, hermitian_symmetrize, inverse, odd_offset_rows,
                        odd_offsets, padded_coefficients, padded_samples,
-                       poisson_kernel_periodic, product_coefficients, pv_kernel_periodic)
+                       poisson_kernel_periodic, pv_kernel_periodic)
 
 DEFAULT_SERIES_TOL = 1e-10
 DEFAULT_PICARD_TOL = 1e-11
@@ -130,12 +134,14 @@ class _Workspace:
     series_tol; trapezoid quadrature of the periodized kernels otherwise.
     ``method`` forces one rule (a forced series raises MethodUnavailableError
     when no order meets the tolerance).
-    The f powers, kept as 2N-padded samples in one (n_max, 2N) array, or the
-    dense target-side Poisson and conjugate-Poisson matrices, are built here
-    once; the difference-quotient kernels on first use, into ``storage``: a
-    (2, N/2, N) array that successive snapshots of one run may share, so the
-    O(N^2) build allocates no O(N^2) temporaries.  Without it the workspace
-    allocates its own.
+    The strength solve's preconditioner ``multiplier`` M(xi) and its seed
+    ``linear``, the samples of the flat-interface strength M (-2 A_rho df),
+    are built here once.  So are the f powers, kept as 2N-padded samples in
+    one (n_max, 2N) array, or the dense target-side Poisson and
+    conjugate-Poisson matrices.  The difference-quotient kernels are built on
+    first use, into ``storage``: a (2, N/2, N) array that successive snapshots
+    of one run may share, so the O(N^2) build allocates no O(N^2)
+    temporaries.  Without it the workspace allocates its own.
     """
 
     def __init__(self, f, cfg: FluidConfig, series_tol: float, method: str | None = None,
@@ -147,7 +153,12 @@ class _Workspace:
         n = grid.n_points
         self.storage = np.empty((2, n // 2, n)) if storage is None else storage
         self.F = inverse(fld)
-        self.dF = inverse(derivative(fld))
+        dfld = derivative(fld)
+        self.dF = inverse(dfld)
+        self.multiplier = 1.0 / (1.0 - cfg.a_kappa * cfg.a_mu
+                                 * np.exp(-2.0 * cfg.h2 * np.abs(grid.wavenumbers())))
+        self.linear = inverse(dfld.with_coefficients(
+            -2.0 * cfg.a_rho * self.multiplier * dfld.coefficients))
         if method not in (None, "series", "quadrature"):
             raise ConfigurationError(f"unknown method {method!r}")
         n_max = None
@@ -165,11 +176,12 @@ class _Workspace:
         self.n_max = n_max
         if n_max is not None:
             self.weights = _series_weights(grid, cfg.h2, n_max)
-            # f, f^2, ..., f^n_max by dealiased products, kept as padded samples
-            powers = [fld.coefficients]
-            for _ in range(1, n_max):
-                powers.append(product_coefficients(powers[-1], fld.coefficients, grid))
-            self.power_samples = padded_samples(np.array(powers), grid)
+            # f, f^2, ..., f^n_max as padded samples, each a dealiased product
+            # of the previous power's samples with f's
+            rows = self.power_samples = np.empty((n_max, 2 * n), dtype=complex)
+            rows[0] = padded_samples(fld.coefficients, grid)
+            for k in range(1, n_max):
+                rows[k] = padded_samples(padded_coefficients(rows[k - 1] * rows[0], grid), grid)
         else:
             n, L = grid.n_points, grid.domain_length
             i = np.arange(n)
@@ -267,31 +279,35 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
                     max_iter: int = DEFAULT_PICARD_MAX_ITER,
                     workspace: _Workspace | None = None,
                     guess: np.ndarray | None = None) -> VorticityPair:
-    """Picard solve of the coupled sheet-strength system.
+    """Preconditioned Picard solve of the coupled sheet-strength system.
 
-    Iterates strength_1 -> A_mu/pi (self-induction + line-coupling) - 2 A_rho df
-    from the seed -2 A_rho df, stopping when the F^{0,1} change drops below tol.
-    ``guess``, samples of a coupling correction strength_1 + 2 A_rho df (from
-    a previous, nearby solve), moves the start to seed + guess.
-    Divergence raises PicardDivergenceError with the residual history attached.
+    With T(strength_1) = A_mu/pi (self-induction + line-coupling) - 2 A_rho df,
+    iterates strength_1 <- strength_1 + M (T(strength_1) - strength_1) from the
+    linear strength M (-2 A_rho df), M(xi) = 1/(1 - A_kappa A_mu e^{-2 h2 |xi|})
+    the inverse of T's flat-interface linearization, stopping when the F^{0,1}
+    norm of the update drops below tol.  ``guess``, samples of a nonlinear
+    correction strength_1 - M (-2 A_rho df) (from a previous, nearby solve),
+    moves the start to the linear strength + guess.
+    Divergence raises PicardDivergenceError with the update-norm history attached.
     ``workspace`` is the snapshot's kernel backend, built here when not given.
     """
     ws = workspace or _Workspace(f, cfg, DEFAULT_SERIES_TOL)
     grid = ws.grid
-    seed = -2.0 * cfg.a_rho * ws.dF
-    w1 = seed
+    forcing = -2.0 * cfg.a_rho * ws.dF
+    w1 = ws.linear
     history: list[float] = []
     ratio = None
     delta, it = 0.0, 1
     if cfg.a_mu != 0.0:
         if guess is not None:
-            w1 = seed + guess
+            w1 = w1 + guess
         for it in range(1, max_iter + 1):
             p, cp = ws.target_pair(ws.omega2(w1))
-            w1_new = (cfg.a_mu / np.pi) * (ws.self_induction(w1) + ws.dF * cp - p) + seed
-            delta = fourier_norm(forward(w1_new - w1, grid), NormSpec(0.0))
+            t1 = (cfg.a_mu / np.pi) * (ws.self_induction(w1) + ws.dF * cp - p) + forcing
+            update = forward(t1 - w1, grid).coefficients * ws.multiplier
+            delta = float(np.sum(np.abs(update)))  # its F^{0,1} norm
             history.append(delta)
-            w1 = w1_new
+            w1 = w1 + np.fft.ifft(update * grid.n_points).real
             if len(history) >= 2 and history[-2] > 0:
                 ratio = history[-1] / history[-2]
             if delta < tol:

@@ -8,7 +8,8 @@ from muskatjump import (FluidConfig, GridSpec, NormSpec, SpectralField, forward,
 from muskatjump.certify import ledger, thresholds
 from muskatjump.errors import GeometryError, MethodUnavailableError
 from muskatjump.evolution import InterfaceField
-from muskatjump.spectral import derivative, hermitian_symmetrize
+from muskatjump.spectral import (derivative, hermitian_symmetrize, padded_samples,
+                                 product_coefficients)
 from muskatjump.vorticity import DEFAULT_SERIES_TOL, _Workspace
 
 from helpers import REF_CFG, gaussian_bump, random_admissible_interface
@@ -224,16 +225,42 @@ def test_series_quadrature_equivalence_near_radius():
     assert diff < 1e-8
 
 
-def test_picard_divergence_reports_history():
+def test_picard_iteration_cap_reports_history():
     from muskatjump.errors import PicardDivergenceError
 
-    # strong viscosity contrast with a steep interface sits outside contraction
+    # strong viscosity contrast with a steep interface: the solve converges,
+    # but in more iterations than the cap of 12 allows
     cfg = FluidConfig(0.5, 0.95, 1.0, 1.0)
     g = GridSpec(128, 2 * np.pi)
     f = InterfaceField.from_samples(0.44 * np.cos(g.nodes()) + 0.3 * np.cos(2 * g.nodes()), g)
     with pytest.raises(PicardDivergenceError) as err:
         solve_vorticity(f, cfg, tol=1e-12, max_iter=12)
     assert len(err.value.residual_history) == 12
+    pair = solve_vorticity(f, cfg, tol=1e-12)
+    assert 12 < pair.iterations and pair.residual < 1e-12
+
+
+@pytest.mark.parametrize("a_mu", [0.2, 0.6, 0.9, 0.99])
+@pytest.mark.parametrize("amplitude, most", [(0.01, 4), (0.5, 10)])
+def test_cold_solve_iteration_counts(a_mu, amplitude, most):
+    # README grid and bump; measured 3 at amplitude 0.01 and 6 / 7 / 8 / 9 at
+    # 0.5 (plain Picard took 7 / 12 / 16 / 18 at 0.01)
+    g = GridSpec(256, L12)
+    pair = solve_vorticity(gaussian_bump(g, amplitude, 1.5), FluidConfig(0.5, a_mu, 1.0, 1.0))
+    assert pair.iterations <= most
+
+
+def test_tiny_mode_converges_from_the_linear_seed():
+    # at amplitude 1e-9 the nonlinear part is O(1e-18): the linear strength
+    # is the solution, and the first update already meets the tolerance
+    g = GridSpec(256, 2 * np.pi)
+    eps = 1e-9
+    f = InterfaceField.from_samples(eps * np.cos(g.nodes()), g)
+    pair = solve_vorticity(f, REF_CFG)
+    assert pair.iterations == 1
+    denom = 1.0 - REF_CFG.a_kappa * REF_CFG.a_mu * np.exp(-2.0 * REF_CFG.h2)
+    want = -2.0 * REF_CFG.a_rho * 1j * f.f.coefficients[1] / denom
+    assert abs(pair.omega1.coefficients[1] - want) <= 1e-8 * abs(want)
 
 
 def test_vorticity_bounds_with_analyticity_weight():
@@ -367,8 +394,8 @@ def test_sample_space_series_matches_products_on_admissible_data(seed, frac):
 
 
 def _correction(f, pair):
-    """Samples of the coupling correction omega1 + 2 A_rho df of a solved pair."""
-    return inverse(pair.omega1) + 2.0 * REF_CFG.a_rho * inverse(derivative(f.f))
+    """Samples of the nonlinear correction omega1 - M (-2 A_rho df) of a solved pair."""
+    return inverse(pair.omega1) - _Workspace(f, REF_CFG, DEFAULT_SERIES_TOL).linear
 
 
 def test_exact_correction_as_guess_converges_in_one_iteration():
@@ -376,9 +403,9 @@ def test_exact_correction_as_guess_converges_in_one_iteration():
     k0, k1 = thresholds(REF_CFG)
     f = random_admissible_interface(g, np.random.default_rng(1), REF_CFG, k0, k1)
     tight = solve_vorticity(f, REF_CFG, tol=1e-15)
-    assert tight.iterations > 5
+    cold = solve_vorticity(f, REF_CFG)
     warm = solve_vorticity(f, REF_CFG, guess=_correction(f, tight))
-    assert warm.iterations == 1
+    assert cold.iterations > warm.iterations == 1
     assert warm.residual < 1e-11
 
 
@@ -395,12 +422,32 @@ def test_warm_and_cold_solves_agree(seed, frac, scale):
     guess = _correction(prev, solve_vorticity(prev, REF_CFG))
     cold = solve_vorticity(f, REF_CFG)
     warm = solve_vorticity(f, REF_CFG, guess=guess)
-    # q = 1 - 1/C1 bounds the Picard contraction in F^{0,1}, so each final
-    # iterate lies within q/(1-q) = C1 - 1 times its last step of the fixed point
+    # T(w) = D w + N w - 2 A_rho df with D = A_kappa A_mu e^{-2 h2 |xi|} its
+    # flat part, and the iteration is w <- w + M (T(w) - w), M = (1 - D)^{-1}.
+    # Its error maps as e -> M N e.  The ledger's q = 1 - 1/C1 bounds D + N
+    # in F^{0,1} with |A_kappa A_mu| for D, so N is bounded by
+    # q - |A_kappa A_mu|, and M by 1/(1 - |A_kappa A_mu|).  Each final iterate
+    # lies within q_G/(1-q_G) times its last step of the fixed point.
     led = ledger(fourier_norm(f.f, NormSpec(0.0)), fourier_norm(f.f, NormSpec(1.0)), REF_CFG)
+    flat = abs(REF_CFG.a_kappa * REF_CFG.a_mu)
+    q_g = (1.0 - 1.0 / led.c1 - flat) / (1.0 - flat)
     diff = fourier_norm(SpectralField(g, warm.omega1.coefficients - cold.omega1.coefficients),
                         NormSpec(0.0))
-    assert diff <= (led.c1 - 1.0) * (cold.residual + warm.residual)
+    assert diff <= q_g / (1.0 - q_g) * (cold.residual + warm.residual)
+
+
+def test_power_samples_match_product_built_powers():
+    # each power is transformed once; the result is bit for bit the powers
+    # built by product_coefficients and padded afterwards
+    g = GridSpec(256, L12)
+    f = gaussian_bump(g, 0.5, 1.5)
+    ws = _Workspace(f, REF_CFG, 1e-10, method="series")
+    fhat = f.f.coefficients
+    powers = [fhat]
+    for _ in range(1, ws.n_max):
+        powers.append(product_coefficients(powers[-1], fhat, g))
+    assert ws.n_max > 20
+    assert np.array_equal(ws.power_samples, padded_samples(np.array(powers), g))
 
 
 @pytest.mark.parametrize("method", ["series", "quadrature"])
