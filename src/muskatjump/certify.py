@@ -51,19 +51,21 @@ def _series(term_fn, cap_fn, start: int):
     """Sum term_fn(n) for n >= start with cap_fn(n) >= sup_{m>=n} term(m+1)/term(m).
 
     Returns (value, tail_bound) or None when no geometric tail bound below
-    SERIES_TAIL_TOL can be certified (divergent or at the radius).
+    SERIES_TAIL_TOL can be certified (divergent or at the radius).  Each term
+    is evaluated once: term(n+1) bounds the tail at n and is then summed.
     """
     total = 0.0
     n = start
+    t = term_fn(n)
     while n < _SERIES_NMAX:
-        t = term_fn(n)
         cap = cap_fn(n)
         total += t
+        n += 1
+        t = term_fn(n)
         if cap < 1.0:
-            tail = term_fn(n + 1) / (1.0 - cap)
+            tail = t / (1.0 - cap)
             if tail < SERIES_TAIL_TOL:
                 return total, tail
-        n += 1
     return None
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -354,7 +355,7 @@ def cmd_oracle_check(args) -> int:
 
 def _sweep_worker(payload):
     config_path, outdir = payload
-    args = build_parser().parse_args(["run", "--config", config_path, "--output-dir", outdir])
+    args = _parser().parse_args(["run", "--config", config_path, "--output-dir", outdir])
     return config_path, cmd_run(args)
 
 
@@ -390,11 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--resume", default=None, help="checkpoint file to continue from")
     pr.add_argument("--checkpoint-every", type=_count, default=1,
                     help="write a checkpoint every k-th snapshot")
-    pr.set_defaults(func=cmd_run)
 
     pc = sub.add_parser("certify", help="print the admissibility certificate as JSON")
     pc.add_argument("--config", required=True)
-    pc.set_defaults(func=cmd_certify)
 
     pl = sub.add_parser("linear", help="tabulate the exact dispersion relation")
     pl.add_argument("--config", required=True)
@@ -403,26 +402,33 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--max-mode", type=int, default=8)
     pl.add_argument("--amplitude", type=float, default=1e-6)
     pl.add_argument("--output", default=None)
-    pl.set_defaults(func=cmd_linear)
 
     po = sub.add_parser("oracle-check", help="compare fast paths against brute-force quadrature")
     po.add_argument("--config", required=True)
     po.add_argument("--bound", type=float, default=1e-6)
     po.add_argument("--corrupt-fast", action="store_true", help=argparse.SUPPRESS)
-    po.set_defaults(func=cmd_oracle_check)
 
     ps = sub.add_parser("sweep", help="run several configs in parallel workers")
     ps.add_argument("configs", nargs="+")
     ps.add_argument("--output-dir", required=True)
     ps.add_argument("--threads", type=_count, default=2)
-    ps.set_defaults(func=cmd_sweep)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import; parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on every call, so a handler replaced on this module after the
+    # parser was built (a tracer's wrapper, a test's stub) is the one that runs
+    handler = {"run": cmd_run, "certify": cmd_certify, "linear": cmd_linear,
+               "oracle-check": cmd_oracle_check, "sweep": cmd_sweep}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except tuple(_EXIT_CODES) as exc:
         code = _exit_code(exc)
         print(f"{_EXIT_LABELS[code]}: {exc}", file=sys.stderr)

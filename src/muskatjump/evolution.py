@@ -458,8 +458,10 @@ def checkpoint_payload(state: InterfaceField, cfg: FluidConfig, step_index: int,
 
 def save_checkpoint(path, state: InterfaceField, cfg: FluidConfig, step_index: int,
                     dt: float, monitor: MonitorState | None = None) -> None:
+    # one dumps call: json.dump streams through the pure-Python encoder
+    text = json.dumps(checkpoint_payload(state, cfg, step_index, dt, monitor), sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(checkpoint_payload(state, cfg, step_index, dt, monitor), fh, sort_keys=True)
+        fh.write(text)
 
 
 def load_checkpoint(path, cfg: FluidConfig | None = None):

@@ -9,13 +9,14 @@ carry over verbatim (Young's inequality holds for l1 coefficient convolutions).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .spectral import SpectralField
+from .spectral import GridSpec, SpectralField
 
 NOISE_FLOOR = 1e-14
 _EXP_GUARD = 700.0
@@ -35,17 +36,29 @@ class NormSpec:
             raise DomainError("s, nu and time must all be nonnegative")
 
 
+@functools.lru_cache(maxsize=32)
+def _power_weights(grid: GridSpec, s: float) -> np.ndarray:
+    """Read-only |xi_k|^s on the grid, with mode zero weighted 0 when s > 0."""
+    xi = np.abs(grid.wavenumbers())
+    with np.errstate(divide="ignore"):
+        pw = xi ** s if s > 0 else np.ones_like(xi)
+    if s > 0:
+        pw[xi == 0] = 0.0
+    pw.flags.writeable = False
+    return pw
+
+
 def _weights(fld: SpectralField, spec: NormSpec) -> np.ndarray:
-    xi = np.abs(fld.grid.wavenumbers())
-    arg = spec.nu * spec.time * xi
+    pw = _power_weights(fld.grid, spec.s)
+    nu_t = spec.nu * spec.time
+    # exp(0) * pw is pw bit for bit
+    if nu_t == 0.0:
+        return pw
+    arg = nu_t * np.abs(fld.grid.wavenumbers())
     if arg.size and np.max(arg) > _EXP_GUARD:
         raise OverflowError(
             f"nu*t*xi_max = {np.max(arg):.3g} exceeds the exponential guard {_EXP_GUARD}"
         )
-    with np.errstate(divide="ignore"):
-        pw = xi ** spec.s if spec.s > 0 else np.ones_like(xi)
-    if spec.s > 0:
-        pw[xi == 0] = 0.0
     return np.exp(arg) * pw
 
 

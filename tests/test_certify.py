@@ -4,6 +4,7 @@ import math
 import re
 from decimal import Decimal, getcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +196,54 @@ def test_ledger_undefined_constants_are_none(ak, am, h2, a0, a1, frac, f_3half):
     assert (led.divergent == ()) == all(getattr(led, n) is not None for n in _A0_A1_CONSTANTS)
     if f_3half is None:
         assert (led.c7, led.c10, led.c13, led.c14) == (None, None, None, None)
+
+
+def _series_reference(term_fn, cap_fn, start: int):
+    # the summation loop as it was before each term was evaluated only once
+    total = 0.0
+    n = start
+    while n < certify._SERIES_NMAX:
+        t = term_fn(n)
+        cap = cap_fn(n)
+        total += t
+        if cap < 1.0:
+            tail = term_fn(n + 1) / (1.0 - cap)
+            if tail < certify.SERIES_TAIL_TOL:
+                return total, tail
+        n += 1
+    return None
+
+
+_SERIES_FUNCTIONS = ("_c0_series", "_c2_series", "_dc2_series", "_lambda4_series",
+                     "_c8_series")
+
+
+@settings(max_examples=40, deadline=None)
+@given(ratio=st.floats(0.0, 0.9995, exclude_max=True), h2=st.floats(0.1, 5.0))
+@example(ratio=0.0, h2=1.0)
+# C2 and C2/a0 run out of terms here; C0, lambda4 and C8 converge
+@example(ratio=0.9994, h2=1.0)
+def test_series_match_the_reference_loop(ratio, h2):
+    a0 = ratio * h2
+    for name in _SERIES_FUNCTIONS:
+        fast = getattr(certify, name)(a0, h2)
+        with mock.patch.object(certify, "_series", _series_reference):
+            ref = getattr(certify, name)(a0, h2)
+        assert (fast is None) == (ref is None), name
+        if ref is not None:
+            assert fast == ref, name
+
+
+def test_series_evaluates_each_term_once():
+    seen = []
+
+    def term(n):
+        seen.append(n)
+        return 0.5 ** n
+
+    value, tail = certify._series(term, lambda n: 0.5, start=1)
+    assert seen == list(range(1, len(seen) + 1))
+    assert (value, tail) == _series_reference(lambda n: 0.5 ** n, lambda n: 0.5, 1)
 
 
 def _count_ledger_calls(monkeypatch) -> list:

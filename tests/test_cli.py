@@ -272,6 +272,60 @@ def test_console_entry_point(tmp_path):
     assert "verdict: admissible" in proc.stderr
 
 
+_SMALL_GRID = {"n_points": 64, "domain_length": 12 * np.pi}
+
+
+def test_parser_is_reused_after_an_argument_error(tmp_path, capsys):
+    p = write_config(tmp_path / "c.json", grid=_SMALL_GRID)
+    cli._parser.cache_clear()
+    assert main(["certify", "--config", str(p)]) == EXIT_OK
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["certify"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--config" in capsys.readouterr().err
+    assert main(["certify", "--config", str(p)]) == EXIT_OK
+    assert capsys.readouterr() == first
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_run_flags_do_not_carry_over_to_the_next_call(tmp_path):
+    p = write_config(tmp_path / "c.json", grid=_SMALL_GRID,
+                     initial_data={"preset": "gaussian_bump", "amplitude": 0.1, "width": 1.5},
+                     schedule={"t_end": 0.06, "dt": 0.03, "snapshot_every": 1})
+    gated, plain = tmp_path / "gated", tmp_path / "plain"
+    assert main(["run", "--config", str(p), "--output-dir", str(gated),
+                 "--require-certificate"]) == EXIT_INADMISSIBLE
+    assert main(["run", "--config", str(p), "--output-dir", str(plain)]) == EXIT_OK
+    meta = json.loads((plain / "metadata.json").read_text())
+    assert meta["certificate"]["verdict"] == "inadmissible"
+    assert meta["status"] == {"exit": EXIT_OK}
+    assert (plain / "trajectory.csv").exists() and not (gated / "trajectory.csv").exists()
+
+
+def test_a_handler_replaced_after_the_parser_was_built_is_the_one_that_runs(monkeypatch):
+    cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_certify", lambda args: seen.append(args.config) or 41)
+    assert main(["certify", "--config", "c.json"]) == 41
+    assert seen == ["c.json"]
+
+
+def test_import_builds_no_parser():
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def spy(self, *a, **k):\n"
+             "    built.append(1)\n"
+             "    init(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = spy\n"
+             "import muskatjump.cli as cli\n"
+             "print(len(built), cli._parser.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
 def test_sweep_runs_configs_in_parallel(tmp_path):
     paths = []
     for i, amp in enumerate((0.005, 0.01)):

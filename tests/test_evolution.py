@@ -5,8 +5,8 @@ import mpmath as mp
 
 from muskatjump import FluidConfig, GridSpec, inverse, linear_symbol, oracle
 from muskatjump.errors import BlowUpError, ConfigurationError, StepSizeError
-from muskatjump.evolution import (InterfaceField, Schedule, leakage, load_checkpoint, rhs,
-                                  run, save_checkpoint, step)
+from muskatjump.evolution import (InterfaceField, MonitorState, Schedule, checkpoint_payload,
+                                  leakage, load_checkpoint, rhs, run, save_checkpoint, step)
 from muskatjump.vorticity import solve_vorticity
 
 from helpers import REF_CFG, gaussian_bump
@@ -214,6 +214,23 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert idx == 1 and dt == 0.05 and monitor is None
     assert np.array_equal(loaded.f.coefficients, state.f.coefficients)
     assert loaded.time == state.time
+
+
+def test_checkpoint_bytes_match_the_streaming_encoder(tmp_path):
+    # save_checkpoint encodes in one json.dumps call; the file must be the one
+    # json.dump(..., sort_keys=True) streams out
+    import json
+
+    g = GridSpec(32, L12)
+    state = step(gaussian_bump(g, 0.02, 1.5), 0.05, REF_CFG)
+    rng = np.random.default_rng(7)
+    mon = MonitorState(integral={0: 1.25e-7, 1: -0.0}, f32_max=3.5, f32_int=1e-300,
+                       correction=rng.standard_normal(g.n_points))
+    path, ref = tmp_path / "ck.json", tmp_path / "ref.json"
+    save_checkpoint(path, state, REF_CFG, 7, 0.05, mon)
+    with open(ref, "w") as fh:
+        json.dump(checkpoint_payload(state, REF_CFG, 7, 0.05, mon), fh, sort_keys=True)
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_checkpoint_config_mismatch(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from muskatjump import (GridSpec, NormSpec, SpectralField, check_interpolation, decay_fit,
                         forward, fourier_norm, strip_radius, weighted_l2)
 from muskatjump.errors import DomainError
-from muskatjump.norms import NormReport
+from muskatjump.norms import NormReport, _power_weights, _weights
 from muskatjump.spectral import dealiased_product, hermitian_symmetrize
 
 from helpers import random_field
@@ -37,6 +37,37 @@ def test_fourier_norm_overflow_guard():
     f = forward(np.cos(g.nodes()), g)
     with pytest.raises(OverflowError):
         fourier_norm(f, NormSpec(0.0, nu=100.0, time=1000.0))
+
+
+@pytest.mark.parametrize("nu_t", [0.0, 0.37])
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 1.5, 2.0])
+def test_fourier_norm_matches_the_inline_formula_bitwise(s, nu_t):
+    g = GridSpec(64, 12 * np.pi)
+    f = random_field(g, np.random.default_rng(3))
+    xi = np.abs(g.wavenumbers())
+    w = np.exp(nu_t * xi) * xi ** s
+    if s > 0:
+        w[0] = 0.0
+    expected = float(np.sum(w * np.abs(f.coefficients)))
+    got = fourier_norm(f, NormSpec(s, nu=nu_t, time=1.0) if nu_t else NormSpec(s))
+    assert got.hex() == expected.hex()
+
+
+def test_cached_power_weights_are_read_only():
+    g = GridSpec(64, 12 * np.pi)
+    f = random_field(g, np.random.default_rng(4))
+    for w in (_power_weights(g, 1.5), _weights(f, NormSpec(1.5))):
+        with pytest.raises(ValueError):
+            w[1] = 0.0
+
+
+def test_fourier_norm_overflow_guard_threshold():
+    g = GridSpec(64, 2 * np.pi)
+    f = forward(np.cos(g.nodes()), g)
+    xi_max = float(np.max(np.abs(g.wavenumbers())))
+    assert np.isfinite(fourier_norm(f, NormSpec(0.0, nu=699.0 / xi_max, time=1.0)))
+    with pytest.raises(OverflowError):
+        fourier_norm(f, NormSpec(0.0, nu=701.0 / xi_max, time=1.0))
 
 
 def test_weighted_l2_cosine():
