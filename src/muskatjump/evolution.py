@@ -20,7 +20,7 @@ import numpy as np
 from . import certify
 from .errors import BlowUpError, ConfigurationError, GeometryError, StepSizeError
 from .norms import NormSpec, norm_report, weighted_l2
-from .spectral import (GridSpec, SpectralField, dealias, forward,
+from .spectral import (GridSpec, SpectralField, dealias, forward, forward_coefficients,
                        hermitian_symmetrize, hilbert, inverse)
 from .vorticity import (DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, DEFAULT_SERIES_TOL,
                         FluidConfig, VorticityPair, _Workspace, check_geometry,
@@ -146,8 +146,7 @@ def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
     if split_i1:
         rem = ws.i1_remainder(w1)
         head, slope = head + rem, slope - rem
-    samples = (head, slope, cp, ws.dF * p)
-    parts = [dealias(forward(s, grid).coefficients, grid) for s in samples]
+    parts = dealias(forward_coefficients(np.array((head, slope, cp, ws.dF * p)), grid), grid)
     # both sides of the split live on the dealiased band, so the remainder is
     # identically zero above the 2/3 cutoff and high modes evolve purely by
     # the integrating factor
@@ -165,8 +164,8 @@ def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) 
     i1f, i2f, i3f, i4f = (SpectralField(grid, c) for c in parts)
     return RhsBreakdown(
         i1=i1f, i2=i2f, i3=i3f, i4=i4f,
-        linear_part=SpectralField(grid, hermitian_symmetrize(linear_hat)),
-        nonlinear_part=SpectralField(grid, hermitian_symmetrize(nonlinear_hat)),
+        linear_part=SpectralField(grid, linear_hat),
+        nonlinear_part=SpectralField(grid, nonlinear_hat),
         pair=pair,
     )
 
@@ -202,8 +201,10 @@ def nonlinear_tendency(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
     """Coefficients of the nonlinear remainder N(f) = rhs - linear part.
 
     ``carry`` warm-starts the strength solve from the previous evaluation's.
+    The spectrum is exactly Hermitian when the interface's is: every part is
+    a symmetrized ``forward`` or a real even multiplier times its spectrum.
     """
-    return hermitian_symmetrize(_assemble(f, cfg, opts, carry=carry)[3])
+    return _assemble(f, cfg, opts, carry=carry)[3]
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -242,7 +243,8 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
     nonlinear remainder is treated explicitly.  ``coeffs`` are the
     ``_stepper_coeffs`` of this dt, computed here when not supplied.  Each
     stage's strength solve starts from the previous one's, across steps too
-    when ``carry`` is kept.
+    when ``carry`` is kept.  The stage and the new spectrum are exactly
+    Hermitian when the state's is, as the coefficients are real and even in xi.
     """
     opts = opts or SolverOptions()
     carry = carry or _Carry()
@@ -264,14 +266,14 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
         )
 
     stage = exp_lin * fhat + dt_phi1 * n0
-    fld = InterfaceField(SpectralField(grid, hermitian_symmetrize(stage)), state.time)
+    fld = InterfaceField(SpectralField(grid, stage), state.time)
     n1 = nonlinear_tendency(fld, cfg, opts, carry=carry)
     if not np.all(np.isfinite(n1)):
         raise BlowUpError("non-finite nonlinear tendency (stage two)", state, state.time)
     new_hat = stage + dt_phi2 * (n1 - n0)
     if not np.all(np.isfinite(new_hat)):
         raise BlowUpError("non-finite coefficients after step", state, state.time)
-    return InterfaceField(SpectralField(grid, hermitian_symmetrize(new_hat)), state.time + dt)
+    return InterfaceField(SpectralField(grid, new_hat), state.time + dt)
 
 
 # one trajectory row per snapshot, in the column order of trajectory.csv
@@ -365,7 +367,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     opts = opts or SolverOptions()
     state, start_step, monitor = resume or (f0, 0, None)
     monitor = monitor or MonitorState()
-    check_geometry(state, cfg)
+    check_geometry(state.samples(), cfg)
     check_leakage(state, opts.leakage_threshold)
     cert = certificate or certify.certify_datum(f0, cfg)
     # the monitors need nu >= 0; an out-of-ledger datum may certify none or a
@@ -406,8 +408,12 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
         rec.rows.append(row)
         if growth is not None:
             c, c_sq, c_lin = growth
-            rec.l2_bound.append(y0 * math.exp(
-                0.5 * (c * t + (c_sq * monitor.f32_max + c_lin) * monitor.f32_int)))
+            try:
+                rec.l2_bound.append(y0 * math.exp(
+                    0.5 * (c * t + (c_sq * monitor.f32_max + c_lin) * monitor.f32_int)))
+            except OverflowError:
+                # past exp's range the bound says nothing
+                rec.l2_bound.append(math.inf)
         else:
             rec.l2_bound.append(float("nan"))
         monitor.correction = carry.correction
@@ -469,7 +475,9 @@ def load_checkpoint(path, cfg: FluidConfig | None = None):
 
     Monitor keys other than the accumulators, written by older versions, are
     ignored.  A file that is missing, not JSON or incomplete raises
-    ConfigurationError naming the path.
+    ConfigurationError naming the path.  A spectrum that passes the
+    interface's reality check is made exactly Hermitian, which the step keeps
+    (see ``step``); one written by ``save_checkpoint`` already is, bit for bit.
     """
     try:
         with open(path) as fh:
@@ -481,8 +489,10 @@ def load_checkpoint(path, cfg: FluidConfig | None = None):
         grid = GridSpec(payload["n_points"], float.fromhex(payload["domain_length_hex"]))
         re = np.array([float.fromhex(v) for v in payload["coeff_re_hex"]])
         im = np.array([float.fromhex(v) for v in payload["coeff_im_hex"]])
-        state = InterfaceField(SpectralField(grid, re + 1j * im),
-                               float.fromhex(payload["time_hex"]))
+        c = re + 1j * im
+        # the reality check sees the stored spectrum, the run its exact projection
+        state = InterfaceField(SpectralField(grid, c), float.fromhex(payload["time_hex"]))
+        state = InterfaceField(state.f.with_coefficients(hermitian_symmetrize(c)), state.time)
         monitor = MonitorState.from_payload(payload["monitor"]) if "monitor" in payload else None
         if monitor is not None and monitor.correction is not None \
                 and monitor.correction.shape != (grid.n_points,):

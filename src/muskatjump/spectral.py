@@ -11,6 +11,14 @@ Conventions used throughout the package:
   mode set their transforms equal the whole-line formulas ``pi exp(-a|xi|)``,
   ``-i pi sgn(xi) exp(-a|xi|)`` and ``-i pi sgn(xi)`` exactly, which is what
   makes the quadrature and multiplier code paths comparable at 1e-8.
+* Products are formed on the 2n-point grid with real transforms.  A real
+  field's spectrum is read on its half k = 0..n/2 (the rest is the complex
+  conjugate mirror), and ``padded_samples`` turns it into real samples.  The
+  n-grid Nyquist slot stands for both +n/2 and -n/2, which are distinct
+  modes on the 2n grid, so its coefficient enters each at half weight: the
+  samples carry c_{n/2} cos(pi n a / L), the real band-limited interpolant.
+  ``padded_coefficients`` returns the half spectrum of 2n-grid samples cut to
+  k <= n/3, and ``hermitian_extension`` restores the full n coefficients.
 """
 
 from __future__ import annotations
@@ -112,9 +120,12 @@ def forward(samples: np.ndarray, grid: GridSpec) -> SpectralField:
         raise ConfigurationError(
             f"sample count {x.shape} does not match n_points={grid.n_points}"
         )
-    c = np.fft.fft(x) / grid.n_points
-    c = hermitian_symmetrize(c)
-    return SpectralField(grid, c)
+    return SpectralField(grid, forward_coefficients(x, grid))
+
+
+def forward_coefficients(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """``forward``'s coefficients of the real samples on the last axis, one row or a stack."""
+    return hermitian_symmetrize(np.fft.fft(samples) / grid.n_points)
 
 
 def inverse(fld: SpectralField) -> np.ndarray:
@@ -123,8 +134,9 @@ def inverse(fld: SpectralField) -> np.ndarray:
 
 
 def hermitian_symmetrize(c: np.ndarray) -> np.ndarray:
-    # the mirror [c_0, c_{n-1}, ..., c_1] is c_{-k mod n} without an index array
-    return 0.5 * (c + np.conj(np.concatenate((c[:1], c[:0:-1]))))
+    # along the last axis, the mirror [c_0, c_{n-1}, ..., c_1] is c_{-k mod n}
+    # without an index array
+    return 0.5 * (c + np.conj(np.concatenate((c[..., :1], c[..., :0:-1]), axis=-1)))
 
 
 def apply_multiplier(fld: SpectralField, multiplier: np.ndarray) -> SpectralField:
@@ -201,11 +213,15 @@ def odd_offset_rows(w: np.ndarray) -> np.ndarray:
     """Read-only n/2 x n circulant view R[j, a] = w[(a - m_j) % n], m_j from odd_offsets.
 
     m_j = 2j - n/2 + 1, so row j is w shifted by m_j: a contiguous window over
-    three periods of w that starts at 3n/2 - 1 - 2j.
+    three periods of w that starts at 3n/2 - 1 - 2j, two elements before the
+    start of row j - 1.
     """
     n = len(w)
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([w, w, w]), n)
-    return windows[3 * n // 2 - 1: n // 2: -2]
+    w3 = np.concatenate((w, w, w))
+    size = w3.itemsize
+    rows = np.ndarray((n // 2, n), w3.dtype, w3, (3 * n // 2 - 1) * size, (-2 * size, size))
+    rows.flags.writeable = False
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -219,27 +235,36 @@ def dealias(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.where(dealias_mask(grid), c, 0.0)
 
 
-def padded_samples(chat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Samples on the 2n grid of a spectrum, or of each row of a stack, zero-padded."""
+def hermitian_extension(h: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Full n coefficients, in FFT order, of the half spectrum k = 0..n/2 on the last axis."""
     half = grid.n_points // 2
-    pad = np.zeros(chat.shape[:-1] + (4 * half,), dtype=complex)
-    pad[..., : half + 1] = chat[..., : half + 1]
-    pad[..., 3 * half + 1:] = chat[..., half + 1:]
-    return np.fft.ifft(pad * (4 * half))
+    c = np.empty(h.shape[:-1] + (2 * half,), dtype=complex)
+    c[..., : half + 1] = h
+    np.conj(h[..., half - 1: 0: -1], out=c[..., half + 1:])
+    return c
+
+
+def padded_samples(chat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Real samples on the 2n grid of a real field's spectrum, or of each row of a stack.
+
+    Reads k = 0..n/2 of the last axis, so a full spectrum and a half spectrum
+    give the same samples; the Nyquist coefficient enters at half weight.
+    """
+    half = grid.n_points // 2
+    h = chat[..., : half + 1].copy()
+    h[..., half] *= 0.5
+    return np.fft.irfft(h, 4 * half, norm="forward")
 
 
 def padded_coefficients(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Coefficients of 2n-grid samples (the last axis), restricted to |k| <= n/3."""
-    big = 2 * grid.n_points
-    return dealias(np.fft.fft(samples)[..., grid.mode_numbers() % big] / big, grid)
+    """Half spectrum k = 0..n/2 of real 2n-grid samples (the last axis), cut to k <= n/3."""
+    n = grid.n_points
+    c = np.fft.rfft(samples, norm="forward")[..., : n // 2 + 1]
+    c[..., n // 3 + 1:] = 0.0
+    return c
 
 
 def product_coefficients(chat: np.ndarray, dhat: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Coefficients of the pointwise product, alias-free (padded to 2n), 2/3-truncated."""
-    return padded_coefficients(padded_samples(chat, grid) * padded_samples(dhat, grid), grid)
-
-
-def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    if f.grid != g.grid:
-        raise ConfigurationError("fields live on different grids")
-    return f.with_coefficients(product_coefficients(f.coefficients, g.coefficients, f.grid))
+    return hermitian_extension(
+        padded_coefficients(padded_samples(chat, grid) * padded_samples(dhat, grid), grid), grid)

@@ -32,13 +32,16 @@ from .errors import (ConfigurationError, GeometryError, InternalConsistencyError
                      MethodUnavailableError, PicardDivergenceError, RegimeError)
 from .norms import NormSpec, fourier_norm
 from .spectral import (GridSpec, SpectralField, conj_poisson_kernel_periodic,
-                       derivative, forward, hermitian_symmetrize, inverse, odd_offset_rows,
+                       derivative, forward, hermitian_extension, inverse, odd_offset_rows,
                        odd_offsets, padded_coefficients, padded_samples,
                        poisson_kernel_periodic, pv_kernel_periodic)
 
 DEFAULT_SERIES_TOL = 1e-10
 DEFAULT_PICARD_TOL = 1e-11
 DEFAULT_PICARD_MAX_ITER = 80
+# elements per block of the difference-quotient kernel build: a block of each
+# of the two kernels and the 1 + Delta^2 scratch, 256 KB apiece, stay in cache
+_KERNEL_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,9 @@ class PotentialPair:
     Omega2: SpectralField
 
 
-def check_geometry(f, cfg: FluidConfig) -> None:
-    gap = float(np.min(inverse(getattr(f, "f", f)))) + cfg.h2
+def check_geometry(samples: np.ndarray, cfg: FluidConfig) -> None:
+    """Raise GeometryError unless the interface samples keep min f + h2 > 0."""
+    gap = float(np.min(samples)) + cfg.h2
     if gap <= 0.0:
         raise GeometryError(f"interface touches the permeability line (min f + h2 = {gap:.3g})")
 
@@ -111,15 +115,16 @@ def _series_nmax(a_over_h: float, norm_scale: float, tol: float, h2: float) -> i
 
 
 def _series_weights(grid: GridSpec, h2: float, n_max: int) -> np.ndarray:
-    """Rows e^{-h2|xi|} (-|xi|)^n / n! for n = 0..n_max, Nyquist slot zeroed.
+    """Rows e^{-h2|xi|} (-|xi|)^n / n! for n = 0..n_max on k = 0..n/2, Nyquist zeroed.
 
     Built by recurrence: |xi|^n and n! each overflow a double long before
     their ratio does.
     """
-    axi = np.abs(grid.wavenumbers())
-    rows = np.empty((n_max + 1, grid.n_points))
+    half = grid.nyquist_index()
+    axi = np.abs(grid.wavenumbers()[: half + 1])
+    rows = np.empty((n_max + 1, half + 1))
     rows[0] = np.exp(-h2 * axi)
-    rows[0, grid.nyquist_index()] = 0.0
+    rows[0, half] = 0.0
     for n in range(1, n_max + 1):
         rows[n] = rows[n - 1] * (-axi / n)
     return rows
@@ -136,23 +141,26 @@ class _Workspace:
     when no order meets the tolerance).
     The strength solve's preconditioner ``multiplier`` M(xi) and its seed
     ``linear``, the samples of the flat-interface strength M (-2 A_rho df),
-    are built here once.  So are the f powers, kept as 2N-padded samples in
-    one (n_max, 2N) array, or the dense target-side Poisson and
-    conjugate-Poisson matrices.  The difference-quotient kernels are built on
-    first use, into ``storage``: a (2, N/2, N) array that successive snapshots
-    of one run may share, so the O(N^2) build allocates no O(N^2)
-    temporaries.  Without it the workspace allocates its own.
+    are built here once.  So are the f powers, kept as real 2N-padded
+    samples in one (n_max, 2N) float array, with the series weights on the
+    half spectrum k = 0..N/2 (see ``spectral``), or the dense target-side
+    Poisson and conjugate-Poisson matrices.  The difference-quotient kernels
+    are built on first use, into ``storage``: a (2, N/2, N) array that
+    successive snapshots of one run may share.  The build runs in blocks of
+    offset rows of ``_KERNEL_BLOCK`` elements, so each block's elementwise
+    passes stay in cache and the O(N^2) build allocates no O(N^2)
+    temporaries.  Without ``storage`` the workspace allocates its own.
     """
 
     def __init__(self, f, cfg: FluidConfig, series_tol: float, method: str | None = None,
                  storage: np.ndarray | None = None):
-        check_geometry(f, cfg)
         fld: SpectralField = getattr(f, "f", f)
         grid = fld.grid
         self.fld, self.grid, self.cfg = fld, grid, cfg
+        self.F = inverse(fld)
+        check_geometry(self.F, cfg)
         n = grid.n_points
         self.storage = np.empty((2, n // 2, n)) if storage is None else storage
-        self.F = inverse(fld)
         dfld = derivative(fld)
         self.dF = inverse(dfld)
         self.multiplier = 1.0 / (1.0 - cfg.a_kappa * cfg.a_mu
@@ -178,7 +186,7 @@ class _Workspace:
             self.weights = _series_weights(grid, cfg.h2, n_max)
             # f, f^2, ..., f^n_max as padded samples, each a dealiased product
             # of the previous power's samples with f's
-            rows = self.power_samples = np.empty((n_max, 2 * n), dtype=complex)
+            rows = self.power_samples = np.empty((n_max, 2 * n))
             rows[0] = padded_samples(fld.coefficients, grid)
             for k in range(1, n_max):
                 rows[k] = padded_samples(padded_coefficients(rows[k - 1] * rows[0], grid), grid)
@@ -195,29 +203,35 @@ class _Workspace:
         """Coefficients of the permeability-sheet strength induced by samples w1."""
         if self.n_max is None:
             return forward(-(self.cfg.a_kappa / np.pi) * (self.P.T @ w1), self.grid).coefficients
-        # sum_n weights[n] * trunc(f^n w1): one padded inverse, one batched forward
-        w1hat = forward(w1, self.grid).coefficients
+        # sum_n weights[n] * trunc(f^n w1): one padded inverse, one batched
+        # forward, on the half spectrum; the full one is Hermitian by construction
+        w1hat = np.fft.rfft(w1, norm="forward")
         prods = padded_coefficients(self.power_samples * padded_samples(w1hat, self.grid),
                                     self.grid)
-        acc = self.weights[0] * w1hat + (self.weights[1:] * prods).sum(axis=0)
-        return hermitian_symmetrize(-self.cfg.a_kappa * acc)
+        acc = self.weights[0] * w1hat + np.einsum("nk,nk->k", self.weights[1:], prods)
+        return hermitian_extension(-self.cfg.a_kappa * acc, self.grid)
 
     def target_pair(self, ghat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Samples of int K(f(a)+h2; b) g(a-b) db for K = P and K = CP (conjugate).
 
-        On the series backend P g + i CP g is one complex series in f^n, summed
-        in sample space and truncated once (the truncation is linear).
+        On the series backend P g and CP g are two real series in f^n, summed
+        in sample space and truncated once (the truncation is linear), in one
+        batched transform each way; it reads only k = 0..N/2 of ``ghat``.
         """
         grid = self.grid
         if self.n_max is None:
             g = np.fft.ifft(ghat * grid.n_points).real
             return self.P @ g, self.CP @ g
-        # at a flat depth P g + i CP g has coefficients pi (1 + sgn xi) e^{-h2|xi|} g_hat
-        z = np.pi * (1.0 + np.sign(grid.wavenumbers())) * ghat
-        rows = padded_samples(self.weights[1:] * z, grid)
-        tail = padded_coefficients((self.power_samples * rows).sum(axis=0), grid)
-        s = np.fft.ifft((self.weights[0] * z + tail) * grid.n_points)
-        return s.real, s.imag
+        # at a flat depth P g and CP g have coefficients pi e^{-h2|xi|} g_hat
+        # and -i pi sgn(xi) e^{-h2|xi|} g_hat; sgn(xi) is 1 for k = 1..N/2 - 1,
+        # and the weights vanish at N/2
+        h = np.pi * ghat[: grid.nyquist_index() + 1]
+        z = np.array((h, -1j * h))
+        z[1, 0] = 0.0
+        rows = padded_samples(self.weights[1:] * z[:, None, :], grid)
+        tail = padded_coefficients(np.einsum("nj,pnj->pj", self.power_samples, rows), grid)
+        s = np.fft.irfft(self.weights[0] * z + tail, grid.n_points, norm="forward")
+        return s[0], s[1]
 
     @cached_property
     def _offset_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -231,22 +245,28 @@ class _Workspace:
     def _kernels(self) -> tuple[np.ndarray, np.ndarray]:
         """Delta_m f(a) and the self kernel (df(a) - Delta)/(1 + Delta^2) x pv_m.
 
-        One row per odd offset m, written in place into the storage.  Delta is
-        computed a second time rather than held in a third array while
-        1 + Delta^2 takes its place.
+        One row per odd offset m, written in place into the storage, one block
+        of rows at a time; 1 + Delta^2 of a block lives in a block-sized
+        scratch.  Every element sees the same operations as in one pass over
+        all rows, so the kernels do not depend on the block size.
         """
         inv_beta, pv = self._offset_weights
         delta, kernel = self.storage
-        rows = odd_offset_rows(self.F)
-        np.subtract(self.F, rows, out=delta)
-        delta *= inv_beta
-        np.subtract(self.dF, delta, out=kernel)
-        np.multiply(delta, delta, out=delta)
-        delta += 1.0
-        kernel /= delta
-        kernel *= pv
-        np.subtract(self.F, rows, out=delta)
-        delta *= inv_beta
+        F, dF = self.F, self.dF
+        rows = odd_offset_rows(F)
+        block = max(1, _KERNEL_BLOCK // len(F))
+        scratch = np.empty((min(block, len(delta)), len(F)))
+        for j in range(0, len(delta), block):
+            b = slice(j, j + block)
+            d, k = delta[b], kernel[b]
+            sq = scratch[: len(d)]
+            np.subtract(F, rows[b], out=d)
+            d *= inv_beta[b]
+            np.subtract(dF, d, out=k)
+            np.multiply(d, d, out=sq)
+            sq += 1.0
+            k /= sq
+            k *= pv[b]
         return delta, kernel
 
     @staticmethod
@@ -294,6 +314,7 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
     ws = workspace or _Workspace(f, cfg, DEFAULT_SERIES_TOL)
     grid = ws.grid
     forcing = -2.0 * cfg.a_rho * ws.dF
+    multiplier = ws.multiplier[: grid.nyquist_index() + 1]
     w1 = ws.linear
     history: list[float] = []
     ratio = None
@@ -304,10 +325,12 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
         for it in range(1, max_iter + 1):
             p, cp = ws.target_pair(ws.omega2(w1))
             t1 = (cfg.a_mu / np.pi) * (ws.self_induction(w1) + ws.dF * cp - p) + forcing
-            update = forward(t1 - w1, grid).coefficients * ws.multiplier
-            delta = float(np.sum(np.abs(update)))  # its F^{0,1} norm
+            # on k = 0..N/2; modes 1..N/2-1 stand for their mirrors too
+            update = np.fft.rfft(t1 - w1, norm="forward") * multiplier
+            size = np.abs(update)
+            delta = float(2.0 * np.sum(size) - size[0] - size[-1])  # its F^{0,1} norm
             history.append(delta)
-            w1 = w1 + np.fft.ifft(update * grid.n_points).real
+            w1 = w1 + np.fft.irfft(update, grid.n_points, norm="forward")
             if len(history) >= 2 and history[-2] > 0:
                 ratio = history[-1] / history[-2]
             if delta < tol:

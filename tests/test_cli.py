@@ -546,3 +546,18 @@ def test_solver_block_values_end_in_an_exit_code(solver):
     if solver.get("order", 2) != 2 or solver.get("picard_max_iter", 80) < 1 \
             or not all(0.0 < solver.get(k, 1.0) < math.inf for k in ("picard_tol", "series_tol")):
         assert code == EXIT_CONFIG
+
+
+def test_overflowing_l2_bound_ends_in_an_exit_code(tmp_path):
+    # an inadmissible datum still gets weighted-L2 growth rates, and at
+    # t = 0.06 their exponent is past exp's range; the run goes on to the
+    # leakage check of that snapshot
+    p = write_config(tmp_path / "c.json",
+                     grid={"n_points": 64, "domain_length": 12 * np.pi},
+                     initial_data={"preset": "gaussian_bump", "amplitude": 0.5, "width": 1.5},
+                     schedule={"t_end": 0.06, "dt": 0.03, "snapshot_every": 5})
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(p), "--output-dir", str(out)])
+    assert code == EXIT_GEOMETRY
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["status"]["exit"] == code

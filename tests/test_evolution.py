@@ -1,15 +1,25 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mpmath as mp
 
-from muskatjump import FluidConfig, GridSpec, inverse, linear_symbol, oracle
+from muskatjump import (FluidConfig, GridSpec, SpectralField, evolution, inverse, linear_symbol,
+                        oracle)
+from muskatjump.certify import thresholds
 from muskatjump.errors import BlowUpError, ConfigurationError, StepSizeError
-from muskatjump.evolution import (InterfaceField, MonitorState, Schedule, checkpoint_payload,
-                                  leakage, load_checkpoint, rhs, run, save_checkpoint, step)
+from muskatjump.evolution import (InterfaceField, MonitorState, Schedule, SolverOptions,
+                                  checkpoint_payload, leakage, load_checkpoint, rhs, run,
+                                  save_checkpoint, step)
 from muskatjump.vorticity import solve_vorticity
 
-from helpers import REF_CFG, gaussian_bump
+from muskatjump.spectral import hermitian_symmetrize
+
+from helpers import REF_CFG, gaussian_bump, random_admissible_interface
 
 L12 = 12 * np.pi
 
@@ -329,3 +339,71 @@ def test_step_blowup_detector(monkeypatch):
     with pytest.raises(BlowUpError) as err:
         evo.step(f, 0.01, REF_CFG)
     assert err.value.last_valid_state is f
+
+
+def test_l2_bound_past_the_exponent_range_is_infinite():
+    # inadmissible datum whose weighted-L2 growth exponent leaves exp's range
+    # by t = 0.06; the bound is then vacuous, and the run goes on
+    g = GridSpec(64, L12)
+    rec = run(gaussian_bump(g, 0.5, 1.5), REF_CFG, Schedule(0.06, 0.03, 1),
+              SolverOptions(leakage_threshold=1e-2))
+    assert len(rec.l2_bound) == 3
+    assert math.isfinite(rec.l2_bound[0]) and rec.l2_bound[-1] == math.inf
+
+
+def _assert_step_spectra_hermitian(f: InterfaceField):
+    """Every spectrum the step and rhs hand on equals its symmetrization bit for bit.
+
+    Random data are not localized, so the leakage check is off.
+    """
+    opts = SolverOptions(leakage_threshold=math.inf)
+    tendency = evolution.nonlinear_tendency
+    seen = []
+
+    def recording(state, *args, **kwargs):
+        out = tendency(state, *args, **kwargs)
+        seen.append((state.f.coefficients, out))
+        return out
+
+    with mock.patch.object(evolution, "nonlinear_tendency", recording):
+        new = step(f, 0.02, REF_CFG, opts)
+    (fhat, n0), (stage, n1) = seen
+    br = rhs(f, REF_CFG, opts)
+    for c in (fhat, n0, stage, n1, new.f.coefficients,
+              br.linear_part.coefficients, br.nonlinear_part.coefficients):
+        assert np.array_equal(c, hermitian_symmetrize(c))
+
+
+@pytest.mark.parametrize("amplitude", [0.01, 0.3])
+def test_step_spectra_are_exactly_hermitian(amplitude):
+    # forward leaves a Nyquist coefficient; the multipliers zero it later
+    _assert_step_spectra_hermitian(gaussian_bump(GridSpec(128, L12), amplitude, 1.5))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.05, 1.0))
+def test_step_spectra_are_exactly_hermitian_on_admissible_data(seed, frac):
+    k0, k1 = thresholds(REF_CFG)
+    g = GridSpec(64, L12)
+    _assert_step_spectra_hermitian(
+        random_admissible_interface(g, np.random.default_rng(seed), REF_CFG, k0, k1, frac))
+
+
+def test_loaded_checkpoint_spectrum_is_exactly_hermitian(tmp_path):
+    # a spectrum off Hermitian by round-off passes the reality check and is
+    # projected on load, so the step, which no longer symmetrizes, keeps it
+    # real; a saved state loads bit for bit
+    g = GridSpec(128, L12)
+    f = gaussian_bump(g, 0.01, 1.5)
+    path = tmp_path / "c.json"
+    save_checkpoint(path, f, REF_CFG, 0, 0.02)
+    assert np.array_equal(load_checkpoint(path, REF_CFG)[0].f.coefficients, f.f.coefficients)
+    c = f.f.coefficients.copy()
+    c[0] += 1e-13j
+    c[3] += 2e-13
+    save_checkpoint(path, InterfaceField(SpectralField(g, c)), REF_CFG, 0, 0.02)
+    state = load_checkpoint(path, REF_CFG)[0]
+    for _ in range(3):
+        c = state.f.coefficients
+        assert np.array_equal(c, hermitian_symmetrize(c))
+        state = step(state, 0.02, REF_CFG)

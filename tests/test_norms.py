@@ -5,7 +5,7 @@ from muskatjump import (GridSpec, NormSpec, SpectralField, check_interpolation, 
                         forward, fourier_norm, strip_radius, weighted_l2)
 from muskatjump.errors import DomainError
 from muskatjump.norms import NormReport, _power_weights, _weights
-from muskatjump.spectral import dealiased_product, hermitian_symmetrize
+from muskatjump.spectral import hermitian_symmetrize, product_coefficients
 
 from helpers import random_field
 
@@ -187,7 +187,7 @@ def test_product_rule_s1():
     for _ in range(100):
         a = random_field(g, rng)
         b = random_field(g, rng)
-        p = dealiased_product(a, b)
+        p = SpectralField(g, product_coefficients(a.coefficients, b.coefficients, g))
         lhs = fourier_norm(p, NormSpec(1.0))
         rhs = (fourier_norm(a, NormSpec(1.0)) * fourier_norm(b, NormSpec(0.0))
                + fourier_norm(a, NormSpec(0.0)) * fourier_norm(b, NormSpec(1.0)))
@@ -202,7 +202,7 @@ def test_exponential_splitting():
     for _ in range(100):
         a = random_field(g, rng, decay=0.8)
         b = random_field(g, rng, decay=0.8)
-        p = dealiased_product(a, b)
+        p = SpectralField(g, product_coefficients(a.coefficients, b.coefficients, g))
         lhs = fourier_norm(p, spec)
         assert lhs <= fourier_norm(a, spec) * fourier_norm(b, spec) * (1 + 1e-12)
 

@@ -3,7 +3,9 @@ import pytest
 
 from muskatjump import GridSpec, conj_poisson_hat, derivative, forward, hilbert, inverse, poisson_hat
 from muskatjump.errors import ConfigurationError, DomainError
-from muskatjump.spectral import (dealias_mask, dealiased_product, odd_offset_rows, odd_offsets,
+from muskatjump.spectral import (SpectralField, dealias, dealias_mask, hermitian_extension,
+                                 hermitian_symmetrize, odd_offset_rows, odd_offsets,
+                                 padded_coefficients, padded_samples, product_coefficients,
                                  pv_kernel_periodic)
 
 
@@ -205,11 +207,11 @@ def test_dealiased_product_single_modes():
     x = g.nodes()
     f = forward(np.cos(2 * x), g)
     h = forward(np.cos(3 * x), g)
-    p = dealiased_product(f, h)
+    p = product_coefficients(f.coefficients, h.coefficients, g)
     # cos2 cos3 = (cos5 + cos1)/2
-    assert abs(p.coefficients[1] - 0.25) < 1e-13
-    assert abs(p.coefficients[5] - 0.25) < 1e-13
-    assert abs(p.coefficients[2]) < 1e-14
+    assert abs(p[1] - 0.25) < 1e-13
+    assert abs(p[5] - 0.25) < 1e-13
+    assert abs(p[2]) < 1e-14
 
 
 @pytest.mark.parametrize("n", [4, 64, 512])
@@ -240,3 +242,81 @@ def test_odd_offset_rows_is_read_only_circulant(n):
     assert np.array_equal(rows, w[(np.arange(n)[None, :] - m[:, None]) % n])
     with pytest.raises(ValueError):
         rows[0, 0] = 0.0
+
+
+# The 2n-padded layer as it was on complex transforms, kept verbatim as the
+# reference for the real one.
+
+def _complex_padded_samples(chat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Samples on the 2n grid of a spectrum, or of each row of a stack, zero-padded."""
+    half = grid.n_points // 2
+    pad = np.zeros(chat.shape[:-1] + (4 * half,), dtype=complex)
+    pad[..., : half + 1] = chat[..., : half + 1]
+    pad[..., 3 * half + 1:] = chat[..., half + 1:]
+    return np.fft.ifft(pad * (4 * half))
+
+
+def _complex_padded_coefficients(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Coefficients of 2n-grid samples (the last axis), restricted to |k| <= n/3."""
+    big = 2 * grid.n_points
+    return dealias(np.fft.fft(samples)[..., grid.mode_numbers() % big] / big, grid)
+
+
+def _complex_product_coefficients(chat: np.ndarray, dhat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Coefficients of the pointwise product, alias-free (padded to 2n), 2/3-truncated."""
+    return _complex_padded_coefficients(
+        _complex_padded_samples(chat, grid) * _complex_padded_samples(dhat, grid), grid)
+
+
+def _hermitian_spectra(n: int, rows: int, seed: int) -> np.ndarray:
+    """Random Hermitian spectra with content up to k = n/2 - 1 and none at Nyquist."""
+    rng = np.random.default_rng(seed)
+    c = hermitian_symmetrize(rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+    c[:, n // 2] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+def test_real_padded_layer_matches_the_complex_one(n):
+    g = GridSpec(n, 7.3)
+    c, d = _hermitian_spectra(n, 3, n), _hermitian_spectra(n, 3, n + 1)
+    for a, b in ((c[0], d[0]), (c, d)):  # one spectrum, then a stack
+        samples = padded_samples(a, g)
+        want = _complex_padded_samples(a, g)
+        assert samples.dtype == float and samples.shape == a.shape[:-1] + (2 * n,)
+        assert np.max(np.abs(samples - want)) <= 1e-13 * np.max(np.abs(want))
+        # the half spectrum reads the same samples as the full one
+        assert np.array_equal(padded_samples(a[..., : n // 2 + 1], g), samples)
+
+        prod = padded_samples(b, g) * samples
+        half = padded_coefficients(prod, g)
+        want = _complex_padded_coefficients(prod, g)
+        assert half.shape == a.shape[:-1] + (n // 2 + 1,)
+        assert np.max(np.abs(hermitian_extension(half, g) - want)) <= 1e-13 * np.max(np.abs(want))
+
+        got = product_coefficients(a, b, g)
+        want = _complex_product_coefficients(a, b, g)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # Hermitian by construction, Nyquist and |k| > n/3 zero
+        assert np.array_equal(got, hermitian_symmetrize(got))
+        assert not np.any(got[..., ~dealias_mask(g)])
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_nyquist_coefficient_enters_the_padded_samples_at_half_weight(n):
+    # c_{n/2} stands for the modes +n/2 and -n/2, which are distinct on the 2n
+    # grid: the real interpolant is c_{n/2} cos(pi n a / L), which takes the
+    # n-grid samples c_{n/2} (-1)^j at the even 2n-grid nodes.  At full weight
+    # the samples would double.
+    g = GridSpec(n, 5.0)
+    c = np.zeros(n, dtype=complex)
+    c[0], c[n // 2] = 0.25, 1.5
+    samples = padded_samples(c, g)
+    cos = np.tile([1.0, 0.0, -1.0, 0.0], n // 2)  # cos(pi j / 2) at 2n-grid node j
+    assert np.max(np.abs(samples - (0.25 + 1.5 * cos))) < 1e-14
+    assert np.max(np.abs(samples[::2] - inverse(SpectralField(g, c)))) < 1e-14
+    # the complex layer put c_{n/2} at +n/2 alone: same real part, and an
+    # imaginary part the real layer has no room for
+    assert np.max(np.abs(samples - _complex_padded_samples(c, g).real)) < 1e-14
+    # n/2 > n/3: the product truncation drops the Nyquist mode again
+    assert padded_coefficients(samples, g)[n // 2] == 0.0

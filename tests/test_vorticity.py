@@ -8,9 +8,9 @@ from muskatjump import (FluidConfig, GridSpec, NormSpec, SpectralField, forward,
 from muskatjump.certify import ledger, thresholds
 from muskatjump.errors import GeometryError, MethodUnavailableError
 from muskatjump.evolution import InterfaceField
-from muskatjump.spectral import (derivative, hermitian_symmetrize, padded_samples,
-                                 product_coefficients)
-from muskatjump.vorticity import DEFAULT_SERIES_TOL, _Workspace
+from muskatjump.spectral import (derivative, hermitian_symmetrize, odd_offset_rows,
+                                 padded_samples, product_coefficients)
+from muskatjump.vorticity import _KERNEL_BLOCK, DEFAULT_SERIES_TOL, _Workspace
 
 from helpers import REF_CFG, gaussian_bump, random_admissible_interface
 
@@ -340,13 +340,19 @@ def _series_by_products(ws, w1, ghat):
     powers = [fhat]
     for _ in range(1, ws.n_max):
         powers.append(_product_by_convolution(powers[-1], fhat))
+    # e^{-h2|xi|} (-|xi|)^n / n! on the full spectrum, Nyquist slot zeroed
+    axi = np.abs(grid.wavenumbers())
+    weights = [np.exp(-ws.cfg.h2 * axi)]
+    weights[0][grid.nyquist_index()] = 0.0
+    for n in range(1, ws.n_max + 1):
+        weights.append(weights[-1] * (-axi / n))
     w1hat = forward(w1, grid).coefficients
-    acc = ws.weights[0] * w1hat
-    for fn, wn in zip(powers, ws.weights[1:]):
+    acc = weights[0] * w1hat
+    for fn, wn in zip(powers, weights[1:]):
         acc = acc + wn * _product_by_convolution(fn, w1hat)
     z = np.pi * (1.0 + np.sign(grid.wavenumbers())) * ghat
-    out = ws.weights[0] * z
-    for fn, wn in zip(powers, ws.weights[1:]):
+    out = weights[0] * z
+    for fn, wn in zip(powers, weights[1:]):
         out = out + _product_by_convolution(fn, wn * z)
     s = np.fft.ifft(out * grid.n_points)
     return hermitian_symmetrize(-ws.cfg.a_kappa * acc), (s.real, s.imag)
@@ -448,6 +454,26 @@ def test_power_samples_match_product_built_powers():
         powers.append(product_coefficients(powers[-1], fhat, g))
     assert ws.n_max > 20
     assert np.array_equal(ws.power_samples, padded_samples(np.array(powers), g))
+
+
+def _unblocked_kernels(ws):
+    """Delta and the self kernel in one pass over all offset rows."""
+    inv_beta, pv = ws._offset_weights
+    rows = odd_offset_rows(ws.F)
+    delta = (ws.F - rows) * inv_beta
+    kernel = (ws.dF - delta) / (1.0 + delta * delta) * pv
+    return delta, kernel
+
+
+@pytest.mark.parametrize("n", [384, 512])
+def test_blocked_kernel_build_matches_one_pass(n):
+    # at n = 384 the last block is a partial one
+    g = GridSpec(n, L12)
+    if n == 384:
+        assert (n // 2) % (_KERNEL_BLOCK // n) != 0
+    ws = _Workspace(gaussian_bump(g, 0.3, 1.5), REF_CFG, 1e-10)
+    for got, want in zip(ws._kernels, _unblocked_kernels(ws)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("method", ["series", "quadrature"])
