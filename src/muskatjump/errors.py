@@ -44,7 +44,3 @@ class BlowUpError(RuntimeError):
         super().__init__(message)
         self.last_valid_state = last_valid_state
         self.time = time
-
-
-class InternalConsistencyError(RuntimeError):
-    """Two internal routes that must agree did not."""

@@ -33,7 +33,12 @@ _PHI_SERIES_CUTOFF = 1e-4
 
 @dataclass(frozen=True)
 class InterfaceField:
-    """Graph height of the fluid interface at one time."""
+    """Graph height of the fluid interface at one time.
+
+    A spectrum within 1e-10 of Hermitian symmetry is accepted and stored as
+    its exact projection, so the height is real by construction and the
+    step keeps it so; the projection leaves ``forward``'s spectra bit for bit.
+    """
 
     f: SpectralField
     time: float = 0.0
@@ -43,6 +48,8 @@ class InterfaceField:
             raise ConfigurationError("interface height must be real-symmetric")
         if self.time < 0:
             raise ConfigurationError("time must be nonnegative")
+        object.__setattr__(self, "f",
+                           self.f.with_coefficients(hermitian_symmetrize(self.f.coefficients)))
 
     @classmethod
     def from_samples(cls, samples, grid: GridSpec) -> "InterfaceField":
@@ -475,9 +482,9 @@ def load_checkpoint(path, cfg: FluidConfig | None = None):
 
     Monitor keys other than the accumulators, written by older versions, are
     ignored.  A file that is missing, not JSON or incomplete raises
-    ConfigurationError naming the path.  A spectrum that passes the
-    interface's reality check is made exactly Hermitian, which the step keeps
-    (see ``step``); one written by ``save_checkpoint`` already is, bit for bit.
+    ConfigurationError naming the path.  The state holds the exact Hermitian
+    projection of the stored spectrum (see ``InterfaceField``); one written
+    by ``save_checkpoint`` already is Hermitian, bit for bit.
     """
     try:
         with open(path) as fh:
@@ -489,10 +496,8 @@ def load_checkpoint(path, cfg: FluidConfig | None = None):
         grid = GridSpec(payload["n_points"], float.fromhex(payload["domain_length_hex"]))
         re = np.array([float.fromhex(v) for v in payload["coeff_re_hex"]])
         im = np.array([float.fromhex(v) for v in payload["coeff_im_hex"]])
-        c = re + 1j * im
-        # the reality check sees the stored spectrum, the run its exact projection
-        state = InterfaceField(SpectralField(grid, c), float.fromhex(payload["time_hex"]))
-        state = InterfaceField(state.f.with_coefficients(hermitian_symmetrize(c)), state.time)
+        state = InterfaceField(SpectralField(grid, re + 1j * im),
+                               float.fromhex(payload["time_hex"]))
         monitor = MonitorState.from_payload(payload["monitor"]) if "monitor" in payload else None
         if monitor is not None and monitor.correction is not None \
                 and monitor.correction.shape != (grid.n_points,):

@@ -1,10 +1,12 @@
-"""Weighted Wiener norms, interpolation checks, strip-radius and decay-rate fits.
+"""Weighted Wiener norms, per-snapshot norm reports, strip-radius and decay-rate fits.
 
 The continuum norm  sum-type ``F^{s,1}_nu(t) = || exp(nu t |xi|) |xi|^s g_hat ||_L1``
 is realized on Fourier-series coefficients as ``sum_k exp(nu t |xi_k|) |xi_k|^s |c_k|``.
 All admissibility thresholds elsewhere in the package are compared in this
 discrete convention on both sides of every inequality, so the inequalities
 carry over verbatim (Young's inequality holds for l1 coefficient convolutions).
+A ``NormReport`` checks the two interpolation inequalities its norms must
+satisfy, F^{1,1} <= (F^{0,1} F^{2,1})^(1/2) and F^{3/2,1} <= (F^{1,1} F^{2,1})^(1/2).
 """
 
 from __future__ import annotations
@@ -114,21 +116,6 @@ def decay_fit(series) -> float:
     if span < 10.0:
         raise DomainError(f"time range must span a decade in 1+t, got factor {span:.3g}")
     return float(np.polyfit(np.log1p(t), np.log(v), 1)[0])
-
-
-def check_interpolation(fld: SpectralField, s1: float, s: float, s2: float, nu: float = 0.0,
-                        time: float = 0.0, slack: float = 1e-9) -> bool:
-    """True iff ||g||_{s} <= ||g||_{s1}^theta ||g||_{s2}^(1-theta) with relative slack."""
-    if not (s1 <= s <= s2) or s1 == s2 and s != s1:
-        raise DomainError(f"need s1 <= s <= s2, got ({s1}, {s}, {s2})")
-    if s1 == s2:
-        return True
-    theta = (s2 - s) / (s2 - s1)
-    mid = fourier_norm(fld, NormSpec(s, nu, time))
-    lo = fourier_norm(fld, NormSpec(s1, nu, time))
-    hi = fourier_norm(fld, NormSpec(s2, nu, time))
-    bound = lo ** theta * hi ** (1.0 - theta)
-    return mid <= bound * (1.0 + slack)
 
 
 @dataclass(frozen=True)

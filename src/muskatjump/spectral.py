@@ -96,9 +96,6 @@ class SpectralField:
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 
-    def samples(self) -> np.ndarray:
-        return inverse(self)
-
     def is_real_symmetric(self, tol: float = 1e-12) -> bool:
         c = self.coefficients
         mirror = np.conj(np.concatenate((c[:1], c[:0:-1])))

@@ -28,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from . import certify
-from .errors import (ConfigurationError, GeometryError, InternalConsistencyError,
-                     MethodUnavailableError, PicardDivergenceError, RegimeError)
+from .errors import (ConfigurationError, GeometryError, MethodUnavailableError,
+                     PicardDivergenceError, RegimeError)
 from .norms import NormSpec, fourier_norm
 from .spectral import (GridSpec, SpectralField, conj_poisson_kernel_periodic,
                        derivative, forward, hermitian_extension, inverse, odd_offset_rows,
@@ -80,14 +80,6 @@ class VorticityPair:
     residual: float
     iterations: int
     contraction_ratio: float | None = None
-
-
-@dataclass(frozen=True)
-class PotentialPair:
-    """Potential jumps along the two interfaces (antiderivatives of the strengths)."""
-
-    Omega1: SpectralField
-    Omega2: SpectralField
 
 
 def check_geometry(samples: np.ndarray, cfg: FluidConfig) -> None:
@@ -288,12 +280,6 @@ class _Workspace:
         delta, pv = self._kernels[0], self._offset_weights[1]
         return self._gather(-(delta ** 2) / (1.0 + delta ** 2) * pv, w1)
 
-    def potential_self(self, O1: np.ndarray) -> np.ndarray:
-        """Self term of the fluid-side potential identity."""
-        delta, pv = self._kernels[0], self._offset_weights[1]
-        kernel = (delta - odd_offset_rows(self.dF)) / (1.0 + delta ** 2) * pv
-        return self._gather(kernel, O1)
-
 
 def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
                     max_iter: int = DEFAULT_PICARD_MAX_ITER,
@@ -342,62 +328,6 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
             )
     return VorticityPair(forward(w1, grid), SpectralField(grid, ws.omega2(w1)),
                          residual=delta, iterations=it, contraction_ratio=ratio)
-
-
-def potentials(pair: VorticityPair, f, cfg: FluidConfig) -> PotentialPair:
-    """Potential jumps recovered from a solved strength pair.
-
-    The fluid-side potential is the spectral antiderivative of its strength;
-    its additive constant is fixed so the defining integral identity holds at
-    the first collocation node.  The line-side potential follows by direct
-    quadrature.  Both are verified against d/da Potential = strength, to 1e-6
-    relative.
-    """
-    ws = _Workspace(f, cfg, DEFAULT_SERIES_TOL, method="quadrature")
-    grid, F, dF = ws.grid, ws.F, ws.dF
-    xi = grid.wavenumbers()
-    w1hat = pair.omega1.coefficients
-    inv_ixi = np.zeros_like(xi, dtype=complex)
-    nz = xi != 0
-    inv_ixi[nz] = 1.0 / (1j * xi[nz])
-    O1hat = w1hat * inv_ixi
-    O1hat[grid.nyquist_index()] = 0.0
-    O1_0 = np.fft.ifft(O1hat * grid.n_points).real
-    n = grid.n_points
-
-    def omega2_potential(O1: np.ndarray) -> np.ndarray:
-        # source-side kernel P + df(b) CP at depth f(b) + h2: the target-side
-        # matrices transposed, CP changing sign as an odd kernel
-        return -(cfg.a_kappa / np.pi) * (ws.P.T @ O1 - ws.CP.T @ (dF * O1))
-
-    def rhs_at(O1: np.ndarray, O2: np.ndarray) -> np.ndarray:
-        return (-(cfg.a_mu / np.pi) * ws.potential_self(O1)
-                - (cfg.a_mu / np.pi) * (ws.P @ O2)
-                - 2.0 * cfg.a_rho * F)
-
-    # gauge: the identity is affine in the additive constant c1; solve at node 0
-    O2_0 = omega2_potential(O1_0)
-    ones = np.ones(n)
-    O2_lin = omega2_potential(ones)
-    r0 = rhs_at(O1_0, O2_0)[0] - O1_0[0]
-    slope = 1.0 - (rhs_at(ones, O2_lin)[0] - rhs_at(np.zeros(n), np.zeros(n))[0])
-    if abs(slope) < 1e-12:
-        raise RegimeError("potential gauge equation is degenerate")
-    c1 = r0 / slope
-    O1 = O1_0 + c1
-    O2 = omega2_potential(O1)
-
-    O1fld = forward(O1, grid)
-    O2fld = forward(O2, grid)
-    f01 = NormSpec(0.0)
-    err1 = fourier_norm(forward(inverse(derivative(O1fld)) - inverse(pair.omega1), grid), f01)
-    err2 = fourier_norm(forward(inverse(derivative(O2fld)) - inverse(pair.omega2), grid), f01)
-    scale = max(fourier_norm(pair.omega1, f01), fourier_norm(pair.omega2, f01), 1e-12)
-    if max(err1, err2) > 1e-6 * max(1.0, scale):
-        raise InternalConsistencyError(
-            f"potential derivatives disagree with strengths: {err1:.3g}, {err2:.3g}"
-        )
-    return PotentialPair(O1fld, O2fld)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -146,11 +147,21 @@ def test_linear_symbol_grid_independent(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_oracle_check_passes_and_detects_corruption(tmp_path, capsys):
+def test_oracle_check_passes_and_detects_corruption(tmp_path, capsys, monkeypatch):
     p = write_config(tmp_path / "c.json")
     assert main(["oracle-check", "--config", str(p)]) == EXIT_OK
     capsys.readouterr()
-    assert main(["oracle-check", "--config", str(p), "--corrupt-fast"]) == EXIT_ORACLE
+    real = cli.rhs
+
+    def skewed(*args, **kwargs):
+        # a fast path wrong by one part in a thousand in I1
+        br = real(*args, **kwargs)
+        i1 = br.i1.with_coefficients(br.i1.coefficients * (1.0 + 1e-3))
+        return dataclasses.replace(br, i1=i1)
+
+    monkeypatch.setattr(cli, "rhs", skewed)
+    assert main(["oracle-check", "--config", str(p)]) == EXIT_ORACLE
+    assert float(re.search(r"rhs_rel: (\S+)", capsys.readouterr().out).group(1)) > 1e-6
 
 
 def test_readme_example_config_is_the_readme_block():

@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -389,19 +390,39 @@ def test_step_spectra_are_exactly_hermitian_on_admissible_data(seed, frac):
         random_admissible_interface(g, np.random.default_rng(seed), REF_CFG, k0, k1, frac))
 
 
+def test_interface_field_stores_the_hermitian_projection():
+    # a spectrum off Hermitian by round-off passes the reality check; the
+    # state holds its exact projection, so the step, which does not
+    # symmetrize, never sees the anti-Hermitian part (c_0's would not decay,
+    # as m(0) = 0)
+    g = GridSpec(128, L12)
+    f = gaussian_bump(g, 0.01, 1.5)
+    assert np.array_equal(InterfaceField(f.f).f.coefficients, f.f.coefficients)
+    c = f.f.coefficients.copy()
+    c[0] += 1e-13j
+    c[3] += 2e-13
+    state = InterfaceField(SpectralField(g, c))
+    assert np.array_equal(state.f.coefficients, hermitian_symmetrize(c))
+    for _ in range(10):
+        state = step(state, 0.02, REF_CFG)
+    c = state.f.coefficients
+    assert np.array_equal(c, hermitian_symmetrize(c))
+    assert c[0].imag == 0.0
+
+
 def test_loaded_checkpoint_spectrum_is_exactly_hermitian(tmp_path):
-    # a spectrum off Hermitian by round-off passes the reality check and is
-    # projected on load, so the step, which no longer symmetrizes, keeps it
-    # real; a saved state loads bit for bit
+    # a file whose spectrum is off Hermitian by round-off loads as its exact
+    # projection, so the step keeps it real; a saved state loads bit for bit
     g = GridSpec(128, L12)
     f = gaussian_bump(g, 0.01, 1.5)
     path = tmp_path / "c.json"
     save_checkpoint(path, f, REF_CFG, 0, 0.02)
     assert np.array_equal(load_checkpoint(path, REF_CFG)[0].f.coefficients, f.f.coefficients)
-    c = f.f.coefficients.copy()
-    c[0] += 1e-13j
-    c[3] += 2e-13
-    save_checkpoint(path, InterfaceField(SpectralField(g, c)), REF_CFG, 0, 0.02)
+    payload = checkpoint_payload(f, REF_CFG, 0, 0.02)
+    c = f.f.coefficients
+    payload["coeff_im_hex"][0] = float(c[0].imag + 1e-13).hex()
+    payload["coeff_re_hex"][3] = float(c[3].real + 2e-13).hex()
+    path.write_text(json.dumps(payload))
     state = load_checkpoint(path, REF_CFG)[0]
     for _ in range(3):
         c = state.f.coefficients

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from muskatjump import (GridSpec, NormSpec, SpectralField, check_interpolation, decay_fit,
-                        forward, fourier_norm, strip_radius, weighted_l2)
+from muskatjump import (GridSpec, NormSpec, SpectralField, decay_fit, forward, fourier_norm,
+                        strip_radius, weighted_l2)
 from muskatjump.errors import DomainError
 from muskatjump.norms import NormReport, _power_weights, _weights
 from muskatjump.spectral import hermitian_symmetrize, product_coefficients
@@ -136,6 +136,13 @@ def test_decay_fit_errors():
         decay_fit(list(zip(np.linspace(0, 1, 20), np.ones(20))))
 
 
+def _interpolates(f, s1, s, s2):
+    """||f||_s <= ||f||_s1^theta ||f||_s2^(1-theta), theta = (s2-s)/(s2-s1), to 1e-9 relative."""
+    theta = (s2 - s) / (s2 - s1)
+    lo, mid, hi = (fourier_norm(f, NormSpec(x)) for x in (s1, s, s2))
+    return mid <= lo ** theta * hi ** (1.0 - theta) * (1.0 + 1e-9)
+
+
 def test_interpolation_single_mode_equality():
     g = GridSpec(64, 2 * np.pi)
     f = forward(np.cos(3 * g.nodes()), g)
@@ -143,13 +150,13 @@ def test_interpolation_single_mode_equality():
     mid = fourier_norm(f, NormSpec(1.0))
     hi = fourier_norm(f, NormSpec(2.0))
     assert abs(mid - np.sqrt(lo * hi)) < 1e-12
-    assert check_interpolation(f, 0.0, 1.0, 2.0)
+    assert _interpolates(f, 0.0, 1.0, 2.0)
 
 
 def test_interpolation_random_field():
     rng = np.random.default_rng(23)
     f = random_field(GridSpec(128, 2 * np.pi), rng)
-    assert check_interpolation(f, 0.0, 1.0, 2.0)
+    assert _interpolates(f, 0.0, 1.0, 2.0)
 
 
 def test_interpolation_property_sweep():
@@ -157,14 +164,7 @@ def test_interpolation_property_sweep():
     g = GridSpec(64, 2 * np.pi)
     for _ in range(1000):
         f = random_field(g, rng, decay=rng.uniform(0.1, 1.0))
-        assert check_interpolation(f, 0.0, 0.5, 1.0)
-
-
-def test_interpolation_ordering_error():
-    g = GridSpec(64, 2 * np.pi)
-    f = forward(np.cos(g.nodes()), g)
-    with pytest.raises(DomainError):
-        check_interpolation(f, 2.0, 1.0, 0.0)
+        assert _interpolates(f, 0.0, 0.5, 1.0)
 
 
 def test_norm_homogeneity_and_triangle():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muskatjump import (FluidConfig, GridSpec, NormSpec, SpectralField, forward, fourier_norm,
-                        inverse, potentials, solve_vorticity, vorticity_bound_check)
+                        inverse, solve_vorticity, vorticity_bound_check)
 from muskatjump.certify import ledger, thresholds
 from muskatjump.errors import GeometryError, MethodUnavailableError
 from muskatjump.evolution import InterfaceField
@@ -153,23 +153,6 @@ def test_picard_contraction_ratio_recorded():
     assert pair.contraction_ratio is not None
     assert pair.contraction_ratio < 1.0
     assert pair.residual <= 1e-11
-
-
-def test_potentials_flat_interface():
-    g = GridSpec(128, 2 * np.pi)
-    pp = potentials(solve_vorticity(_flat(g), REF_CFG), _flat(g), REF_CFG)
-    assert np.max(np.abs(inverse(pp.Omega1))) < 1e-12
-    assert np.max(np.abs(inverse(pp.Omega2))) < 1e-12
-
-
-def test_potentials_derivative_consistency():
-    g = GridSpec(256, L12)
-    f = gaussian_bump(g, 0.02, 1.5)
-    pair = solve_vorticity(f, REF_CFG, tol=1e-12)
-    pp = potentials(pair, f, REF_CFG)
-    err = fourier_norm(forward(inverse(derivative(pp.Omega1)) - inverse(pair.omega1), g),
-                       NormSpec(0.0))
-    assert err < 1e-8
 
 
 def test_potential_line_response_flat_single_mode():
