@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import DomainError, RegimeError
 from .norms import NormSpec, fourier_norm
-from .spectral import SpectralField
 
 if TYPE_CHECKING:
+    from .evolution import InterfaceField
     from .vorticity import FluidConfig
 
 SERIES_TAIL_TOL = 1e-12
@@ -439,16 +439,12 @@ class Certificate:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def certify_datum(f0, cfg: "FluidConfig") -> Certificate:
+def certify_datum(f0: "InterfaceField", cfg: "FluidConfig") -> Certificate:
     """Evaluate the medium-size admissibility certificate for an initial datum.
 
-    Accepts an interface snapshot (anything exposing ``.f`` as a SpectralField)
-    or a bare SpectralField.  The analyticity weight policy is
-    nu = min(margin_0, margin_1) / 2.
+    The analyticity weight policy is nu = min(margin_0, margin_1) / 2.
     """
-    fld: SpectralField = getattr(f0, "f", f0)
-    if not fld.is_real_symmetric(1e-10):
-        raise DomainError("initial datum must be real-symmetric")
+    fld = f0.f
     a0 = fourier_norm(fld, NormSpec(0.0))
     a1 = fourier_norm(fld, NormSpec(1.0))
     f_half = fourier_norm(fld, NormSpec(0.5))

@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -55,7 +56,6 @@ _SCHEMA = {
     "schedule": {"t_end": float, "dt": float, "snapshot_every": int},
     "solver?": {"picard_tol?": float, "picard_max_iter?": int, "series_tol?": float,
                 "leakage_threshold?": float, "cfl_bound?": float, "order?": int},
-    "output?": {"directory?": str},
     "seed?": int,
 }
 
@@ -64,6 +64,11 @@ _INITIAL_DATA_SCHEMAS = {
     "single_mode": {"preset": str, "k": int, "amplitude": float},
     "from_file": {"preset": str, "path": str},
 }
+
+
+# what each schema type accepts; a bool (json's true or false) is none of them
+_JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", int),
+               str: ("a string", str), dict: ("an object", dict)}
 
 
 def _validate(schema: dict, obj, path: str = "config"):
@@ -81,17 +86,10 @@ def _validate(schema: dict, obj, path: str = "config"):
         if key not in obj:
             continue
         val = obj[key]
-        if isinstance(sub, dict) and sub is not dict:
+        if isinstance(sub, dict):
             _validate(sub, val, f"{path}.{key}")
-        elif sub is float:
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ConfigurationError(f"{path}.{key} must be a number")
-        elif sub is int:
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ConfigurationError(f"{path}.{key} must be an integer")
-        elif sub is str:
-            if not isinstance(val, str):
-                raise ConfigurationError(f"{path}.{key} must be a string")
+        elif not isinstance(val, _JSON_TYPES[sub][1]) or isinstance(val, bool):
+            raise ConfigurationError(f"{path}.{key} must be {_JSON_TYPES[sub][0]}")
 
 
 def load_config(path) -> dict:
@@ -100,13 +98,21 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    _validate({k: (dict if k in ("initial_data",) else v) for k, v in _SCHEMA.items()}, raw)
+    _validate(_SCHEMA, raw)
     if raw["version"] != 1:
         raise ConfigurationError(f"unsupported config version {raw['version']!r}")
     preset = raw["initial_data"].get("preset")
-    if preset not in _INITIAL_DATA_SCHEMAS:
+    if not isinstance(preset, str) or preset not in _INITIAL_DATA_SCHEMAS:
         raise ConfigurationError(f"unknown initial_data.preset {preset!r}")
     _validate(_INITIAL_DATA_SCHEMAS[preset], raw["initial_data"], "config.initial_data")
+    # json reads NaN and Infinity; an infinite bump width would be a flat datum
+    for key in ("amplitude", "width"):
+        if not math.isfinite(raw["initial_data"].get(key, 0.0)):
+            raise ConfigurationError(f"config.initial_data.{key} must be finite")
+    # the other blocks are checked by their types, so every subcommand rejects
+    # the same configs, even for a block it does not read
+    for build in (fluid_config, grid_spec, solver_options, run_schedule):
+        build(raw)
     return raw
 
 
@@ -118,6 +124,11 @@ def fluid_config(raw: dict) -> FluidConfig:
 def grid_spec(raw: dict) -> GridSpec:
     g = raw["grid"]
     return GridSpec(int(g["n_points"]), float(g["domain_length"]))
+
+
+def run_schedule(raw: dict) -> Schedule:
+    s = raw["schedule"]
+    return Schedule(float(s["t_end"]), float(s["dt"]), int(s["snapshot_every"]))
 
 
 def solver_options(raw: dict) -> SolverOptions:
@@ -177,13 +188,8 @@ def cmd_run(args) -> int:
     cfg = fluid_config(raw)
     grid = grid_spec(raw)
     opts = solver_options(raw)
-    sched_raw = raw["schedule"]
-    schedule = Schedule(float(sched_raw["t_end"]), float(sched_raw["dt"]),
-                        int(sched_raw["snapshot_every"]))
-    outdir = Path(args.output_dir
-                  or raw.get("output", {}).get("directory")
-                  or os.environ.get("MUSKATJUMP_OUTPUT_DIR")
-                  or ".")
+    schedule = run_schedule(raw)
+    outdir = Path(args.output_dir or os.environ.get("MUSKATJUMP_OUTPUT_DIR") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     ckptdir = outdir / "checkpoints"
     ckptdir.mkdir(exist_ok=True)
@@ -275,7 +281,7 @@ def cmd_linear(args) -> int:
         m_exact = float(linear_symbol(xi, cfg))
         m_meas, rel = float("nan"), float("nan")
         if args.measure:
-            m_meas = _measure_mode_rate(k, grid, cfg, opts, args.amplitude)
+            m_meas = _measure_mode_rate(k, grid, cfg, opts)
             rel = abs(m_meas - m_exact) / abs(m_exact)
         lines.append(",".join([str(k), _fmt(xi), _fmt(m_exact), _fmt(m_meas), _fmt(rel)]))
     text = "\n".join(lines) + "\n"
@@ -286,11 +292,10 @@ def cmd_linear(args) -> int:
     return EXIT_OK
 
 
-def _measure_mode_rate(k: int, grid: GridSpec, cfg: FluidConfig, opts: SolverOptions,
-                       amplitude: float) -> float:
-    """Decay rate of mode k over 20 steps of 0.01 from the given amplitude."""
+def _measure_mode_rate(k: int, grid: GridSpec, cfg: FluidConfig, opts: SolverOptions) -> float:
+    """Decay rate of mode k over 20 steps of 0.01 from amplitude 1e-6."""
     x = grid.nodes()
-    state = InterfaceField.from_samples(amplitude * np.cos(2.0 * np.pi * k * x / grid.domain_length), grid)
+    state = InterfaceField.from_samples(1e-6 * np.cos(2.0 * np.pi * k * x / grid.domain_length), grid)
     c0 = abs(state.f.coefficients[k])
     n, dt = 20, 0.01
     for _ in range(n):
@@ -397,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--measure", action="store_true",
                     help="also measure modal decay rates from tiny-amplitude runs")
     pl.add_argument("--max-mode", type=int, default=8)
-    pl.add_argument("--amplitude", type=float, default=1e-6)
     pl.add_argument("--output", default=None)
 
     po = sub.add_parser("oracle-check", help="compare fast paths against brute-force quadrature")

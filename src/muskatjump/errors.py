@@ -40,7 +40,6 @@ class StepSizeError(RuntimeError):
 class BlowUpError(RuntimeError):
     """NaN/Inf detected during time stepping; carries the last valid state."""
 
-    def __init__(self, message, last_valid_state, time):
+    def __init__(self, message, last_valid_state):
         super().__init__(message)
         self.last_valid_state = last_valid_state
-        self.time = time

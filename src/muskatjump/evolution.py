@@ -21,7 +21,7 @@ from . import certify
 from .errors import BlowUpError, ConfigurationError, GeometryError, StepSizeError
 from .norms import NormSpec, norm_report, weighted_l2
 from .spectral import (GridSpec, SpectralField, dealias, forward, forward_coefficients,
-                       hermitian_symmetrize, hilbert, inverse)
+                       hermitian_symmetrize, hilbert, inverse, inverse_coefficients)
 from .vorticity import (DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, DEFAULT_SERIES_TOL,
                         FluidConfig, VorticityPair, _Workspace, check_geometry,
                         solve_vorticity)
@@ -44,12 +44,14 @@ class InterfaceField:
     time: float = 0.0
 
     def __post_init__(self):
-        if not self.f.is_real_symmetric(1e-10):
+        c = self.f.coefficients
+        sym = hermitian_symmetrize(c)
+        # c - sym is half of c minus its conjugate mirror; a NaN fails the test
+        if not 2.0 * np.max(np.abs(c - sym)) <= 1e-10 * max(np.max(np.abs(c)), 1.0):
             raise ConfigurationError("interface height must be real-symmetric")
         if self.time < 0:
             raise ConfigurationError("time must be nonnegative")
-        object.__setattr__(self, "f",
-                           self.f.with_coefficients(hermitian_symmetrize(self.f.coefficients)))
+        object.__setattr__(self, "f", self.f.with_coefficients(sym))
 
     @classmethod
     def from_samples(cls, samples, grid: GridSpec) -> "InterfaceField":
@@ -77,6 +79,10 @@ class SolverOptions:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+        # math.inf switches a guard off; so would NaN, silently
+        for name in ("leakage_threshold", "cfl_bound"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -114,34 +120,19 @@ def linear_symbol(xi, cfg: FluidConfig):
     )
 
 
-@dataclass
-class _Carry:
-    """What one run hands from each right-hand side evaluation to the next.
-
-    ``correction`` holds samples of the nonlinear part of the last strength
-    solve, omega1 minus its snapshot's linear strength M (-2 A_rho df), which
-    the next solve adds to its own linear strength to start from;
-    ``kernels`` the difference-quotient kernel storage of
-    ``vorticity._Workspace``, allocated by the first snapshot.
-    """
-
-    correction: np.ndarray | None = None
-    kernels: np.ndarray | None = None
-
-
 def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
-              split_i1: bool = False, carry: _Carry | None = None):
+              split_i1: bool = False, carry: MonitorState | None = None):
     """Strength pair, four dealiased integral spectra and the linear/nonlinear split.
 
     One kernel backend serves the strength solve and all four integrals.  The
     first two spectra are pi H(omega1) and the rest of I1 plus I2, which share
     one difference-quotient kernel; ``split_i1`` moves the I1 remainder into
     the first, so the four are I1..I4 one by one.  With a ``carry`` the solve
-    starts from the previous correction and the kernels reuse its storage;
-    both are updated here.
+    starts from its correction and the kernels reuse its storage; both are
+    updated here.
     """
     grid = f.f.grid
-    carry = carry or _Carry()
+    carry = carry or MonitorState()
     ws = _Workspace(f, cfg, opts.series_tol, storage=carry.kernels)
     pair = solve_vorticity(f, cfg, tol=opts.picard_tol, max_iter=opts.picard_max_iter,
                            workspace=ws, guess=carry.correction)
@@ -204,7 +195,7 @@ def _nonlinear_diagnostics(f: InterfaceField, cfg: FluidConfig, pair: VorticityP
 
 
 def nonlinear_tendency(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
-                       carry: _Carry | None = None) -> np.ndarray:
+                       carry: MonitorState | None = None) -> np.ndarray:
     """Coefficients of the nonlinear remainder N(f) = rhs - linear part.
 
     ``carry`` warm-starts the strength solve from the previous evaluation's.
@@ -243,18 +234,19 @@ def _stepper_coeffs(grid: GridSpec, cfg: FluidConfig, dt: float):
 def step(state: InterfaceField, dt: float, cfg: FluidConfig,
          opts: SolverOptions | None = None,
          coeffs: tuple | None = None,
-         carry: _Carry | None = None) -> InterfaceField:
+         carry: MonitorState | None = None) -> InterfaceField:
     """One two-stage exponential-integrator (ETDRK2) step.
 
     The linear multiplier is applied through its exact integrating factor; the
     nonlinear remainder is treated explicitly.  ``coeffs`` are the
     ``_stepper_coeffs`` of this dt, computed here when not supplied.  Each
     stage's strength solve starts from the previous one's, across steps too
-    when ``carry`` is kept.  The stage and the new spectrum are exactly
-    Hermitian when the state's is, as the coefficients are real and even in xi.
+    when ``carry``, a run's ``MonitorState``, is kept.  The stage and the new
+    spectrum are exactly Hermitian when the state's is, as the coefficients
+    are real and even in xi.
     """
     opts = opts or SolverOptions()
-    carry = carry or _Carry()
+    carry = carry or MonitorState()
     if dt <= 0:
         raise StepSizeError(f"dt must be positive, got {dt!r}")
     grid = state.f.grid
@@ -263,9 +255,9 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
     fhat = state.f.coefficients
     n0 = nonlinear_tendency(state, cfg, opts, carry=carry)
     if not np.all(np.isfinite(n0)):
-        raise BlowUpError("non-finite nonlinear tendency", state, state.time)
+        raise BlowUpError("non-finite nonlinear tendency", state)
 
-    speed = float(np.max(np.abs(np.fft.ifft(n0 * grid.n_points).real)))
+    speed = float(np.max(np.abs(inverse_coefficients(n0, grid))))
     xi_max = float(np.max(np.abs(grid.wavenumbers())))
     if dt * speed * xi_max > opts.cfl_bound:
         raise StepSizeError(
@@ -276,10 +268,10 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
     fld = InterfaceField(SpectralField(grid, stage), state.time)
     n1 = nonlinear_tendency(fld, cfg, opts, carry=carry)
     if not np.all(np.isfinite(n1)):
-        raise BlowUpError("non-finite nonlinear tendency (stage two)", state, state.time)
+        raise BlowUpError("non-finite nonlinear tendency (stage two)", state)
     new_hat = stage + dt_phi2 * (n1 - n0)
     if not np.all(np.isfinite(new_hat)):
-        raise BlowUpError("non-finite coefficients after step", state, state.time)
+        raise BlowUpError("non-finite coefficients after step", state)
     return InterfaceField(SpectralField(grid, new_hat), state.time + dt)
 
 
@@ -321,22 +313,24 @@ class Schedule:
 
 @dataclass
 class MonitorState:
-    """What the budget and weighted-L2 monitors accumulate along one run.
+    """What one run carries from snapshot to snapshot and from solve to solve.
 
-    The constants they compare against (nu, the budget coefficients,
-    F^{s,1}(0), the growth rates, the initial weighted L2 norm) are functions
-    of the initial datum's certificate, so a resume recomputes them instead of
-    reading them back.  ``correction`` is the strength solve's last nonlinear
-    correction (see ``_Carry``); a payload without it starts its first solve
-    cold, from the linear strength.  A correction written before the solve was
-    preconditioned, omega1 + 2 A_rho df, still loads and serves as a starting
-    point: the solve reaches the same strengths, though not bit for bit.
+    The monitors' accumulators compare against constants of the initial
+    datum's certificate, which a resume recomputes instead of reading back.
+    ``correction`` holds samples of the last strength solve's nonlinear part,
+    omega1 minus its linear strength M (-2 A_rho df); the next solve starts
+    from its own linear strength plus it, and a payload without it starts
+    cold.  One written before the solve was preconditioned (omega1 +
+    2 A_rho df) still loads as a start, reaching the same strengths, though
+    not bit for bit.  ``kernels`` is scratch: the ``vorticity._Workspace``
+    kernel storage, allocated by the first solve and left out of the payload.
     """
 
     integral: dict = field(default_factory=lambda: {0: 0.0, 1: 0.0})
     f32_max: float = 0.0
     f32_int: float = 0.0
     correction: np.ndarray | None = None
+    kernels: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_payload(self) -> dict:
         hx = lambda v: float(v).hex()
@@ -392,7 +386,6 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     rec = TrajectoryRecord()
     n_steps = schedule.n_steps
     coeffs = _stepper_coeffs(f0.f.grid, cfg, schedule.dt)
-    carry = _Carry(correction=monitor.correction)
 
     def take_snapshot(step_index: int, st: InterfaceField):
         t = st.time
@@ -423,7 +416,6 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
                 rec.l2_bound.append(math.inf)
         else:
             rec.l2_bound.append(float("nan"))
-        monitor.correction = carry.correction
         if on_snapshot is not None:
             on_snapshot(step_index, st, row, monitor)
         if row["leakage"] > opts.leakage_threshold:
@@ -434,7 +426,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
 
     take_snapshot(start_step, state)
     for i in range(start_step, n_steps):
-        state = step(state, schedule.dt, cfg, opts, coeffs=coeffs, carry=carry)
+        state = step(state, schedule.dt, cfg, opts, coeffs=coeffs, carry=monitor)
         # the clock counts whole steps, so a resumed run keeps the same times
         state = InterfaceField(state.f, (i + 1) * schedule.dt)
         if (i + 1) % schedule.snapshot_every == 0 or (i + 1) == n_steps:

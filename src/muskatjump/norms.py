@@ -128,10 +128,9 @@ class NormReport:
     f3half: float
     l2nu: float
     strip_radius: float | None
-    time: float
 
     def __post_init__(self):
-        vals = [self.f01, self.f11, self.f21, self.f3half, self.l2nu, self.time]
+        vals = [self.f01, self.f11, self.f21, self.f3half, self.l2nu]
         if not all(math.isfinite(v) for v in vals):
             raise DomainError("norm report entries must be finite")
         slack = 1.0 + 1e-9
@@ -149,5 +148,4 @@ def norm_report(fld: SpectralField, nu: float, time: float) -> NormReport:
         f3half=fourier_norm(fld, NormSpec(1.5, nu, time)),
         l2nu=weighted_l2(fld, NormSpec(0.0, nu, time)),
         strip_radius=strip_radius(fld),
-        time=time,
     )

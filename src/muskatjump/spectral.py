@@ -96,12 +96,6 @@ class SpectralField:
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 
-    def is_real_symmetric(self, tol: float = 1e-12) -> bool:
-        c = self.coefficients
-        mirror = np.conj(np.concatenate((c[:1], c[:0:-1])))
-        scale = max(np.max(np.abs(c)), 1.0)
-        return bool(np.max(np.abs(c - mirror)) <= tol * scale)
-
     def with_coefficients(self, c: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, c)
 
@@ -127,7 +121,12 @@ def forward_coefficients(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def inverse(fld: SpectralField) -> np.ndarray:
     """Collocation samples of the field. Real part only; imaginary round-off discarded."""
-    return np.fft.ifft(fld.coefficients * fld.grid.n_points).real
+    return inverse_coefficients(fld.coefficients, fld.grid)
+
+
+def inverse_coefficients(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """``inverse``'s samples of the n coefficients ``c`` in FFT order."""
+    return np.fft.ifft(c * grid.n_points).real
 
 
 def hermitian_symmetrize(c: np.ndarray) -> np.ndarray:

@@ -32,9 +32,9 @@ from .errors import (ConfigurationError, GeometryError, MethodUnavailableError,
                      PicardDivergenceError, RegimeError)
 from .norms import NormSpec, fourier_norm
 from .spectral import (GridSpec, SpectralField, conj_poisson_kernel_periodic,
-                       derivative, forward, hermitian_extension, inverse, odd_offset_rows,
-                       odd_offsets, padded_coefficients, padded_samples,
-                       poisson_kernel_periodic, pv_kernel_periodic)
+                       derivative, forward, hermitian_extension, inverse,
+                       inverse_coefficients, odd_offset_rows, odd_offsets, padded_coefficients,
+                       padded_samples, poisson_kernel_periodic, pv_kernel_periodic)
 
 DEFAULT_SERIES_TOL = 1e-10
 DEFAULT_PICARD_TOL = 1e-11
@@ -58,10 +58,10 @@ class FluidConfig:
             raise ConfigurationError(f"|A_kappa| must be < 1, got {self.a_kappa!r}")
         if not abs(self.a_mu) < 1.0:
             raise ConfigurationError(f"|A_mu| must be < 1, got {self.a_mu!r}")
-        if not self.a_rho > 0.0:
-            raise ConfigurationError(f"A_rho must be > 0 (stable regime), got {self.a_rho!r}")
-        if not self.h2 > 0.0:
-            raise ConfigurationError(f"h2 must be > 0, got {self.h2!r}")
+        if not 0.0 < self.a_rho < math.inf:
+            raise ConfigurationError(f"A_rho must be finite and > 0 (stable), got {self.a_rho!r}")
+        if not 0.0 < self.h2 < math.inf:
+            raise ConfigurationError(f"h2 must be finite and > 0, got {self.h2!r}")
 
     def to_dict(self) -> dict:
         return {"a_kappa": self.a_kappa, "a_mu": self.a_mu,
@@ -146,7 +146,7 @@ class _Workspace:
 
     def __init__(self, f, cfg: FluidConfig, series_tol: float, method: str | None = None,
                  storage: np.ndarray | None = None):
-        fld: SpectralField = getattr(f, "f", f)
+        fld = f.f
         grid = fld.grid
         self.fld, self.grid, self.cfg = fld, grid, cfg
         self.F = inverse(fld)
@@ -212,7 +212,7 @@ class _Workspace:
         """
         grid = self.grid
         if self.n_max is None:
-            g = np.fft.ifft(ghat * grid.n_points).real
+            g = inverse_coefficients(ghat, grid)
             return self.P @ g, self.CP @ g
         # at a flat depth P g and CP g have coefficients pi e^{-h2|xi|} g_hat
         # and -i pi sgn(xi) e^{-h2|xi|} g_hat; sgn(xi) is 1 for k = 1..N/2 - 1,
@@ -347,7 +347,7 @@ def vorticity_bound_check(pair: VorticityPair, f, cfg: FluidConfig,
 
     Raises RegimeError when the ledger constants are undefined at this size.
     """
-    fld: SpectralField = getattr(f, "f", f)
+    fld = f.f
     a0 = fourier_norm(fld, NormSpec(0.0, nu, t))
     a1 = fourier_norm(fld, NormSpec(1.0, nu, t))
     led = certify.ledger(a0, a1, cfg)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from muskatjump import FluidConfig, GridSpec, certify, certify_datum, forward, ledger, theta, thresholds
 from muskatjump.certify import _admissible_tau, l2_growth_rates, theta_closed_form, theta_grid_scan
 from muskatjump.errors import RegimeError
-from muskatjump.evolution import Schedule, run
+from muskatjump.evolution import InterfaceField, Schedule, run
 
 from helpers import REF_CFG, gaussian_bump
 
@@ -290,7 +290,7 @@ def test_degenerate_thresholds_raise_on_every_call(monkeypatch):
 
 def test_certify_zero_datum():
     g = GridSpec(64, 2 * np.pi)
-    cert = certify_datum(forward(np.zeros(64), g), REF_CFG)
+    cert = certify_datum(InterfaceField(forward(np.zeros(64), g)), REF_CFG)
     assert cert.verdict == "admissible"
     th = theta(REF_CFG)
     for s in (0, 1, 2):
@@ -300,7 +300,7 @@ def test_certify_zero_datum():
 
 def test_certify_large_datum_out_of_ledger():
     g = GridSpec(64, 2 * np.pi)
-    f0 = forward(2.0 * REF_CFG.h2 * np.cos(g.nodes()), g)
+    f0 = InterfaceField(forward(2.0 * REF_CFG.h2 * np.cos(g.nodes()), g))
     cert = certify_datum(f0, REF_CFG)
     assert cert.verdict == "out-of-ledger"
     assert "C0" in cert.ledger.divergent
@@ -309,7 +309,7 @@ def test_certify_large_datum_out_of_ledger():
 def test_certify_golden_reference_datum():
     # frozen after first evaluation; guards against silent formula drift
     g = GridSpec(256, 2 * np.pi)
-    f0 = forward(0.01 * np.cos(g.nodes()), g)
+    f0 = InterfaceField(forward(0.01 * np.cos(g.nodes()), g))
     cert = certify_datum(f0, REF_CFG)
     assert cert.verdict == "admissible"
     assert abs(cert.a0 - 0.01) < 1e-14
@@ -323,7 +323,7 @@ def test_certificate_json_round_trip():
     import json
 
     g = GridSpec(64, 2 * np.pi)
-    cert = certify_datum(forward(0.005 * np.cos(g.nodes()), g), REF_CFG)
+    cert = certify_datum(InterfaceField(forward(0.005 * np.cos(g.nodes()), g)), REF_CFG)
     blob = json.loads(cert.to_json())
     assert blob["schema_version"] == 1
     assert blob["verdict"] == "admissible"
@@ -332,7 +332,7 @@ def test_certificate_json_round_trip():
 
 def test_l2_growth_rates_finite():
     g = GridSpec(64, 2 * np.pi)
-    cert = certify_datum(forward(0.005 * np.cos(g.nodes()), g), REF_CFG)
+    cert = certify_datum(InterfaceField(forward(0.005 * np.cos(g.nodes()), g)), REF_CFG)
     c, c_sq, c_lin = l2_growth_rates(cert)
     assert all(math.isfinite(v) and v >= 0.0 for v in (c, c_sq, c_lin))
 
@@ -364,7 +364,7 @@ def _pinned_datum(name: str):
         return REF_CFG, gaussian_bump(readme, 0.1, 1.5)
     if name == "c0_divergent":
         g = GridSpec(64, 2 * np.pi)
-        return REF_CFG, forward(2.0 * REF_CFG.h2 * np.cos(g.nodes()), g)
+        return REF_CFG, InterfaceField(forward(2.0 * REF_CFG.h2 * np.cos(g.nodes()), g))
     if name == "c1_denominator":
         return REF_CFG, gaussian_bump(readme, 0.88, 1.5)
     # only the C12 denominator is nonpositive: the rest of the ledger converges

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import math
 import re
@@ -12,7 +15,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muskatjump import cli
@@ -472,7 +475,7 @@ _README_EXIT_TABLE = {"ConfigurationError": 2, "RegimeError": 2, "GeometryError"
 
 @pytest.mark.parametrize("exc_type", list(cli._EXIT_CODES), ids=lambda t: t.__name__)
 def test_failures_inside_run_end_in_the_readme_exit_code(tmp_path, monkeypatch, capsys, exc_type):
-    extra = {PicardDivergenceError: ([],), BlowUpError: (None, 0.0)}.get(exc_type, ())
+    extra = {PicardDivergenceError: ([],), BlowUpError: (None,)}.get(exc_type, ())
 
     def failing_run(*args, **kwargs):
         raise exc_type("injected failure", *extra)
@@ -572,3 +575,95 @@ def test_overflowing_l2_bound_ends_in_an_exit_code(tmp_path):
     assert code == EXIT_GEOMETRY
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["status"]["exit"] == code
+
+
+# the README config over five steps, so a mutation that slipped through would
+# still end fast
+_FUZZ_BASE = json.loads((ROOT / "examples" / "readme.json").read_text())
+_FUZZ_BASE["schedule"]["t_end"] = 0.1
+# values of another JSON type than the entry's own; an int is a valid number
+_WRONG_TYPED = {int: [2.5, "1", True, None, [1], {}],
+                float: ["0.5", False, None, [0.5], {}],
+                str: [1, None, True, ["gaussian_bump"], {}],
+                dict: [1, 0.5, "x", None, True, []]}
+# Infinity is a valid threshold there: it switches the guard off
+_GUARDS = {("solver", "leakage_threshold"), ("solver", "cfl_bound")}
+
+
+@st.composite
+def _config_mutations(draw):
+    """A path into one block of the README config and the value written there.
+
+    The value is an unknown key, a wrong-typed value or a NaN/Infinity token
+    (json reads and writes all three); the path ends in the key it names.
+    """
+    block = draw(st.sampled_from(sorted(_FUZZ_BASE)))
+    nested = isinstance(_FUZZ_BASE[block], dict)
+    kind = draw(st.sampled_from(["unknown key", "wrong type", "non-finite"]))
+    if kind == "unknown key":
+        return ((block, "unknown_knob") if nested else ("unknown_knob",)), 1.0
+    path = (block,)
+    if nested and draw(st.booleans()):
+        path = (block, draw(st.sampled_from(sorted(_FUZZ_BASE[block]))))
+    if kind == "wrong type":
+        current = _FUZZ_BASE[block] if len(path) == 1 else _FUZZ_BASE[block][path[1]]
+        return path, draw(st.sampled_from(_WRONG_TYPED[type(current)]))
+    tokens = [math.nan, -math.inf] + ([] if path in _GUARDS else [math.inf])
+    return path, draw(st.sampled_from(tokens))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutation=_config_mutations())
+# each ended in exit 0, 3 or a traceback before the types checked their values
+@example(mutation=(("fluid", "h2"), math.inf))
+@example(mutation=(("fluid", "a_rho"), math.inf))
+@example(mutation=(("solver", "leakage_threshold"), math.nan))
+@example(mutation=(("initial_data", "width"), math.inf))
+@example(mutation=(("initial_data",), []))
+@example(mutation=(("initial_data", "preset"), ["gaussian_bump"]))
+def test_one_bad_entry_anywhere_in_the_config_is_a_configuration_error(mutation):
+    path, value = mutation
+    raw = copy.deepcopy(_FUZZ_BASE)
+    parent = raw[path[0]] if len(path) == 2 else raw
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "c.json"
+        p.write_text(json.dumps(raw))
+        for argv in (["run", "--output-dir", str(Path(tmp) / "out")], ["certify"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--config", str(p)])
+            assert code == EXIT_CONFIG, (argv[0], err.getvalue())
+            # the message names the entry, whatever its case
+            assert path[-1].lower() in err.getvalue().lower()
+
+
+@pytest.fixture(scope="module")
+def checkpointed_run(tmp_path_factory):
+    """An uninterrupted N=64 run of ten steps with a checkpoint at every step."""
+    base = tmp_path_factory.mktemp("full")
+    p = write_config(base / "c.json", grid={"n_points": 64, "domain_length": 12 * np.pi},
+                     schedule={"t_end": 0.3, "dt": 0.03, "snapshot_every": 1})
+    assert main(["run", "--config", str(p), "--output-dir", str(base / "out")]) == EXIT_OK
+    return p, base / "out"
+
+
+@settings(max_examples=10, deadline=None)
+@given(at=st.integers(0, 10))
+def test_resume_at_any_step_reproduces_the_run(checkpointed_run, at):
+    # the interrupted run wrote its rows and checkpoints up to step ``at``
+    config, full = checkpointed_run
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(full, out)
+        for ck in (out / "checkpoints").glob("ckpt_*.json"):
+            if int(ck.stem[5:]) > at:
+                ck.unlink()
+        rows = (full / "trajectory.csv").read_text().splitlines(True)
+        (out / "trajectory.csv").write_text("".join(rows[: at + 2]))
+        resume = out / "checkpoints" / f"ckpt_{at:08d}.json"
+        assert main(["run", "--config", str(config), "--output-dir", str(out),
+                     "--resume", str(resume)]) == EXIT_OK
+        assert (out / "trajectory.csv").read_bytes() == (full / "trajectory.csv").read_bytes()
+        last = "checkpoints/ckpt_00000010.json"
+        assert (out / last).read_bytes() == (full / last).read_bytes()

@@ -410,6 +410,38 @@ def test_interface_field_stores_the_hermitian_projection():
     assert c[0].imag == 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 63), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       imaginary=st.booleans(), mirrored=st.booleans())
+def test_interface_field_rejects_a_nan_or_inf_coefficient(k, bad, imaginary, mirrored):
+    # a NaN fails every comparison, so the reality check must be written to
+    # fail on one; an inf becomes a NaN in the symmetry defect
+    g = GridSpec(64, L12)
+    c = gaussian_bump(g, 0.01, 1.5).f.coefficients.copy()
+    c[k] = complex(0.0, bad) if imaginary else complex(bad, 0.0)
+    if mirrored:
+        c[-k] = np.conj(c[k])
+    with np.errstate(invalid="ignore"), pytest.raises(ConfigurationError, match="real-symmetric"):
+        InterfaceField(SpectralField(g, c))
+
+
+def test_solver_thresholds_must_be_positive_and_may_be_infinite():
+    # math.inf switches a guard off; NaN would too, silently
+    for name in ("leakage_threshold", "cfl_bound"):
+        assert getattr(SolverOptions(**{name: math.inf}), name) == math.inf
+        for bad in (math.nan, 0.0, -1.0, -math.inf):
+            with pytest.raises(ConfigurationError, match=name):
+                SolverOptions(**{name: bad})
+
+
+def test_fluid_density_contrast_and_depth_must_be_finite():
+    for bad in (math.inf, math.nan, 0.0):
+        with pytest.raises(ConfigurationError, match="A_rho"):
+            FluidConfig(0.5, 0.2, bad, 1.0)
+        with pytest.raises(ConfigurationError, match="h2"):
+            FluidConfig(0.5, 0.2, 1.0, bad)
+
+
 def test_loaded_checkpoint_spectrum_is_exactly_hermitian(tmp_path):
     # a file whose spectrum is off Hermitian by round-off loads as its exact
     # projection, so the step keeps it real; a saved state loads bit for bit

@@ -210,4 +210,4 @@ def test_exponential_splitting():
 def test_norm_report_validates_interpolation():
     with pytest.raises(DomainError):
         NormReport(f01=1.0, f11=10.0, f21=1.0, f3half=1.0, l2nu=1.0,
-                   strip_radius=None, time=0.0)
+                   strip_radius=None)

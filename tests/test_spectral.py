@@ -58,8 +58,8 @@ def test_grid_invariants():
 def test_reality_symmetry_exact():
     rng = np.random.default_rng(3)
     g = GridSpec(64, 2 * np.pi)
-    f = forward(rng.standard_normal(64), g)
-    assert f.is_real_symmetric(tol=0.0) or f.is_real_symmetric(tol=1e-16)
+    c = forward(rng.standard_normal(64), g).coefficients
+    assert np.array_equal(c, np.conj(np.concatenate((c[:1], c[:0:-1]))))
 
 
 def test_hilbert_cosine():
