@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, certify, oracle
 from .errors import (BlowUpError, ConfigurationError, GeometryError,
-                     PicardDivergenceError, RegimeError, StepSizeError)
+                     PicardDivergenceError, RegimeError, StepSizeError, WeightRangeError)
 from .evolution import (TRAJECTORY_COLUMNS, InterfaceField, Schedule, SolverOptions,
                         linear_symbol, load_checkpoint, rhs, run, save_checkpoint, step)
 from .spectral import GridSpec, derivative, inverse
@@ -37,12 +37,14 @@ EXIT_INADMISSIBLE = 6
 EXIT_ORACLE = 7
 
 # failures that end a command, and a run's metadata, in a README exit code; a
-# RegimeError means the fluid parameters admit no certificate
+# RegimeError means the fluid parameters admit no certificate, a
+# WeightRangeError that the budget's weighted norms left the double range
 _EXIT_CODES = {ConfigurationError: EXIT_CONFIG, RegimeError: EXIT_CONFIG,
                GeometryError: EXIT_GEOMETRY, PicardDivergenceError: EXIT_DIVERGENCE,
-               StepSizeError: EXIT_DIVERGENCE, BlowUpError: EXIT_DIVERGENCE}
+               StepSizeError: EXIT_DIVERGENCE, BlowUpError: EXIT_DIVERGENCE,
+               WeightRangeError: EXIT_BUDGET}
 _EXIT_LABELS = {EXIT_CONFIG: "configuration error", EXIT_GEOMETRY: "geometry error",
-                EXIT_DIVERGENCE: "solver failure"}
+                EXIT_DIVERGENCE: "solver failure", EXIT_BUDGET: "budget failure"}
 
 
 def _exit_code(exc: Exception) -> int:
@@ -105,10 +107,14 @@ def load_config(path) -> dict:
     if not isinstance(preset, str) or preset not in _INITIAL_DATA_SCHEMAS:
         raise ConfigurationError(f"unknown initial_data.preset {preset!r}")
     _validate(_INITIAL_DATA_SCHEMAS[preset], raw["initial_data"], "config.initial_data")
-    # json reads NaN and Infinity; an infinite bump width would be a flat datum
-    for key in ("amplitude", "width"):
-        if not math.isfinite(raw["initial_data"].get(key, 0.0)):
-            raise ConfigurationError(f"config.initial_data.{key} must be finite")
+    # json reads NaN and Infinity; an infinite bump width would be a flat datum,
+    # and one whose square leaves the doubles gives overflowing or NaN samples
+    spec = raw["initial_data"]
+    if not math.isfinite(spec.get("amplitude", 0.0)):
+        raise ConfigurationError("config.initial_data.amplitude must be finite")
+    width = spec.get("width", 1.0)
+    if not 0.0 < width * width < math.inf:
+        raise ConfigurationError("config.initial_data.width must have a positive finite square")
     # the other blocks are checked by their types, so every subcommand rejects
     # the same configs, even for a block it does not read
     for build in (fluid_config, grid_spec, solver_options, run_schedule):

@@ -17,6 +17,10 @@ class RegimeError(RuntimeError):
     """A constant is undefined in this regime (nonpositive denominator, no threshold)."""
 
 
+class WeightRangeError(OverflowError):
+    """An analyticity weight exp(nu t |xi|) lies past the exponential guard."""
+
+
 class MethodUnavailableError(RuntimeError):
     """The requested evaluation method cannot meet its error bound for this input."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, WeightRangeError
 from .spectral import GridSpec, SpectralField
 
 NOISE_FLOOR = 1e-14
@@ -58,8 +58,9 @@ def _weights(fld: SpectralField, spec: NormSpec) -> np.ndarray:
         return pw
     arg = nu_t * np.abs(fld.grid.wavenumbers())
     if arg.size and np.max(arg) > _EXP_GUARD:
-        raise OverflowError(
-            f"nu*t*xi_max = {np.max(arg):.3g} exceeds the exponential guard {_EXP_GUARD}"
+        raise WeightRangeError(
+            f"weight exponent nu*t*xi_max = {np.max(arg):.3g} at t = {spec.time:g} "
+            f"exceeds the exponential guard {_EXP_GUARD}"
         )
     return np.exp(arg) * pw
 
@@ -71,14 +72,9 @@ def fourier_norm(fld: SpectralField, spec: NormSpec) -> float:
 
 def weighted_l2(fld: SpectralField, spec: NormSpec) -> float:
     """Weighted Parseval sum, scaled by L so nu = 0 is the physical L2 norm."""
-    xi = np.abs(fld.grid.wavenumbers())
-    arg = 2.0 * spec.nu * spec.time * xi
-    if arg.size and np.max(arg) > _EXP_GUARD:
-        raise OverflowError(
-            f"2*nu*t*xi_max = {np.max(arg):.3g} exceeds the exponential guard {_EXP_GUARD}"
-        )
-    total = np.sum(np.exp(arg) * np.abs(fld.coefficients) ** 2)
-    return float(math.sqrt(fld.grid.domain_length * total))
+    # |exp(nu t |xi|) c|^2 is |c|^2 under the weight at 2 nu
+    w = _weights(fld, NormSpec(0.0, 2.0 * spec.nu, spec.time))
+    return float(math.sqrt(fld.grid.domain_length * np.sum(w * np.abs(fld.coefficients) ** 2)))
 
 
 def strip_radius(fld: SpectralField) -> float | None:

@@ -30,6 +30,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -44,6 +46,10 @@ class GridSpec:
             raise ConfigurationError(f"n_points must be a positive even integer, got {n!r}")
         if not np.isfinite(L) or L <= 0:
             raise ConfigurationError(f"domain_length must be finite and positive, got {L!r}")
+        # past this length xi_1^2 is no normal double: F^{2,1} and the strip-radius fit fail
+        if 2.0 * np.pi / L < _SQRT_TINY:
+            raise ConfigurationError(f"domain_length must keep 2 pi / L >= {_SQRT_TINY:.3g}, "
+                                     f"got {L!r}")
 
     @property
     def spacing(self) -> float:

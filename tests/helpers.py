@@ -9,6 +9,17 @@ from muskatjump.spectral import hermitian_symmetrize
 REF_CFG = FluidConfig(a_kappa=0.5, a_mu=0.2, a_rho=1.0, h2=1.0)
 
 
+def theta_reference_scan(cfg: FluidConfig) -> float:
+    """Dense-grid minimum of the theta bracket 1 - A_kappa (1 - A_mu) / (e^y - A_kappa A_mu).
+
+    The bracket depends on xi only through y = 2 h2 |xi|, scanned on [0, 100]:
+    at y = 100 it is within e^-100 of its y -> infinity limit.
+    """
+    y = np.linspace(0.0, 100.0, 100001)
+    vals = 1.0 - cfg.a_kappa * (1.0 - cfg.a_mu) / (np.exp(y) - cfg.a_kappa * cfg.a_mu)
+    return float(np.min(vals))
+
+
 def gaussian_bump(grid: GridSpec, amplitude: float, width: float) -> InterfaceField:
     x = grid.nodes()
     L = grid.domain_length

@@ -20,7 +20,7 @@ from muskatjump.norms import decay_fit
 from muskatjump.spectral import SpectralField, hermitian_symmetrize
 from muskatjump.vorticity import solve_vorticity, vorticity_bound_check
 
-from helpers import REF_CFG, gaussian_bump, random_admissible_interface
+from helpers import REF_CFG, gaussian_bump, random_admissible_interface, theta_reference_scan
 
 REPORT = []
 
@@ -189,8 +189,7 @@ def test_criterion_07_constant_ledger_limits():
                 ok = ok and led.sigma0 < 1e-8 and led.sigma1 < 1e-8
                 s2 = led.sigma2
                 ok = ok and s2 is not None and s2 < 1e-8
-                from muskatjump.certify import theta_closed_form, theta_grid_scan
-                ok = ok and abs(theta_closed_form(cfg) - theta_grid_scan(cfg)) < 1e-9
+                ok = ok and abs(mj.theta(cfg) - theta_reference_scan(cfg)) < 1e-9
     elapsed = time.time() - t0
     ok = ok and elapsed < 10.0
     _report(7, "constant ledger limits on 5x5x3 lattice", ok,

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from decimal import Decimal, getcontext
 from pathlib import Path
 from unittest import mock
@@ -12,11 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muskatjump import FluidConfig, GridSpec, certify, certify_datum, forward, ledger, theta, thresholds
-from muskatjump.certify import _admissible_tau, l2_growth_rates, theta_closed_form, theta_grid_scan
+from muskatjump.certify import _admissible_tau, l2_growth_rates
 from muskatjump.errors import RegimeError
 from muskatjump.evolution import InterfaceField, Schedule, run
 
-from helpers import REF_CFG, gaussian_bump
+from helpers import REF_CFG, gaussian_bump, theta_reference_scan
 
 LATTICE_AK = [-0.8, -0.4, 0.0, 0.4, 0.8]
 LATTICE_AM = [-0.8, -0.4, 0.0, 0.4, 0.8]
@@ -30,13 +31,13 @@ def test_theta_no_permeability_jump():
 def test_theta_positive_jump_closed_form():
     cfg = FluidConfig(0.5, 0.0, 1.0, 1.0)
     assert abs(theta(cfg) - 0.5) < 1e-15
-    assert abs(theta_grid_scan(cfg) - 0.5) < 1e-9
+    assert abs(theta_reference_scan(cfg) - 0.5) < 1e-9
 
 
 def test_theta_negative_jump_is_one():
     cfg = FluidConfig(-0.5, 0.0, 1.0, 1.0)
     assert theta(cfg) == 1.0
-    assert abs(theta_grid_scan(cfg) - 1.0) < 1e-9
+    assert abs(theta_reference_scan(cfg) - 1.0) < 1e-9
 
 
 def test_ledger_at_origin():
@@ -116,11 +117,21 @@ def test_sigma_continuity_shrinking_sequence():
 def test_theta_range_and_scan_on_lattice():
     for ak in LATTICE_AK:
         for am in LATTICE_AM:
-            for h2 in LATTICE_H2:
+            for h2 in LATTICE_H2 + [1e-3, 10.0, 1e3]:
                 cfg = FluidConfig(ak, am, 1.0, h2)
-                th = theta_closed_form(cfg)
+                th = theta(cfg)
                 assert 0.0 < th < 2.0
-                assert abs(th - theta_grid_scan(cfg)) < 1e-9
+                assert abs(th - theta_reference_scan(cfg)) < 1e-9
+
+
+def test_certificate_at_large_depth_warns_nothing():
+    # a runtime grid scan of theta overflowed exp(2 h2 xi) here
+    g = GridSpec(256, 12 * np.pi)
+    cfg = FluidConfig(0.5, 0.2, 1.0, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify_datum(gaussian_bump(g, 0.01, 1.5), cfg)
+    assert cert.theta == theta(cfg)
 
 
 def test_thresholds_postcondition_replay():

@@ -470,7 +470,8 @@ def test_every_solving_subcommand_reads_the_solver_block(tmp_path, capsys):
 
 
 _README_EXIT_TABLE = {"ConfigurationError": 2, "RegimeError": 2, "GeometryError": 3,
-                      "PicardDivergenceError": 4, "StepSizeError": 4, "BlowUpError": 4}
+                      "PicardDivergenceError": 4, "StepSizeError": 4, "BlowUpError": 4,
+                      "WeightRangeError": 5}
 
 
 @pytest.mark.parametrize("exc_type", list(cli._EXIT_CODES), ids=lambda t: t.__name__)
@@ -636,6 +637,69 @@ def test_one_bad_entry_anywhere_in_the_config_is_a_configuration_error(mutation)
             assert code == EXIT_CONFIG, (argv[0], err.getvalue())
             # the message names the entry, whatever its case
             assert path[-1].lower() in err.getvalue().lower()
+
+
+def _readme_variant(path: Path, **entries) -> Path:
+    """The README config over five steps, with ``block__key=value`` entries changed."""
+    raw = copy.deepcopy(_FUZZ_BASE)
+    for name, value in entries.items():
+        block, key = name.split("__")
+        raw[block][key] = value
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _run_with_metadata(config: Path, out: Path) -> tuple[int, dict]:
+    code = main(["run", "--config", str(config), "--output-dir", str(out)])
+    return code, json.loads((out / "metadata.json").read_text())["status"]
+
+
+def test_weighted_norm_past_the_exponential_guard_ends_in_exit_5(tmp_path, capsys):
+    # an admissible datum whose weighted L2 norm reaches 2 nu t xi_max = 719 at
+    # t = 7; the traceback left the metadata of an earlier run in place
+    p = _readme_variant(tmp_path / "c.json", fluid__a_rho=10.0, solver__leakage_threshold=1.0,
+                        schedule__t_end=7.5, schedule__dt=0.05, schedule__snapshot_every=10)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "metadata.json").write_text(json.dumps({"status": {"exit": 0}}))
+    assert main(["certify", "--config", str(p)]) == EXIT_OK
+    code, status = _run_with_metadata(p, out)
+    assert code == cli.EXIT_BUDGET
+    assert status["exit"] == code
+    assert "exponential guard" in status["reason"] and "t = 7 " in status["reason"]
+    assert "exponential guard" in capsys.readouterr().err
+
+
+# each ended in a traceback, or in exit 2 naming the wrong entry (width
+# 1e-300), before these values were bounded
+@pytest.mark.parametrize("value", [1e-300, 1e300])
+@pytest.mark.parametrize("entry", ["fluid__a_rho", "fluid__h2", "grid__domain_length",
+                                   "initial_data__amplitude", "initial_data__width"])
+def test_finite_extremes_end_in_a_readme_exit_code(tmp_path, capsys, entry, value):
+    p = _readme_variant(tmp_path / "c.json", **{entry: value})
+    assert main(["certify", "--config", str(p)]) in _README_EXIT_CODES
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(p), "--output-dir", str(out)])
+    assert code in _README_EXIT_CODES
+    err = capsys.readouterr().err
+    if code == EXIT_CONFIG:
+        # a config rejected on load leaves no run to record
+        assert entry.split("__")[1] in err
+    else:
+        assert json.loads((out / "metadata.json").read_text())["status"]["exit"] == code
+
+
+def test_diverging_strength_solve_ends_in_exit_4(tmp_path):
+    # a real divergence, not an injected one: at h2 = 1e-3 the Picard update
+    # grows from 0.26 to about 1e186 over its 80 iterations
+    p = _readme_variant(tmp_path / "c.json", fluid__h2=1e-3)
+    assert main(["certify", "--config", str(p)]) == EXIT_INADMISSIBLE
+    code, status = _run_with_metadata(p, tmp_path / "out")
+    assert code == EXIT_DIVERGENCE
+    assert status["exit"] == code
+    m = re.fullmatch(r"no contraction after 80 iterations \(last residual (\S+)\)",
+                     status["reason"])
+    assert m and float(m[1]) > 1e100
 
 
 @pytest.fixture(scope="module")

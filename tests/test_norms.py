@@ -3,7 +3,7 @@ import pytest
 
 from muskatjump import (GridSpec, NormSpec, SpectralField, decay_fit, forward, fourier_norm,
                         strip_radius, weighted_l2)
-from muskatjump.errors import DomainError
+from muskatjump.errors import DomainError, WeightRangeError
 from muskatjump.norms import NormReport, _power_weights, _weights
 from muskatjump.spectral import hermitian_symmetrize, product_coefficients
 
@@ -89,6 +89,27 @@ def test_weighted_l2_matches_trapezoid():
     f = forward(x, g)
     quad = np.sqrt(np.sum(x ** 2) * g.spacing)
     assert abs(weighted_l2(f, NormSpec(0.0)) - quad) / quad < 1e-10
+
+
+@pytest.mark.parametrize("nu_t", [0.0, 0.37])
+def test_weighted_l2_matches_the_inline_formula_bitwise(nu_t):
+    g = GridSpec(64, 12 * np.pi)
+    f = random_field(g, np.random.default_rng(6))
+    xi = np.abs(g.wavenumbers())
+    total = np.sum(np.exp(2.0 * nu_t * 1.0 * xi) * np.abs(f.coefficients) ** 2)
+    expected = float(np.sqrt(g.domain_length * total))
+    got = weighted_l2(f, NormSpec(0.0, nu=nu_t, time=1.0) if nu_t else NormSpec(0.0))
+    assert got.hex() == expected.hex()
+
+
+def test_weighted_l2_overflow_guard_threshold():
+    # the squared weight is the weight at 2 nu, so the guard acts at 2 nu t xi_max = 700
+    g = GridSpec(64, 2 * np.pi)
+    f = forward(np.cos(g.nodes()), g)
+    xi_max = float(np.max(np.abs(g.wavenumbers())))
+    assert np.isfinite(weighted_l2(f, NormSpec(0.0, nu=349.0 / xi_max, time=1.0)))
+    with pytest.raises(WeightRangeError, match="at t = 1 exceeds the exponential guard"):
+        weighted_l2(f, NormSpec(0.0, nu=351.0 / xi_max, time=1.0))
 
 
 def test_strip_radius_exponential():
