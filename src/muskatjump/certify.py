@@ -448,40 +448,5 @@ def certify_datum(f0: "InterfaceField", cfg: "FluidConfig") -> Certificate:
     )
 
 
-def l2_growth_rates(cert: Certificate) -> tuple[float, float, float] | None:
-    """Qualitative Gronwall-rate ingredients (c, c_sq, c_lin) for the L2_nu monitor.
-
-    Assembled from the ledger by Young's inequality with the certificate's
-    epsilon: the weighted L2 balance has cross terms bounded by
-
-        d/dt ||f||^2 <= [c + c_sq F32(t)^2 + c_lin F32(t)] ||f||^2
-
-    once the dissipation margin absorbs the gradient terms.  The paper-side
-    object is only existential; this is our explicit reconstruction, used as
-    a monitored upper bound, never as a pass/fail acceptance gate.  None
-    where C14 is undefined.
-    """
-    led = cert.ledger
-    if led.c14 is None:
-        return None
-    ak, am, arho = cert.cfg["a_kappa"], cert.cfg["a_mu"], cert.cfg["a_rho"]
-    a1, c12, c13, c14 = cert.a1, led.c12, led.c13, led.c14
-    d2 = 2.0 * a1 / (1.0 - a1 ** 2) ** 2
-    e2 = led.c6 * a1
-    opm = abs(1.0 + am)
-    c_o1x = e2 + opm * (abs(ak) * led.lambda4 * (1.0 + 0.5 * led.c5)
-                        + 0.5 * led.c5 * led.lambda5) + 0.5 * led.lambda5
-    c_o1fy = d2 + 0.5 * (opm * led.c5 + 1.0) * led.lambda6
-    c_o2x = (0.5 * (led.c0 + led.c2) * a1
-             + (0.5 * opm * led.c5 + math.pi + 0.5) * led.lambda7)
-    c_o2fy = 0.5 * led.c0
-    p_xy = 2.0 * arho * (c12 * c13 * c_o1x + abs(ak) * c14 * c_o2x)
-    p_fxy = 2.0 * arho * (c12 * c_o1fy + abs(ak) * led.c9 * c12 * c_o2fy)
-    p_fyy = 2.0 * arho * (c12 * c13 * c_o1fy + abs(ak) * c14 * c_o2fy)
-    eps = cert.epsilon
-    # a product, unlike **, is inf past the double range: the bound is then vacuous
-    return p_xy * p_xy / eps, p_fxy * p_fxy / eps, 2.0 * p_fyy
-
-
 def config_hash(cfg_dict: dict) -> str:
     return hashlib.sha256(json.dumps(cfg_dict, sort_keys=True).encode()).hexdigest()

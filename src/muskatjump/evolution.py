@@ -19,7 +19,7 @@ import numpy as np
 
 from . import certify
 from .errors import BlowUpError, ConfigurationError, GeometryError, StepSizeError
-from .norms import NormSpec, norm_report, weighted_l2
+from .norms import norm_report
 from .spectral import (GridSpec, SpectralField, dealias, forward, forward_coefficients,
                        hermitian_symmetrize, hilbert, inverse, inverse_coefficients)
 from .vorticity import (DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, DEFAULT_SERIES_TOL,
@@ -112,11 +112,17 @@ def check_leakage(f: InterfaceField, threshold: float) -> None:
         raise GeometryError(f"boundary leakage {leak:.3g} exceeds threshold {threshold:.3g}")
 
 
+def _depth_growth(axi, cfg: FluidConfig):
+    """exp(2 h2 |xi|); inf past the double range, where every quotient by it is its limit 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(2.0 * cfg.h2 * axi)
+
+
 def linear_symbol(xi, cfg: FluidConfig):
     """Exact decay rate m(xi) of the linearized evolution; the linear part is -m(xi) f_hat."""
     axi = np.abs(xi)
     return cfg.a_rho * axi * (
-        1.0 - cfg.a_kappa * (1.0 - cfg.a_mu) / (np.exp(2.0 * cfg.h2 * axi) - cfg.a_kappa * cfg.a_mu)
+        1.0 - cfg.a_kappa * (1.0 - cfg.a_mu) / (_depth_growth(axi, cfg) - cfg.a_kappa * cfg.a_mu)
     )
 
 
@@ -179,7 +185,7 @@ def _nonlinear_diagnostics(f: InterfaceField, cfg: FluidConfig, pair: VorticityP
     fhat = f.f.coefficients
     n_w2 = w2hat - (-cfg.a_kappa * decay * w1hat)
     n_w1 = w1hat - (-cfg.a_mu * decay * w2hat - 2.0 * cfg.a_rho * (1j * xi) * fhat)
-    denom = np.exp(2.0 * cfg.h2 * axi) - cfg.a_kappa * cfg.a_mu
+    denom = _depth_growth(axi, cfg) - cfg.a_kappa * cfg.a_mu
     sgn = np.sign(xi)
     n1 = -0.5j * sgn * decay * n_w2
     n2 = 0.5j * sgn * cfg.a_kappa / denom * n_w1
@@ -221,7 +227,9 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     zs = z[small]
     out[small] = 0.5 + zs / 6.0 + zs ** 2 / 24.0 + zs ** 3 / 120.0
     zb = z[~small]
-    out[~small] = (np.expm1(zb) - zb) / zb ** 2
+    # past |z| = 1.3e154 z^2 is inf, and the quotient its limit 0
+    with np.errstate(over="ignore"):
+        out[~small] = (np.expm1(zb) - zb) / zb ** 2
     return out
 
 
@@ -286,7 +294,6 @@ class TrajectoryRecord:
     """One row per snapshot keyed by ``TRAJECTORY_COLUMNS``, and how the run ended."""
 
     rows: list = field(default_factory=list)
-    l2_bound: list = field(default_factory=list)
     final_state: InterfaceField | None = None
     budget_violated: bool = False
 
@@ -327,15 +334,12 @@ class MonitorState:
     """
 
     integral: dict = field(default_factory=lambda: {0: 0.0, 1: 0.0})
-    f32_max: float = 0.0
-    f32_int: float = 0.0
     correction: np.ndarray | None = None
     kernels: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_payload(self) -> dict:
         hx = lambda v: float(v).hex()
-        payload = {"integral": [hx(self.integral[0]), hx(self.integral[1])],
-                   "f32_max": hx(self.f32_max), "f32_int": hx(self.f32_int)}
+        payload = {"integral": [hx(self.integral[0]), hx(self.integral[1])]}
         if self.correction is not None:
             payload["correction"] = [hx(v) for v in self.correction]
         return payload
@@ -344,7 +348,6 @@ class MonitorState:
     def from_payload(cls, p: dict) -> "MonitorState":
         fh = float.fromhex
         return cls(integral={0: fh(p["integral"][0]), 1: fh(p["integral"][1])},
-                   f32_max=fh(p["f32_max"]), f32_int=fh(p["f32_int"]),
                    correction=(np.array([fh(v) for v in p["correction"]])
                                if "correction" in p else None))
 
@@ -380,8 +383,6 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     coef = {s: max(cfg.a_rho * (th - cert.sigma[s]) - nu, 0.0)
             if cert.sigma[s] is not None else 0.0 for s in (0, 1)}
     rhs0 = (cert.a0, cert.a1)
-    growth = certify.l2_growth_rates(cert)
-    y0 = weighted_l2(f0.f, NormSpec(0.0, nu, f0.time))
 
     rec = TrajectoryRecord()
     n_steps = schedule.n_steps
@@ -396,8 +397,6 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
             dt_snap = t - prev["t"]
             monitor.integral[0] += 0.5 * dt_snap * (prev["F11"] + rep.f11)
             monitor.integral[1] += 0.5 * dt_snap * (prev["F21"] + rep.f21)
-            monitor.f32_int += 0.5 * dt_snap * (prev["F3half"] + rep.f3half)
-        monitor.f32_max = max(monitor.f32_max, rep.f3half)
         lhs = [norm + coef[s] * monitor.integral[s] for s, norm in enumerate((rep.f01, rep.f11))]
         if not all(lhs[s] <= rhs0[s] * (1.0 + 1e-6) for s in (0, 1)):
             rec.budget_violated = True
@@ -406,16 +405,6 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
             t, rep.f01, rep.f11, rep.f21, rep.f3half, rep.l2nu, radius,
             lhs[0], rhs0[0], lhs[1], rhs0[1], leakage(st))))
         rec.rows.append(row)
-        if growth is not None:
-            c, c_sq, c_lin = growth
-            try:
-                rec.l2_bound.append(y0 * math.exp(
-                    0.5 * (c * t + (c_sq * monitor.f32_max + c_lin) * monitor.f32_int)))
-            except OverflowError:
-                # past exp's range the bound says nothing
-                rec.l2_bound.append(math.inf)
-        else:
-            rec.l2_bound.append(float("nan"))
         if on_snapshot is not None:
             on_snapshot(step_index, st, row, monitor)
         if row["leakage"] > opts.leakage_threshold:

@@ -110,21 +110,6 @@ def quad_omega2(f_samples, omega1_samples, cfg, domain_length: float) -> np.ndar
     return -(cfg.a_kappa / np.pi) * wt * np.sum(K * w1[cols], axis=1)
 
 
-def quad_Omega2(f_samples, Omega1_samples, cfg, domain_length: float) -> np.ndarray:
-    """Direct quadrature of the line-side potential-jump integral."""
-    F = np.asarray(f_samples, dtype=float)
-    O1 = np.asarray(Omega1_samples, dtype=float)
-    n, L = len(F), domain_length
-    _grid_checks(n, L, O1)
-    idx = np.arange(n)
-    m, beta, wt = _offsets(n, L, _FULL)
-    cols = (idx[:, None] - m[None, :]) % n
-    dF = _spectral_slope(F, L)
-    a_src = F[cols] + cfg.h2
-    K = _poisson(a_src, beta[None, :], L) + dF[cols] * _conj_poisson(a_src, beta[None, :], L)
-    return -(cfg.a_kappa / np.pi) * wt * np.sum(K * O1[cols], axis=1)
-
-
 def quad_BR_trace(f_samples, omega1_samples, omega2_samples, cfg,
                   domain_length: float, target: str = "fluid_curve"):
     """Induced velocity (u1, u2) on the fluid curve or the flat soil line.

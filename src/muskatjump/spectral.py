@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 _SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
+_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,10 @@ class GridSpec:
         # past this length xi_1^2 is no normal double: F^{2,1} and the strip-radius fit fail
         if 2.0 * np.pi / L < _SQRT_TINY:
             raise ConfigurationError(f"domain_length must keep 2 pi / L >= {_SQRT_TINY:.3g}, "
+                                     f"got {L!r}")
+        # below this length the Nyquist wavenumber pi n / L has no finite square
+        if L <= np.pi * n / _SQRT_MAX:
+            raise ConfigurationError(f"domain_length must keep pi n / L < {_SQRT_MAX:.3g}, "
                                      f"got {L!r}")
 
     @property

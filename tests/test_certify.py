@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muskatjump import FluidConfig, GridSpec, certify, certify_datum, forward, ledger, theta, thresholds
-from muskatjump.certify import _admissible_tau, l2_growth_rates
+from muskatjump.certify import _admissible_tau
 from muskatjump.errors import RegimeError
 from muskatjump.evolution import InterfaceField, Schedule, run
 
@@ -341,13 +341,6 @@ def test_certificate_json_round_trip():
     assert set(blob["margins"]) == {"0", "1", "2"}
 
 
-def test_l2_growth_rates_finite():
-    g = GridSpec(64, 2 * np.pi)
-    cert = certify_datum(InterfaceField(forward(0.005 * np.cos(g.nodes()), g)), REF_CFG)
-    c, c_sq, c_lin = l2_growth_rates(cert)
-    assert all(math.isfinite(v) and v >= 0.0 for v in (c, c_sq, c_lin))
-
-
 def test_thresholds_extreme_contrast_sweep():
     # strong contrasts and shallow/deep permeability lines must never crash
     # and must always return a strictly positive admissible point
@@ -402,5 +395,6 @@ def test_certificate_json_pinned(name):
     cert = certify_datum(f0, cfg)
     assert cert.to_json() == json.dumps(expected, sort_keys=True, indent=2)
     if name == "c12_only":
+        # a ledger without C14 still runs
         rec = run(f0, cfg, Schedule(0.01, 0.01), certificate=cert)
-        assert all(math.isnan(b) for b in rec.l2_bound)
+        assert len(rec.rows) == 2

@@ -155,18 +155,6 @@ def test_picard_contraction_ratio_recorded():
     assert pair.residual <= 1e-11
 
 
-def test_potential_line_response_flat_single_mode():
-    # f = 0, potential cos(a): the line-side response is -A_k e^{-h2} / 2 per mode
-    from muskatjump import oracle
-
-    g = GridSpec(128, 2 * np.pi)
-    O1 = np.cos(g.nodes())
-    out = oracle.quad_Omega2(np.zeros(128), O1, REF_CFG, 2 * np.pi)
-    chat = np.fft.fft(out) / 128
-    want = -REF_CFG.a_kappa * np.exp(-REF_CFG.h2) * 0.5
-    assert abs(chat[1] - want) < 1e-12
-
-
 def test_vorticity_bounds_flat():
     g = GridSpec(128, 2 * np.pi)
     checks = vorticity_bound_check(solve_vorticity(_flat(g), REF_CFG), _flat(g), REF_CFG)
