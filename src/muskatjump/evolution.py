@@ -2,11 +2,13 @@
 
 The graph height advances by (I1 + I2 + I3 + I4)/2pi.  The fast path computes
 the singular part of I1 with the exact Hilbert multiplier, the remaining
-self-induction by the alternating rule, and the line-coupling integrals I3, I4
-on the snapshot's kernel backend (exponential series or quadrature, chosen
-once per snapshot by the rule in ``muskatjump.vorticity``), so large data run
-on quadrature rather than raise.  The exact linear multiplier m(xi) is
-removed and handled by the integrating factor of an ETDRK2 scheme.
+self-induction by the alternating rule (summed by its difference-quotient
+series where that converges, by the O(N^2) rows otherwise), and the
+line-coupling integrals I3, I4 on the snapshot's kernel backend (exponential
+series or quadrature); ``muskatjump.vorticity`` chooses both once per
+snapshot, so large data run on quadrature and the rows rather than raise.
+The exact linear multiplier m(xi) is removed and handled by the integrating
+factor of an ETDRK2 scheme.
 """
 
 from __future__ import annotations
@@ -134,8 +136,9 @@ def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
     first two spectra are pi H(omega1) and the rest of I1 plus I2, which share
     one difference-quotient kernel; ``split_i1`` moves the I1 remainder into
     the first, so the four are I1..I4 one by one.  With a ``carry`` the solve
-    starts from its correction and the kernels reuse its storage; both are
-    updated here.
+    starts from its correction and the difference-quotient rows, where a
+    snapshot uses them, reuse its storage; both are updated here.  The
+    sample-space terms read the solve's own omega1 samples.
     """
     grid = f.f.grid
     carry = carry or MonitorState()
@@ -143,13 +146,15 @@ def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
     pair = solve_vorticity(f, cfg, tol=opts.picard_tol, max_iter=opts.picard_max_iter,
                            workspace=ws, guess=carry.correction)
     p, cp = ws.target_pair(pair.omega2.coefficients)
-    w1 = inverse(pair.omega1)
+    w1 = pair.omega1_samples
     carry.correction = w1 - ws.linear
-    carry.kernels = ws.storage
     head, slope = np.pi * inverse(hilbert(pair.omega1)), ws.slope_terms(w1)
     if split_i1:
         rem = ws.i1_remainder(w1)
         head, slope = head + rem, slope - rem
+    # after the last self term: a solve without iterations (A_mu = 0) first
+    # builds the rows here
+    carry.kernels = ws.storage
     parts = dealias(forward_coefficients(np.array((head, slope, cp, ws.dF * p)), grid), grid)
     # both sides of the split live on the dealiased band, so the remainder is
     # identically zero above the 2/3 cutoff and high modes evolve purely by
@@ -330,7 +335,8 @@ class MonitorState:
     cold.  One written before the solve was preconditioned (omega1 +
     2 A_rho df) still loads as a start, reaching the same strengths, though
     not bit for bit.  ``kernels`` is scratch: the ``vorticity._Workspace``
-    kernel storage, allocated by the first solve and left out of the payload.
+    row storage, allocated by the first solve whose snapshot sums the self
+    terms by the rows, and left out of the payload.
     """
 
     integral: dict = field(default_factory=lambda: {0: 0.0, 1: 0.0})

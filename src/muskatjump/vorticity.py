@@ -17,13 +17,24 @@ truncated exponential series in the interface height when
 tolerance, O(N^2) trapezoid quadrature of the periodized kernels otherwise.
 Large data therefore run on quadrature up to the geometric limit
 min f + h2 > 0 instead of failing.
+
+The self-induction terms are the alternating-rule sums
+sum_m pv_m phi(Delta_m(a)) w(a - m h) over the odd offsets m, with
+Delta_m = (f(a) - f(a - m h)) / (m h) and phi a rational function of Delta.
+On a series snapshot whose ||f||_{F^{1,1}} bounds every |Delta| well below 1,
+phi is expanded geometrically in Delta and Delta^d binomially, so each sum
+becomes a short series of circular convolutions of f^i w with the tables
+pv_m / m^d, O(order^2 N + order N log N) by FFT (Constantin, Cordoba,
+Gancedo & Strain, JEMS 15, 2013, expand the Muskat kernel the same way).
+Where the truncation or rounding bound of that series fails, and on
+quadrature snapshots, the O(N^2) difference-quotient rows serve.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,6 +53,9 @@ DEFAULT_PICARD_MAX_ITER = 80
 # elements per block of the difference-quotient kernel build: a block of each
 # of the two kernels and the 1 + Delta^2 scratch, 256 KB apiece, stay in cache
 _KERNEL_BLOCK = 32768
+# rounding of the self-term series, in ulps of its largest binomial term; at
+# most 0.06 measured over N = 256..1024 and r up to 27
+_SELF_ROUNDING_ULPS = 16.0
 
 
 @dataclass(frozen=True)
@@ -73,13 +87,18 @@ class FluidConfig:
 
 @dataclass(frozen=True)
 class VorticityPair:
-    """Solved sheet strengths with the final Picard residual."""
+    """Solved sheet strengths with the final Picard residual.
+
+    ``omega1_samples`` are the solve's own samples of omega1, which ``omega1``
+    transforms; a consumer in sample space reads them instead of transforming back.
+    """
 
     omega1: SpectralField
     omega2: SpectralField
     residual: float
     iterations: int
     contraction_ratio: float | None = None
+    omega1_samples: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def check_geometry(samples: np.ndarray, cfg: FluidConfig) -> None:
@@ -122,6 +141,96 @@ def _series_weights(grid: GridSpec, h2: float, n_max: int) -> np.ndarray:
     return rows
 
 
+def _odd_offset_pv(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Odd offsets beta_m = m h and their alternating-rule weights 2 h (pi/L) cot(pi beta_m/L)."""
+    beta = odd_offsets(grid) * grid.spacing
+    return beta, pv_kernel_periodic(beta, grid.domain_length) * 2.0 * grid.spacing
+
+
+def _self_series_order(u: float, r: float, tol: float, n_points: int) -> int | None:
+    """Order of the self-term series, or None where the O(N^2) rows serve.
+
+    On the interpolant |Delta_m| <= sup |f'| <= u = ||f||_{F^{1,1}}.  Each
+    self kernel is a power series in Delta whose coefficients are +-1 or
+    +-df, |df| <= u, so truncating it past Delta^order leaves at most
+    u^(order+1)/(1 - u) of the operand sum_m |pv_m| ||w||_inf.  The binomial
+    terms of Delta^d reach (2 ||f||_inf / h)^d = r^d of it (|m| >= 1), times
+    max(1, u) for the df factor, and cancel: their rounding must stay below
+    the tolerance too.  Both bounds are held to tol / 100, a tenth of the
+    line-coupling series' share, as this scale is the operand's own size and
+    not a floor of 1: at tol / 10 the decay case moved by 1e-12 relative in
+    F^{2,1} over 100 steps against the rows, at tol / 100 by 6e-15.  A series
+    with (order + 1)^2 > N/3 would cost more than the rows (measured at
+    N = 256..2048), so it is not taken.
+    """
+    target = tol / 100.0
+    if not u < 1.0:
+        return None
+    order = 0
+    while u ** (order + 1) / (1.0 - u) > target:
+        order += 1
+        if 3 * (order + 1) ** 2 > n_points:
+            return None
+    # sum_{d <= order} r^d; one past the double range fails the test anyway
+    if order * math.log(max(r, 1.0)) > 700.0:
+        return None
+    size = sum(r ** d for d in range(order + 1))
+    if _SELF_ROUNDING_ULPS * np.finfo(float).eps * max(1.0, u) * size > target:
+        return None
+    return order
+
+
+@lru_cache(maxsize=32)
+def _pv_power_spectra(grid: GridSpec, order: int) -> np.ndarray:
+    """Read-only half spectra of the tables pv_m / m^d, d = 0..order.
+
+    Row d holds pv_m / m^d at index m mod n for each odd offset m and 0 at the
+    even ones, so its circular convolution with samples w is the
+    alternating-rule sum sum_m pv_m m^-d w(a - m h).
+    """
+    n = grid.n_points
+    m = odd_offsets(grid)
+    rows = np.zeros((order + 1, n))
+    rows[:, m % n] = _odd_offset_pv(grid)[1] / m.astype(float) ** np.arange(order + 1)[:, None]
+    spectra = np.fft.rfft(rows)
+    spectra.flags.writeable = False
+    return spectra
+
+
+@lru_cache(maxsize=32)
+def _self_series_mixes(order: int) -> dict:
+    """Index pairs and mixing matrices of the three self-term series of one order; read-only.
+
+    A kernel phi(Delta) = sum_d (alpha_d + beta_d df) Delta^d against pv_m sums
+    to sum_j F^j (A_j + df B_j), F = f/h, with A_j and B_j circular
+    convolutions: Delta_m^d = (F(a) - F(a - m h))^d / m^d expands binomially
+    into C(d, j) (-1)^i F(a)^j F(a - m h)^i, i = d - j, so A_j sums
+    alpha_d C(d, j) (-1)^i (pv / m^d) * (F^i w) over the pairs (d, i) with
+    d - i = j.  An operator's matrix maps the pairs to its rows A_0..A_order
+    and, where df enters, B_0..B_order.
+    """
+    d, i = (a.ravel() for a in np.meshgrid(np.arange(order + 1), np.arange(order + 1),
+                                           indexing="ij"))
+    keep = i <= d
+    d, i = d[keep], i[keep]
+    j = d - i
+    binom = np.array([math.comb(int(dd), int(jj)) for dd, jj in zip(d, j)]) * (-1.0) ** i
+    # coefficients of Delta^k in 1/(1 + Delta^2), Delta/(1 + Delta^2), Delta^2/(1 + Delta^2)
+    k = np.arange(order + 1)
+    even = np.where(k % 2 == 0, (-1.0) ** (k // 2), 0.0)
+    odd = np.concatenate(([0.0], even[:-1]))
+    square = np.concatenate(([0.0], odd[:-1]))
+    out = {"d": d, "i": i}
+    for name, coefs in (("self", (-odd, even)), ("slope", (-square, odd)), ("i1", (-square,))):
+        mix = np.zeros((len(coefs) * (order + 1), len(d)))
+        for p, c in enumerate(coefs):
+            mix[p * (order + 1) + j, np.arange(len(d))] = c[d] * binom
+        out[name] = mix
+    for a in out.values():
+        a.flags.writeable = False
+    return out
+
+
 class _Workspace:
     """Kernel backend of one interface snapshot.
 
@@ -136,12 +245,16 @@ class _Workspace:
     are built here once.  So are the f powers, kept as real 2N-padded
     samples in one (n_max, 2N) float array, with the series weights on the
     half spectrum k = 0..N/2 (see ``spectral``), or the dense target-side
-    Poisson and conjugate-Poisson matrices.  The difference-quotient kernels
-    are built on first use, into ``storage``: a (2, N/2, N) array that
-    successive snapshots of one run may share.  The build runs in blocks of
-    offset rows of ``_KERNEL_BLOCK`` elements, so each block's elementwise
+    Poisson and conjugate-Poisson matrices.  A series snapshot whose
+    self-term series meets its bounds (``_self_series_order``) keeps the
+    powers (f/h)^0..(f/h)^order of the samples and evaluates the three self
+    terms by that series; ``self_order`` is None where the
+    difference-quotient rows serve instead.  The rows are built on first use,
+    into ``storage``: a (2, N/2, N) array that successive snapshots of one
+    run may share, allocated there when not given.  The build runs in blocks
+    of offset rows of ``_KERNEL_BLOCK`` elements, so each block's elementwise
     passes stay in cache and the O(N^2) build allocates no O(N^2)
-    temporaries.  Without ``storage`` the workspace allocates its own.
+    temporaries.
     """
 
     def __init__(self, f, cfg: FluidConfig, series_tol: float, method: str | None = None,
@@ -152,7 +265,7 @@ class _Workspace:
         self.F = inverse(fld)
         check_geometry(self.F, cfg)
         n = grid.n_points
-        self.storage = np.empty((2, n // 2, n)) if storage is None else storage
+        self.storage = storage
         dfld = derivative(fld)
         self.dF = inverse(dfld)
         self.multiplier = 1.0 / (1.0 - cfg.a_kappa * cfg.a_mu
@@ -161,19 +274,28 @@ class _Workspace:
             -2.0 * cfg.a_rho * self.multiplier * dfld.coefficients))
         if method not in (None, "series", "quadrature"):
             raise ConfigurationError(f"unknown method {method!r}")
-        n_max = None
+        n_max = self_order = None
         if method != "quadrature":
             a0 = fourier_norm(fld, NormSpec(0.0))
+            a1 = fourier_norm(fld, NormSpec(1.0))
             if method == "series" or a0 < 0.9 * cfg.h2:
                 # strength norms scale like 2 A_rho C1 a1; keep the majorant
                 # honest for large density contrasts
-                scale = max(1.0, 4.0 * cfg.a_rho * fourier_norm(fld, NormSpec(1.0)))
+                scale = max(1.0, 4.0 * cfg.a_rho * a1)
                 n_max = _series_nmax(a0 / cfg.h2, scale, series_tol, cfg.h2)
             if method == "series" and n_max is None:
                 raise MethodUnavailableError(
                     f"series tail bound unattainable: ||f||_F01 = {a0:.3g}, h2 = {cfg.h2:.3g}"
                 )
-        self.n_max = n_max
+            if n_max is not None:
+                r = 2.0 * float(np.max(np.abs(self.F))) / grid.spacing
+                self_order = _self_series_order(a1, r, series_tol, n)
+        self.n_max, self.self_order = n_max, self_order
+        if self_order is not None:
+            # F^0, ..., F^order of F = f/h, one row each, by products (not pow)
+            powers = np.ones((self_order + 1, n))
+            powers[1:] = self.F / grid.spacing
+            self._scaled_powers = np.cumprod(powers, axis=0)
         if n_max is not None:
             self.weights = _series_weights(grid, cfg.h2, n_max)
             # f, f^2, ..., f^n_max as padded samples, each a dealiased product
@@ -228,9 +350,7 @@ class _Workspace:
     @cached_property
     def _offset_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """1/beta and the pv weights at the odd offsets, as columns."""
-        grid = self.grid
-        beta = odd_offsets(grid) * grid.spacing
-        pv = pv_kernel_periodic(beta, grid.domain_length) * 2.0 * grid.spacing
+        beta, pv = _odd_offset_pv(self.grid)
         return (1.0 / beta)[:, None], pv[:, None]
 
     @cached_property
@@ -240,11 +360,14 @@ class _Workspace:
         One row per odd offset m, written in place into the storage, one block
         of rows at a time; 1 + Delta^2 of a block lives in a block-sized
         scratch.  Every element sees the same operations as in one pass over
-        all rows, so the kernels do not depend on the block size.
+        all rows, so the kernels do not depend on the block size.  The
+        (2, N/2, N) storage is allocated here, on first use, unless given.
         """
         inv_beta, pv = self._offset_weights
-        delta, kernel = self.storage
         F, dF = self.F, self.dF
+        if self.storage is None:
+            self.storage = np.empty((2, len(F) // 2, len(F)))
+        delta, kernel = self.storage
         rows = odd_offset_rows(F)
         block = max(1, _KERNEL_BLOCK // len(F))
         scratch = np.empty((min(block, len(delta)), len(F)))
@@ -266,17 +389,40 @@ class _Workspace:
         # alternating-rule sum over odd offsets m: sum_m kernel[m, a] w[a - m]
         return np.einsum("ja,ja->a", kernel, odd_offset_rows(w))
 
+    def _series_sum(self, w: np.ndarray, name: str) -> np.ndarray:
+        """The alternating-rule sum of one self kernel, by its truncated Delta series.
+
+        One batched forward transform of F^i w, one contraction of their
+        spectra with the pv / m^d tables, one batched inverse transform, then
+        sum_j F^j (A_j + df B_j) (see ``_self_series_mixes``).
+        """
+        order, n = self.self_order, self.grid.n_points
+        mix = _self_series_mixes(order)
+        powers = self._scaled_powers
+        ghat = np.fft.rfft(powers * w)
+        terms = _pv_power_spectra(self.grid, order)[mix["d"]] * ghat[mix["i"]]
+        # the weights are real: one real product on the interleaved spectra
+        spectra = (mix[name] @ terms.view(float)).view(complex)
+        acc = np.sum(np.fft.irfft(spectra, n).reshape(-1, order + 1, n) * powers, axis=1)
+        return acc[0] + self.dF * acc[1] if len(acc) == 2 else acc[0]
+
     def self_induction(self, w1: np.ndarray) -> np.ndarray:
         """Self-induced term of the fluid-sheet strength equation."""
+        if self.self_order is not None:
+            return self._series_sum(w1, "self")
         return self._gather(self._kernels[1], w1)
 
     def slope_terms(self, w1: np.ndarray) -> np.ndarray:
         """(I1 - pi H w1) + I2 as one kernel, Delta (df - Delta) / (1 + Delta^2)."""
+        if self.self_order is not None:
+            return self._series_sum(w1, "slope")
         delta, kernel = self._kernels
         return np.einsum("ja,ja,ja->a", delta, kernel, odd_offset_rows(w1))
 
     def i1_remainder(self, w1: np.ndarray) -> np.ndarray:
         """I1 - pi H w1 alone: -Delta^2 / (1 + Delta^2) against the pv kernel."""
+        if self.self_order is not None:
+            return self._series_sum(w1, "i1")
         delta, pv = self._kernels[0], self._offset_weights[1]
         return self._gather(-(delta ** 2) / (1.0 + delta ** 2) * pv, w1)
 
@@ -327,7 +473,8 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
                 history,
             )
     return VorticityPair(forward(w1, grid), SpectralField(grid, ws.omega2(w1)),
-                         residual=delta, iterations=it, contraction_ratio=ratio)
+                         residual=delta, iterations=it, contraction_ratio=ratio,
+                         omega1_samples=w1)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,19 @@ def exp_spectrum_bump(grid: GridSpec, amplitude: float, rate: float) -> Interfac
     return InterfaceField(SpectralField(grid, hermitian_symmetrize(c), 0.0), 0.0)
 
 
+def decay_packet(grid: GridSpec, a0_target: float = 0.034, xc: float = 0.01,
+                 xi_hi: float = 0.5) -> InterfaceField:
+    """The criterion-4 decay datum: zero-mean, coefficient envelope ~1/|xi| over [xc, xi_hi]."""
+    xi = grid.wavenumbers()
+    axi = np.abs(xi)
+    env = xc * axi ** 2 / (xc ** 2 + axi ** 2) ** 1.5 * np.exp(-((axi / xi_hi) ** 2))
+    env[0] = 0.0
+    env[grid.nyquist_index()] = 0.0
+    c = hermitian_symmetrize(env * np.exp(-1j * xi * grid.domain_length / 2.0))
+    c = c * (a0_target / np.sum(np.abs(c)))
+    return InterfaceField(SpectralField(grid, c, 0.0), 0.0)
+
+
 def lowfreq_packet(grid: GridSpec, a0_target: float, xc: float = 0.02,
                    xi_hi: float = 1.0) -> InterfaceField:
     """Zero-mean bump with |c_k| flat below xc and ~ 1/|xi| up to the cutoff.

@@ -20,7 +20,8 @@ from muskatjump.norms import decay_fit
 from muskatjump.spectral import SpectralField, hermitian_symmetrize
 from muskatjump.vorticity import solve_vorticity, vorticity_bound_check
 
-from helpers import REF_CFG, gaussian_bump, random_admissible_interface, theta_reference_scan
+from helpers import (REF_CFG, decay_packet, gaussian_bump, random_admissible_interface,
+                     theta_reference_scan)
 
 REPORT = []
 
@@ -92,23 +93,10 @@ def test_criterion_03_oracle_equivalence():
             f"omega2 rel {rel_w2:.2e}, rhs rel {rel_rhs:.2e}, {elapsed:.1f}s")
 
 
-def _decay_packet(grid: GridSpec, a0_target: float = 0.034, xc: float = 0.01,
-                  xi_hi: float = 0.5) -> InterfaceField:
-    """Zero-mean datum whose coefficient envelope is ~1/|xi| over [xc, xi_hi]."""
-    xi = grid.wavenumbers()
-    axi = np.abs(xi)
-    env = xc * axi ** 2 / (xc ** 2 + axi ** 2) ** 1.5 * np.exp(-((axi / xi_hi) ** 2))
-    env[0] = 0.0
-    env[grid.nyquist_index()] = 0.0
-    c = hermitian_symmetrize(env * np.exp(-1j * xi * grid.domain_length / 2.0))
-    c = c * (a0_target / np.sum(np.abs(c)))
-    return InterfaceField(SpectralField(grid, c, 0.0), 0.0)
-
-
 @pytest.fixture(scope="module")
 def decay_run():
     g = GridSpec(512, 400 * np.pi)
-    f0 = _decay_packet(g)
+    f0 = decay_packet(g)
     cert = mj.certify_datum(f0, REF_CFG)
     assert cert.verdict == "admissible"
     t0 = time.time()

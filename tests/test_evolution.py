@@ -20,7 +20,7 @@ from muskatjump.vorticity import solve_vorticity
 
 from muskatjump.spectral import hermitian_symmetrize
 
-from helpers import REF_CFG, gaussian_bump, random_admissible_interface
+from helpers import REF_CFG, decay_packet, gaussian_bump, random_admissible_interface
 
 L12 = 12 * np.pi
 
@@ -360,6 +360,15 @@ def _assert_step_spectra_hermitian(f: InterfaceField):
     for c in (fhat, n0, stage, n1, new.f.coefficients,
               br.linear_part.coefficients, br.nonlinear_part.coefficients):
         assert np.array_equal(c, hermitian_symmetrize(c))
+
+
+def test_decay_step_allocates_no_row_storage():
+    # on the acceptance decay datum every self term is summed by its series:
+    # a step leaves the carried strength correction and no O(N^2) storage
+    g = GridSpec(512, 400 * np.pi)
+    carry = MonitorState()
+    step(decay_packet(g), 0.1, REF_CFG, SolverOptions(leakage_threshold=1e-3), carry=carry)
+    assert carry.correction is not None and carry.kernels is None
 
 
 @pytest.mark.parametrize("amplitude", [0.01, 0.3])
