@@ -433,12 +433,20 @@ def main(argv=None) -> int:
     # parser was built (a tracer's wrapper, a test's stub) is the one that runs
     handler = {"run": cmd_run, "certify": cmd_certify, "linear": cmd_linear,
                "oracle-check": cmd_oracle_check, "sweep": cmd_sweep}[args.command]
+    code = EXIT_OK
     try:
-        return handler(args)
+        code = handler(args)
+        # a reader that left before the buffered output was written shows
+        # here at the latest
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``certify | head -1``): the output
+        # ends there, the command does not fail; devnull takes the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except tuple(_EXIT_CODES) as exc:
         code = _exit_code(exc)
         print(f"{_EXIT_LABELS[code]}: {exc}", file=sys.stderr)
-        return code
+    return code
 
 
 if __name__ == "__main__":

@@ -21,10 +21,6 @@ class WeightRangeError(OverflowError):
     """An analyticity weight exp(nu t |xi|) lies past the exponential guard."""
 
 
-class MethodUnavailableError(RuntimeError):
-    """The requested evaluation method cannot meet its error bound for this input."""
-
-
 class PicardDivergenceError(RuntimeError):
     """Fixed-point vorticity solve did not contract.
 

@@ -3,10 +3,10 @@
 The graph height advances by (I1 + I2 + I3 + I4)/2pi.  The fast path computes
 the singular part of I1 with the exact Hilbert multiplier, the remaining
 self-induction by the alternating rule (summed by its difference-quotient
-series where that converges, by the O(N^2) rows otherwise), and the
-line-coupling integrals I3, I4 on the snapshot's kernel backend (exponential
-series or quadrature); ``muskatjump.vorticity`` chooses both once per
-snapshot, so large data run on quadrature and the rows rather than raise.
+series where that converges, by the O(N^2) rows otherwise, chosen once per
+snapshot), and the line-coupling integrals I3, I4 by the snapshot's
+Chebyshev interpolant in the height (``muskatjump.vorticity``), so large data
+run on the rows rather than raise.
 The exact linear multiplier m(xi) is removed and handled by the integrating
 factor of an ETDRK2 scheme.
 """

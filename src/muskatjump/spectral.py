@@ -6,19 +6,23 @@ Conventions used throughout the package:
   and ``k`` in ``{-n/2+1, ..., n/2}``; coefficients are stored in numpy FFT
   order, ``forward`` divides by ``n`` so single modes have O(1) coefficients.
 * The Nyquist mode is forced to zero after every multiplier application.
-* Nonlocal kernels are the closed-form periodizations of the real-line
-  kernels ``a/(x^2+a^2)``, ``x/(x^2+a^2)`` and ``pv 1/x``; on the discrete
-  mode set their transforms equal the whole-line formulas ``pi exp(-a|xi|)``,
-  ``-i pi sgn(xi) exp(-a|xi|)`` and ``-i pi sgn(xi)`` exactly, which is what
-  makes the quadrature and multiplier code paths comparable at 1e-8.
-* Products are formed on the 2n-point grid with real transforms.  A real
-  field's spectrum is read on its half k = 0..n/2 (the rest is the complex
-  conjugate mirror), and ``padded_samples`` turns it into real samples.  The
+* The line-coupling kernels ``a/(x^2+a^2)`` and ``x/(x^2+a^2)`` enter only
+  through their whole-line transforms ``pi exp(-a|xi|)`` and
+  ``-i pi sgn(xi) exp(-a|xi|)``, which their periodizations over L share on
+  the discrete mode set.  ``pv 1/x`` is periodized in closed form for the
+  alternating-offset rule, which then reproduces ``-i pi sgn(xi)`` exactly.
+* A real field's spectrum is read on its half k = 0..n/2 (the rest is the
+  complex conjugate mirror); ``hermitian_extension`` restores the full n
+  coefficients.
+* ``product_coefficients`` is an alias-free product on the 2n-point grid with
+  real transforms, the reference the norm-algebra tests build products with;
+  the package forms its own products in sample space and dealiases them.
+  ``padded_samples`` turns a half spectrum into real 2n-grid samples.  The
   n-grid Nyquist slot stands for both +n/2 and -n/2, which are distinct
   modes on the 2n grid, so its coefficient enters each at half weight: the
   samples carry c_{n/2} cos(pi n a / L), the real band-limited interpolant.
   ``padded_coefficients`` returns the half spectrum of 2n-grid samples cut to
-  k <= n/3, and ``hermitian_extension`` restores the full n coefficients.
+  k <= n/3.
 """
 
 from __future__ import annotations
@@ -180,21 +184,7 @@ def conj_poisson_hat(a: float, xi) -> complex | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Periodized kernels (closed forms; no numerical image sums).
-
-def poisson_kernel_periodic(a, beta, L: float):
-    """Periodization of a/(x^2+a^2) over period L, in closed form."""
-    r = 2.0 * np.pi * np.asarray(a) / L
-    return (np.pi / L) * np.sinh(r) / (np.cosh(r) - np.cos(2.0 * np.pi * np.asarray(beta) / L))
-
-
-def conj_poisson_kernel_periodic(a, beta, L: float):
-    """Periodization of x/(x^2+a^2) over period L, in closed form."""
-    r = 2.0 * np.pi * np.asarray(a) / L
-    return (np.pi / L) * np.sin(2.0 * np.pi * np.asarray(beta) / L) / (
-        np.cosh(r) - np.cos(2.0 * np.pi * np.asarray(beta) / L)
-    )
-
+# The periodized principal-value kernel and its alternating-offset rule.
 
 def pv_kernel_periodic(beta, L: float):
     """Periodization of pv 1/x over period L: (pi/L) cot(pi beta / L)."""

@@ -10,24 +10,23 @@ M(xi) = 1 / (1 - A_kappa A_mu e^{-2 h2 |xi|}), seeded at the linear strength
 M (-2 A_rho df/da) plus the nonlinear correction of a previous solve when one
 is at hand.
 
-All nonlocal operators of one interface snapshot are evaluated by one kernel
-backend, chosen once per snapshot by a single rule: an O(n_max N log N)
-truncated exponential series in the interface height when
-||f||_{F^{0,1}} < 0.9 h2 and the series tail bound meets the series
-tolerance, O(N^2) trapezoid quadrature of the periodized kernels otherwise.
-Large data therefore run on quadrature up to the geometric limit
-min f + h2 > 0 instead of failing.
+The line couples to the interface only through the Poisson kernel at depth
+h2 + f, whose symbol e^{-(h2 + f)|xi|} is entire in f.  It is interpolated in
+f at p first-kind Chebyshev points on [min f, max f], so the line-coupling
+integrals become p batched transforms weighted by Lagrange values; this
+converges geometrically up to the geometric limit min f + h2 > 0 (Trefethen,
+Approximation Theory and Approximation Practice, SIAM 2013, ch. 4 and 8).
 
 The self-induction terms are the alternating-rule sums
 sum_m pv_m phi(Delta_m(a)) w(a - m h) over the odd offsets m, with
 Delta_m = (f(a) - f(a - m h)) / (m h) and phi a rational function of Delta.
-On a series snapshot whose ||f||_{F^{1,1}} bounds every |Delta| well below 1,
+On a snapshot whose ||f||_{F^{1,1}} bounds every |Delta| well below 1,
 phi is expanded geometrically in Delta and Delta^d binomially, so each sum
 becomes a short series of circular convolutions of f^i w with the tables
 pv_m / m^d, O(order^2 N + order N log N) by FFT (Constantin, Cordoba,
 Gancedo & Strain, JEMS 15, 2013, expand the Muskat kernel the same way).
-Where the truncation or rounding bound of that series fails, and on
-quadrature snapshots, the O(N^2) difference-quotient rows serve.
+Where the truncation or rounding bound of that series fails, the O(N^2)
+difference-quotient rows serve; that choice is the only one made per snapshot.
 """
 
 from __future__ import annotations
@@ -39,13 +38,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import certify
-from .errors import (ConfigurationError, GeometryError, MethodUnavailableError,
-                     PicardDivergenceError, RegimeError)
+from .errors import ConfigurationError, GeometryError, PicardDivergenceError, RegimeError
 from .norms import NormSpec, fourier_norm
-from .spectral import (GridSpec, SpectralField, conj_poisson_kernel_periodic,
-                       derivative, forward, hermitian_extension, inverse,
-                       inverse_coefficients, odd_offset_rows, odd_offsets, padded_coefficients,
-                       padded_samples, poisson_kernel_periodic, pv_kernel_periodic)
+from .spectral import (GridSpec, SpectralField, derivative, forward, hermitian_extension,
+                       inverse, odd_offset_rows, odd_offsets, pv_kernel_periodic)
 
 DEFAULT_SERIES_TOL = 1e-10
 DEFAULT_PICARD_TOL = 1e-11
@@ -108,37 +104,59 @@ def check_geometry(samples: np.ndarray, cfg: FluidConfig) -> None:
         raise GeometryError(f"interface touches the permeability line (min f + h2 = {gap:.3g})")
 
 
-def _series_nmax(a_over_h: float, norm_scale: float, tol: float, h2: float) -> int | None:
-    """Smallest n_max with the exponential-series majorant tail below tol/10.
+@lru_cache(maxsize=32)
+def _flat_spectra(grid: GridSpec, cfg: FluidConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only preconditioner M(xi) in FFT order and |xi| on k = 0..N/2."""
+    axi = np.abs(grid.wavenumbers())
+    multiplier = 1.0 / (1.0 - cfg.a_kappa * cfg.a_mu * np.exp(-2.0 * cfg.h2 * axi))
+    half = axi[: grid.nyquist_index() + 1]
+    multiplier.flags.writeable = half.flags.writeable = False
+    return multiplier, half
 
-    Term n is bounded by (n/h2)^n e^-n/n! * a0^n * norm_scale and the term
-    ratio is below a0/h2, so the tail after n_max is geometric.
+
+def _coupling_nodes(gap: float, rho: float, xi_max: float, scale: float, tol: float,
+                    n_points: int) -> int:
+    """Node count p of the line-coupling interpolant on [min f, max f] = c + rho [-1, 1].
+
+    The symbol's Chebyshev coefficients are 2 (-1)^k e^{-(h2 + c)|xi|} I_k(rho |xi|)
+    and the interpolant is off by at most twice those past degree p - 1.  p is
+    the smallest count whose tail, on operands of size ``scale``, stays below
+    tol / 10 by either of two bounds on I_k(z), with gap = h2 + min f:
+    (a) (z/2)^k e^z / k!: term k is at most 2 sup_{|xi| <= xi_max}
+        e^{-gap |xi|} (rho |xi| / 2)^k / k!, whose ratio to the last is at most
+        rho / (2 gap) inside |xi| < xi_max and rho xi_max / (2 (k + 1)) once the
+        sup sits at xi_max (k >= gap xi_max);
+    (b) e^{z cosh s - k s} for any s > 0 (e^{z (u + 1/u) / 2} = sum_k I_k(z) u^k
+        has no negative term at u = e^s): the error is at most
+        4 e^{|xi| (rho cosh s - h2 - c) - p s} / (1 - e^{-s}), whose |xi| term
+        vanishes at s0 = acosh(1 + gap / rho); past s0 it is taken at xi_max
+        with sinh s = p / (rho xi_max).  (b) is the sharper where rho xi_max is
+        large.
+    Past n_points nodes the grid cannot resolve the coupling: GeometryError.
     """
-    if a_over_h >= 1.0:
-        return None
-    target = tol / 10.0
-    for nmax in range(1, 400):
-        n = nmax + 1
-        lead = math.exp(certify._log_env(n, h2)) * (a_over_h * h2) ** n * norm_scale
-        if lead / (1.0 - a_over_h) < target:
-            return nmax
-    return None
-
-
-def _series_weights(grid: GridSpec, h2: float, n_max: int) -> np.ndarray:
-    """Rows e^{-h2|xi|} (-|xi|)^n / n! for n = 0..n_max on k = 0..n/2, Nyquist zeroed.
-
-    Built by recurrence: |xi|^n and n! each overflow a double long before
-    their ratio does.
-    """
-    half = grid.nyquist_index()
-    axi = np.abs(grid.wavenumbers()[: half + 1])
-    rows = np.empty((n_max + 1, half + 1))
-    rows[0] = np.exp(-h2 * axi)
-    rows[0, half] = 0.0
-    for n in range(1, n_max + 1):
-        rows[n] = rows[n - 1] * (-axi / n)
-    return rows
+    if rho == 0.0:
+        return 1
+    # in logs: rho, tol and the scale may sit at either end of the double range
+    log_target = math.log(tol) - math.log(40.0 * scale)
+    knee = gap * xi_max
+    s0 = math.acosh(1.0 + gap / rho)
+    for p in range(1, n_points + 1):
+        if p < knee:
+            log_t = p * (math.log(rho) - math.log(2.0)) + certify._log_env(p, gap)
+            ratio = rho / (2.0 * gap)
+        else:
+            log_t = p * (math.log(rho) + math.log(xi_max / 2.0)) - knee - math.lgamma(p + 1)
+            ratio = rho * xi_max / (2.0 * (p + 1))
+        if ratio < 1.0 and log_t - math.log1p(-ratio) < log_target:
+            return p
+        q = p / (rho * xi_max)
+        s = max(s0, math.asinh(q))
+        # xi_max (rho cosh s - h2 - c) at sinh s = q, without cosh of a large s
+        lift = p / (math.sqrt(1.0 + (1.0 / q) * (1.0 / q)) + 1.0 / q) - knee if s > s0 else 0.0
+        if lift - p * s - math.log(-math.expm1(-s)) < log_target:
+            return p
+    raise GeometryError(f"the line coupling needs more than {n_points} interpolation nodes "
+                        f"(min f + h2 = {gap:.3g}, (max f - min f)/2 = {rho:.3g})")
 
 
 def _odd_offset_pv(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +175,7 @@ def _self_series_order(u: float, r: float, tol: float, n_points: int) -> int | N
     terms of Delta^d reach (2 ||f||_inf / h)^d = r^d of it (|m| >= 1), times
     max(1, u) for the df factor, and cancel: their rounding must stay below
     the tolerance too.  Both bounds are held to tol / 100, a tenth of the
-    line-coupling series' share, as this scale is the operand's own size and
+    line-coupling interpolant's share, as this scale is the operand's own size and
     not a floor of 1: at tol / 10 the decay case moved by 1e-12 relative in
     F^{2,1} over 100 steps against the rows, at tol / 100 by 6e-15.  A series
     with (order + 1)^2 > N/3 would cost more than the rows (measured at
@@ -234,21 +252,15 @@ def _self_series_mixes(order: int) -> dict:
 class _Workspace:
     """Kernel backend of one interface snapshot.
 
-    Checks the geometry and picks the evaluation rule once: the exponential
-    series in the interface height when ||f||_{F^{0,1}} < 0.9 h2 and its
-    majorant tail, for operands of size max(1, 4 A_rho ||f||_{F^{1,1}}), meets
-    series_tol; trapezoid quadrature of the periodized kernels otherwise.
-    ``method`` forces one rule (a forced series raises MethodUnavailableError
-    when no order meets the tolerance).
-    The strength solve's preconditioner ``multiplier`` M(xi) and its seed
-    ``linear``, the samples of the flat-interface strength M (-2 A_rho df),
-    are built here once.  So are the f powers, kept as real 2N-padded
-    samples in one (n_max, 2N) float array, with the series weights on the
-    half spectrum k = 0..N/2 (see ``spectral``), or the dense target-side
-    Poisson and conjugate-Poisson matrices.  A series snapshot whose
-    self-term series meets its bounds (``_self_series_order``) keeps the
-    powers (f/h)^0..(f/h)^order of the samples and evaluates the three self
-    terms by that series; ``self_order`` is None where the
+    Checks the geometry and builds once what every Picard iteration reads:
+    the preconditioner ``multiplier`` M(xi), cached per (grid, fluid), and
+    its seed ``linear``, the samples of M (-2 A_rho df); the Poisson symbols
+    e^{-(h2 + f_j)|xi|} at the ``coupling_nodes`` Chebyshev points f_j on
+    k = 0..N/2 (Nyquist zeroed) and the Lagrange values l_j(f(a)), from the
+    discrete orthogonality of T_k at the nodes, which divides by nothing.
+    Where the self-term series meets its bounds (``_self_series_order``) it
+    keeps the powers (f/h)^0..(f/h)^order of the samples and evaluates the
+    three self terms by that series; ``self_order`` is None where the
     difference-quotient rows serve instead.  The rows are built on first use,
     into ``storage``: a (2, N/2, N) array that successive snapshots of one
     run may share, allocated there when not given.  The build runs in blocks
@@ -257,95 +269,74 @@ class _Workspace:
     temporaries.
     """
 
-    def __init__(self, f, cfg: FluidConfig, series_tol: float, method: str | None = None,
+    def __init__(self, f, cfg: FluidConfig, series_tol: float,
                  storage: np.ndarray | None = None):
         fld = f.f
         grid = fld.grid
-        self.fld, self.grid, self.cfg = fld, grid, cfg
+        self.grid, self.cfg = grid, cfg
         self.F = inverse(fld)
         check_geometry(self.F, cfg)
         n = grid.n_points
         self.storage = storage
         dfld = derivative(fld)
         self.dF = inverse(dfld)
-        self.multiplier = 1.0 / (1.0 - cfg.a_kappa * cfg.a_mu
-                                 * np.exp(-2.0 * cfg.h2 * np.abs(grid.wavenumbers())))
+        self.multiplier, axi = _flat_spectra(grid, cfg)
         self.linear = inverse(dfld.with_coefficients(
             -2.0 * cfg.a_rho * self.multiplier * dfld.coefficients))
-        if method not in (None, "series", "quadrature"):
-            raise ConfigurationError(f"unknown method {method!r}")
-        n_max = self_order = None
-        if method != "quadrature":
-            a0 = fourier_norm(fld, NormSpec(0.0))
-            a1 = fourier_norm(fld, NormSpec(1.0))
-            if method == "series" or a0 < 0.9 * cfg.h2:
-                # strength norms scale like 2 A_rho C1 a1; keep the majorant
-                # honest for large density contrasts
-                scale = max(1.0, 4.0 * cfg.a_rho * a1)
-                n_max = _series_nmax(a0 / cfg.h2, scale, series_tol, cfg.h2)
-            if method == "series" and n_max is None:
-                raise MethodUnavailableError(
-                    f"series tail bound unattainable: ||f||_F01 = {a0:.3g}, h2 = {cfg.h2:.3g}"
-                )
-            if n_max is not None:
-                r = 2.0 * float(np.max(np.abs(self.F))) / grid.spacing
-                self_order = _self_series_order(a1, r, series_tol, n)
-        self.n_max, self.self_order = n_max, self_order
-        if self_order is not None:
+        a1 = fourier_norm(fld, NormSpec(1.0))
+        lo, hi = float(np.min(self.F)), float(np.max(self.F))
+        center, rho = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        # strength norms scale like 2 A_rho C1 a1; keep the bound honest for
+        # large density contrasts
+        p = self.coupling_nodes = _coupling_nodes(cfg.h2 + lo, rho, float(axi[-1]),
+                                                  max(1.0, 4.0 * cfg.a_rho * a1), series_tol, n)
+        k = np.arange(p)
+        theta = np.pi * (k + 0.5) / p  # the nodes are center + rho cos(theta_j)
+        self._decay = np.exp(-np.outer(cfg.h2 + center + rho * np.cos(theta), axi))
+        self._decay[:, -1] = 0.0
+        # l_j(x) = (1/p) (1 + 2 sum_{k=1}^{p-1} T_k(x_j) T_k(x)), T_k(x_j) = cos(k theta_j),
+        # T_k(x) by its recurrence; a flat interface (rho = 0) has p = 1 and l_0 = 1
+        x = np.clip((self.F - center) / (rho or 1.0), -1.0, 1.0)
+        cheb = np.ones((p, n))
+        cheb[1:2] = x
+        for j in range(2, p):
+            cheb[j] = 2.0 * x * cheb[j - 1] - cheb[j - 2]
+        weights = np.where(k == 0, 1.0, 2.0) / p * np.cos(np.outer(theta, k))
+        # einsum, not matmul: a p x p product needs no BLAS, whose first call
+        # allocates its buffers
+        self._lagrange = np.einsum("jk,ka->ja", weights, cheb)
+        r = 2.0 * float(np.max(np.abs(self.F))) / grid.spacing
+        self.self_order = _self_series_order(a1, r, series_tol, n)
+        if self.self_order is not None:
             # F^0, ..., F^order of F = f/h, one row each, by products (not pow)
-            powers = np.ones((self_order + 1, n))
+            powers = np.ones((self.self_order + 1, n))
             powers[1:] = self.F / grid.spacing
             self._scaled_powers = np.cumprod(powers, axis=0)
-        if n_max is not None:
-            self.weights = _series_weights(grid, cfg.h2, n_max)
-            # f, f^2, ..., f^n_max as padded samples, each a dealiased product
-            # of the previous power's samples with f's
-            rows = self.power_samples = np.empty((n_max, 2 * n))
-            rows[0] = padded_samples(fld.coefficients, grid)
-            for k in range(1, n_max):
-                rows[k] = padded_samples(padded_coefficients(rows[k - 1] * rows[0], grid), grid)
-        else:
-            n, L = grid.n_points, grid.domain_length
-            i = np.arange(n)
-            beta = ((i[:, None] - i[None, :] + n // 2) % n - n // 2) * grid.spacing
-            depth = (self.F + cfg.h2)[:, None]
-            # target-side kernels; the source-side Poisson kernel is P transposed
-            self.P = poisson_kernel_periodic(depth, beta, L) * grid.spacing
-            self.CP = conj_poisson_kernel_periodic(depth, beta, L) * grid.spacing
 
     def omega2(self, w1: np.ndarray) -> np.ndarray:
-        """Coefficients of the permeability-sheet strength induced by samples w1."""
-        if self.n_max is None:
-            return forward(-(self.cfg.a_kappa / np.pi) * (self.P.T @ w1), self.grid).coefficients
-        # sum_n weights[n] * trunc(f^n w1): one padded inverse, one batched
-        # forward, on the half spectrum; the full one is Hermitian by construction
-        w1hat = np.fft.rfft(w1, norm="forward")
-        prods = padded_coefficients(self.power_samples * padded_samples(w1hat, self.grid),
-                                    self.grid)
-        acc = self.weights[0] * w1hat + np.einsum("nk,nk->k", self.weights[1:], prods)
+        """Coefficients of the permeability-sheet strength induced by samples w1.
+
+        -A_kappa sum_j e^{-(h2 + f_j)|xi|} FFT[l_j(f) w1]: one batched forward
+        transform on the half spectrum; the full one is Hermitian by construction.
+        """
+        spectra = np.fft.rfft(self._lagrange * w1, norm="forward")
+        acc = np.einsum("jk,jk->k", self._decay, spectra)
         return hermitian_extension(-self.cfg.a_kappa * acc, self.grid)
 
     def target_pair(self, ghat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Samples of int K(f(a)+h2; b) g(a-b) db for K = P and K = CP (conjugate).
 
-        On the series backend P g and CP g are two real series in f^n, summed
-        in sample space and truncated once (the truncation is linear), in one
-        batched transform each way; it reads only k = 0..N/2 of ``ghat``.
+        sum_j l_j(f(a)) IFFT[m(xi) e^{-(h2 + f_j)|xi|} g_hat], with m = pi for P
+        and -i pi sgn(xi) for CP: one batched inverse transform of 2p rows.  It
+        reads only k = 0..N/2 of ``ghat``; sgn(xi) is 1 for k = 1..N/2 - 1.
         """
-        grid = self.grid
-        if self.n_max is None:
-            g = inverse_coefficients(ghat, grid)
-            return self.P @ g, self.CP @ g
-        # at a flat depth P g and CP g have coefficients pi e^{-h2|xi|} g_hat
-        # and -i pi sgn(xi) e^{-h2|xi|} g_hat; sgn(xi) is 1 for k = 1..N/2 - 1,
-        # and the weights vanish at N/2
-        h = np.pi * ghat[: grid.nyquist_index() + 1]
-        z = np.array((h, -1j * h))
-        z[1, 0] = 0.0
-        rows = padded_samples(self.weights[1:] * z[:, None, :], grid)
-        tail = padded_coefficients(np.einsum("nj,pnj->pj", self.power_samples, rows), grid)
-        s = np.fft.irfft(self.weights[0] * z + tail, grid.n_points, norm="forward")
-        return s[0], s[1]
+        z = np.empty((2,) + self._decay.shape, dtype=complex)
+        np.multiply(self._decay, np.pi * ghat[: self._decay.shape[1]], out=z[0])
+        np.multiply(z[0], -1j, out=z[1])
+        z[1, :, 0] = 0.0
+        s = np.fft.irfft(z, self.grid.n_points, norm="forward")
+        p, cp = np.einsum("ja,qja->qa", self._lagrange, s)
+        return p, cp
 
     @cached_property
     def _offset_weights(self) -> tuple[np.ndarray, np.ndarray]:

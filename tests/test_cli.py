@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -285,6 +286,22 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["verdict"] == "admissible"
     assert "verdict: admissible" in proc.stderr
+
+
+def test_certify_into_a_closed_pipe_exits_0(tmp_path):
+    # ``muskatjump certify ... | head -1`` with the reader already gone: the
+    # write fails with EPIPE, which ends the output and not the command
+    p = write_config(tmp_path / "c.json")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "muskatjump.cli", "certify",
+                               "--config", str(p)], stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_OK
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 _SMALL_GRID = {"n_points": 64, "domain_length": 12 * np.pi}
@@ -686,9 +703,12 @@ def test_finite_extremes_end_in_a_readme_exit_code(tmp_path, capsys, entry, valu
 
 
 def test_diverging_strength_solve_ends_in_exit_4(tmp_path):
-    # a real divergence, not an injected one: at h2 = 1e-3 the Picard update
-    # grows from 0.26 to about 1e186 over its 80 iterations
-    p = _readme_variant(tmp_path / "c.json", fluid__h2=1e-3)
+    # a real divergence, not an injected one: at A_kappa = A_mu = -0.99,
+    # h2 = 0.1 and amplitude 15 the Picard update grows from 1.9e3 to about
+    # 4.6e103 over its 80 iterations, as it does with the line coupling summed
+    # by the dense trapezoid rule
+    p = _readme_variant(tmp_path / "c.json", fluid__a_kappa=-0.99, fluid__a_mu=-0.99,
+                        fluid__h2=0.1, initial_data__amplitude=15.0)
     assert main(["certify", "--config", str(p)]) == EXIT_INADMISSIBLE
     code, status = _run_with_metadata(p, tmp_path / "out")
     assert code == EXIT_DIVERGENCE

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebinterpolate, chebval
 
 from muskatjump import (FluidConfig, GridSpec, NormSpec, SpectralField, forward, fourier_norm,
-                        inverse, solve_vorticity, vorticity_bound_check)
+                        inverse, oracle, solve_vorticity, vorticity_bound_check)
 from muskatjump.certify import ledger, thresholds
-from muskatjump.errors import GeometryError, MethodUnavailableError
+from muskatjump.errors import GeometryError
 from muskatjump.evolution import InterfaceField
-from muskatjump.spectral import (derivative, hermitian_symmetrize, odd_offset_rows,
-                                 padded_samples, product_coefficients)
-from muskatjump.vorticity import (_KERNEL_BLOCK, DEFAULT_SERIES_TOL, _self_series_order,
-                                  _Workspace)
+from muskatjump.spectral import derivative, odd_offset_rows
+from muskatjump.vorticity import (_KERNEL_BLOCK, DEFAULT_SERIES_TOL, _coupling_nodes,
+                                  _self_series_order, _Workspace)
 
-from helpers import REF_CFG, gaussian_bump, random_admissible_interface
+from helpers import REF_CFG, decay_packet, gaussian_bump, random_admissible_interface
 
 L12 = 12 * np.pi
 
@@ -22,21 +22,57 @@ def _flat(grid):
     return InterfaceField.from_samples(np.zeros(grid.n_points), grid)
 
 
-def _omega2(f, w1, cfg, method, tol=DEFAULT_SERIES_TOL):
-    """Permeability-sheet strength induced by w1 on the backend ``method`` forces."""
-    ws = _Workspace(f, cfg, tol, method)
+def _omega2(f, w1, cfg, tol=DEFAULT_SERIES_TOL):
+    """Permeability-sheet strength induced by w1 on the snapshot's backend."""
+    ws = _Workspace(f, cfg, tol)
     return SpectralField(ws.grid, ws.omega2(inverse(w1)))
+
+
+def _quad_omega2(f, w1, cfg):
+    """The same strength by the oracle's trapezoid rule."""
+    g = f.f.grid
+    return forward(oracle.quad_omega2(f.samples(), inverse(w1), cfg, g.domain_length), g)
+
+
+def _dense_pair(f, cfg):
+    """Trapezoid matrices of the target-side Poisson and conjugate-Poisson kernels.
+
+    Row a holds the periodized kernels at depth f(a) + h2 and offset a - b,
+    typed here in closed form, times the spacing.
+    """
+    g = f.f.grid
+    n, L = g.n_points, g.domain_length
+    i = np.arange(n)
+    q = 2.0 * np.pi * ((i[:, None] - i[None, :] + n // 2) % n - n // 2) / n
+    r = 2.0 * np.pi * (f.samples() + cfg.h2)[:, None] / L
+    denom = (np.cosh(r) - np.cos(q)) * (L / np.pi / g.spacing)
+    return np.sinh(r) / denom, np.sin(q) / denom
+
+
+class _QuadratureWorkspace(_Workspace):
+    """A snapshot backend whose line coupling is the dense trapezoid rule."""
+
+    def __init__(self, f, cfg, tol):
+        super().__init__(f, cfg, tol)
+        self.P, self.CP = _dense_pair(f, cfg)
+
+    def omega2(self, w1):
+        return forward(-(self.cfg.a_kappa / np.pi) * (self.P.T @ w1), self.grid).coefficients
+
+    def target_pair(self, ghat):
+        g = inverse(SpectralField(self.grid, ghat))
+        return self.P @ g, self.CP @ g
 
 
 def test_omega2_flat_interface_single_mode():
     # f = 0, strength cos(a): the line-sheet response is -A_k e^{-h2} / 2 per mode
     g = GridSpec(128, 2 * np.pi)
     w1 = forward(np.cos(g.nodes()), g)
-    w2 = _omega2(_flat(g), w1, REF_CFG, method="series")
+    w2 = _omega2(_flat(g), w1, REF_CFG)
     want = -REF_CFG.a_kappa * np.exp(-REF_CFG.h2) * 0.5
     assert abs(w2.coefficients[1] - want) < 1e-13
     assert abs(w2.coefficients[-1] - want) < 1e-13
-    w2q = _omega2(_flat(g), w1, REF_CFG, method="quadrature")
+    w2q = _quad_omega2(_flat(g), w1, REF_CFG)
     assert abs(w2q.coefficients[1] - want) < 1e-13
 
 
@@ -44,7 +80,7 @@ def test_omega2_vanishes_without_jump():
     cfg = FluidConfig(0.0, 0.2, 1.0, 1.0)
     g = GridSpec(128, 2 * np.pi)
     w1 = forward(np.cos(g.nodes()), g)
-    w2 = _omega2(_flat(g), w1, cfg, method="series")
+    w2 = _omega2(_flat(g), w1, cfg)
     assert np.max(np.abs(w2.coefficients)) < 1e-16
 
 
@@ -55,24 +91,24 @@ def test_omega2_series_vs_quadrature_random_medium():
     f = random_admissible_interface(g, rng, REF_CFG, k0, k1)
     w1 = forward(np.sin(2 * np.pi * 3 * g.nodes() / L12)
                  * np.exp(-((g.nodes() - L12 / 2) ** 2) / 8.0), g)
-    ws = _omega2(f, w1, REF_CFG, method="series")
-    wq = _omega2(f, w1, REF_CFG, method="quadrature")
+    ws = _omega2(f, w1, REF_CFG)
+    wq = _quad_omega2(f, w1, REF_CFG)
     diff = fourier_norm(SpectralField(g, ws.coefficients - wq.coefficients), NormSpec(0.0))
     assert diff < 1e-8
 
 
 def test_omega2_series_unavailable_for_large_interface():
-    # F^{0,1} = 0.6 >= h2 = 0.5 while the interfaces stay separated
+    # F^{0,1} = 0.6 >= h2 = 0.5 while the interfaces stay separated: no
+    # series in the height converges here, and the interpolant still does
     g = GridSpec(128, 2 * np.pi)
     x = g.nodes()
     f = InterfaceField.from_samples(0.3 * np.cos(x) + 0.3 * np.cos(2 * x), g)
     w1 = forward(np.cos(x), g)
     shallow = FluidConfig(0.5, 0.2, 1.0, 0.5)
-    with pytest.raises(MethodUnavailableError):
-        _omega2(f, w1, shallow, method="series")
-    # quadrature fallback still works
-    w2 = _omega2(f, w1, shallow, method="quadrature")
-    assert np.all(np.isfinite(w2.coefficients))
+    assert fourier_norm(f.f, NormSpec(0.0)) > shallow.h2
+    w2, wq = _omega2(f, w1, shallow), _quad_omega2(f, w1, shallow)
+    diff = fourier_norm(SpectralField(g, w2.coefficients - wq.coefficients), NormSpec(0.0))
+    assert diff < 1e-8
 
 
 def test_omega2_geometry_error_when_touching():
@@ -81,7 +117,7 @@ def test_omega2_geometry_error_when_touching():
     f = InterfaceField.from_samples(np.full(128, -0.3), g)
     w1 = forward(np.cos(g.nodes()), g)
     with pytest.raises(GeometryError):
-        _omega2(f, w1, shallow, method="quadrature")
+        _omega2(f, w1, shallow)
 
 
 def test_solve_flat_interface_gives_zero():
@@ -184,15 +220,15 @@ def test_vorticity_bounds_random_sample():
 
 
 def test_series_quadrature_equivalence_near_radius():
-    # agreement holds up to F01 just under 0.9 h2
+    # F01 just under 0.9 h2, as large as a series in the height could take
     g = GridSpec(256, 2 * np.pi)
     x = g.nodes()
     f = InterfaceField.from_samples(0.40 * np.cos(x) + 0.15 * np.cos(2 * x), g)
     a0 = fourier_norm(f.f, NormSpec(0.0))
-    assert a0 < 0.9 * REF_CFG.h2
+    assert 0.5 * REF_CFG.h2 < a0 < 0.9 * REF_CFG.h2
     w1 = forward(np.sin(x) * 0.3, g)
-    ws = _omega2(f, w1, REF_CFG, method="series", tol=1e-12)
-    wq = _omega2(f, w1, REF_CFG, method="quadrature")
+    ws = _omega2(f, w1, REF_CFG, tol=1e-12)
+    wq = _quad_omega2(f, w1, REF_CFG)
     diff = fourier_norm(SpectralField(g, ws.coefficients - wq.coefficients), NormSpec(0.0))
     assert diff < 1e-8
 
@@ -245,8 +281,8 @@ def test_vorticity_bounds_with_analyticity_weight():
 
 
 def test_series_path_outpaces_quadrature():
-    # the O(n_max N log N) series path vs the O(N^2) kernel sum; the measured
-    # ratio at this size is ~200x, asserted with a wide safety margin
+    # the O(p N log N) interpolant, workspace included, vs the O(N^2) kernel
+    # sum; the ratio at this size is large, asserted with a wide safety margin
     import time
 
     L = 12 * np.pi
@@ -255,24 +291,24 @@ def test_series_path_outpaces_quadrature():
     f = InterfaceField.from_samples(0.01 * np.exp(-((x - L / 2) ** 2) / (2 * 1.5 ** 2)), g)
     w1 = forward(np.sin(2 * np.pi * 3 * x / L) * np.exp(-((x - L / 2) ** 2) / 8), g)
     t0 = time.perf_counter()
-    _omega2(f, w1, REF_CFG, method="series")
+    _omega2(f, w1, REF_CFG)
     t_series = time.perf_counter() - t0
     t0 = time.perf_counter()
-    _omega2(f, w1, REF_CFG, method="quadrature")
+    _quad_omega2(f, w1, REF_CFG)
     t_quad = time.perf_counter() - t0
     assert t_series * 3.0 < t_quad
 
 
 def test_series_and_quadrature_solves_agree_at_large_amplitude():
-    # README grid, bump amplitude 0.88: the series needs n_max > 170, past the
-    # point where n! overflows a double
+    # README grid, bump amplitude 0.88: a Taylor series in the height would
+    # need over 170 terms, past the point where n! overflows a double; the
+    # interpolant needs a handful of nodes
     g = GridSpec(256, L12)
     f = gaussian_bump(g, 0.88, 1.5)
     ws = _Workspace(f, REF_CFG, 1e-10)
-    assert ws.n_max is not None and ws.n_max > 170
+    assert ws.coupling_nodes <= 20
     ps = solve_vorticity(f, REF_CFG, workspace=ws)
-    pq = solve_vorticity(f, REF_CFG,
-                         workspace=_Workspace(f, REF_CFG, 1e-10, method="quadrature"))
+    pq = solve_vorticity(f, REF_CFG, workspace=_QuadratureWorkspace(f, REF_CFG, 1e-10))
     for a, b in ((ps.omega1, pq.omega1), (ps.omega2, pq.omega2)):
         diff = fourier_norm(SpectralField(g, a.coefficients - b.coefficients), NormSpec(0.0))
         assert diff < 1e-8 * fourier_norm(b, NormSpec(0.0))
@@ -284,91 +320,102 @@ def test_target_series_matches_quadrature():
     f = gaussian_bump(g, 0.3, 1.5)
     ghat = forward(np.sin(2 * np.pi * 3 * x / L12) * np.exp(-((x - L12 / 2) ** 2) / 8.0),
                    g).coefficients
-    series = _Workspace(f, REF_CFG, 1e-10, method="series")
-    assert series.n_max is not None
-    got = series.target_pair(ghat)
-    want = _Workspace(f, REF_CFG, 1e-10, method="quadrature").target_pair(ghat)
+    got = _Workspace(f, REF_CFG, 1e-10).target_pair(ghat)
+    want = _QuadratureWorkspace(f, REF_CFG, 1e-10).target_pair(ghat)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) < 1e-10
 
 
-def _product_by_convolution(chat, dhat):
-    """Coefficients of the pointwise product by direct convolution, cut to |k| <= n/3."""
-    n = len(chat)
-    k = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
-    full = np.convolve(np.fft.fftshift(chat), np.fft.fftshift(dhat))  # modes -n .. n - 2
-    out = full[k + n]
-    out[np.abs(k) > n // 3] = 0.0
-    return out
-
-
-def _series_by_products(ws, w1, ghat):
-    """omega2 and target_pair of a series backend, one convolution product per term.
-
-    The products avoid the transforms and the truncation of ``spectral``, so a
-    fault shared by the fast path and ``product_coefficients`` still shows.
-    """
-    grid, fhat = ws.grid, ws.fld.coefficients
-    powers = [fhat]
-    for _ in range(1, ws.n_max):
-        powers.append(_product_by_convolution(powers[-1], fhat))
-    # e^{-h2|xi|} (-|xi|)^n / n! on the full spectrum, Nyquist slot zeroed
-    axi = np.abs(grid.wavenumbers())
-    weights = [np.exp(-ws.cfg.h2 * axi)]
-    weights[0][grid.nyquist_index()] = 0.0
-    for n in range(1, ws.n_max + 1):
-        weights.append(weights[-1] * (-axi / n))
-    w1hat = forward(w1, grid).coefficients
-    acc = weights[0] * w1hat
-    for fn, wn in zip(powers, weights[1:]):
-        acc = acc + wn * _product_by_convolution(fn, w1hat)
-    z = np.pi * (1.0 + np.sign(grid.wavenumbers())) * ghat
-    out = weights[0] * z
-    for fn, wn in zip(powers, weights[1:]):
-        out = out + _product_by_convolution(fn, wn * z)
-    s = np.fft.ifft(out * grid.n_points)
-    return hermitian_symmetrize(-ws.cfg.a_kappa * acc), (s.real, s.imag)
-
-
-def _assert_series_matches_products(f):
-    g = f.f.grid
+def _near_line_dip():
+    """A dip to min f + h2 = 0.1 on L = 2 pi, N = 512, where the oracle's
+    aliasing e^{-2 pi (min f + h2) / h} is 6e-23."""
+    g = GridSpec(512, 2 * np.pi)
     x = g.nodes()
-    L = g.domain_length
-    ws = _Workspace(f, REF_CFG, 1e-10, method="series")
-    w1 = np.sin(2 * np.pi * 3 * x / L) * np.exp(-((x - L / 2) ** 2) / 8.0) + ws.dF
-    ghat = forward(np.cos(2 * np.pi * 5 * x / L) * np.exp(-((x - L / 3) ** 2) / 4.0),
-                   g).coefficients
-    want_w2, want_pair = _series_by_products(ws, w1, ghat)
-    got_w2 = ws.omega2(w1)
-    assert np.max(np.abs(got_w2 - want_w2)) <= 1e-12 * np.max(np.abs(want_w2))
-    for a, b in zip(ws.target_pair(ghat), want_pair):
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-    return ws.n_max
+    return InterfaceField.from_samples(-0.9 * np.exp(-((x - np.pi) ** 2) / (2 * 0.3 ** 2)), g)
 
 
-@pytest.mark.parametrize("amplitude, n_range", [(0.01, (1, 10)), (0.5, (20, 60)),
-                                                (0.88, (150, 250)),
-                                                pytest.param(None, (1, 10), id="broadband")])
-def test_sample_space_series_matches_products(amplitude, n_range):
-    g = GridSpec(256, L12)
-    if amplitude is None:
-        # spectrum ~e^{-|xi|/2}: unlike the bumps, it has content above the
-        # 2/3 cutoff, so a product that skips the truncation shows
-        k0, k1 = thresholds(REF_CFG)
-        f = random_admissible_interface(g, np.random.default_rng(3), REF_CFG, k0, k1)
+def _coupling_case(amplitude):
+    if amplitude == "near-line dip":
+        return _near_line_dip()
+    return gaussian_bump(GridSpec(256, L12), amplitude, 1.5)
+
+
+@pytest.mark.parametrize("amplitude", [0.01, 0.5, 0.88, 0.99, "near-line dip"])
+def test_line_coupling_matches_the_oracle(amplitude):
+    # README grid and bump up to amplitude 0.99, past any series in the height;
+    # P g and CP g against the oracle's I4 = df P g and I3 = CP g
+    f = _coupling_case(amplitude)
+    g = f.f.grid
+    L, F = g.domain_length, f.samples()
+    ws = _Workspace(f, REF_CFG, DEFAULT_SERIES_TOL)
+    w1 = ws.dF + np.cos(2 * np.pi * 5 * g.nodes() / L)
+    w2hat = ws.omega2(w1)
+    w2 = inverse(SpectralField(g, w2hat))
+    p, cp = ws.target_pair(w2hat)
+    for got, want in ((w2, oracle.quad_omega2(F, w1, REF_CFG, L)),
+                      (cp, oracle.quad_I(F, w2, REF_CFG, 3, L)),
+                      (ws.dF * p, oracle.quad_I(F, w2, REF_CFG, 4, L))):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("amplitude", [0.5, "near-line dip"])
+def test_target_pair_is_the_collocation_sum(amplitude):
+    # P g(a) = sum_k pi e^{-(h2 + f(a))|xi_k|} g_k e^{i xi_k a}, CP with -i sgn(xi_k)
+    # too, Nyquist left out; the node rule holds the symbol's error, times
+    # the operand scale max(1, ...) >= 1, to series_tol / 10
+    f = _coupling_case(amplitude)
+    g = f.f.grid
+    x, xi = g.nodes(), g.wavenumbers()
+    keep = np.arange(g.n_points) != g.nyquist_index()
+    ws = _Workspace(f, REF_CFG, DEFAULT_SERIES_TOL)
+    ghat = forward(np.sin(2 * np.pi * 3 * x / g.domain_length) + 0.5 * ws.dF, g).coefficients
+    waves = (np.exp(-np.outer(REF_CFG.h2 + f.samples(), np.abs(xi[keep])))
+             * np.exp(1j * np.outer(x, xi[keep])))
+    h = np.pi * ghat[keep]
+    want = (waves @ h).real, (waves @ (-1j * np.sign(xi[keep]) * h)).real
+    bound = DEFAULT_SERIES_TOL / 10.0 * np.sum(np.abs(h))
+    for got, ref in zip(ws.target_pair(ghat), want):
+        assert np.max(np.abs(got - ref)) <= bound
+
+
+def _interpolation_error(f, cfg, p):
+    """Max over the samples and |xi| < xi_max of the symbol's error at p Chebyshev
+    nodes on [min f, max f], by numpy's interpolant."""
+    g = f.f.grid
+    F = f.samples()
+    center, rho = 0.5 * (F.max() + F.min()), 0.5 * (F.max() - F.min())
+    axi = np.abs(g.wavenumbers()[: g.nyquist_index()])
+    coef = chebinterpolate(lambda x: np.exp(-np.outer(cfg.h2 + center + rho * x, axi)), p - 1)
+    return np.max(np.abs(chebval((F - center) / rho, coef) - np.exp(-np.outer(axi, cfg.h2 + F))))
+
+
+@pytest.mark.parametrize("amplitude, slack", [(0.01, 4), (0.5, 4), (0.88, 4), (0.99, 4),
+                                              ("decay", 4), (20.0, 8), ("near-line dip", 8)])
+def test_coupling_node_rule_holds_its_bound(amplitude, slack):
+    # the rule's p meets the tolerance it promises, within a few nodes of the
+    # least p that does: 4 on the README bumps and the decay datum, 8 where
+    # rho xi_max is large (71 against 63 at amplitude 20, 46 against 41 on
+    # the dip; the (z/2)^k e^z / k! bound alone asks 157 on the dip and more
+    # than N at amplitude 20)
+    if amplitude == "decay":
+        f = decay_packet(GridSpec(512, 400 * np.pi))
     else:
-        f = gaussian_bump(g, amplitude, 1.5)
-    n_max = _assert_series_matches_products(f)
-    assert n_range[0] <= n_max <= n_range[1]
+        f = _coupling_case(amplitude)
+    ws = _Workspace(f, REF_CFG, DEFAULT_SERIES_TOL)
+    scale = max(1.0, 4.0 * REF_CFG.a_rho * fourier_norm(f.f, NormSpec(1.0)))
+    target = DEFAULT_SERIES_TOL / 10.0
+    p = ws.coupling_nodes
+    assert scale * _interpolation_error(f, REF_CFG, p) < target
+    need = next(q for q in range(1, p + 1) if scale * _interpolation_error(f, REF_CFG, q) < target)
+    assert p - need <= slack
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.05, 1.0))
-def test_sample_space_series_matches_products_on_admissible_data(seed, frac):
-    k0, k1 = thresholds(REF_CFG)
-    g = GridSpec(256, L12)
-    f = random_admissible_interface(g, np.random.default_rng(seed), REF_CFG, k0, k1, frac)
-    _assert_series_matches_products(f)
+def test_coupling_node_rule_edges():
+    # a flat interface takes one node; one the grid cannot resolve raises
+    assert _coupling_nodes(1.0, 0.0, 20.0, 1.0, 1e-10, 256) == 1
+    assert _Workspace(_flat(GridSpec(64, 1.0)), REF_CFG, 1e-10).coupling_nodes == 1
+    with pytest.raises(GeometryError):
+        _coupling_nodes(1e-3, 10.0, 1e3, 1.0, 1e-10, 256)
 
 
 def _correction(f, pair):
@@ -417,20 +464,6 @@ def test_warm_and_cold_solves_agree(seed, frac, scale):
                         NormSpec(0.0))
     rounding = 8.0 * np.finfo(float).eps * fourier_norm(cold.omega1, NormSpec(0.0))
     assert diff <= q_g / (1.0 - q_g) * (cold.residual + warm.residual) + rounding
-
-
-def test_power_samples_match_product_built_powers():
-    # each power is transformed once; the result is bit for bit the powers
-    # built by product_coefficients and padded afterwards
-    g = GridSpec(256, L12)
-    f = gaussian_bump(g, 0.5, 1.5)
-    ws = _Workspace(f, REF_CFG, 1e-10, method="series")
-    fhat = f.f.coefficients
-    powers = [fhat]
-    for _ in range(1, ws.n_max):
-        powers.append(product_coefficients(powers[-1], fhat, g))
-    assert ws.n_max > 20
-    assert np.array_equal(ws.power_samples, padded_samples(np.array(powers), g))
 
 
 def _unblocked_kernels(ws):
@@ -512,29 +545,30 @@ def test_self_series_rule():
 
 
 def test_large_data_fall_back_to_the_rows():
-    # README grid at amplitude 0.5: the line coupling stays on the series,
-    # the self terms go to the rows, whose storage is allocated on first use
+    # README grid at amplitude 0.5: the self terms go to the rows, whose
+    # storage is allocated on first use
     g = GridSpec(256, L12)
     ws = _Workspace(gaussian_bump(g, 0.5, 1.5), REF_CFG, DEFAULT_SERIES_TOL)
-    assert ws.n_max is not None and ws.self_order is None and ws.storage is None
+    assert ws.self_order is None and ws.storage is None
     w1 = ws.dF
     assert np.array_equal(ws.self_induction(w1), _row_sums(ws, w1)[0])
     assert ws.storage.shape == (2, 128, 256)
 
 
-@pytest.mark.parametrize("method", ["series", "quadrature"])
-def test_kernel_storage_reused_bit_identically(method):
-    # the rows through _kernels, as the series backend takes the series at
-    # amplitude 0.02
+@pytest.mark.parametrize("rule, amplitude", [("series", 0.02), ("quadrature", 0.3)],
+                         ids=["series", "quadrature"])
+def test_kernel_storage_reused_bit_identically(rule, amplitude):
+    # the rows through _kernels, on a second snapshot that sums its self terms
+    # by their series or by the rows, the alternating-rule quadrature itself
     g = GridSpec(256, L12)
     x = g.nodes()
     w1 = np.sin(2 * np.pi * 3 * x / L12) * np.exp(-((x - L12 / 2) ** 2) / 8.0)
-    first = _Workspace(gaussian_bump(g, 0.3, 1.5), REF_CFG, 1e-10, method=method)
+    first = _Workspace(gaussian_bump(g, 0.3, 1.5), REF_CFG, 1e-10)
     first._kernels
-    f = gaussian_bump(g, 0.02, 2.0)
-    shared = _Workspace(f, REF_CFG, 1e-10, method=method, storage=first.storage)
-    fresh = _Workspace(f, REF_CFG, 1e-10, method=method)
-    assert (shared.self_order is None) == (method == "quadrature")
+    f = gaussian_bump(g, amplitude, 2.0)
+    shared = _Workspace(f, REF_CFG, 1e-10, storage=first.storage)
+    fresh = _Workspace(f, REF_CFG, 1e-10)
+    assert (shared.self_order is None) == (rule == "quadrature")
     for got, want in zip(_row_sums(shared, w1), _row_sums(fresh, w1)):
         assert np.array_equal(got, want)
     assert shared.storage is first.storage
