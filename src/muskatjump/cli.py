@@ -280,6 +280,10 @@ def cmd_linear(args) -> int:
     cfg = fluid_config(raw)
     grid = grid_spec(raw)
     opts = solver_options(raw)
+    # above n/2 the grid holds mode k only as its alias n - k
+    if args.measure and args.max_mode > grid.n_points // 2:
+        raise ConfigurationError(f"--measure needs --max-mode at most n_points/2 = "
+                                 f"{grid.n_points // 2}, got {args.max_mode}")
     modes = range(1, args.max_mode + 1)
     lines = ["k,xi,m_exact,m_measured,rel_err"]
     for k in modes:
@@ -368,9 +372,14 @@ def _sweep_worker(payload):
 
 
 def cmd_sweep(args) -> int:
+    # each config writes to the directory named after its stem
+    stems = [Path(p).stem for p in args.configs]
+    shared = sorted({s for s in stems if stems.count(s) > 1})
+    if shared:
+        raise ConfigurationError(f"configs share an output directory: {', '.join(shared)}")
     base = Path(args.output_dir)
     base.mkdir(parents=True, exist_ok=True)
-    jobs = [(p, str(base / Path(p).stem)) for p in args.configs]
+    jobs = [(p, str(base / stem)) for p, stem in zip(args.configs, stems)]
     worst = EXIT_OK
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.threads) as pool:
         for cfg_path, code in pool.map(_sweep_worker, jobs):
@@ -407,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--config", required=True)
     pl.add_argument("--measure", action="store_true",
                     help="also measure modal decay rates from tiny-amplitude runs")
-    pl.add_argument("--max-mode", type=int, default=8)
+    pl.add_argument("--max-mode", type=_count, default=8)
     pl.add_argument("--output", default=None)
 
     po = sub.add_parser("oracle-check", help="compare fast paths against brute-force quadrature")

@@ -1,7 +1,8 @@
 """Weighted Wiener norms, per-snapshot norm reports, strip-radius and decay-rate fits.
 
 The continuum norm  sum-type ``F^{s,1}_nu(t) = || exp(nu t |xi|) |xi|^s g_hat ||_L1``
-is realized on Fourier-series coefficients as ``sum_k exp(nu t |xi_k|) |xi_k|^s |c_k|``.
+is realized on Fourier-series coefficients as ``sum_k exp(nu t |xi_k|) |xi_k|^s |c_k|``;
+for nu t > 0 the sum runs over the coefficients above ``NOISE_FLOOR`` times the largest.
 All admissibility thresholds elsewhere in the package are compared in this
 discrete convention on both sides of every inequality, so the inequalities
 carry over verbatim (Young's inequality holds for l1 coefficient convolutions).
@@ -62,7 +63,11 @@ def _weights(fld: SpectralField, spec: NormSpec) -> np.ndarray:
             f"weight exponent nu*t*xi_max = {np.max(arg):.3g} at t = {spec.time:g} "
             f"exceeds the exponential guard {_EXP_GUARD}"
         )
-    return np.exp(arg) * pw
+    # e^37 is about 1e16: past nu t xi of about 37 the weight lifts round-off
+    # coefficients to the size of the signal, so only those above the noise
+    # floor count
+    c = np.abs(fld.coefficients)
+    return np.where(c > NOISE_FLOOR * np.max(c), np.exp(arg) * pw, 0.0)
 
 
 def fourier_norm(fld: SpectralField, spec: NormSpec) -> float:

@@ -14,15 +14,6 @@ Conventions used throughout the package:
 * A real field's spectrum is read on its half k = 0..n/2 (the rest is the
   complex conjugate mirror); ``hermitian_extension`` restores the full n
   coefficients.
-* ``product_coefficients`` is an alias-free product on the 2n-point grid with
-  real transforms, the reference the norm-algebra tests build products with;
-  the package forms its own products in sample space and dealiases them.
-  ``padded_samples`` turns a half spectrum into real 2n-grid samples.  The
-  n-grid Nyquist slot stands for both +n/2 and -n/2, which are distinct
-  modes on the 2n grid, so its coefficient enters each at half weight: the
-  samples carry c_{n/2} cos(pi n a / L), the real band-limited interpolant.
-  ``padded_coefficients`` returns the half spectrum of 2n-grid samples cut to
-  k <= n/3.
 """
 
 from __future__ import annotations
@@ -222,7 +213,7 @@ def odd_offset_rows(w: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dealiased products (2/3 rule via zero-padded transforms).
+# The 2/3 rule for products formed in sample space, and the half spectrum.
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:
     return grid._modes[2]
@@ -240,28 +231,3 @@ def hermitian_extension(h: np.ndarray, grid: GridSpec) -> np.ndarray:
     np.conj(h[..., half - 1: 0: -1], out=c[..., half + 1:])
     return c
 
-
-def padded_samples(chat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real samples on the 2n grid of a real field's spectrum, or of each row of a stack.
-
-    Reads k = 0..n/2 of the last axis, so a full spectrum and a half spectrum
-    give the same samples; the Nyquist coefficient enters at half weight.
-    """
-    half = grid.n_points // 2
-    h = chat[..., : half + 1].copy()
-    h[..., half] *= 0.5
-    return np.fft.irfft(h, 4 * half, norm="forward")
-
-
-def padded_coefficients(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Half spectrum k = 0..n/2 of real 2n-grid samples (the last axis), cut to k <= n/3."""
-    n = grid.n_points
-    c = np.fft.rfft(samples, norm="forward")[..., : n // 2 + 1]
-    c[..., n // 3 + 1:] = 0.0
-    return c
-
-
-def product_coefficients(chat: np.ndarray, dhat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Coefficients of the pointwise product, alias-free (padded to 2n), 2/3-truncated."""
-    return hermitian_extension(
-        padded_coefficients(padded_samples(chat, grid) * padded_samples(dhat, grid), grid), grid)

@@ -373,6 +373,16 @@ def test_sweep_runs_configs_in_parallel(tmp_path):
         assert (out / f"s{i}" / "metadata.json").exists()
 
 
+def test_sweep_rejects_configs_that_share_an_output_directory(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    paths = [str(write_config(tmp_path / d / "x.json")) for d in ("a", "b")]
+    out = tmp_path / "sweep"
+    assert main(["sweep", *paths, "--output-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     p = write_config(tmp_path / "c.json",
                      schedule={"t_end": 0.1, "dt": 0.05, "snapshot_every": 1})
@@ -380,6 +390,18 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("MUSKATJUMP_OUTPUT_DIR", str(target))
     assert main(["run", "--config", str(p)]) == EXIT_OK
     assert (target / "trajectory.csv").exists()
+
+
+def test_linear_measure_stops_at_the_grids_highest_mode(tmp_path, capsys):
+    # n_points 128: mode 65 would be measured on its alias 63
+    p = write_config(tmp_path / "c.json")
+    assert main(["linear", "--config", str(p), "--measure", "--max-mode", "65"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:") and "n_points/2 = 64" in captured.err
+    # the exact table alone has no grid limit
+    assert main(["linear", "--config", str(p), "--max-mode", "65"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 66
 
 
 def test_linear_measure_mode(tmp_path, capsys):
@@ -405,6 +427,29 @@ def test_run_budget_columns_satisfied(tmp_path):
             lhs = float(vals[f"budget_{s}_lhs"])
             rhs_v = float(vals[f"budget_{s}_rhs"])
             assert lhs <= rhs_v * (1 + 1e-6)
+
+
+def test_weighted_norms_ignore_round_off_coefficients(tmp_path):
+    # the README config at a_rho 10: by t = 1.5, nu t xi_max is about 77, and
+    # e^{nu t |xi|} lifted round-off coefficients of the top modes so far that
+    # budget_s0_lhs read 26.1 against 0.01, and the admissible datum exited 5
+    raw = json.loads((ROOT / "examples" / "readme.json").read_text())
+    raw["fluid"]["a_rho"] = 10.0
+    raw["solver"]["leakage_threshold"] = 1.0
+    raw["schedule"] = {"t_end": 2.0, "dt": 0.05, "snapshot_every": 10}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--output-dir", str(out)]) == EXIT_OK
+    rows = (out / "trajectory.csv").read_text().strip().splitlines()
+    header = rows[0].split(",")
+    f01 = []
+    for line in rows[1:]:
+        vals = dict(zip(header, line.split(",")))
+        f01.append(float(vals["F01"]))
+        for s in ("s0", "s1"):
+            assert float(vals[f"budget_{s}_lhs"]) <= float(vals[f"budget_{s}_rhs"])
+    assert len(f01) == 5 and all(b < a for a, b in zip(f01, f01[1:]))
 
 
 def test_run_leakage_exit_code(tmp_path):
@@ -545,7 +590,8 @@ def test_unusable_checkpoint_is_a_configuration_error(tmp_path, capsys, entry, c
 @pytest.mark.parametrize("argv", [["run", "--config", "c.json", "--checkpoint-every", "0"],
                                   ["run", "--config", "c.json", "--checkpoint-every", "-2"],
                                   ["sweep", "c.json", "--output-dir", "out", "--threads", "0"],
-                                  ["sweep", "c.json", "--output-dir", "out", "--threads", "-1"]])
+                                  ["sweep", "c.json", "--output-dir", "out", "--threads", "-1"],
+                                  ["linear", "--config", "c.json", "--max-mode", "0"]])
 def test_counts_below_one_are_argument_errors(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
