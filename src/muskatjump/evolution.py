@@ -17,14 +17,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import certify
 from .errors import BlowUpError, ConfigurationError, GeometryError, StepSizeError
 from .norms import norm_report
-from .spectral import (GridSpec, SpectralField, dealias, forward, forward_coefficients,
-                       hermitian_symmetrize, hilbert, inverse, inverse_coefficients)
+from .spectral import (GridSpec, SpectralField, dealias_mask, forward, hermitian_extension,
+                       hermitian_symmetrize, inverse)
 from .vorticity import (DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, DEFAULT_SERIES_TOL,
                         FluidConfig, VorticityPair, _Workspace, check_geometry,
                         solve_vorticity)
@@ -129,38 +130,58 @@ def linear_symbol(xi, cfg: FluidConfig):
     )
 
 
+@lru_cache(maxsize=32)
+def _dealiased_linear(grid: GridSpec, cfg: FluidConfig) -> np.ndarray:
+    """Read-only -m(xi) in FFT order, zero above the 2/3 cutoff."""
+    out = np.where(dealias_mask(grid), -linear_symbol(grid.wavenumbers(), cfg), 0.0)
+    out.flags.writeable = False
+    return out
+
+
 def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
               split_i1: bool = False, carry: MonitorState | None = None):
     """Strength pair, four dealiased integral spectra and the linear/nonlinear split.
 
-    One kernel backend serves the strength solve and all four integrals.  The
-    first two spectra are pi H(omega1) and the rest of I1 plus I2, which share
-    one difference-quotient kernel; ``split_i1`` moves the I1 remainder into
-    the first, so the four are I1..I4 one by one.  With a ``carry`` the solve
-    starts from its correction and the difference-quotient rows, where a
-    snapshot uses them, reuse its storage; both are updated here.  The
-    sample-space terms read the solve's own omega1 samples.
+    One kernel backend serves the strength solve and all four integrals, and
+    the solve's last evaluation is the right-hand side's: it holds omega1's
+    spectrum, the line coupling P omega2, CP omega2 and the self terms.  The
+    first two spectra are pi H(omega1), by its multiplier, and the rest of I1
+    plus I2, which share one difference-quotient kernel; ``split_i1`` moves
+    the I1 remainder into the first, so the four are I1..I4 one by one.  The
+    parts formed in sample space take one batched transform.  With a
+    ``carry`` the solve starts from its correction and the difference-quotient
+    rows, where a snapshot uses them, reuse its storage; both are updated here.
     """
     grid = f.f.grid
     carry = carry or MonitorState()
-    ws = _Workspace(f, cfg, opts.series_tol, storage=carry.kernels)
+    ws = _Workspace(f, cfg, opts.series_tol, storage=carry.kernels,
+                    rhs_terms=("slope", "i1") if split_i1 else ("slope",))
     pair = solve_vorticity(f, cfg, tol=opts.picard_tol, max_iter=opts.picard_max_iter,
                            workspace=ws, guess=carry.correction)
-    p, cp = ws.target_pair(pair.omega2.coefficients)
-    w1 = pair.omega1_samples
-    carry.correction = w1 - ws.linear
-    head, slope = np.pi * inverse(hilbert(pair.omega1)), ws.slope_terms(w1)
-    if split_i1:
-        rem = ws.i1_remainder(w1)
-        head, slope = head + rem, slope - rem
+    ev = pair.evaluation
+    carry.correction = ev.w1 - ws.linear
     # after the last self term: a solve without iterations (A_mu = 0) first
-    # builds the rows here
+    # builds the rows in its one evaluation
     carry.kernels = ws.storage
-    parts = dealias(forward_coefficients(np.array((head, slope, cp, ws.dF * p)), grid), grid)
+    slope = ev.sums[0]
+    rows = [slope, ev.cp, ws.dF * ev.p]
+    if split_i1:
+        rem = ev.sums[1]
+        rows = [rem, slope - rem] + rows[1:]
+    spectra = np.fft.rfft(rows, norm="forward")
+    # pi H(omega1): pi (-i sgn xi) on k = 0..N/2, sgn xi = 1 but at k = 0 and Nyquist
+    head = -1j * np.pi * ev.omega1
+    head[0] = head[-1] = 0.0
+    if split_i1:
+        spectra[0] += head
+    else:
+        spectra = np.concatenate((head[None], spectra))
+    keep = dealias_mask(grid)[: grid.nyquist_index() + 1]
+    parts = hermitian_extension(np.where(keep, spectra, 0.0), grid)
     # both sides of the split live on the dealiased band, so the remainder is
     # identically zero above the 2/3 cutoff and high modes evolve purely by
     # the integrating factor
-    linear_hat = dealias(-linear_symbol(grid.wavenumbers(), cfg) * f.f.coefficients, grid)
+    linear_hat = _dealiased_linear(grid, cfg) * f.f.coefficients
     nonlinear_hat = sum(parts) / (2.0 * np.pi) - linear_hat
     return pair, parts, linear_hat, nonlinear_hat
 
@@ -212,7 +233,8 @@ def nonlinear_tendency(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
 
     ``carry`` warm-starts the strength solve from the previous evaluation's.
     The spectrum is exactly Hermitian when the interface's is: every part is
-    a symmetrized ``forward`` or a real even multiplier times its spectrum.
+    the Hermitian extension of a half spectrum, and the linear part a real
+    even multiplier times the interface's spectrum.
     """
     return _assemble(f, cfg, opts, carry=carry)[3]
 
@@ -271,7 +293,8 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
     if not np.all(np.isfinite(n0)):
         raise BlowUpError("non-finite nonlinear tendency", state)
 
-    speed = float(np.max(np.abs(inverse_coefficients(n0, grid))))
+    speed = float(np.max(np.abs(np.fft.irfft(n0[: grid.nyquist_index() + 1], grid.n_points,
+                                             norm="forward"))))
     xi_max = float(np.max(np.abs(grid.wavenumbers())))
     if dt * speed * xi_max > opts.cfl_bound:
         raise StepSizeError(
@@ -345,10 +368,9 @@ class MonitorState:
     kernels: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_payload(self) -> dict:
-        hx = lambda v: float(v).hex()
-        payload = {"integral": [hx(self.integral[0]), hx(self.integral[1])]}
+        payload = {"integral": [float(self.integral[0]).hex(), float(self.integral[1]).hex()]}
         if self.correction is not None:
-            payload["correction"] = [hx(v) for v in self.correction]
+            payload["correction"] = list(map(float.hex, self.correction.tolist()))
         return payload
 
     @classmethod
@@ -449,8 +471,8 @@ def checkpoint_payload(state: InterfaceField, cfg: FluidConfig, step_index: int,
         "time_hex": float(state.time).hex(),
         "n_points": state.f.grid.n_points,
         "domain_length_hex": float(state.f.grid.domain_length).hex(),
-        "coeff_re_hex": [float(v).hex() for v in c.real],
-        "coeff_im_hex": [float(v).hex() for v in c.imag],
+        "coeff_re_hex": list(map(float.hex, c.real.tolist())),
+        "coeff_im_hex": list(map(float.hex, c.imag.tolist())),
     }
     if monitor is not None:
         payload["monitor"] = monitor.to_payload()

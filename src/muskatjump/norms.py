@@ -85,16 +85,19 @@ def weighted_l2(fld: SpectralField, spec: NormSpec) -> float:
 def strip_radius(fld: SpectralField) -> float | None:
     """Least-squares slope of -log|c_k| against xi_k over modes k >= 1 above the noise floor.
 
-    Returns None when fewer than 8 usable modes remain (diagnostic unavailable,
-    not a failure).  Clamped below at zero.
+    The floor is ``NOISE_FLOOR`` times the largest |c_k|, as for the weighted
+    norms, so a small interface keeps its fit.  Returns None when fewer than 8
+    usable modes remain (diagnostic unavailable, not a failure).  Clamped
+    below at zero.
     """
     k = fld.grid.mode_numbers()
     xi = fld.grid.wavenumbers()
-    sel = (k >= 1) & (np.abs(fld.coefficients) > NOISE_FLOOR)
+    c = np.abs(fld.coefficients)
+    sel = (k >= 1) & (c > NOISE_FLOOR * np.max(c))
     if int(np.count_nonzero(sel)) < _MIN_FIT_MODES:
         return None
     x = xi[sel]
-    y = -np.log(np.abs(fld.coefficients[sel]))
+    y = -np.log(c[sel])
     slope = np.polyfit(x, y, 1)[0]
     return float(max(slope, 0.0))
 

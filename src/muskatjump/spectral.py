@@ -127,12 +127,7 @@ def forward_coefficients(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def inverse(fld: SpectralField) -> np.ndarray:
     """Collocation samples of the field. Real part only; imaginary round-off discarded."""
-    return inverse_coefficients(fld.coefficients, fld.grid)
-
-
-def inverse_coefficients(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """``inverse``'s samples of the n coefficients ``c`` in FFT order."""
-    return np.fft.ifft(c * grid.n_points).real
+    return np.fft.ifft(fld.coefficients * fld.grid.n_points).real
 
 
 def hermitian_symmetrize(c: np.ndarray) -> np.ndarray:
@@ -217,10 +212,6 @@ def odd_offset_rows(w: np.ndarray) -> np.ndarray:
 
 def dealias_mask(grid: GridSpec) -> np.ndarray:
     return grid._modes[2]
-
-
-def dealias(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return np.where(dealias_mask(grid), c, 0.0)
 
 
 def hermitian_extension(h: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -8,7 +8,8 @@ so the solve is a Richardson iteration preconditioned by that exact
 linearization: omega1 <- omega1 + M (T(omega1) - omega1) with
 M(xi) = 1 / (1 - A_kappa A_mu e^{-2 h2 |xi|}), seeded at the linear strength
 M (-2 A_rho df/da) plus the nonlinear correction of a previous solve when one
-is at hand.
+is at hand.  An update that grows in ``_GROWTH_LIMIT`` consecutive iterations
+ends the solve as a divergence.
 
 The line couples to the interface only through the Poisson kernel at depth
 h2 + f, whose symbol e^{-(h2 + f)|xi|} is entire in f.  It is interpolated in
@@ -27,6 +28,14 @@ pv_m / m^d, O(order^2 N + order N log N) by FFT (Constantin, Cordoba,
 Gancedo & Strain, JEMS 15, 2013, expand the Muskat kernel the same way).
 Where the truncation or rounding bound of that series fails, the O(N^2)
 difference-quotient rows serve; that choice is the only one made per snapshot.
+
+One evaluation serves every nonlocal operator at once (``_Workspace.evaluate``):
+both the line coupling and the self-term series start from transforms of
+weighted copies of omega1 and end in inverse transforms back on the interface,
+so a strength evaluation is one batched forward and one batched inverse real
+FFT, the batching of independent transforms of FFTW's "many" plans (Frigo &
+Johnson, Proc. IEEE 93, 2005).  The solve's last evaluation, at the strength it
+returns, also yields the self terms the right-hand side reads.
 """
 
 from __future__ import annotations
@@ -34,18 +43,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import certify
 from .errors import ConfigurationError, GeometryError, PicardDivergenceError, RegimeError
 from .norms import NormSpec, fourier_norm
-from .spectral import (GridSpec, SpectralField, derivative, forward, hermitian_extension,
-                       inverse, odd_offset_rows, odd_offsets, pv_kernel_periodic)
+from .spectral import (GridSpec, SpectralField, hermitian_extension, odd_offset_rows,
+                       odd_offsets, pv_kernel_periodic)
 
 DEFAULT_SERIES_TOL = 1e-10
 DEFAULT_PICARD_TOL = 1e-11
 DEFAULT_PICARD_MAX_ITER = 80
+# consecutive growths of the update norm that end the solve as a divergence
+_GROWTH_LIMIT = 3
 # elements per block of the difference-quotient kernel build: a block of each
 # of the two kernels and the 1 + Delta^2 scratch, 256 KB apiece, stay in cache
 _KERNEL_BLOCK = 32768
@@ -85,8 +97,9 @@ class FluidConfig:
 class VorticityPair:
     """Solved sheet strengths with the final Picard residual.
 
-    ``omega1_samples`` are the solve's own samples of omega1, which ``omega1``
-    transforms; a consumer in sample space reads them instead of transforming back.
+    ``evaluation`` is the solve's last ``_Workspace.evaluate`` pass, at the
+    returned strength: its samples of omega1, the line coupling and the self
+    terms, which a consumer reads instead of transforming again.
     """
 
     omega1: SpectralField
@@ -94,7 +107,23 @@ class VorticityPair:
     residual: float
     iterations: int
     contraction_ratio: float | None = None
-    omega1_samples: np.ndarray | None = field(default=None, repr=False, compare=False)
+    evaluation: _Evaluation | None = field(default=None, repr=False, compare=False)
+
+
+class _Evaluation(NamedTuple):
+    """The nonlocal operators at samples ``w1`` of omega1, from one ``_Workspace.evaluate``.
+
+    ``omega1`` and ``omega2`` are the half spectra k = 0..N/2 of the two sheet
+    strengths; ``p`` and ``cp`` the samples of P omega2 and CP omega2 on the
+    interface; ``sums`` the self terms named in the call, in its order.
+    """
+
+    w1: np.ndarray
+    omega1: np.ndarray
+    omega2: np.ndarray
+    p: np.ndarray
+    cp: np.ndarray
+    sums: tuple
 
 
 def check_geometry(samples: np.ndarray, cfg: FluidConfig) -> None:
@@ -106,12 +135,24 @@ def check_geometry(samples: np.ndarray, cfg: FluidConfig) -> None:
 
 @lru_cache(maxsize=32)
 def _flat_spectra(grid: GridSpec, cfg: FluidConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only preconditioner M(xi) in FFT order and |xi| on k = 0..N/2."""
-    axi = np.abs(grid.wavenumbers())
+    """Read-only preconditioner M(xi) and |xi|, both on k = 0..N/2."""
+    axi = np.abs(grid.wavenumbers()[: grid.nyquist_index() + 1])
     multiplier = 1.0 / (1.0 - cfg.a_kappa * cfg.a_mu * np.exp(-2.0 * cfg.h2 * axi))
-    half = axi[: grid.nyquist_index() + 1]
-    multiplier.flags.writeable = half.flags.writeable = False
-    return multiplier, half
+    multiplier.flags.writeable = axi.flags.writeable = False
+    return multiplier, axi
+
+
+@lru_cache(maxsize=32)
+def _chebyshev_nodes(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cosines cos(theta_j) of the p first-kind Chebyshev points and the
+    p x p weights (2 - [k = 0]) / p cos(k theta_j), theta_j = pi (j + 1/2) / p,
+    of l_j = sum_k weight_jk T_k."""
+    k = np.arange(p)
+    theta = np.pi * (k + 0.5) / p
+    cosines = np.cos(theta)
+    weights = np.where(k == 0, 1.0, 2.0) / p * np.cos(np.outer(theta, k))
+    cosines.flags.writeable = weights.flags.writeable = False
+    return cosines, weights
 
 
 def _coupling_nodes(gap: float, rho: float, xi_max: float, scale: float, tol: float,
@@ -216,8 +257,8 @@ def _pv_power_spectra(grid: GridSpec, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _self_series_mixes(order: int) -> dict:
-    """Index pairs and mixing matrices of the three self-term series of one order; read-only.
+def _self_series_mixes(order: int, names: tuple) -> np.ndarray:
+    """Read-only stacked mixing matrix of the named self-term series.
 
     A kernel phi(Delta) = sum_d (alpha_d + beta_d df) Delta^d against pv_m sums
     to sum_j F^j (A_j + df B_j), F = f/h, with A_j and B_j circular
@@ -225,7 +266,9 @@ def _self_series_mixes(order: int) -> dict:
     into C(d, j) (-1)^i F(a)^j F(a - m h)^i, i = d - j, so A_j sums
     alpha_d C(d, j) (-1)^i (pv / m^d) * (F^i w) over the pairs (d, i) with
     d - i = j.  An operator's matrix maps the pairs to its rows A_0..A_order
-    and, where df enters, B_0..B_order.
+    and, where df enters ("self" and "slope", not "i1"), B_0..B_order; the
+    matrices of ``names`` are stacked in that order.  The columns run over the
+    pairs d-major: (0, 0), (1, 0), (1, 1), (2, 0), ...
     """
     d, i = (a.ravel() for a in np.meshgrid(np.arange(order + 1), np.arange(order + 1),
                                            indexing="ij"))
@@ -238,51 +281,59 @@ def _self_series_mixes(order: int) -> dict:
     even = np.where(k % 2 == 0, (-1.0) ** (k // 2), 0.0)
     odd = np.concatenate(([0.0], even[:-1]))
     square = np.concatenate(([0.0], odd[:-1]))
-    out = {"d": d, "i": i}
-    for name, coefs in (("self", (-odd, even)), ("slope", (-square, odd)), ("i1", (-square,))):
-        mix = np.zeros((len(coefs) * (order + 1), len(d)))
-        for p, c in enumerate(coefs):
-            mix[p * (order + 1) + j, np.arange(len(d))] = c[d] * binom
-        out[name] = mix
-    for a in out.values():
-        a.flags.writeable = False
-    return out
+    kernels = {"self": (-odd, even), "slope": (-square, odd), "i1": (-square,)}
+    coefs = [c for name in names for c in kernels[name]]
+    mix = np.zeros((len(coefs) * (order + 1), len(d)))
+    for p, c in enumerate(coefs):
+        mix[p * (order + 1) + j, np.arange(len(d))] = c[d] * binom
+    mix.flags.writeable = False
+    return mix
 
 
 class _Workspace:
     """Kernel backend of one interface snapshot.
 
-    Checks the geometry and builds once what every Picard iteration reads:
-    the preconditioner ``multiplier`` M(xi), cached per (grid, fluid), and
-    its seed ``linear``, the samples of M (-2 A_rho df); the Poisson symbols
-    e^{-(h2 + f_j)|xi|} at the ``coupling_nodes`` Chebyshev points f_j on
-    k = 0..N/2 (Nyquist zeroed) and the Lagrange values l_j(f(a)), from the
-    discrete orthogonality of T_k at the nodes, which divides by nothing.
-    Where the self-term series meets its bounds (``_self_series_order``) it
-    keeps the powers (f/h)^0..(f/h)^order of the samples and evaluates the
-    three self terms by that series; ``self_order`` is None where the
-    difference-quotient rows serve instead.  The rows are built on first use,
-    into ``storage``: a (2, N/2, N) array that successive snapshots of one
-    run may share, allocated there when not given.  The build runs in blocks
-    of offset rows of ``_KERNEL_BLOCK`` elements, so each block's elementwise
-    passes stay in cache and the O(N^2) build allocates no O(N^2)
-    temporaries.
+    Checks the geometry and builds once what every strength evaluation reads.
+    The samples of f, df and the linear strength M (-2 A_rho df) come from one
+    inverse transform of their half spectra, with the preconditioner
+    ``multiplier`` M(xi) on k = 0..N/2 cached per (grid, fluid).  The line
+    coupling keeps the Poisson symbols e^{-(h2 + f_j)|xi|} at the
+    ``coupling_nodes`` Chebyshev points f_j on k = 0..N/2 (Nyquist zeroed) and
+    the Lagrange values l_j(f(a)), from the discrete orthogonality of T_k at
+    the nodes, which divides by nothing.  Where the self-term series meets its
+    bounds (``_self_series_order``) it keeps the powers (f/h)^0..(f/h)^order
+    of the samples and sums the self terms by that series; ``self_order`` is
+    None where the difference-quotient rows serve instead.  The Lagrange
+    values and the powers are stacked once, so that ``evaluate`` multiplies
+    the stack by omega1 and transforms it in one call; without the series the
+    stack ends in one row of ones, (f/h)^0.
+
+    The difference-quotient rows are built on first use, into ``storage``: a
+    (2, N/2, N) array that successive snapshots of one run may share,
+    allocated there when not given.  The build runs in blocks of offset rows
+    of ``_KERNEL_BLOCK`` elements, so each block's elementwise passes stay in
+    cache and the O(N^2) build allocates no O(N^2) temporaries.
+    ``rhs_terms`` names the self terms that the solve's last evaluation adds
+    for the right-hand side ("slope", and "i1" where I1 is split off); a
+    strength solve alone needs none.
     """
 
     def __init__(self, f, cfg: FluidConfig, series_tol: float,
-                 storage: np.ndarray | None = None):
+                 storage: np.ndarray | None = None, rhs_terms: tuple = ()):
         fld = f.f
         grid = fld.grid
-        self.grid, self.cfg = grid, cfg
-        self.F = inverse(fld)
-        check_geometry(self.F, cfg)
+        self.grid, self.cfg, self.rhs_terms = grid, cfg, rhs_terms
         n = grid.n_points
         self.storage = storage
-        dfld = derivative(fld)
-        self.dF = inverse(dfld)
+        self._scratch_rows = 0
         self.multiplier, axi = _flat_spectra(grid, cfg)
-        self.linear = inverse(dfld.with_coefficients(
-            -2.0 * cfg.a_rho * self.multiplier * dfld.coefficients))
+        # f, df (i xi, Nyquist zeroed) and M (-2 A_rho df) on k = 0..N/2
+        c = fld.coefficients[: len(axi)]
+        dc = c * (1j * grid.wavenumbers()[: len(axi)])
+        dc[-1] = 0.0
+        self.F, self.dF, self.linear = np.fft.irfft(
+            np.array((c, dc, -2.0 * cfg.a_rho * self.multiplier * dc)), n, norm="forward")
+        check_geometry(self.F, cfg)
         a1 = fourier_norm(fld, NormSpec(1.0))
         lo, hi = float(np.min(self.F)), float(np.max(self.F))
         center, rho = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -290,53 +341,104 @@ class _Workspace:
         # large density contrasts
         p = self.coupling_nodes = _coupling_nodes(cfg.h2 + lo, rho, float(axi[-1]),
                                                   max(1.0, 4.0 * cfg.a_rho * a1), series_tol, n)
-        k = np.arange(p)
-        theta = np.pi * (k + 0.5) / p  # the nodes are center + rho cos(theta_j)
-        self._decay = np.exp(-np.outer(cfg.h2 + center + rho * np.cos(theta), axi))
+        cosines, weights = _chebyshev_nodes(p)
+        self._decay = np.exp(-np.outer(cfg.h2 + center + rho * cosines, axi))
         self._decay[:, -1] = 0.0
+        r = 2.0 * max(-lo, hi) / grid.spacing  # 2 max |f| / h
+        self.self_order = _self_series_order(a1, r, series_tol, n)
+        self._stack = np.ones((p + (self.self_order or 0) + 1, n))
+        self._lagrange, powers = self._stack[:p], self._stack[p:]
         # l_j(x) = (1/p) (1 + 2 sum_{k=1}^{p-1} T_k(x_j) T_k(x)), T_k(x_j) = cos(k theta_j),
         # T_k(x) by its recurrence; a flat interface (rho = 0) has p = 1 and l_0 = 1
         x = np.clip((self.F - center) / (rho or 1.0), -1.0, 1.0)
         cheb = np.ones((p, n))
         cheb[1:2] = x
+        two_x = 2.0 * x
         for j in range(2, p):
-            cheb[j] = 2.0 * x * cheb[j - 1] - cheb[j - 2]
-        weights = np.where(k == 0, 1.0, 2.0) / p * np.cos(np.outer(theta, k))
+            np.multiply(two_x, cheb[j - 1], out=cheb[j])
+            cheb[j] -= cheb[j - 2]
         # einsum, not matmul: a p x p product needs no BLAS, whose first call
         # allocates its buffers
-        self._lagrange = np.einsum("jk,ka->ja", weights, cheb)
-        r = 2.0 * float(np.max(np.abs(self.F))) / grid.spacing
-        self.self_order = _self_series_order(a1, r, series_tol, n)
+        np.einsum("jk,ka->ja", weights, cheb, out=self._lagrange)
         if self.self_order is not None:
             # F^0, ..., F^order of F = f/h, one row each, by products (not pow)
-            powers = np.ones((self.self_order + 1, n))
-            powers[1:] = self.F / grid.spacing
-            self._scaled_powers = np.cumprod(powers, axis=0)
+            scaled = self.F / grid.spacing
+            for j in range(1, len(powers)):
+                np.multiply(powers[j - 1], scaled, out=powers[j])
+            self._scaled_powers = powers
 
-    def omega2(self, w1: np.ndarray) -> np.ndarray:
-        """Coefficients of the permeability-sheet strength induced by samples w1.
+    def evaluate(self, w1: np.ndarray, terms: tuple = ("self",)) -> _Evaluation:
+        """Every nonlocal operator at samples w1 of omega1, by one batched transform pair.
 
-        -A_kappa sum_j e^{-(h2 + f_j)|xi|} FFT[l_j(f) w1]: one batched forward
-        transform on the half spectrum; the full one is Hermitian by construction.
+        One forward transform of the stacked rows times w1 gives the spectra of
+        l_j(f) w1 and of (f/h)^i w1, the first of which, (f/h)^0 = 1, is
+        omega1's.  The permeability-sheet strength is
+        omega2 = -A_kappa sum_j e^{-(h2 + f_j)|xi|} FFT[l_j(f) w1]; the line
+        coupling back on the interface is
+        sum_j l_j(f(a)) IFFT[pi (1, -i sgn xi) e^{-(h2 + f_j)|xi|} omega2_hat],
+        2p rows, and the series spectra of the self terms ``terms`` ("self",
+        "slope", "i1"; see ``_self_series_mixes``) are the (f/h)^i w1 spectra
+        contracted with the pv / m^d tables.  All of them go back in one
+        inverse transform.  Without the series the self terms are the O(N^2)
+        row sums.
         """
-        spectra = np.fft.rfft(self._lagrange * w1, norm="forward")
-        acc = np.einsum("jk,jk->k", self._decay, spectra)
-        return hermitian_extension(-self.cfg.a_kappa * acc, self.grid)
+        n, p, order = self.grid.n_points, self.coupling_nodes, self.self_order
+        series = order is not None and len(terms) > 0
+        mix = _self_series_mixes(order, terms) if series else None
+        x, spectra, z, terms_hat, s = self._scratch(2 * p + (len(mix) if series else 0))
+        # unnormalized forward transforms, so N omega2_hat below: spectra divided
+        # by N reach the subnormal range in the series products at the decay
+        # datum's high modes, which then run up to 7 times slower (N = 2048)
+        np.fft.rfft(np.multiply(self._stack, w1, out=x), out=spectra)
+        omega2 = -self.cfg.a_kappa * np.einsum("jk,jk->k", self._decay, spectra[:p])
+        np.multiply(self._decay, np.pi * omega2, out=z[:p])
+        # sgn(xi) is 1 for k = 1..N/2 - 1, and the Nyquist column is zero already
+        np.multiply(z[:p], -1j, out=z[p: 2 * p])
+        z[p: 2 * p, 0] = 0.0
+        if series:
+            # (pv / m^d) * (F^i w1) over the pairs (d, i), i <= d, in the mix's
+            # column order
+            pv = _pv_power_spectra(self.grid, order)
+            for d in range(order + 1):
+                start = d * (d + 1) // 2
+                np.multiply(pv[d], spectra[p: p + d + 1], out=terms_hat[start: start + d + 1])
+            # the weights are real: one real product on the interleaved spectra
+            np.matmul(mix, terms_hat.view(float), out=z[2 * p:].view(float))
+        np.fft.irfft(z, n, out=s)
+        pg, cpg = np.einsum("ja,qja->qa", self._lagrange, s[: 2 * p].reshape(2, p, n))
+        if series:
+            # sum_j F^j (A_j + df B_j), one group of order + 1 rows per A or B
+            acc = iter(np.einsum("gja,ja->ga", s[2 * p:].reshape(-1, order + 1, n),
+                                 self._scaled_powers))
+            sums = tuple(next(acc) if name == "i1" else next(acc) + self.dF * next(acc)
+                         for name in terms)
+        else:
+            sums = tuple(self._row_sum(name, w1) for name in terms)
+        return _Evaluation(w1, spectra[p] / n, omega2 / n, pg, cpg, sums)
 
-    def target_pair(self, ghat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Samples of int K(f(a)+h2; b) g(a-b) db for K = P and K = CP (conjugate).
+    def _scratch(self, rows: int) -> tuple:
+        """Views of ``evaluate``'s scratch for ``rows`` inverse-transform rows.
 
-        sum_j l_j(f(a)) IFFT[m(xi) e^{-(h2 + f_j)|xi|} g_hat], with m = pi for P
-        and -i pi sgn(xi) for CP: one batched inverse transform of 2p rows.  It
-        reads only k = 0..N/2 of ``ghat``; sgn(xi) is 1 for k = 1..N/2 - 1.
+        The samples times the stack, their spectra, the rows to invert, the
+        series products and the inverted rows share one block, allocated on
+        the first evaluation and again only when one asks for more rows.  With
+        separate temporaries per evaluation, glibc's allocator trimmed and
+        refaulted the heap on every call at N = 1024 and 2048 (200 to 1300
+        page faults per step, against none now).
         """
-        z = np.empty((2,) + self._decay.shape, dtype=complex)
-        np.multiply(self._decay, np.pi * ghat[: self._decay.shape[1]], out=z[0])
-        np.multiply(z[0], -1j, out=z[1])
-        z[1, :, 0] = 0.0
-        s = np.fft.irfft(z, self.grid.n_points, norm="forward")
-        p, cp = np.einsum("ja,qja->qa", self._lagrange, s)
-        return p, cp
+        if rows > self._scratch_rows:
+            n, half, q = self.grid.n_points, self.grid.nyquist_index() + 1, len(self._stack)
+            order = self.self_order
+            pairs = 0 if order is None else (order + 1) * (order + 2) // 2
+            block, start, views = np.empty(q * n + 2 * (q + rows + pairs) * half + rows * n), 0, []
+            for shape, dtype in (((q, n), float), ((q, half), complex), ((rows, half), complex),
+                                 ((pairs, half), complex), ((rows, n), float)):
+                size = shape[0] * shape[1] * (2 if dtype is complex else 1)
+                views.append(block[start: start + size].view(dtype).reshape(shape))
+                start += size
+            self._scratch_block, self._scratch_rows = tuple(views), rows
+        x, spectra, z, terms_hat, s = self._scratch_block
+        return x, spectra, z[:rows], terms_hat, s[:rows]
 
     @cached_property
     def _offset_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -380,42 +482,16 @@ class _Workspace:
         # alternating-rule sum over odd offsets m: sum_m kernel[m, a] w[a - m]
         return np.einsum("ja,ja->a", kernel, odd_offset_rows(w))
 
-    def _series_sum(self, w: np.ndarray, name: str) -> np.ndarray:
-        """The alternating-rule sum of one self kernel, by its truncated Delta series.
-
-        One batched forward transform of F^i w, one contraction of their
-        spectra with the pv / m^d tables, one batched inverse transform, then
-        sum_j F^j (A_j + df B_j) (see ``_self_series_mixes``).
-        """
-        order, n = self.self_order, self.grid.n_points
-        mix = _self_series_mixes(order)
-        powers = self._scaled_powers
-        ghat = np.fft.rfft(powers * w)
-        terms = _pv_power_spectra(self.grid, order)[mix["d"]] * ghat[mix["i"]]
-        # the weights are real: one real product on the interleaved spectra
-        spectra = (mix[name] @ terms.view(float)).view(complex)
-        acc = np.sum(np.fft.irfft(spectra, n).reshape(-1, order + 1, n) * powers, axis=1)
-        return acc[0] + self.dF * acc[1] if len(acc) == 2 else acc[0]
-
-    def self_induction(self, w1: np.ndarray) -> np.ndarray:
-        """Self-induced term of the fluid-sheet strength equation."""
-        if self.self_order is not None:
-            return self._series_sum(w1, "self")
-        return self._gather(self._kernels[1], w1)
-
-    def slope_terms(self, w1: np.ndarray) -> np.ndarray:
-        """(I1 - pi H w1) + I2 as one kernel, Delta (df - Delta) / (1 + Delta^2)."""
-        if self.self_order is not None:
-            return self._series_sum(w1, "slope")
+    def _row_sum(self, name: str, w: np.ndarray) -> np.ndarray:
+        """One self term by the O(N^2) rows: the self-induction kernel, the slope
+        terms (I1 - pi H w) + I2, Delta (df - Delta) / (1 + Delta^2), or the I1
+        remainder I1 - pi H w, -Delta^2 / (1 + Delta^2), each against pv_m."""
         delta, kernel = self._kernels
-        return np.einsum("ja,ja,ja->a", delta, kernel, odd_offset_rows(w1))
-
-    def i1_remainder(self, w1: np.ndarray) -> np.ndarray:
-        """I1 - pi H w1 alone: -Delta^2 / (1 + Delta^2) against the pv kernel."""
-        if self.self_order is not None:
-            return self._series_sum(w1, "i1")
-        delta, pv = self._kernels[0], self._offset_weights[1]
-        return self._gather(-(delta ** 2) / (1.0 + delta ** 2) * pv, w1)
+        if name == "self":
+            return self._gather(kernel, w)
+        if name == "slope":
+            return np.einsum("ja,ja,ja->a", delta, kernel, odd_offset_rows(w))
+        return self._gather(-(delta ** 2) / (1.0 + delta ** 2) * self._offset_weights[1], w)
 
 
 def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
@@ -431,25 +507,27 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
     norm of the update drops below tol.  ``guess``, samples of a nonlinear
     correction strength_1 - M (-2 A_rho df) (from a previous, nearby solve),
     moves the start to the linear strength + guess.
-    Divergence raises PicardDivergenceError with the update-norm history attached.
-    ``workspace`` is the snapshot's kernel backend, built here when not given.
+    An update norm that grows in ``_GROWTH_LIMIT`` consecutive iterations, or
+    stays above tol for ``max_iter``, raises PicardDivergenceError with the
+    update-norm history attached.
+    ``workspace`` is the snapshot's kernel backend, built here when not given;
+    the last evaluation, at the returned strength, adds its ``rhs_terms``.
     """
     ws = workspace or _Workspace(f, cfg, DEFAULT_SERIES_TOL)
     grid = ws.grid
     forcing = -2.0 * cfg.a_rho * ws.dF
-    multiplier = ws.multiplier[: grid.nyquist_index() + 1]
     w1 = ws.linear
     history: list[float] = []
     ratio = None
-    delta, it = 0.0, 1
+    delta, it, grew = 0.0, 1, 0
     if cfg.a_mu != 0.0:
         if guess is not None:
             w1 = w1 + guess
         for it in range(1, max_iter + 1):
-            p, cp = ws.target_pair(ws.omega2(w1))
-            t1 = (cfg.a_mu / np.pi) * (ws.self_induction(w1) + ws.dF * cp - p) + forcing
+            ev = ws.evaluate(w1)
+            t1 = (cfg.a_mu / np.pi) * (ev.sums[0] + ws.dF * ev.cp - ev.p) + forcing
             # on k = 0..N/2; modes 1..N/2-1 stand for their mirrors too
-            update = np.fft.rfft(t1 - w1, norm="forward") * multiplier
+            update = np.fft.rfft(t1 - w1, norm="forward") * ws.multiplier
             size = np.abs(update)
             delta = float(2.0 * np.sum(size) - size[0] - size[-1])  # its F^{0,1} norm
             history.append(delta)
@@ -458,14 +536,20 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
                 ratio = history[-1] / history[-2]
             if delta < tol:
                 break
+            grew = grew + 1 if len(history) >= 2 and delta > history[-2] else 0
+            if grew == _GROWTH_LIMIT:
+                raise PicardDivergenceError(
+                    f"no contraction: the update grew in {grew} consecutive iterations "
+                    f"(last residual {delta:.3g})", history)
         else:
             raise PicardDivergenceError(
                 f"no contraction after {max_iter} iterations (last residual {history[-1]:.3g})",
                 history,
             )
-    return VorticityPair(forward(w1, grid), SpectralField(grid, ws.omega2(w1)),
-                         residual=delta, iterations=it, contraction_ratio=ratio,
-                         omega1_samples=w1)
+    ev = ws.evaluate(w1, ws.rhs_terms)
+    return VorticityPair(SpectralField(grid, hermitian_extension(ev.omega1, grid)),
+                         SpectralField(grid, hermitian_extension(ev.omega2, grid)),
+                         residual=delta, iterations=it, contraction_ratio=ratio, evaluation=ev)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from muskatjump import (FluidConfig, GridSpec, SpectralField, evolution, inverse
 from muskatjump.certify import thresholds
 from muskatjump.errors import BlowUpError, ConfigurationError, StepSizeError
 from muskatjump.evolution import (InterfaceField, MonitorState, Schedule, SolverOptions,
-                                  checkpoint_payload, leakage, load_checkpoint, rhs, run,
-                                  save_checkpoint, step)
+                                  checkpoint_payload, leakage, load_checkpoint,
+                                  nonlinear_tendency, rhs, run, save_checkpoint, step)
 from muskatjump.vorticity import solve_vorticity
 
 from muskatjump.spectral import hermitian_symmetrize
@@ -232,13 +232,20 @@ def test_checkpoint_bytes_match_the_streaming_encoder(tmp_path):
     g = GridSpec(32, L12)
     state = step(gaussian_bump(g, 0.02, 1.5), 0.05, REF_CFG)
     rng = np.random.default_rng(7)
-    mon = MonitorState(integral={0: 1.25e-7, 1: -0.0},
-                       correction=rng.standard_normal(g.n_points))
+    correction = rng.standard_normal(g.n_points)
+    correction[:3] = -0.0, 5e-324, 1e300
+    mon = MonitorState(integral={0: 1.25e-7, 1: -0.0}, correction=correction)
     path, ref = tmp_path / "ck.json", tmp_path / "ref.json"
     save_checkpoint(path, state, REF_CFG, 7, 0.05, mon)
+    payload = checkpoint_payload(state, REF_CFG, 7, 0.05, mon)
     with open(ref, "w") as fh:
-        json.dump(checkpoint_payload(state, REF_CFG, 7, 0.05, mon), fh, sort_keys=True)
+        json.dump(payload, fh, sort_keys=True)
     assert path.read_bytes() == ref.read_bytes()
+    # each double as float(v).hex() of its numpy scalar, one by one
+    c = state.f.coefficients
+    for key, values in (("coeff_re_hex", c.real), ("coeff_im_hex", c.imag)):
+        assert payload[key] == [float(v).hex() for v in values]
+    assert payload["monitor"]["correction"] == [float(v).hex() for v in correction]
 
 
 def test_checkpoint_config_mismatch(tmp_path):
@@ -369,6 +376,27 @@ def test_decay_step_allocates_no_row_storage():
     carry = MonitorState()
     step(decay_packet(g), 0.1, REF_CFG, SolverOptions(leakage_threshold=1e-3), carry=carry)
     assert carry.correction is not None and carry.kernels is None
+
+
+def test_warm_tendency_takes_nine_transforms_at_most(monkeypatch):
+    # one right-hand side on the decay datum with a warm one-iteration solve:
+    # the workspace's samples, the iteration's evaluation and update, the last
+    # evaluation and the parts formed in sample space (16 calls when each
+    # operator issued its own)
+    g = GridSpec(512, 400 * np.pi)
+    f = decay_packet(g)
+    opts = SolverOptions(leakage_threshold=1e-3)
+    carry = MonitorState()
+    nonlinear_tendency(f, REF_CFG, opts, carry=carry)
+    assert solve_vorticity(f, REF_CFG, guess=carry.correction).iterations == 1
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _real=getattr(np.fft, name), **kwargs):
+            calls.append(_real.__name__)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    nonlinear_tendency(f, REF_CFG, opts, carry=carry)
+    assert 0 < len(calls) <= 9
 
 
 @pytest.mark.parametrize("amplitude", [0.01, 0.3])

@@ -9,7 +9,7 @@ from muskatjump import (FluidConfig, GridSpec, NormSpec, SpectralField, forward,
 from muskatjump.certify import ledger, thresholds
 from muskatjump.errors import GeometryError
 from muskatjump.evolution import InterfaceField
-from muskatjump.spectral import derivative, odd_offset_rows
+from muskatjump.spectral import derivative, hermitian_extension, odd_offset_rows
 from muskatjump.vorticity import (_KERNEL_BLOCK, DEFAULT_SERIES_TOL, _coupling_nodes,
                                   _self_series_order, _Workspace)
 
@@ -22,10 +22,15 @@ def _flat(grid):
     return InterfaceField.from_samples(np.zeros(grid.n_points), grid)
 
 
+def _full(half, grid):
+    """The field of a half spectrum k = 0..N/2."""
+    return SpectralField(grid, hermitian_extension(half, grid))
+
+
 def _omega2(f, w1, cfg, tol=DEFAULT_SERIES_TOL):
     """Permeability-sheet strength induced by w1 on the snapshot's backend."""
     ws = _Workspace(f, cfg, tol)
-    return SpectralField(ws.grid, ws.omega2(inverse(w1)))
+    return _full(ws.evaluate(inverse(w1), ()).omega2, ws.grid)
 
 
 def _quad_omega2(f, w1, cfg):
@@ -56,12 +61,11 @@ class _QuadratureWorkspace(_Workspace):
         super().__init__(f, cfg, tol)
         self.P, self.CP = _dense_pair(f, cfg)
 
-    def omega2(self, w1):
-        return forward(-(self.cfg.a_kappa / np.pi) * (self.P.T @ w1), self.grid).coefficients
-
-    def target_pair(self, ghat):
-        g = inverse(SpectralField(self.grid, ghat))
-        return self.P @ g, self.CP @ g
+    def evaluate(self, w1, terms=("self",)):
+        w2 = forward(-(self.cfg.a_kappa / np.pi) * (self.P.T @ w1), self.grid)
+        g = inverse(w2)
+        return super().evaluate(w1, terms)._replace(
+            omega2=w2.coefficients[: self.grid.nyquist_index() + 1], p=self.P @ g, cp=self.CP @ g)
 
 
 def test_omega2_flat_interface_single_mode():
@@ -315,14 +319,18 @@ def test_series_and_quadrature_solves_agree_at_large_amplitude():
 
 
 def test_target_series_matches_quadrature():
+    # P omega2 and CP omega2 of the evaluation against the dense trapezoid rule
+    # on the same omega2, scaled to the size of w1 (omega2 is linear in w1)
     g = GridSpec(256, L12)
     x = g.nodes()
     f = gaussian_bump(g, 0.3, 1.5)
-    ghat = forward(np.sin(2 * np.pi * 3 * x / L12) * np.exp(-((x - L12 / 2) ** 2) / 8.0),
-                   g).coefficients
-    got = _Workspace(f, REF_CFG, 1e-10).target_pair(ghat)
-    want = _QuadratureWorkspace(f, REF_CFG, 1e-10).target_pair(ghat)
-    for a, b in zip(got, want):
+    ws = _Workspace(f, REF_CFG, 1e-10)
+    w1 = np.sin(2 * np.pi * 3 * x / L12) * np.exp(-((x - L12 / 2) ** 2) / 8.0)
+    w1 = w1 * np.max(np.abs(w1)) / np.max(np.abs(inverse(_full(ws.evaluate(w1).omega2, g))))
+    ev = ws.evaluate(w1)
+    omega2 = inverse(_full(ev.omega2, g))
+    P, CP = _dense_pair(f, REF_CFG)
+    for a, b in zip((ev.p, ev.cp), (P @ omega2, CP @ omega2)):
         assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -349,32 +357,32 @@ def test_line_coupling_matches_the_oracle(amplitude):
     L, F = g.domain_length, f.samples()
     ws = _Workspace(f, REF_CFG, DEFAULT_SERIES_TOL)
     w1 = ws.dF + np.cos(2 * np.pi * 5 * g.nodes() / L)
-    w2hat = ws.omega2(w1)
-    w2 = inverse(SpectralField(g, w2hat))
-    p, cp = ws.target_pair(w2hat)
+    ev = ws.evaluate(w1)
+    w2 = inverse(_full(ev.omega2, g))
     for got, want in ((w2, oracle.quad_omega2(F, w1, REF_CFG, L)),
-                      (cp, oracle.quad_I(F, w2, REF_CFG, 3, L)),
-                      (ws.dF * p, oracle.quad_I(F, w2, REF_CFG, 4, L))):
+                      (ev.cp, oracle.quad_I(F, w2, REF_CFG, 3, L)),
+                      (ws.dF * ev.p, oracle.quad_I(F, w2, REF_CFG, 4, L))):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("amplitude", [0.5, "near-line dip"])
 def test_target_pair_is_the_collocation_sum(amplitude):
     # P g(a) = sum_k pi e^{-(h2 + f(a))|xi_k|} g_k e^{i xi_k a}, CP with -i sgn(xi_k)
-    # too, Nyquist left out; the node rule holds the symbol's error, times
-    # the operand scale max(1, ...) >= 1, to series_tol / 10
+    # too, Nyquist left out, on g = omega2; the node rule holds the symbol's
+    # error, times the operand scale max(1, ...) >= 1, to series_tol / 10
     f = _coupling_case(amplitude)
     g = f.f.grid
     x, xi = g.nodes(), g.wavenumbers()
     keep = np.arange(g.n_points) != g.nyquist_index()
     ws = _Workspace(f, REF_CFG, DEFAULT_SERIES_TOL)
-    ghat = forward(np.sin(2 * np.pi * 3 * x / g.domain_length) + 0.5 * ws.dF, g).coefficients
+    ev = ws.evaluate(np.sin(2 * np.pi * 3 * x / g.domain_length) + 0.5 * ws.dF)
+    ghat = _full(ev.omega2, g).coefficients
     waves = (np.exp(-np.outer(REF_CFG.h2 + f.samples(), np.abs(xi[keep])))
              * np.exp(1j * np.outer(x, xi[keep])))
     h = np.pi * ghat[keep]
     want = (waves @ h).real, (waves @ (-1j * np.sign(xi[keep]) * h)).real
     bound = DEFAULT_SERIES_TOL / 10.0 * np.sum(np.abs(h))
-    for got, ref in zip(ws.target_pair(ghat), want):
+    for got, ref in zip((ev.p, ev.cp), want):
         assert np.max(np.abs(got - ref)) <= bound
 
 
@@ -499,7 +507,7 @@ def _assert_series_matches_rows(ws, w, rel=1e-12):
     # against the operand scale sum_m |pv_m| ||w||_inf of the bounds
     assert ws.self_order is not None
     scale = np.sum(np.abs(ws._offset_weights[1])) * np.max(np.abs(w))
-    series = (ws.self_induction(w), ws.slope_terms(w), ws.i1_remainder(w))
+    series = ws.evaluate(w, ("self", "slope", "i1")).sums
     for got, want in zip(series, _row_sums(ws, w)):
         assert np.max(np.abs(got - want)) <= rel * scale
 
@@ -551,7 +559,7 @@ def test_large_data_fall_back_to_the_rows():
     ws = _Workspace(gaussian_bump(g, 0.5, 1.5), REF_CFG, DEFAULT_SERIES_TOL)
     assert ws.self_order is None and ws.storage is None
     w1 = ws.dF
-    assert np.array_equal(ws.self_induction(w1), _row_sums(ws, w1)[0])
+    assert np.array_equal(ws.evaluate(w1).sums[0], _row_sums(ws, w1)[0])
     assert ws.storage.shape == (2, 128, 256)
 
 
