@@ -1,13 +1,12 @@
 """Interface evolution: right-hand side assembly, exponential integrator, trajectories.
 
 The graph height advances by (I1 + I2 + I3 + I4)/2pi.  The fast path computes
-the singular part of I1 with the exact Hilbert multiplier, the remaining
-self-induction by the alternating rule (summed by its difference-quotient
-series where that converges, by the O(N^2) rows otherwise, chosen once per
-snapshot, so large data fall back to the rows), and the line-coupling
-integrals I3, I4 by the snapshot's Chebyshev interpolant in the height
-(``muskatjump.vorticity``), which raises a ``GeometryError`` where it would
-need more than N nodes.
+the self-induction integrals I1, I2 from two alternating-rule sums (summed by
+their difference-quotient series where that converges, by the O(N^2) rows
+otherwise, chosen once per snapshot, so large data fall back to the rows),
+and the line-coupling integrals I3, I4 by the snapshot's Chebyshev
+interpolant in the height (``muskatjump.vorticity``), which raises a
+``GeometryError`` where it would need more than N nodes.
 The exact linear multiplier m(xi) is removed and handled by the integrating
 factor of an ETDRK2 scheme.
 """
@@ -139,43 +138,28 @@ def _dealiased_linear(grid: GridSpec, cfg: FluidConfig) -> np.ndarray:
 
 
 def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
-              split_i1: bool = False, carry: MonitorState | None = None):
+              carry: MonitorState | None = None):
     """Strength pair, four dealiased integral spectra and the linear/nonlinear split.
 
     One kernel backend serves the strength solve and all four integrals, and
-    the solve's last evaluation is the right-hand side's: it holds omega1's
-    spectrum, the line coupling P omega2, CP omega2 and the self terms.  The
-    first two spectra are pi H(omega1), by its multiplier, and the rest of I1
-    plus I2, which share one difference-quotient kernel; ``split_i1`` moves
-    the I1 remainder into the first, so the four are I1..I4 one by one.  The
-    parts formed in sample space take one batched transform.  With a
-    ``carry`` the solve starts from its correction and the difference-quotient
-    rows, where a snapshot uses them, reuse its storage; both are updated here.
+    the solve's last evaluation is the right-hand side's: it holds the two
+    self sums S0, S1 and the line coupling P omega2, CP omega2, so
+    I1 = S0, I2 = df S1, I3 = CP omega2 and I4 = df P omega2 take one batched
+    transform.  With a ``carry`` the solve starts from its correction and the
+    difference-quotient rows, where a snapshot uses them, reuse its storage;
+    both are updated here.
     """
     grid = f.f.grid
     carry = carry or MonitorState()
-    ws = _Workspace(f, cfg, opts.series_tol, storage=carry.kernels,
-                    rhs_terms=("slope", "i1") if split_i1 else ("slope",))
+    ws = _Workspace(f, cfg, opts.series_tol, storage=carry.kernels)
     pair = solve_vorticity(f, cfg, tol=opts.picard_tol, max_iter=opts.picard_max_iter,
                            workspace=ws, guess=carry.correction)
     ev = pair.evaluation
     carry.correction = ev.w1 - ws.linear
-    # after the last self term: a solve without iterations (A_mu = 0) first
+    # after the last self sums: a solve without iterations (A_mu = 0) first
     # builds the rows in its one evaluation
     carry.kernels = ws.storage
-    slope = ev.sums[0]
-    rows = [slope, ev.cp, ws.dF * ev.p]
-    if split_i1:
-        rem = ev.sums[1]
-        rows = [rem, slope - rem] + rows[1:]
-    spectra = np.fft.rfft(rows, norm="forward")
-    # pi H(omega1): pi (-i sgn xi) on k = 0..N/2, sgn xi = 1 but at k = 0 and Nyquist
-    head = -1j * np.pi * ev.omega1
-    head[0] = head[-1] = 0.0
-    if split_i1:
-        spectra[0] += head
-    else:
-        spectra = np.concatenate((head[None], spectra))
+    spectra = np.fft.rfft([ev.s0, ws.dF * ev.s1, ev.cp, ws.dF * ev.p], norm="forward")
     keep = dealias_mask(grid)[: grid.nyquist_index() + 1]
     parts = hermitian_extension(np.where(keep, spectra, 0.0), grid)
     # both sides of the split live on the dealiased band, so the remainder is
@@ -191,7 +175,7 @@ def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) 
     opts = opts or SolverOptions()
     grid = f.f.grid
     check_leakage(f, opts.leakage_threshold)
-    pair, parts, linear_hat, nonlinear_hat = _assemble(f, cfg, opts, split_i1=True)
+    pair, parts, linear_hat, nonlinear_hat = _assemble(f, cfg, opts)
     i1f, i2f, i3f, i4f = (SpectralField(grid, c) for c in parts)
     return RhsBreakdown(
         i1=i1f, i2=i2f, i3=i3f, i4=i4f,

@@ -117,12 +117,7 @@ def forward(samples: np.ndarray, grid: GridSpec) -> SpectralField:
         raise ConfigurationError(
             f"sample count {x.shape} does not match n_points={grid.n_points}"
         )
-    return SpectralField(grid, forward_coefficients(x, grid))
-
-
-def forward_coefficients(samples: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """``forward``'s coefficients of the real samples on the last axis, one row or a stack."""
-    return hermitian_symmetrize(np.fft.fft(samples) / grid.n_points)
+    return SpectralField(grid, hermitian_symmetrize(np.fft.fft(x) / grid.n_points))
 
 
 def inverse(fld: SpectralField) -> np.ndarray:

@@ -18,14 +18,16 @@ integrals become p batched transforms weighted by Lagrange values; this
 converges geometrically up to the geometric limit min f + h2 > 0 (Trefethen,
 Approximation Theory and Approximation Practice, SIAM 2013, ch. 4 and 8).
 
-The self-induction terms are the alternating-rule sums
-sum_m pv_m phi(Delta_m(a)) w(a - m h) over the odd offsets m, with
-Delta_m = (f(a) - f(a - m h)) / (m h) and phi a rational function of Delta.
-On a snapshot whose ||f||_{F^{1,1}} bounds every |Delta| well below 1,
-phi is expanded geometrically in Delta and Delta^d binomially, so each sum
-becomes a short series of circular convolutions of f^i w with the tables
-pv_m / m^d, O(order^2 N + order N log N) by FFT (Constantin, Cordoba,
-Gancedo & Strain, JEMS 15, 2013, expand the Muskat kernel the same way).
+The self-induction terms are combinations of two alternating-rule sums
+S0 and S1 = sum_m pv_m phi(Delta_m(a)) w(a - m h) over the odd offsets m,
+with Delta_m = (f(a) - f(a - m h)) / (m h) and phi = 1/(1 + Delta^2) or
+Delta/(1 + Delta^2): the strength equation reads df S0 - S1, the interface
+velocity I1 = S0 and I2 = df S1.  On a snapshot whose ||f||_{F^{1,1}}
+bounds every |Delta| well below 1, phi is expanded geometrically in Delta
+and Delta^d binomially, so each sum becomes a short series of circular
+convolutions of f^i w with the tables pv_m / m^d, O(order^2 N +
+order N log N) by FFT (Constantin, Cordoba, Gancedo & Strain, JEMS 15, 2013,
+expand the Muskat kernel the same way).
 Where the truncation or rounding bound of that series fails, the O(N^2)
 difference-quotient rows serve; that choice is the only one made per snapshot.
 
@@ -35,7 +37,7 @@ weighted copies of omega1 and end in inverse transforms back on the interface,
 so a strength evaluation is one batched forward and one batched inverse real
 FFT, the batching of independent transforms of FFTW's "many" plans (Frigo &
 Johnson, Proc. IEEE 93, 2005).  The solve's last evaluation, at the strength it
-returns, also yields the self terms the right-hand side reads.
+returns, also yields the two self sums the right-hand side reads.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ DEFAULT_PICARD_MAX_ITER = 80
 # consecutive growths of the update norm that end the solve as a divergence
 _GROWTH_LIMIT = 3
 # elements per block of the difference-quotient kernel build: a block of each
-# of the two kernels and the 1 + Delta^2 scratch, 256 KB apiece, stay in cache
+# of the two kernels, 256 KB apiece, stays in cache
 _KERNEL_BLOCK = 32768
 # rounding of the self-term series, in ulps of its largest binomial term; at
 # most 0.06 measured over N = 256..1024 and r up to 27
@@ -98,8 +100,8 @@ class VorticityPair:
     """Solved sheet strengths with the final Picard residual.
 
     ``evaluation`` is the solve's last ``_Workspace.evaluate`` pass, at the
-    returned strength: its samples of omega1, the line coupling and the self
-    terms, which a consumer reads instead of transforming again.
+    returned strength: its samples of omega1, the line coupling and the two
+    self sums, which a consumer reads instead of transforming again.
     """
 
     omega1: SpectralField
@@ -115,7 +117,12 @@ class _Evaluation(NamedTuple):
 
     ``omega1`` and ``omega2`` are the half spectra k = 0..N/2 of the two sheet
     strengths; ``p`` and ``cp`` the samples of P omega2 and CP omega2 on the
-    interface; ``sums`` the self terms named in the call, in its order.
+    interface.  ``s0`` and ``s1`` are the two self sums
+    S0 = sum_m pv_m / (1 + Delta_m^2) w1(a - m h) and
+    S1 = sum_m pv_m Delta_m / (1 + Delta_m^2) w1(a - m h), so that I1 = S0 and
+    I2 = df S1; ``self_term`` is the strength equation's df S0 - S1.  On the
+    difference-quotient rows only the solve's last evaluation gathers S0 and
+    S1, and they are None before it.
     """
 
     w1: np.ndarray
@@ -123,7 +130,9 @@ class _Evaluation(NamedTuple):
     omega2: np.ndarray
     p: np.ndarray
     cp: np.ndarray
-    sums: tuple
+    self_term: np.ndarray
+    s0: np.ndarray | None
+    s1: np.ndarray | None
 
 
 def check_geometry(samples: np.ndarray, cfg: FluidConfig) -> None:
@@ -209,13 +218,13 @@ def _odd_offset_pv(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 def _self_series_order(u: float, r: float, tol: float, n_points: int) -> int | None:
     """Order of the self-term series, or None where the O(N^2) rows serve.
 
-    On the interpolant |Delta_m| <= sup |f'| <= u = ||f||_{F^{1,1}}.  Each
-    self kernel is a power series in Delta whose coefficients are +-1 or
-    +-df, |df| <= u, so truncating it past Delta^order leaves at most
-    u^(order+1)/(1 - u) of the operand sum_m |pv_m| ||w||_inf.  The binomial
-    terms of Delta^d reach (2 ||f||_inf / h)^d = r^d of it (|m| >= 1), times
-    max(1, u) for the df factor, and cancel: their rounding must stay below
-    the tolerance too.  Both bounds are held to tol / 100, a tenth of the
+    On the interpolant |Delta_m| <= sup |f'| <= u = ||f||_{F^{1,1}}.  The
+    kernels of S0 and S1 are power series in Delta whose coefficients are 0
+    or +-1, and the self terms take them times 1 or df, |df| <= u, so
+    truncating past Delta^order leaves at most u^(order+1)/(1 - u) of the
+    operand sum_m |pv_m| ||w||_inf.  The binomial terms of Delta^d reach
+    (2 ||f||_inf / h)^d = r^d of it (|m| >= 1), times max(1, u) for the df
+    factor, and cancel: their rounding must stay below the tolerance too.  Both bounds are held to tol / 100, a tenth of the
     line-coupling interpolant's share, as this scale is the operand's own size and
     not a floor of 1: at tol / 10 the decay case moved by 1e-12 relative in
     F^{2,1} over 100 steps against the rows, at tol / 100 by 6e-15.  A series
@@ -257,18 +266,17 @@ def _pv_power_spectra(grid: GridSpec, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _self_series_mixes(order: int, names: tuple) -> np.ndarray:
-    """Read-only stacked mixing matrix of the named self-term series.
+def _self_series_mixes(order: int) -> np.ndarray:
+    """Read-only stacked mixing matrix of the series of the two self sums.
 
-    A kernel phi(Delta) = sum_d (alpha_d + beta_d df) Delta^d against pv_m sums
-    to sum_j F^j (A_j + df B_j), F = f/h, with A_j and B_j circular
-    convolutions: Delta_m^d = (F(a) - F(a - m h))^d / m^d expands binomially
-    into C(d, j) (-1)^i F(a)^j F(a - m h)^i, i = d - j, so A_j sums
-    alpha_d C(d, j) (-1)^i (pv / m^d) * (F^i w) over the pairs (d, i) with
-    d - i = j.  An operator's matrix maps the pairs to its rows A_0..A_order
-    and, where df enters ("self" and "slope", not "i1"), B_0..B_order; the
-    matrices of ``names`` are stacked in that order.  The columns run over the
-    pairs d-major: (0, 0), (1, 0), (1, 1), (2, 0), ...
+    A kernel phi(Delta) = sum_d c_d Delta^d against pv_m sums to
+    sum_j F^j A_j, F = f/h, with A_j circular convolutions:
+    Delta_m^d = (F(a) - F(a - m h))^d / m^d expands binomially into
+    C(d, j) (-1)^i F(a)^j F(a - m h)^i, i = d - j, so A_j sums
+    c_d C(d, j) (-1)^i (pv / m^d) * (F^i w) over the pairs (d, i) with
+    d - i = j.  Rows 0..order are A_0..A_order of S1, phi = Delta/(1 + Delta^2),
+    and rows order + 1..2 order + 1 those of S0, phi = 1/(1 + Delta^2).  The
+    columns run over the pairs d-major: (0, 0), (1, 0), (1, 1), (2, 0), ...
     """
     d, i = (a.ravel() for a in np.meshgrid(np.arange(order + 1), np.arange(order + 1),
                                            indexing="ij"))
@@ -276,15 +284,12 @@ def _self_series_mixes(order: int, names: tuple) -> np.ndarray:
     d, i = d[keep], i[keep]
     j = d - i
     binom = np.array([math.comb(int(dd), int(jj)) for dd, jj in zip(d, j)]) * (-1.0) ** i
-    # coefficients of Delta^k in 1/(1 + Delta^2), Delta/(1 + Delta^2), Delta^2/(1 + Delta^2)
+    # coefficients of Delta^k in 1/(1 + Delta^2) and Delta/(1 + Delta^2)
     k = np.arange(order + 1)
     even = np.where(k % 2 == 0, (-1.0) ** (k // 2), 0.0)
     odd = np.concatenate(([0.0], even[:-1]))
-    square = np.concatenate(([0.0], odd[:-1]))
-    kernels = {"self": (-odd, even), "slope": (-square, odd), "i1": (-square,)}
-    coefs = [c for name in names for c in kernels[name]]
-    mix = np.zeros((len(coefs) * (order + 1), len(d)))
-    for p, c in enumerate(coefs):
+    mix = np.zeros((2 * (order + 1), len(d)))
+    for p, c in enumerate((odd, even)):
         mix[p * (order + 1) + j, np.arange(len(d))] = c[d] * binom
     mix.flags.writeable = False
     return mix
@@ -302,30 +307,27 @@ class _Workspace:
     the Lagrange values l_j(f(a)), from the discrete orthogonality of T_k at
     the nodes, which divides by nothing.  Where the self-term series meets its
     bounds (``_self_series_order``) it keeps the powers (f/h)^0..(f/h)^order
-    of the samples and sums the self terms by that series; ``self_order`` is
-    None where the difference-quotient rows serve instead.  The Lagrange
-    values and the powers are stacked once, so that ``evaluate`` multiplies
-    the stack by omega1 and transforms it in one call; without the series the
-    stack ends in one row of ones, (f/h)^0.
+    of the samples and sums the two self sums S0 and S1 by that series;
+    ``self_order`` is None where the difference-quotient rows serve instead.
+    The Lagrange values and the powers are stacked once, so that ``evaluate``
+    multiplies the stack by omega1 and transforms it in one call; without the
+    series the stack ends in one row of ones, (f/h)^0.
 
     The difference-quotient rows are built on first use, into ``storage``: a
-    (2, N/2, N) array that successive snapshots of one run may share,
-    allocated there when not given.  The build runs in blocks of offset rows
-    of ``_KERNEL_BLOCK`` elements, so each block's elementwise passes stay in
-    cache and the O(N^2) build allocates no O(N^2) temporaries.
-    ``rhs_terms`` names the self terms that the solve's last evaluation adds
-    for the right-hand side ("slope", and "i1" where I1 is split off); a
-    strength solve alone needs none.
+    (2, N/2, N) array of pv_m/(1 + Delta^2) and the strength equation's self
+    kernel pv_m (df - Delta)/(1 + Delta^2), which successive snapshots of one
+    run may share, allocated there when not given.  The build runs in blocks
+    of offset rows of ``_KERNEL_BLOCK`` elements, so each block's elementwise
+    passes stay in cache and the O(N^2) build allocates no O(N^2) temporaries.
     """
 
     def __init__(self, f, cfg: FluidConfig, series_tol: float,
-                 storage: np.ndarray | None = None, rhs_terms: tuple = ()):
+                 storage: np.ndarray | None = None):
         fld = f.f
         grid = fld.grid
-        self.grid, self.cfg, self.rhs_terms = grid, cfg, rhs_terms
+        self.grid, self.cfg = grid, cfg
         n = grid.n_points
         self.storage = storage
-        self._scratch_rows = 0
         self.multiplier, axi = _flat_spectra(grid, cfg)
         # f, df (i xi, Nyquist zeroed) and M (-2 A_rho df) on k = 0..N/2
         c = fld.coefficients[: len(axi)]
@@ -345,8 +347,8 @@ class _Workspace:
         self._decay = np.exp(-np.outer(cfg.h2 + center + rho * cosines, axi))
         self._decay[:, -1] = 0.0
         r = 2.0 * max(-lo, hi) / grid.spacing  # 2 max |f| / h
-        self.self_order = _self_series_order(a1, r, series_tol, n)
-        self._stack = np.ones((p + (self.self_order or 0) + 1, n))
+        order = self.self_order = _self_series_order(a1, r, series_tol, n)
+        self._stack = np.ones((p + (order or 0) + 1, n))
         self._lagrange, powers = self._stack[:p], self._stack[p:]
         # l_j(x) = (1/p) (1 + 2 sum_{k=1}^{p-1} T_k(x_j) T_k(x)), T_k(x_j) = cos(k theta_j),
         # T_k(x) by its recurrence; a flat interface (rho = 0) has p = 1 and l_0 = 1
@@ -360,14 +362,29 @@ class _Workspace:
         # einsum, not matmul: a p x p product needs no BLAS, whose first call
         # allocates its buffers
         np.einsum("jk,ka->ja", weights, cheb, out=self._lagrange)
-        if self.self_order is not None:
+        if order is not None:
             # F^0, ..., F^order of F = f/h, one row each, by products (not pow)
             scaled = self.F / grid.spacing
             for j in range(1, len(powers)):
                 np.multiply(powers[j - 1], scaled, out=powers[j])
             self._scaled_powers = powers
+        # evaluate's scratch: the samples times the stack, their spectra, the
+        # rows to invert, the series products and the inverted rows, in one
+        # block.  With separate temporaries per evaluation, glibc's allocator
+        # trimmed and refaulted the heap on every call at N = 1024 and 2048
+        # (200 to 1300 page faults per step, against none now).
+        q, half = len(self._stack), len(axi)
+        rows = 2 * p + (0 if order is None else 2 * (order + 1))
+        pairs = 0 if order is None else (order + 1) * (order + 2) // 2
+        block = np.empty(q * n + 2 * (q + rows + pairs) * half + rows * n)
+        start, self._scratch = 0, []
+        for shape, dtype in (((q, n), float), ((q, half), complex), ((rows, half), complex),
+                             ((pairs, half), complex), ((rows, n), float)):
+            size = shape[0] * shape[1] * (2 if dtype is complex else 1)
+            self._scratch.append(block[start: start + size].view(dtype).reshape(shape))
+            start += size
 
-    def evaluate(self, w1: np.ndarray, terms: tuple = ("self",)) -> _Evaluation:
+    def evaluate(self, w1: np.ndarray, last: bool = False) -> _Evaluation:
         """Every nonlocal operator at samples w1 of omega1, by one batched transform pair.
 
         One forward transform of the stacked rows times w1 gives the spectra of
@@ -376,16 +393,15 @@ class _Workspace:
         omega2 = -A_kappa sum_j e^{-(h2 + f_j)|xi|} FFT[l_j(f) w1]; the line
         coupling back on the interface is
         sum_j l_j(f(a)) IFFT[pi (1, -i sgn xi) e^{-(h2 + f_j)|xi|} omega2_hat],
-        2p rows, and the series spectra of the self terms ``terms`` ("self",
-        "slope", "i1"; see ``_self_series_mixes``) are the (f/h)^i w1 spectra
-        contracted with the pv / m^d tables.  All of them go back in one
-        inverse transform.  Without the series the self terms are the O(N^2)
-        row sums.
+        2p rows, and the series spectra of the self sums S1 and S0 (see
+        ``_self_series_mixes``) are the (f/h)^i w1 spectra contracted with the
+        pv / m^d tables.  All of them go back in one inverse transform.
+        Without the series the self term is the O(N^2) row sum of the self
+        kernel, and the solve's ``last`` evaluation gathers S0 with it, in
+        one pass over the storage, for S1 = df S0 - (self term).
         """
         n, p, order = self.grid.n_points, self.coupling_nodes, self.self_order
-        series = order is not None and len(terms) > 0
-        mix = _self_series_mixes(order, terms) if series else None
-        x, spectra, z, terms_hat, s = self._scratch(2 * p + (len(mix) if series else 0))
+        x, spectra, z, terms_hat, s = self._scratch
         # unnormalized forward transforms, so N omega2_hat below: spectra divided
         # by N reach the subnormal range in the series products at the decay
         # datum's high modes, which then run up to 7 times slower (N = 2048)
@@ -395,7 +411,7 @@ class _Workspace:
         # sgn(xi) is 1 for k = 1..N/2 - 1, and the Nyquist column is zero already
         np.multiply(z[:p], -1j, out=z[p: 2 * p])
         z[p: 2 * p, 0] = 0.0
-        if series:
+        if order is not None:
             # (pv / m^d) * (F^i w1) over the pairs (d, i), i <= d, in the mix's
             # column order
             pv = _pv_power_spectra(self.grid, order)
@@ -403,42 +419,21 @@ class _Workspace:
                 start = d * (d + 1) // 2
                 np.multiply(pv[d], spectra[p: p + d + 1], out=terms_hat[start: start + d + 1])
             # the weights are real: one real product on the interleaved spectra
-            np.matmul(mix, terms_hat.view(float), out=z[2 * p:].view(float))
+            np.matmul(_self_series_mixes(order), terms_hat.view(float), out=z[2 * p:].view(float))
         np.fft.irfft(z, n, out=s)
         pg, cpg = np.einsum("ja,qja->qa", self._lagrange, s[: 2 * p].reshape(2, p, n))
-        if series:
-            # sum_j F^j (A_j + df B_j), one group of order + 1 rows per A or B
-            acc = iter(np.einsum("gja,ja->ga", s[2 * p:].reshape(-1, order + 1, n),
-                                 self._scaled_powers))
-            sums = tuple(next(acc) if name == "i1" else next(acc) + self.dF * next(acc)
-                         for name in terms)
+        if order is not None:
+            # sum_j F^j A_j, one group of order + 1 rows per sum
+            s1, s0 = np.einsum("gja,ja->ga", s[2 * p:].reshape(2, order + 1, n),
+                               self._scaled_powers)
+            self_term = self.dF * s0 - s1
+        elif last:
+            s0, self_term = np.einsum("qja,ja->qa", self._kernels, odd_offset_rows(w1))
+            s1 = self.dF * s0 - self_term
         else:
-            sums = tuple(self._row_sum(name, w1) for name in terms)
-        return _Evaluation(w1, spectra[p] / n, omega2 / n, pg, cpg, sums)
-
-    def _scratch(self, rows: int) -> tuple:
-        """Views of ``evaluate``'s scratch for ``rows`` inverse-transform rows.
-
-        The samples times the stack, their spectra, the rows to invert, the
-        series products and the inverted rows share one block, allocated on
-        the first evaluation and again only when one asks for more rows.  With
-        separate temporaries per evaluation, glibc's allocator trimmed and
-        refaulted the heap on every call at N = 1024 and 2048 (200 to 1300
-        page faults per step, against none now).
-        """
-        if rows > self._scratch_rows:
-            n, half, q = self.grid.n_points, self.grid.nyquist_index() + 1, len(self._stack)
-            order = self.self_order
-            pairs = 0 if order is None else (order + 1) * (order + 2) // 2
-            block, start, views = np.empty(q * n + 2 * (q + rows + pairs) * half + rows * n), 0, []
-            for shape, dtype in (((q, n), float), ((q, half), complex), ((rows, half), complex),
-                                 ((pairs, half), complex), ((rows, n), float)):
-                size = shape[0] * shape[1] * (2 if dtype is complex else 1)
-                views.append(block[start: start + size].view(dtype).reshape(shape))
-                start += size
-            self._scratch_block, self._scratch_rows = tuple(views), rows
-        x, spectra, z, terms_hat, s = self._scratch_block
-        return x, spectra, z[:rows], terms_hat, s[:rows]
+            s0 = s1 = None
+            self_term = np.einsum("ja,ja->a", self._kernels[1], odd_offset_rows(w1))
+        return _Evaluation(w1, spectra[p] / n, omega2 / n, pg, cpg, self_term, s0, s1)
 
     @cached_property
     def _offset_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -447,51 +442,35 @@ class _Workspace:
         return (1.0 / beta)[:, None], pv[:, None]
 
     @cached_property
-    def _kernels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Delta_m f(a) and the self kernel (df(a) - Delta)/(1 + Delta^2) x pv_m.
+    def _kernels(self) -> np.ndarray:
+        """pv_m/(1 + Delta^2) and the self kernel pv_m (df(a) - Delta)/(1 + Delta^2).
 
-        One row per odd offset m, written in place into the storage, one block
-        of rows at a time; 1 + Delta^2 of a block lives in a block-sized
-        scratch.  Every element sees the same operations as in one pass over
-        all rows, so the kernels do not depend on the block size.  The
-        (2, N/2, N) storage is allocated here, on first use, unless given.
+        Delta = Delta_m f(a); one row per odd offset m, written in place into
+        the storage, one block of rows at a time, Delta and 1 + Delta^2 in the
+        first kernel's rows before pv_m divides by them.  Every element sees
+        the same operations as in one pass over all rows, so the kernels do
+        not depend on the block size.  The (2, N/2, N) storage is allocated
+        here, on first use, unless given.
         """
         inv_beta, pv = self._offset_weights
         F, dF = self.F, self.dF
         if self.storage is None:
             self.storage = np.empty((2, len(F) // 2, len(F)))
-        delta, kernel = self.storage
+        weight, kernel = self.storage
         rows = odd_offset_rows(F)
         block = max(1, _KERNEL_BLOCK // len(F))
-        scratch = np.empty((min(block, len(delta)), len(F)))
-        for j in range(0, len(delta), block):
+        for j in range(0, len(weight), block):
             b = slice(j, j + block)
-            d, k = delta[b], kernel[b]
-            sq = scratch[: len(d)]
-            np.subtract(F, rows[b], out=d)
-            d *= inv_beta[b]
-            np.subtract(dF, d, out=k)
-            np.multiply(d, d, out=sq)
-            sq += 1.0
-            k /= sq
+            q, k = weight[b], kernel[b]
+            np.subtract(F, rows[b], out=q)
+            q *= inv_beta[b]
+            np.subtract(dF, q, out=k)
+            q *= q
+            q += 1.0
+            k /= q
             k *= pv[b]
-        return delta, kernel
-
-    @staticmethod
-    def _gather(kernel: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # alternating-rule sum over odd offsets m: sum_m kernel[m, a] w[a - m]
-        return np.einsum("ja,ja->a", kernel, odd_offset_rows(w))
-
-    def _row_sum(self, name: str, w: np.ndarray) -> np.ndarray:
-        """One self term by the O(N^2) rows: the self-induction kernel, the slope
-        terms (I1 - pi H w) + I2, Delta (df - Delta) / (1 + Delta^2), or the I1
-        remainder I1 - pi H w, -Delta^2 / (1 + Delta^2), each against pv_m."""
-        delta, kernel = self._kernels
-        if name == "self":
-            return self._gather(kernel, w)
-        if name == "slope":
-            return np.einsum("ja,ja,ja->a", delta, kernel, odd_offset_rows(w))
-        return self._gather(-(delta ** 2) / (1.0 + delta ** 2) * self._offset_weights[1], w)
+            np.divide(pv[b], q, out=q)
+        return self.storage
 
 
 def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
@@ -511,7 +490,7 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
     stays above tol for ``max_iter``, raises PicardDivergenceError with the
     update-norm history attached.
     ``workspace`` is the snapshot's kernel backend, built here when not given;
-    the last evaluation, at the returned strength, adds its ``rhs_terms``.
+    the last evaluation, at the returned strength, also holds the two self sums.
     """
     ws = workspace or _Workspace(f, cfg, DEFAULT_SERIES_TOL)
     grid = ws.grid
@@ -525,7 +504,7 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
             w1 = w1 + guess
         for it in range(1, max_iter + 1):
             ev = ws.evaluate(w1)
-            t1 = (cfg.a_mu / np.pi) * (ev.sums[0] + ws.dF * ev.cp - ev.p) + forcing
+            t1 = (cfg.a_mu / np.pi) * (ev.self_term + ws.dF * ev.cp - ev.p) + forcing
             # on k = 0..N/2; modes 1..N/2-1 stand for their mirrors too
             update = np.fft.rfft(t1 - w1, norm="forward") * ws.multiplier
             size = np.abs(update)
@@ -546,7 +525,7 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
                 f"no contraction after {max_iter} iterations (last residual {history[-1]:.3g})",
                 history,
             )
-    ev = ws.evaluate(w1, ws.rhs_terms)
+    ev = ws.evaluate(w1, last=True)
     return VorticityPair(SpectralField(grid, hermitian_extension(ev.omega1, grid)),
                          SpectralField(grid, hermitian_extension(ev.omega2, grid)),
                          residual=delta, iterations=it, contraction_ratio=ratio, evaluation=ev)

@@ -16,7 +16,7 @@ from muskatjump.errors import BlowUpError, ConfigurationError, StepSizeError
 from muskatjump.evolution import (InterfaceField, MonitorState, Schedule, SolverOptions,
                                   checkpoint_payload, leakage, load_checkpoint,
                                   nonlinear_tendency, rhs, run, save_checkpoint, step)
-from muskatjump.vorticity import solve_vorticity
+from muskatjump.vorticity import DEFAULT_SERIES_TOL, _Workspace, solve_vorticity
 
 from muskatjump.spectral import hermitian_symmetrize
 
@@ -98,18 +98,31 @@ def test_rhs_diagnostics_present_when_requested():
     assert all(np.isfinite(v) for v in sizes.values())
 
 
-def test_rhs_parts_are_the_four_integrals():
+@pytest.mark.parametrize("amplitude", [0.02, 0.3])
+def test_rhs_parts_are_the_four_integrals(amplitude):
     # i1..i4 hold I1..I4 one by one (not only their sum), each against the
-    # direct quadrature of the oracle
+    # direct quadrature of the oracle, with the self sums by their series
+    # (amplitude 0.02) and by the rows (0.3)
     g = GridSpec(256, L12)
-    f = gaussian_bump(g, 0.3, 1.5)
+    f = gaussian_bump(g, amplitude, 1.5)
+    assert (_Workspace(f, REF_CFG, DEFAULT_SERIES_TOL).self_order is None) == (amplitude == 0.3)
     pair = solve_vorticity(f, REF_CFG)
     br = rhs(f, REF_CFG)
     F, w1, w2 = f.samples(), inverse(pair.omega1), inverse(pair.omega2)
     parts = (br.i1, br.i2, br.i3, br.i4)
     for which, (part, w) in enumerate(zip(parts, (w1, w1, w2, w2)), start=1):
         ref = oracle.quad_I(F, w, REF_CFG, which, L12)
-        assert np.max(np.abs(inverse(part) - ref)) <= 1e-6 * np.max(np.abs(ref))
+        assert np.max(np.abs(inverse(part) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("amplitude", [0.02, 0.3])
+def test_rhs_and_tendency_are_one_assembly(amplitude):
+    # the breakdown's nonlinear part is the step's tendency bit for bit, on
+    # the series (amplitude 0.02) and on the rows (0.3)
+    f = gaussian_bump(GridSpec(256, L12), amplitude, 1.5)
+    opts = SolverOptions()
+    assert np.array_equal(rhs(f, REF_CFG, opts).nonlinear_part.coefficients,
+                          nonlinear_tendency(f, REF_CFG, opts))
 
 
 @pytest.mark.parametrize("amplitude", [0.95, 1.05])

@@ -30,7 +30,7 @@ def _full(half, grid):
 def _omega2(f, w1, cfg, tol=DEFAULT_SERIES_TOL):
     """Permeability-sheet strength induced by w1 on the snapshot's backend."""
     ws = _Workspace(f, cfg, tol)
-    return _full(ws.evaluate(inverse(w1), ()).omega2, ws.grid)
+    return _full(ws.evaluate(inverse(w1)).omega2, ws.grid)
 
 
 def _quad_omega2(f, w1, cfg):
@@ -61,10 +61,10 @@ class _QuadratureWorkspace(_Workspace):
         super().__init__(f, cfg, tol)
         self.P, self.CP = _dense_pair(f, cfg)
 
-    def evaluate(self, w1, terms=("self",)):
+    def evaluate(self, w1, last=False):
         w2 = forward(-(self.cfg.a_kappa / np.pi) * (self.P.T @ w1), self.grid)
         g = inverse(w2)
-        return super().evaluate(w1, terms)._replace(
+        return super().evaluate(w1, last)._replace(
             omega2=w2.coefficients[: self.grid.nyquist_index() + 1], p=self.P @ g, cp=self.CP @ g)
 
 
@@ -475,12 +475,12 @@ def test_warm_and_cold_solves_agree(seed, frac, scale):
 
 
 def _unblocked_kernels(ws):
-    """Delta and the self kernel in one pass over all offset rows."""
+    """pv/(1 + Delta^2) and the self kernel in one pass over all offset rows."""
     inv_beta, pv = ws._offset_weights
     rows = odd_offset_rows(ws.F)
     delta = (ws.F - rows) * inv_beta
-    kernel = (ws.dF - delta) / (1.0 + delta * delta) * pv
-    return delta, kernel
+    square = 1.0 + delta * delta
+    return pv / square, (ws.dF - delta) / square * pv
 
 
 @pytest.mark.parametrize("n", [384, 512])
@@ -495,19 +495,20 @@ def test_blocked_kernel_build_matches_one_pass(n):
 
 
 def _row_sums(ws, w):
-    """Self-induction, slope terms and I1 remainder of w by the O(N^2) rows."""
-    delta, kernel = ws._kernels
-    pv = ws._offset_weights[1]
-    return (ws._gather(kernel, w),
-            np.einsum("ja,ja,ja->a", delta, kernel, odd_offset_rows(w)),
-            ws._gather(-(delta ** 2) / (1.0 + delta ** 2) * pv, w))
+    """Self term, S0 and S1 of w by the O(N^2) rows, one unblocked gather each."""
+    weight, kernel = ws._kernels
+    delta = (ws.F - odd_offset_rows(ws.F)) * ws._offset_weights[0]
+    rows = odd_offset_rows(w)
+    return (np.einsum("ja,ja->a", kernel, rows), np.einsum("ja,ja->a", weight, rows),
+            np.einsum("ja,ja,ja->a", delta, weight, rows))
 
 
 def _assert_series_matches_rows(ws, w, rel=1e-12):
     # against the operand scale sum_m |pv_m| ||w||_inf of the bounds
     assert ws.self_order is not None
     scale = np.sum(np.abs(ws._offset_weights[1])) * np.max(np.abs(w))
-    series = ws.evaluate(w, ("self", "slope", "i1")).sums
+    ev = ws.evaluate(w)
+    series = ev.self_term, ev.s0, ev.s1
     for got, want in zip(series, _row_sums(ws, w)):
         assert np.max(np.abs(got - want)) <= rel * scale
 
@@ -559,7 +560,7 @@ def test_large_data_fall_back_to_the_rows():
     ws = _Workspace(gaussian_bump(g, 0.5, 1.5), REF_CFG, DEFAULT_SERIES_TOL)
     assert ws.self_order is None and ws.storage is None
     w1 = ws.dF
-    assert np.array_equal(ws.evaluate(w1).sums[0], _row_sums(ws, w1)[0])
+    assert np.array_equal(ws.evaluate(w1).self_term, _row_sums(ws, w1)[0])
     assert ws.storage.shape == (2, 128, 256)
 
 
