@@ -1,12 +1,11 @@
 """Interface evolution: right-hand side assembly, exponential integrator, trajectories.
 
 The graph height advances by (I1 + I2 + I3 + I4)/2pi.  The fast path computes
-the self-induction integrals I1, I2 from two alternating-rule sums (summed by
-their difference-quotient series where that converges, by the O(N^2) rows
-otherwise, chosen once per snapshot, so large data fall back to the rows),
-and the line-coupling integrals I3, I4 by the snapshot's Chebyshev
-interpolant in the height (``muskatjump.vorticity``), which raises a
-``GeometryError`` where it would need more than N nodes.
+the self-induction integrals I1, I2 from two alternating-rule sums (the
+offsets nearest zero summed directly, the rest by their difference-quotient
+series, split once per snapshot), and the line-coupling integrals I3, I4 by
+the snapshot's Chebyshev interpolant in the height (``muskatjump.vorticity``),
+which raises a ``GeometryError`` where it would need more than N nodes.
 The exact linear multiplier m(xi) is removed and handled by the integrating
 factor of an ETDRK2 scheme.
 """
@@ -145,20 +144,16 @@ def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
     the solve's last evaluation is the right-hand side's: it holds the two
     self sums S0, S1 and the line coupling P omega2, CP omega2, so
     I1 = S0, I2 = df S1, I3 = CP omega2 and I4 = df P omega2 take one batched
-    transform.  With a ``carry`` the solve starts from its correction and the
-    difference-quotient rows, where a snapshot uses them, reuse its storage;
-    both are updated here.
+    transform.  With a ``carry`` the solve starts from its correction, which
+    is updated here.
     """
     grid = f.f.grid
     carry = carry or MonitorState()
-    ws = _Workspace(f, cfg, opts.series_tol, storage=carry.kernels)
+    ws = _Workspace(f, cfg, opts.series_tol)
     pair = solve_vorticity(f, cfg, tol=opts.picard_tol, max_iter=opts.picard_max_iter,
                            workspace=ws, guess=carry.correction)
     ev = pair.evaluation
     carry.correction = ev.w1 - ws.linear
-    # after the last self sums: a solve without iterations (A_mu = 0) first
-    # builds the rows in its one evaluation
-    carry.kernels = ws.storage
     spectra = np.fft.rfft([ev.s0, ws.dF * ev.s1, ev.cp, ws.dF * ev.p], norm="forward")
     keep = dealias_mask(grid)[: grid.nyquist_index() + 1]
     parts = hermitian_extension(np.where(keep, spectra, 0.0), grid)
@@ -342,14 +337,11 @@ class MonitorState:
     from its own linear strength plus it, and a payload without it starts
     cold.  One written before the solve was preconditioned (omega1 +
     2 A_rho df) still loads as a start, reaching the same strengths, though
-    not bit for bit.  ``kernels`` is scratch: the ``vorticity._Workspace``
-    row storage, allocated by the first solve whose snapshot sums the self
-    terms by the rows, and left out of the payload.
+    not bit for bit.
     """
 
     integral: dict = field(default_factory=lambda: {0: 0.0, 1: 0.0})
     correction: np.ndarray | None = None
-    kernels: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_payload(self) -> dict:
         payload = {"integral": [float(self.integral[0]).hex(), float(self.integral[1]).hex()]}

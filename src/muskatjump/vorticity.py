@@ -22,29 +22,32 @@ The self-induction terms are combinations of two alternating-rule sums
 S0 and S1 = sum_m pv_m phi(Delta_m(a)) w(a - m h) over the odd offsets m,
 with Delta_m = (f(a) - f(a - m h)) / (m h) and phi = 1/(1 + Delta^2) or
 Delta/(1 + Delta^2): the strength equation reads df S0 - S1, the interface
-velocity I1 = S0 and I2 = df S1.  On a snapshot whose ||f||_{F^{1,1}}
-bounds every |Delta| well below 1, phi is expanded geometrically in Delta
-and Delta^d binomially, so each sum becomes a short series of circular
-convolutions of f^i w with the tables pv_m / m^d, O(order^2 N +
+velocity I1 = S0 and I2 = df S1.  Both split into a near and a far field, as
+the fast multipole method splits its sums (Greengard & Rokhlin, JCP 73,
+1987): the K offsets nearest zero are summed directly, O(K N), and on the
+others |Delta_m| is at most ||f||_{F^{1,1}} and (max f - min f)/(|m| h),
+so phi is expanded geometrically in Delta and Delta^d binomially, and each
+far sum becomes a short series of circular convolutions of powers of the
+centred height times w with the tables pv_m / m^d, O(order^2 N +
 order N log N) by FFT (Constantin, Cordoba, Gancedo & Strain, JEMS 15, 2013,
-expand the Muskat kernel the same way).
-Where the truncation or rounding bound of that series fails, the O(N^2)
-difference-quotient rows serve; that choice is the only one made per snapshot.
+expand the Muskat kernel the same way).  One cost model picks K and the
+order per snapshot under the series' truncation and rounding bounds; K = 0
+is the series alone and K = N/2 the O(N^2) sums alone.
 
 One evaluation serves every nonlocal operator at once (``_Workspace.evaluate``):
 both the line coupling and the self-term series start from transforms of
 weighted copies of omega1 and end in inverse transforms back on the interface,
 so a strength evaluation is one batched forward and one batched inverse real
 FFT, the batching of independent transforms of FFTW's "many" plans (Frigo &
-Johnson, Proc. IEEE 93, 2005).  The solve's last evaluation, at the strength it
-returns, also yields the two self sums the right-hand side reads.
+Johnson, Proc. IEEE 93, 2005).  Every evaluation yields the two self sums, and
+the solve's last one, at the strength it returns, serves the right-hand side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -60,12 +63,22 @@ DEFAULT_PICARD_TOL = 1e-11
 DEFAULT_PICARD_MAX_ITER = 80
 # consecutive growths of the update norm that end the solve as a divergence
 _GROWTH_LIMIT = 3
-# elements per block of the difference-quotient kernel build: a block of each
-# of the two kernels, 256 KB apiece, stays in cache
-_KERNEL_BLOCK = 32768
-# rounding of the self-term series, in ulps of its largest binomial term; at
-# most 0.06 measured over N = 256..1024 and r up to 27
+# rounding of the self-term series, in ulps of (order + 1) times its largest
+# binomial term; at most 0.22 measured over N = 256..1024, far-field rho up
+# to 6.5 and orders up to 40
 _SELF_ROUNDING_ULPS = 16.0
+# costs of the self-term rule, in rows of N of the near field (its build and
+# gathers over a right-hand side): one spectral product of the series, and a
+# near field at all.  Measured per right-hand side at N = 512 and 2048: a
+# product 6.4 and 26 us, an offset 4 and 21 us, a near field at all 55 us at
+# N = 512
+_PRODUCT_ROWS = 3.0
+_NEAR_ROWS = 16.0
+# near-field widths are multiples of this, so that a run whose K drifts from
+# snapshot to snapshot builds and caches fewer far-field tables, each paged
+# in fresh: 10 instead of 23 over 70 steps of an amplitude-0.95 bump at
+# N = 2048
+_NEAR_STEP = 8
 
 
 @dataclass(frozen=True)
@@ -120,9 +133,7 @@ class _Evaluation(NamedTuple):
     interface.  ``s0`` and ``s1`` are the two self sums
     S0 = sum_m pv_m / (1 + Delta_m^2) w1(a - m h) and
     S1 = sum_m pv_m Delta_m / (1 + Delta_m^2) w1(a - m h), so that I1 = S0 and
-    I2 = df S1; ``self_term`` is the strength equation's df S0 - S1.  On the
-    difference-quotient rows only the solve's last evaluation gathers S0 and
-    S1, and they are None before it.
+    I2 = df S1; ``self_term`` is the strength equation's df S0 - S1.
     """
 
     w1: np.ndarray
@@ -131,8 +142,8 @@ class _Evaluation(NamedTuple):
     p: np.ndarray
     cp: np.ndarray
     self_term: np.ndarray
-    s0: np.ndarray | None
-    s1: np.ndarray | None
+    s0: np.ndarray
+    s1: np.ndarray
 
 
 def check_geometry(samples: np.ndarray, cfg: FluidConfig) -> None:
@@ -215,51 +226,75 @@ def _odd_offset_pv(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return beta, pv_kernel_periodic(beta, grid.domain_length) * 2.0 * grid.spacing
 
 
-def _self_series_order(u: float, r: float, tol: float, n_points: int) -> int | None:
-    """Order of the self-term series, or None where the O(N^2) rows serve.
+def _self_rule(u: float, r_c: float, tol: float, n_points: int) -> tuple[int, int]:
+    """Near-field width K and far-field series order of the two self sums.
 
-    On the interpolant |Delta_m| <= sup |f'| <= u = ||f||_{F^{1,1}}.  The
-    kernels of S0 and S1 are power series in Delta whose coefficients are 0
-    or +-1, and the self terms take them times 1 or df, |df| <= u, so
-    truncating past Delta^order leaves at most u^(order+1)/(1 - u) of the
-    operand sum_m |pv_m| ||w||_inf.  The binomial terms of Delta^d reach
-    (2 ||f||_inf / h)^d = r^d of it (|m| >= 1), times max(1, u) for the df
-    factor, and cancel: their rounding must stay below the tolerance too.  Both bounds are held to tol / 100, a tenth of the
-    line-coupling interpolant's share, as this scale is the operand's own size and
-    not a floor of 1: at tol / 10 the decay case moved by 1e-12 relative in
-    F^{2,1} over 100 steps against the rows, at tol / 100 by 6e-15.  A series
-    with (order + 1)^2 > N/3 would cost more than the rows (measured at
-    N = 256..2048), so it is not taken.
+    The K odd offsets |m| < K (K a multiple of ``_NEAR_STEP``) are summed
+    directly, the others by the series.  On the interpolant |Delta_m| <= sup |f'| <= u = ||f||_{F^{1,1}},
+    and on the samples |Delta_m| <= r_c / |m|, r_c = (max f - min f) / h, so
+    every far offset has |Delta_m| <= q = min(u, rho), rho = r_c / (K + 1).
+    The kernels of S0 and S1 are power series in Delta whose coefficients are
+    0 or +-1, and the self terms take them times 1 or df, |df| <= u, so
+    truncating past Delta^order leaves at most max(1, u) q^(order+1)/(1 - q)
+    of the operand sum_m |pv_m| ||w||_inf.  In powers of the centred
+    F_c = (f - c)/h the binomial terms of Delta_m^d reach rho^d of it, times
+    max(1, u), and cancel: their rounding, below (order + 1) max(1, rho)^order
+    of them all, must stay below the tolerance too.  Both bounds are held to
+    tol / 100, a tenth of the line-coupling interpolant's share, as this
+    scale is the operand's own size and not a floor of 1: at tol / 10 the
+    decay case moved by 1e-12 relative in F^{2,1} over 100 steps against the
+    rows, at tol / 100 by 6e-15.
+
+    Of the pairs that meet both bounds the cheapest is taken, at 2 K rows of
+    N for the near field (and ``_NEAR_ROWS`` for one at all) against
+    ``_PRODUCT_ROWS`` rows per spectral product of the series,
+    (order + 1)(order + 2)/2 of them.  Each order takes the least K its
+    bounds allow, where q = u meets the truncation bound from K = 0 and
+    otherwise from rho <= min(1/2, (tol / 200 / max(1, u))^(1/(order+1))).
+    No order past the one q = u needs is cheaper, nor is any that costs more
+    than the N rows of K = N/2, which leaves no far field (order 0 on a zero
+    table) and so meets both bounds at any size.
     """
-    target = tol / 100.0
-    if not u < 1.0:
-        return None
+    target, slope = tol / 100.0, max(1.0, u)
+    rounding = _SELF_ROUNDING_ULPS * np.finfo(float).eps * slope
+    top = math.ceil((math.sqrt(8.0 * n_points / _PRODUCT_ROWS + 1.0) - 3.0) / 2.0) - 1
     order = 0
-    while u ** (order + 1) / (1.0 - u) > target:
+    while order < top and not (u < 1.0 and slope * u ** (order + 1) / (1.0 - u) <= target):
         order += 1
-        if 3 * (order + 1) ** 2 > n_points:
-            return None
-    # sum_{d <= order} r^d; one past the double range fails the test anyway
-    if order * math.log(max(r, 1.0)) > 700.0:
-        return None
-    size = sum(r ** d for d in range(order + 1))
-    if _SELF_ROUNDING_ULPS * np.finfo(float).eps * max(1.0, u) * size > target:
-        return None
-    return order
+    best, cost = (n_points // 2, 0), float(n_points)
+    widest = _NEAR_STEP * ((n_points // 2 - 1) // _NEAR_STEP)
+    for order in range(order, -1, -1):
+        if rounding * (order + 1) > target:
+            continue
+        rho = (target / rounding / (order + 1)) ** (1.0 / order) if order else math.inf
+        if not (u < 1.0 and slope * u ** (order + 1) / (1.0 - u) <= target):
+            rho = min(rho, 0.5, (0.5 * target / slope) ** (1.0 / (order + 1)))
+        if r_c > rho * (widest + 1):
+            break
+        near = 0 if r_c <= rho else _NEAR_STEP * math.ceil((r_c / rho - 1.0) / _NEAR_STEP)
+        fixed = 2 * near + (_NEAR_ROWS if near else 0.0)
+        if fixed >= cost:
+            break
+        price = fixed + _PRODUCT_ROWS * (order + 1) * (order + 2) / 2
+        if price < cost:
+            best, cost = (near, order), price
+    return best
 
 
 @lru_cache(maxsize=32)
-def _pv_power_spectra(grid: GridSpec, order: int) -> np.ndarray:
-    """Read-only half spectra of the tables pv_m / m^d, d = 0..order.
+def _pv_power_spectra(grid: GridSpec, order: int, near: int) -> np.ndarray:
+    """Read-only half spectra of the far-field tables pv_m / m^d, d = 0..order.
 
-    Row d holds pv_m / m^d at index m mod n for each odd offset m and 0 at the
-    even ones, so its circular convolution with samples w is the
-    alternating-rule sum sum_m pv_m m^-d w(a - m h).
+    Row d holds pv_m / m^d at index m mod n for each odd offset |m| > near and
+    0 at the near and even ones, so its circular convolution with samples w
+    is the far field's alternating-rule sum sum_{|m| > near} pv_m m^-d w(a - m h).
     """
     n = grid.n_points
     m = odd_offsets(grid)
+    far = np.abs(m) > near
     rows = np.zeros((order + 1, n))
-    rows[:, m % n] = _odd_offset_pv(grid)[1] / m.astype(float) ** np.arange(order + 1)[:, None]
+    rows[:, m[far] % n] = (_odd_offset_pv(grid)[1][far]
+                           / m[far].astype(float) ** np.arange(order + 1)[:, None])
     spectra = np.fft.rfft(rows)
     spectra.flags.writeable = False
     return spectra
@@ -270,11 +305,11 @@ def _self_series_mixes(order: int) -> np.ndarray:
     """Read-only stacked mixing matrix of the series of the two self sums.
 
     A kernel phi(Delta) = sum_d c_d Delta^d against pv_m sums to
-    sum_j F^j A_j, F = f/h, with A_j circular convolutions:
-    Delta_m^d = (F(a) - F(a - m h))^d / m^d expands binomially into
-    C(d, j) (-1)^i F(a)^j F(a - m h)^i, i = d - j, so A_j sums
-    c_d C(d, j) (-1)^i (pv / m^d) * (F^i w) over the pairs (d, i) with
-    d - i = j.  Rows 0..order are A_0..A_order of S1, phi = Delta/(1 + Delta^2),
+    sum_j F^j A_j, F = f/h or any shift of it such as the centred F_c, with
+    A_j circular convolutions: Delta_m^d = (F(a) - F(a - m h))^d / m^d
+    expands binomially into C(d, j) (-1)^i F(a)^j F(a - m h)^i, i = d - j,
+    so A_j sums c_d C(d, j) (-1)^i (pv / m^d) * (F^i w) over the pairs (d, i)
+    with d - i = j.  Rows 0..order are A_0..A_order of S1, phi = Delta/(1 + Delta^2),
     and rows order + 1..2 order + 1 those of S0, phi = 1/(1 + Delta^2).  The
     columns run over the pairs d-major: (0, 0), (1, 0), (1, 1), (2, 0), ...
     """
@@ -305,29 +340,21 @@ class _Workspace:
     coupling keeps the Poisson symbols e^{-(h2 + f_j)|xi|} at the
     ``coupling_nodes`` Chebyshev points f_j on k = 0..N/2 (Nyquist zeroed) and
     the Lagrange values l_j(f(a)), from the discrete orthogonality of T_k at
-    the nodes, which divides by nothing.  Where the self-term series meets its
-    bounds (``_self_series_order``) it keeps the powers (f/h)^0..(f/h)^order
-    of the samples and sums the two self sums S0 and S1 by that series;
-    ``self_order`` is None where the difference-quotient rows serve instead.
-    The Lagrange values and the powers are stacked once, so that ``evaluate``
-    multiplies the stack by omega1 and transforms it in one call; without the
-    series the stack ends in one row of ones, (f/h)^0.
-
-    The difference-quotient rows are built on first use, into ``storage``: a
-    (2, N/2, N) array of pv_m/(1 + Delta^2) and the strength equation's self
-    kernel pv_m (df - Delta)/(1 + Delta^2), which successive snapshots of one
-    run may share, allocated there when not given.  The build runs in blocks
-    of offset rows of ``_KERNEL_BLOCK`` elements, so each block's elementwise
-    passes stay in cache and the O(N^2) build allocates no O(N^2) temporaries.
+    the nodes, which divides by nothing.  The two self sums S0 and S1 split
+    at the ``near_width`` K of ``_self_rule``: the K odd offsets |m| < K
+    keep their kernels pv_m Delta/(1 + Delta^2) and pv_m/(1 + Delta^2), one
+    row of N per offset, and the far offsets are summed by the series of
+    order ``self_order`` in the powers F_c^0..F_c^order of the centred
+    samples F_c = (f - c)/h.  The Lagrange values and the powers are stacked
+    once, so that ``evaluate`` multiplies the stack by omega1 and transforms
+    it in one call.
     """
 
-    def __init__(self, f, cfg: FluidConfig, series_tol: float,
-                 storage: np.ndarray | None = None):
+    def __init__(self, f, cfg: FluidConfig, series_tol: float):
         fld = f.f
         grid = fld.grid
         self.grid, self.cfg = grid, cfg
-        n = grid.n_points
-        self.storage = storage
+        n, h = grid.n_points, grid.spacing
         self.multiplier, axi = _flat_spectra(grid, cfg)
         # f, df (i xi, Nyquist zeroed) and M (-2 A_rho df) on k = 0..N/2
         c = fld.coefficients[: len(axi)]
@@ -346,9 +373,9 @@ class _Workspace:
         cosines, weights = _chebyshev_nodes(p)
         self._decay = np.exp(-np.outer(cfg.h2 + center + rho * cosines, axi))
         self._decay[:, -1] = 0.0
-        r = 2.0 * max(-lo, hi) / grid.spacing  # 2 max |f| / h
-        order = self.self_order = _self_series_order(a1, r, series_tol, n)
-        self._stack = np.ones((p + (order or 0) + 1, n))
+        near, order = self.near_width, self.self_order = _self_rule(a1, (hi - lo) / h,
+                                                                      series_tol, n)
+        self._stack = np.ones((p + order + 1, n))
         self._lagrange, powers = self._stack[:p], self._stack[p:]
         # l_j(x) = (1/p) (1 + 2 sum_{k=1}^{p-1} T_k(x_j) T_k(x)), T_k(x_j) = cos(k theta_j),
         # T_k(x) by its recurrence; a flat interface (rho = 0) has p = 1 and l_0 = 1
@@ -362,43 +389,52 @@ class _Workspace:
         # einsum, not matmul: a p x p product needs no BLAS, whose first call
         # allocates its buffers
         np.einsum("jk,ka->ja", weights, cheb, out=self._lagrange)
-        if order is not None:
-            # F^0, ..., F^order of F = f/h, one row each, by products (not pow)
-            scaled = self.F / grid.spacing
-            for j in range(1, len(powers)):
-                np.multiply(powers[j - 1], scaled, out=powers[j])
-            self._scaled_powers = powers
+        # F_c^0, ..., F_c^order, one row each, by products (not pow)
+        centred = (self.F - center) / h
+        for j in range(1, order + 1):
+            np.multiply(powers[j - 1], centred, out=powers[j])
+        self._powers = powers
         # evaluate's scratch: the samples times the stack, their spectra, the
-        # rows to invert, the series products and the inverted rows, in one
-        # block.  With separate temporaries per evaluation, glibc's allocator
-        # trimmed and refaulted the heap on every call at N = 1024 and 2048
-        # (200 to 1300 page faults per step, against none now).
+        # rows to invert, the series products, the inverted rows and the near
+        # kernels, in one block.  With separate temporaries per evaluation,
+        # glibc's allocator trimmed and refaulted the heap on every call at
+        # N = 1024 and 2048 (200 to 1300 page faults per step, against none now).
         q, half = len(self._stack), len(axi)
-        rows = 2 * p + (0 if order is None else 2 * (order + 1))
-        pairs = 0 if order is None else (order + 1) * (order + 2) // 2
-        block = np.empty(q * n + 2 * (q + rows + pairs) * half + rows * n)
-        start, self._scratch = 0, []
+        rows, pairs = 2 * (p + order + 1), (order + 1) * (order + 2) // 2
+        block = np.empty(q * n + 2 * (q + rows + pairs) * half + (rows + 2 * near) * n)
+        start, scratch = 0, []
         for shape, dtype in (((q, n), float), ((q, half), complex), ((rows, half), complex),
-                             ((pairs, half), complex), ((rows, n), float)):
-            size = shape[0] * shape[1] * (2 if dtype is complex else 1)
-            self._scratch.append(block[start: start + size].view(dtype).reshape(shape))
+                             ((pairs, half), complex), ((rows, n), float), ((2, near, n), float)):
+            size = math.prod(shape) * (2 if dtype is complex else 1)
+            scratch.append(block[start: start + size].view(dtype).reshape(shape))
             start += size
+        self._scratch, self._near = scratch[:5], scratch[5]
+        if near:
+            # the rows m_j = 2 j - N/2 + 1 of odd_offset_rows with |m_j| < K
+            self._near_rows = slice(n // 4 - near // 2, n // 4 + near // 2)
+            beta, pv = (a[self._near_rows, None] for a in _odd_offset_pv(grid))
+            # Delta, then 1 + Delta^2, before pv divides by it
+            k1, k0 = self._near
+            np.subtract(self.F, odd_offset_rows(self.F)[self._near_rows], out=k1)
+            k1 /= beta
+            np.multiply(k1, k1, out=k0)
+            k0 += 1.0
+            np.divide(pv, k0, out=k0)
+            k1 *= k0
 
-    def evaluate(self, w1: np.ndarray, last: bool = False) -> _Evaluation:
+    def evaluate(self, w1: np.ndarray) -> _Evaluation:
         """Every nonlocal operator at samples w1 of omega1, by one batched transform pair.
 
         One forward transform of the stacked rows times w1 gives the spectra of
-        l_j(f) w1 and of (f/h)^i w1, the first of which, (f/h)^0 = 1, is
-        omega1's.  The permeability-sheet strength is
+        l_j(f) w1 and of F_c^i w1, the first of which, F_c^0 = 1, is omega1's.
+        The permeability-sheet strength is
         omega2 = -A_kappa sum_j e^{-(h2 + f_j)|xi|} FFT[l_j(f) w1]; the line
         coupling back on the interface is
         sum_j l_j(f(a)) IFFT[pi (1, -i sgn xi) e^{-(h2 + f_j)|xi|} omega2_hat],
-        2p rows, and the series spectra of the self sums S1 and S0 (see
-        ``_self_series_mixes``) are the (f/h)^i w1 spectra contracted with the
-        pv / m^d tables.  All of them go back in one inverse transform.
-        Without the series the self term is the O(N^2) row sum of the self
-        kernel, and the solve's ``last`` evaluation gathers S0 with it, in
-        one pass over the storage, for S1 = df S0 - (self term).
+        2p rows, and the far-field series spectra of the self sums S1 and S0
+        (see ``_self_series_mixes``) are the F_c^i w1 spectra contracted with
+        the pv / m^d tables.  All of them go back in one inverse transform.
+        The near field adds its K offset rows of each sum directly.
         """
         n, p, order = self.grid.n_points, self.coupling_nodes, self.self_order
         x, spectra, z, terms_hat, s = self._scratch
@@ -411,66 +447,22 @@ class _Workspace:
         # sgn(xi) is 1 for k = 1..N/2 - 1, and the Nyquist column is zero already
         np.multiply(z[:p], -1j, out=z[p: 2 * p])
         z[p: 2 * p, 0] = 0.0
-        if order is not None:
-            # (pv / m^d) * (F^i w1) over the pairs (d, i), i <= d, in the mix's
-            # column order
-            pv = _pv_power_spectra(self.grid, order)
-            for d in range(order + 1):
-                start = d * (d + 1) // 2
-                np.multiply(pv[d], spectra[p: p + d + 1], out=terms_hat[start: start + d + 1])
-            # the weights are real: one real product on the interleaved spectra
-            np.matmul(_self_series_mixes(order), terms_hat.view(float), out=z[2 * p:].view(float))
+        # (pv / m^d) * (F_c^i w1) over the pairs (d, i), i <= d, in the mix's
+        # column order
+        pv = _pv_power_spectra(self.grid, order, self.near_width)
+        for d in range(order + 1):
+            start = d * (d + 1) // 2
+            np.multiply(pv[d], spectra[p: p + d + 1], out=terms_hat[start: start + d + 1])
+        # the weights are real: one real product on the interleaved spectra
+        np.matmul(_self_series_mixes(order), terms_hat.view(float), out=z[2 * p:].view(float))
         np.fft.irfft(z, n, out=s)
         pg, cpg = np.einsum("ja,qja->qa", self._lagrange, s[: 2 * p].reshape(2, p, n))
-        if order is not None:
-            # sum_j F^j A_j, one group of order + 1 rows per sum
-            s1, s0 = np.einsum("gja,ja->ga", s[2 * p:].reshape(2, order + 1, n),
-                               self._scaled_powers)
-            self_term = self.dF * s0 - s1
-        elif last:
-            s0, self_term = np.einsum("qja,ja->qa", self._kernels, odd_offset_rows(w1))
-            s1 = self.dF * s0 - self_term
-        else:
-            s0 = s1 = None
-            self_term = np.einsum("ja,ja->a", self._kernels[1], odd_offset_rows(w1))
-        return _Evaluation(w1, spectra[p] / n, omega2 / n, pg, cpg, self_term, s0, s1)
-
-    @cached_property
-    def _offset_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """1/beta and the pv weights at the odd offsets, as columns."""
-        beta, pv = _odd_offset_pv(self.grid)
-        return (1.0 / beta)[:, None], pv[:, None]
-
-    @cached_property
-    def _kernels(self) -> np.ndarray:
-        """pv_m/(1 + Delta^2) and the self kernel pv_m (df(a) - Delta)/(1 + Delta^2).
-
-        Delta = Delta_m f(a); one row per odd offset m, written in place into
-        the storage, one block of rows at a time, Delta and 1 + Delta^2 in the
-        first kernel's rows before pv_m divides by them.  Every element sees
-        the same operations as in one pass over all rows, so the kernels do
-        not depend on the block size.  The (2, N/2, N) storage is allocated
-        here, on first use, unless given.
-        """
-        inv_beta, pv = self._offset_weights
-        F, dF = self.F, self.dF
-        if self.storage is None:
-            self.storage = np.empty((2, len(F) // 2, len(F)))
-        weight, kernel = self.storage
-        rows = odd_offset_rows(F)
-        block = max(1, _KERNEL_BLOCK // len(F))
-        for j in range(0, len(weight), block):
-            b = slice(j, j + block)
-            q, k = weight[b], kernel[b]
-            np.subtract(F, rows[b], out=q)
-            q *= inv_beta[b]
-            np.subtract(dF, q, out=k)
-            q *= q
-            q += 1.0
-            k /= q
-            k *= pv[b]
-            np.divide(pv[b], q, out=q)
-        return self.storage
+        # sum_j F_c^j A_j, one group of order + 1 rows per sum, and the near rows
+        sums = np.einsum("gja,ja->ga", s[2 * p:].reshape(2, order + 1, n), self._powers)
+        if self.near_width:
+            sums += np.einsum("gja,ja->ga", self._near, odd_offset_rows(w1)[self._near_rows])
+        s1, s0 = sums
+        return _Evaluation(w1, spectra[p] / n, omega2 / n, pg, cpg, self.dF * s0 - s1, s0, s1)
 
 
 def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
@@ -490,7 +482,7 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
     stays above tol for ``max_iter``, raises PicardDivergenceError with the
     update-norm history attached.
     ``workspace`` is the snapshot's kernel backend, built here when not given;
-    the last evaluation, at the returned strength, also holds the two self sums.
+    its last evaluation, at the returned strength, is the pair's ``evaluation``.
     """
     ws = workspace or _Workspace(f, cfg, DEFAULT_SERIES_TOL)
     grid = ws.grid
@@ -525,7 +517,7 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
                 f"no contraction after {max_iter} iterations (last residual {history[-1]:.3g})",
                 history,
             )
-    ev = ws.evaluate(w1, last=True)
+    ev = ws.evaluate(w1)
     return VorticityPair(SpectralField(grid, hermitian_extension(ev.omega1, grid)),
                          SpectralField(grid, hermitian_extension(ev.omega2, grid)),
                          residual=delta, iterations=it, contraction_ratio=ratio, evaluation=ev)

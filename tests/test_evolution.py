@@ -102,10 +102,10 @@ def test_rhs_diagnostics_present_when_requested():
 def test_rhs_parts_are_the_four_integrals(amplitude):
     # i1..i4 hold I1..I4 one by one (not only their sum), each against the
     # direct quadrature of the oracle, with the self sums by their series
-    # (amplitude 0.02) and by the rows (0.3)
+    # alone (amplitude 0.02) and split into a near and a far field (0.3)
     g = GridSpec(256, L12)
     f = gaussian_bump(g, amplitude, 1.5)
-    assert (_Workspace(f, REF_CFG, DEFAULT_SERIES_TOL).self_order is None) == (amplitude == 0.3)
+    assert (_Workspace(f, REF_CFG, DEFAULT_SERIES_TOL).near_width > 0) == (amplitude == 0.3)
     pair = solve_vorticity(f, REF_CFG)
     br = rhs(f, REF_CFG)
     F, w1, w2 = f.samples(), inverse(pair.omega1), inverse(pair.omega2)
@@ -117,8 +117,9 @@ def test_rhs_parts_are_the_four_integrals(amplitude):
 
 @pytest.mark.parametrize("amplitude", [0.02, 0.3])
 def test_rhs_and_tendency_are_one_assembly(amplitude):
-    # the breakdown's nonlinear part is the step's tendency bit for bit, on
-    # the series (amplitude 0.02) and on the rows (0.3)
+    # the breakdown's nonlinear part is the step's tendency bit for bit, with
+    # the self terms by their series alone (amplitude 0.02) and with a near
+    # field (0.3)
     f = gaussian_bump(GridSpec(256, L12), amplitude, 1.5)
     opts = SolverOptions()
     assert np.array_equal(rhs(f, REF_CFG, opts).nonlinear_part.coefficients,
@@ -127,8 +128,8 @@ def test_rhs_and_tendency_are_one_assembly(amplitude):
 
 @pytest.mark.parametrize("amplitude", [0.95, 1.05])
 def test_rhs_beyond_series_radius(amplitude):
-    # README grid with ||f||_F01 >= 0.9 h2 (and >= h2): the kernel backend is
-    # quadrature, and the rhs and a step go through
+    # README grid with ||f||_F01 >= 0.9 h2 (and >= h2): the rhs and a step go
+    # through
     g = GridSpec(256, L12)
     f = gaussian_bump(g, amplitude, 1.5)
     pair = solve_vorticity(f, REF_CFG)
@@ -383,12 +384,15 @@ def _assert_step_spectra_hermitian(f: InterfaceField):
 
 
 def test_decay_step_allocates_no_row_storage():
-    # on the acceptance decay datum every self term is summed by its series:
-    # a step leaves the carried strength correction and no O(N^2) storage
+    # on the acceptance decay datum every self term is summed by its series,
+    # at order 5, with no near-field rows; a step leaves the carried correction
     g = GridSpec(512, 400 * np.pi)
+    f = decay_packet(g)
+    ws = _Workspace(f, REF_CFG, DEFAULT_SERIES_TOL)
+    assert (ws.near_width, ws.self_order) == (0, 5)
     carry = MonitorState()
-    step(decay_packet(g), 0.1, REF_CFG, SolverOptions(leakage_threshold=1e-3), carry=carry)
-    assert carry.correction is not None and carry.kernels is None
+    step(f, 0.1, REF_CFG, SolverOptions(leakage_threshold=1e-3), carry=carry)
+    assert carry.correction is not None
 
 
 def test_warm_tendency_takes_nine_transforms_at_most(monkeypatch):

@@ -9,11 +9,13 @@ from muskatjump import (FluidConfig, GridSpec, NormSpec, SpectralField, forward,
 from muskatjump.certify import ledger, thresholds
 from muskatjump.errors import GeometryError
 from muskatjump.evolution import InterfaceField
-from muskatjump.spectral import derivative, hermitian_extension, odd_offset_rows
-from muskatjump.vorticity import (_KERNEL_BLOCK, DEFAULT_SERIES_TOL, _coupling_nodes,
-                                  _self_series_order, _Workspace)
+from muskatjump import vorticity
+from muskatjump.spectral import derivative, hermitian_extension, odd_offsets, pv_kernel_periodic
+from muskatjump.vorticity import (_SELF_ROUNDING_ULPS, DEFAULT_SERIES_TOL, _coupling_nodes,
+                                  _pv_power_spectra, _self_rule, _Workspace)
 
-from helpers import REF_CFG, decay_packet, gaussian_bump, random_admissible_interface
+from helpers import (REF_CFG, decay_packet, gaussian_bump, random_admissible_interface,
+                     random_field)
 
 L12 = 12 * np.pi
 
@@ -61,10 +63,10 @@ class _QuadratureWorkspace(_Workspace):
         super().__init__(f, cfg, tol)
         self.P, self.CP = _dense_pair(f, cfg)
 
-    def evaluate(self, w1, last=False):
+    def evaluate(self, w1):
         w2 = forward(-(self.cfg.a_kappa / np.pi) * (self.P.T @ w1), self.grid)
         g = inverse(w2)
-        return super().evaluate(w1, last)._replace(
+        return super().evaluate(w1)._replace(
             omega2=w2.coefficients[: self.grid.nyquist_index() + 1], p=self.P @ g, cp=self.CP @ g)
 
 
@@ -474,110 +476,179 @@ def test_warm_and_cold_solves_agree(seed, frac, scale):
     assert diff <= q_g / (1.0 - q_g) * (cold.residual + warm.residual) + rounding
 
 
-def _unblocked_kernels(ws):
-    """pv/(1 + Delta^2) and the self kernel in one pass over all offset rows."""
-    inv_beta, pv = ws._offset_weights
-    rows = odd_offset_rows(ws.F)
-    delta = (ws.F - rows) * inv_beta
-    square = 1.0 + delta * delta
-    return pv / square, (ws.dF - delta) / square * pv
+def _reference_sums(f, w):
+    """Self term df S0 - S1, S0 and S1 of w by the O(N^2) alternating rule, and its
+    operand scale sum_m |pv_m| ||w||_inf.
+
+    Typed here in one unblocked pass, one row per odd offset m, from the
+    periodized pv kernel and the difference quotients of the samples.
+    """
+    g = f.f.grid
+    n, h = g.n_points, g.spacing
+    m = odd_offsets(g)
+    pv = 2.0 * h * pv_kernel_periodic(m * h, g.domain_length)
+    shifted = (np.arange(n) - m[:, None]) % n
+    F, dF = f.samples(), inverse(derivative(f.f))
+    delta = (F - F[shifted]) / (m[:, None] * h)
+    weight = pv[:, None] / (1.0 + delta ** 2) * w[shifted]
+    sums = (np.sum(weight * (dF - delta), axis=0), np.sum(weight, axis=0),
+            np.sum(weight * delta, axis=0))
+    return sums, np.sum(np.abs(pv)) * np.max(np.abs(w))
 
 
-@pytest.mark.parametrize("n", [384, 512])
-def test_blocked_kernel_build_matches_one_pass(n):
-    # at n = 384 the last block is a partial one
-    g = GridSpec(n, L12)
-    if n == 384:
-        assert (n // 2) % (_KERNEL_BLOCK // n) != 0
-    ws = _Workspace(gaussian_bump(g, 0.3, 1.5), REF_CFG, 1e-10)
-    for got, want in zip(ws._kernels, _unblocked_kernels(ws)):
-        assert np.array_equal(got, want)
-
-
-def _row_sums(ws, w):
-    """Self term, S0 and S1 of w by the O(N^2) rows, one unblocked gather each."""
-    weight, kernel = ws._kernels
-    delta = (ws.F - odd_offset_rows(ws.F)) * ws._offset_weights[0]
-    rows = odd_offset_rows(w)
-    return (np.einsum("ja,ja->a", kernel, rows), np.einsum("ja,ja->a", weight, rows),
-            np.einsum("ja,ja,ja->a", delta, weight, rows))
-
-
-def _assert_series_matches_rows(ws, w, rel=1e-12):
-    # against the operand scale sum_m |pv_m| ||w||_inf of the bounds
-    assert ws.self_order is not None
-    scale = np.sum(np.abs(ws._offset_weights[1])) * np.max(np.abs(w))
+def _self_sum_error(f, ws, w):
+    """Largest error of the self term, S0 and S1 of one evaluation against the
+    reference, relative to the operand scale."""
     ev = ws.evaluate(w)
-    series = ev.self_term, ev.s0, ev.s1
-    for got, want in zip(series, _row_sums(ws, w)):
-        assert np.max(np.abs(got - want)) <= rel * scale
+    want, scale = _reference_sums(f, w)
+    return max(np.max(np.abs(got - ref)) for got, ref in zip((ev.self_term, ev.s0, ev.s1), want)) \
+        / scale
+
+
+def _readme_operand(g):
+    x, L = g.nodes(), g.domain_length
+    return np.sin(2 * np.pi * 3 * x / L) * np.exp(-((x - L / 2) ** 2) / 8.0)
 
 
 @pytest.mark.parametrize("amplitude, orders", [(0.001, (1, 4)), (0.01, (3, 6)), (0.05, (5, 8))])
 def test_self_series_matches_the_rows(amplitude, orders):
-    # README grid and bump: the series is chosen, at a modest order, and is the
-    # alternating-rule sum of the rows up to its tolerance
+    # README grid and bump: the series alone (K = 0) is chosen, at a modest
+    # order, and is the alternating-rule sum of the rows up to its tolerance
     g = GridSpec(256, L12)
-    x = g.nodes()
-    ws = _Workspace(gaussian_bump(g, amplitude, 1.5), REF_CFG, DEFAULT_SERIES_TOL)
-    assert orders[0] <= ws.self_order <= orders[1]
-    w1 = np.sin(2 * np.pi * 3 * x / L12) * np.exp(-((x - L12 / 2) ** 2) / 8.0)
-    _assert_series_matches_rows(ws, w1)
-    _assert_series_matches_rows(ws, ws.dF)
+    f = gaussian_bump(g, amplitude, 1.5)
+    ws = _Workspace(f, REF_CFG, DEFAULT_SERIES_TOL)
+    assert ws.near_width == 0 and orders[0] <= ws.self_order <= orders[1]
+    for w in (_readme_operand(g), ws.dF):
+        assert _self_sum_error(f, ws, w) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.sampled_from([64, 128, 256]), seed=st.integers(0, 2 ** 32 - 1),
        log_frac=st.floats(-3.0, 0.0))
 def test_self_series_matches_the_rows_on_admissible_data(n, seed, log_frac):
-    # broadband data (spectrum ~e^{-|xi|/2}) and a broadband operand; small
-    # grids admit only low orders, so the draws span three decades of size
+    # broadband data (spectrum ~e^{-|xi|/2}) and a broadband operand over
+    # three decades of size
     k0, k1 = thresholds(REF_CFG)
     g = GridSpec(n, L12)
     rng = np.random.default_rng(seed)
     f = random_admissible_interface(g, rng, REF_CFG, k0, k1, 10.0 ** log_frac)
     ws = _Workspace(f, REF_CFG, DEFAULT_SERIES_TOL)
-    assume(ws.self_order is not None)
-    _assert_series_matches_rows(ws, rng.standard_normal(n))
+    assert _self_sum_error(f, ws, rng.standard_normal(n)) <= 1e-12
+
+
+@pytest.mark.parametrize("amplitude, near", [(0.02, "none"), (0.3, "split"), (0.95, "rows"),
+                                             (2.0, "rows")])
+def test_self_sums_match_the_rows_at_every_amplitude(amplitude, near):
+    # README grid and bump, at u = ||f||_F11 up to 1.06 (amplitude 2.0): the
+    # series alone (K = 0), near and far fields (0 < K < N/2) and the direct
+    # sums alone (K = N/2, no far field) all meet the tolerance
+    g = GridSpec(256, L12)
+    f = gaussian_bump(g, amplitude, 1.5)
+    ws = _Workspace(f, REF_CFG, DEFAULT_SERIES_TOL)
+    assert {"none": ws.near_width == 0, "split": 0 < ws.near_width < 128,
+            "rows": (ws.near_width, ws.self_order) == (128, 0)}[near]
+    if amplitude == 2.0:
+        assert fourier_norm(f.f, NormSpec(1.0)) > 1.0
+    for w in (_readme_operand(g), ws.dF):
+        assert _self_sum_error(f, ws, w) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([64, 128, 256, 512]), seed=st.integers(0, 2 ** 32 - 1),
+       log_u=st.floats(-3.0, 0.5))
+# u = 1.26 at N = 512 takes near and far fields together
+@example(n=512, seed=1, log_u=0.1)
+def test_self_sums_match_the_rows_at_any_slope(n, seed, log_u):
+    # broadband data rescaled to ||f||_F11 = u, up to 3.2, and a broadband
+    # operand; the line sits deep enough for any of them
+    g = GridSpec(n, L12)
+    rng = np.random.default_rng(seed)
+    fld = random_field(g, rng)
+    c = fld.coefficients * 10.0 ** log_u / fourier_norm(fld, NormSpec(1.0))
+    f = InterfaceField(SpectralField(g, c, 0.0))
+    cfg = FluidConfig(0.5, 0.2, 1.0, 1.0 + 2.0 * np.max(np.abs(f.samples())))
+    ws = _Workspace(f, cfg, DEFAULT_SERIES_TOL)
+    if (n, seed, log_u) == (512, 1, 0.1):
+        assert 0 < ws.near_width < n // 2 and fourier_norm(f.f, NormSpec(1.0)) > 1.0
+    assert _self_sum_error(f, ws, rng.standard_normal(n)) <= 1e-12
 
 
 def test_self_series_rule():
-    # the truncation bound sets the order; where the binomial terms are too
-    # large to round below the tolerance, or the order too costly for the
-    # grid, the rows serve
-    assert _self_series_order(0.0, 1.0, 1e-10, 256) == 0
-    assert _self_series_order(1e-3, 1.0, 1e-10, 256) == 4
-    assert _self_series_order(1e-3, 1e4, 1e-10, 256) is None
-    assert _self_series_order(1e-3, 1e300, 1e-10, 256) is None
-    assert _self_series_order(1e-3, 1.0, 1e-10, 64) is None
-    assert _self_series_order(1.0, 1.0, 1e-10, 256) is None
+    # the truncation bound sets the order of the series alone; where the
+    # binomial terms are too large to round below the tolerance, or the slope
+    # is past the series' radius, a near field of K offsets serves the
+    # nearest ones; past any far field the series could meet, K = N/2
+    assert _self_rule(0.0, 0.0, 1e-10, 256) == (0, 0)
+    assert _self_rule(1e-3, 1.0, 1e-10, 256) == (0, 4)
+    assert _self_rule(1e-3, 1e4, 1e-10, 256) == (128, 0)
+    assert _self_rule(1e-3, 1e300, 1e-10, 256) == (128, 0)
+    near, order = _self_rule(0.16, 4.1, 1e-10, 1024)
+    assert 0 < near < 512 and order < 15
+    near, order = _self_rule(1.06, 27.0, 1e-10, 2048)
+    assert 0 < near < 1024 and order < 20
+    # order 5 on the acceptance decay datum, with no near field
+    assert _self_rule(4.34e-3, 1.47e-2, 1e-10, 512) == (0, 5)
 
 
 def test_large_data_fall_back_to_the_rows():
-    # README grid at amplitude 0.5: the self terms go to the rows, whose
-    # storage is allocated on first use
+    # README grid at amplitude 0.95: no far field the series could meet is
+    # cheaper than the direct sums, K = N/2, whose far-field table is zero
     g = GridSpec(256, L12)
-    ws = _Workspace(gaussian_bump(g, 0.5, 1.5), REF_CFG, DEFAULT_SERIES_TOL)
-    assert ws.self_order is None and ws.storage is None
-    w1 = ws.dF
-    assert np.array_equal(ws.evaluate(w1).self_term, _row_sums(ws, w1)[0])
-    assert ws.storage.shape == (2, 128, 256)
+    f = gaussian_bump(g, 0.95, 1.5)
+    ws = _Workspace(f, REF_CFG, DEFAULT_SERIES_TOL)
+    assert (ws.near_width, ws.self_order) == (128, 0)
+    assert not np.any(_pv_power_spectra(g, 0, 128))
+    assert _self_sum_error(f, ws, ws.dF) <= 1e-12
 
 
 @pytest.mark.parametrize("rule, amplitude", [("series", 0.02), ("quadrature", 0.3)],
                          ids=["series", "quadrature"])
 def test_kernel_storage_reused_bit_identically(rule, amplitude):
-    # the rows through _kernels, on a second snapshot that sums its self terms
-    # by their series or by the rows, the alternating-rule quadrature itself
+    # the far-field tables cached per (grid, order, K) and shared by every
+    # snapshot: a snapshot summed by its series alone or with a near field
+    # gets the same bits whatever snapshot was built before it
     g = GridSpec(256, L12)
-    x = g.nodes()
-    w1 = np.sin(2 * np.pi * 3 * x / L12) * np.exp(-((x - L12 / 2) ** 2) / 8.0)
-    first = _Workspace(gaussian_bump(g, 0.3, 1.5), REF_CFG, 1e-10)
-    first._kernels
+    w1 = _readme_operand(g)
     f = gaussian_bump(g, amplitude, 2.0)
-    shared = _Workspace(f, REF_CFG, 1e-10, storage=first.storage)
-    fresh = _Workspace(f, REF_CFG, 1e-10)
-    assert (shared.self_order is None) == (rule == "quadrature")
-    for got, want in zip(_row_sums(shared, w1), _row_sums(fresh, w1)):
-        assert np.array_equal(got, want)
-    assert shared.storage is first.storage
+    first = _Workspace(f, REF_CFG, 1e-10).evaluate(w1)
+    assert (_Workspace(f, REF_CFG, 1e-10).near_width > 0) == (rule == "quadrature")
+    for other in (0.02, 0.3, 0.95):
+        _Workspace(gaussian_bump(g, other, 1.5), REF_CFG, 1e-10).evaluate(w1)
+        again = _Workspace(f, REF_CFG, 1e-10).evaluate(w1)
+        for a, b in zip((first.self_term, first.s0, first.s1), (again.self_term, again.s0, again.s1)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("amplitude", [0.02, 0.3, 0.95, 2.0])
+def test_self_rule_bounds_hold(monkeypatch, n, amplitude):
+    # README spacing and bump at near widths K = 0, 4 and the rule's own
+    # (where q < 1), orders 0, 3, ..., 30: the error against the rows stays
+    # below max(1, u) q^(order+1)/(1 - q), the truncation bound, plus
+    # 16 eps max(1, u) (order + 1) max(1, rho)^order, the rounding bound.
+    # Over N = 256..1024, K = 0, 2, 4 and the rule's own and orders 0..40 the
+    # two sat 5.9 to 49 times above the error, at their closest; where the
+    # truncation bound is below 1e-3 of the rounding bound the error reached
+    # 0.22 of the rounding bound's eps max(1, u) (order + 1) max(1, rho)^order,
+    # with rho up to 6.5
+    g = GridSpec(n, L12 * n / 256)
+    f = gaussian_bump(g, amplitude, 1.5)
+    F = f.samples()
+    u, r_c = fourier_norm(f.f, NormSpec(1.0)), (F.max() - F.min()) / g.spacing
+    slope = max(1.0, u)
+    own = _self_rule(u, r_c, DEFAULT_SERIES_TOL, n)[0]
+    w = _readme_operand(g) + 0.5
+    eps = np.finfo(float).eps
+    for near in sorted({0, 4, own} - {n // 2}):
+        rho = r_c / (near + 1)
+        q = min(u, rho)
+        if q >= 1.0:
+            continue
+        for order in range(0, 31, 3):
+            monkeypatch.setattr(vorticity, "_self_rule", lambda *args: (near, order))
+            error = _self_sum_error(f, _Workspace(f, REF_CFG, DEFAULT_SERIES_TOL), w)
+            truncation = slope * q ** (order + 1) / (1.0 - q)
+            rounding = eps * slope * (order + 1) * max(1.0, rho) ** order
+            assert error <= truncation + _SELF_ROUNDING_ULPS * rounding
+            if truncation < 1e-3 * rounding:
+                assert error <= rounding
