@@ -26,13 +26,14 @@ velocity I1 = S0 and I2 = df S1.  Both split into a near and a far field, as
 the fast multipole method splits its sums (Greengard & Rokhlin, JCP 73,
 1987): the K offsets nearest zero are summed directly, O(K N), and on the
 others |Delta_m| is at most ||f||_{F^{1,1}} and (max f - min f)/(|m| h),
-so phi is expanded geometrically in Delta and Delta^d binomially, and each
-far sum becomes a short series of circular convolutions of powers of the
-centred height times w with the tables pv_m / m^d, O(order^2 N +
-order N log N) by FFT (Constantin, Cordoba, Gancedo & Strain, JEMS 15, 2013,
-expand the Muskat kernel the same way).  One cost model picks K and the
-order per snapshot under the series' truncation and rounding bounds; K = 0
-is the series alone and K = N/2 the O(N^2) sums alone.
+so phi = sum_d c_d Delta^d is expanded geometrically in Delta and Delta^d
+binomially (Constantin, Cordoba, Gancedo & Strain, JEMS 15, 2013, expand the
+Muskat kernel the same way).  The tables c_d d! pv_m / m^d and the powers
+(-F_c)^i / i! and F_c^j / j! of the centred height carry every weight, so
+each far sum is a Hankel sum of circular convolutions, O(order^2 N +
+order N log N) by FFT.  One cost model picks K and the order per snapshot
+under the series' truncation and rounding bounds; K = 0 is the series alone
+and K = N/2 the O(N^2) sums alone.
 
 One evaluation serves every nonlocal operator at once (``_Workspace.evaluate``):
 both the line coupling and the self-term series start from transforms of
@@ -70,8 +71,9 @@ _SELF_ROUNDING_ULPS = 16.0
 # costs of the self-term rule, in rows of N of the near field (its build and
 # gathers over a right-hand side): one spectral product of the series, and a
 # near field at all.  Measured per right-hand side at N = 512 and 2048: a
-# product 6.4 and 26 us, an offset 4 and 21 us, a near field at all 55 us at
-# N = 512
+# product 7 to 12 and 23 to 40 us against 7.3 and 29 us per offset (2 rows),
+# so 1.6 to 3.4 rows; a near field at all 55 us at N = 512 against 4 us per
+# offset
 _PRODUCT_ROWS = 3.0
 _NEAR_ROWS = 16.0
 # near-field widths are multiples of this, so that a run whose K drifts from
@@ -253,11 +255,13 @@ def _self_rule(u: float, r_c: float, tol: float, n_points: int) -> tuple[int, in
     otherwise from rho <= min(1/2, (tol / 200 / max(1, u))^(1/(order+1))).
     No order past the one q = u needs is cheaper, nor is any that costs more
     than the N rows of K = N/2, which leaves no far field (order 0 on a zero
-    table) and so meets both bounds at any size.
+    table) and so meets both bounds at any size, nor any past 170, whose
+    tables' d! would overflow a double (the cost alone allows 171 from
+    N = 45 056).
     """
     target, slope = tol / 100.0, max(1.0, u)
     rounding = _SELF_ROUNDING_ULPS * np.finfo(float).eps * slope
-    top = math.ceil((math.sqrt(8.0 * n_points / _PRODUCT_ROWS + 1.0) - 3.0) / 2.0) - 1
+    top = min(170, math.ceil((math.sqrt(8.0 * n_points / _PRODUCT_ROWS + 1.0) - 3.0) / 2.0) - 1)
     order = 0
     while order < top and not (u < 1.0 and slope * u ** (order + 1) / (1.0 - u) <= target):
         order += 1
@@ -283,51 +287,27 @@ def _self_rule(u: float, r_c: float, tol: float, n_points: int) -> tuple[int, in
 
 @lru_cache(maxsize=32)
 def _pv_power_spectra(grid: GridSpec, order: int, near: int) -> np.ndarray:
-    """Read-only half spectra of the far-field tables pv_m / m^d, d = 0..order.
+    """Read-only half spectra of the far-field tables c_d d! pv_m / m^d, d = 0..order.
 
-    Row d holds pv_m / m^d at index m mod n for each odd offset |m| > near and
-    0 at the near and even ones, so its circular convolution with samples w
-    is the far field's alternating-rule sum sum_{|m| > near} pv_m m^-d w(a - m h).
+    c_d = (-1)^floor(d/2) is the coefficient of Delta^d in 1/(1 + Delta^2)
+    (d even) or in Delta/(1 + Delta^2) (d odd), and d! the numerator of the
+    binomial C(d, i) = d! / (i! j!), whose 1/i! and 1/j! the powers of the
+    height carry.  Row d holds the table at index m mod n for each odd offset
+    |m| > near and 0 at the near and even ones, so its circular convolution
+    with samples w is the far field's alternating-rule sum
+    c_d d! sum_{|m| > near} pv_m m^-d w(a - m h).
     """
     n = grid.n_points
     m = odd_offsets(grid)
     far = np.abs(m) > near
+    weights = np.array([(-1.0) ** (d // 2) * math.factorial(d) for d in range(order + 1)])
     rows = np.zeros((order + 1, n))
-    rows[:, m[far] % n] = (_odd_offset_pv(grid)[1][far]
-                           / m[far].astype(float) ** np.arange(order + 1)[:, None])
+    # (1/m)^d, not 1/m^d: at high orders m^d overflows where the quotient only underflows
+    rows[:, m[far] % n] = (weights[:, None] * _odd_offset_pv(grid)[1][far]
+                           * (1.0 / m[far]) ** np.arange(order + 1)[:, None])
     spectra = np.fft.rfft(rows)
     spectra.flags.writeable = False
     return spectra
-
-
-@lru_cache(maxsize=32)
-def _self_series_mixes(order: int) -> np.ndarray:
-    """Read-only stacked mixing matrix of the series of the two self sums.
-
-    A kernel phi(Delta) = sum_d c_d Delta^d against pv_m sums to
-    sum_j F^j A_j, F = f/h or any shift of it such as the centred F_c, with
-    A_j circular convolutions: Delta_m^d = (F(a) - F(a - m h))^d / m^d
-    expands binomially into C(d, j) (-1)^i F(a)^j F(a - m h)^i, i = d - j,
-    so A_j sums c_d C(d, j) (-1)^i (pv / m^d) * (F^i w) over the pairs (d, i)
-    with d - i = j.  Rows 0..order are A_0..A_order of S1, phi = Delta/(1 + Delta^2),
-    and rows order + 1..2 order + 1 those of S0, phi = 1/(1 + Delta^2).  The
-    columns run over the pairs d-major: (0, 0), (1, 0), (1, 1), (2, 0), ...
-    """
-    d, i = (a.ravel() for a in np.meshgrid(np.arange(order + 1), np.arange(order + 1),
-                                           indexing="ij"))
-    keep = i <= d
-    d, i = d[keep], i[keep]
-    j = d - i
-    binom = np.array([math.comb(int(dd), int(jj)) for dd, jj in zip(d, j)]) * (-1.0) ** i
-    # coefficients of Delta^k in 1/(1 + Delta^2) and Delta/(1 + Delta^2)
-    k = np.arange(order + 1)
-    even = np.where(k % 2 == 0, (-1.0) ** (k // 2), 0.0)
-    odd = np.concatenate(([0.0], even[:-1]))
-    mix = np.zeros((2 * (order + 1), len(d)))
-    for p, c in enumerate((odd, even)):
-        mix[p * (order + 1) + j, np.arange(len(d))] = c[d] * binom
-    mix.flags.writeable = False
-    return mix
 
 
 class _Workspace:
@@ -344,10 +324,12 @@ class _Workspace:
     at the ``near_width`` K of ``_self_rule``: the K odd offsets |m| < K
     keep their kernels pv_m Delta/(1 + Delta^2) and pv_m/(1 + Delta^2), one
     row of N per offset, and the far offsets are summed by the series of
-    order ``self_order`` in the powers F_c^0..F_c^order of the centred
-    samples F_c = (f - c)/h.  The Lagrange values and the powers are stacked
-    once, so that ``evaluate`` multiplies the stack by omega1 and transforms
-    it in one call.
+    order ``self_order`` in the centred samples F_c = (f - c)/h: the operand
+    powers (-F_c)^i / i! and the output powers F_c^j / j!, i, j = 0..order,
+    which with the tables c_d d! pv_m / m^d of ``_pv_power_spectra`` carry
+    every weight of the binomial expansion.  The Lagrange values and the
+    operand powers are stacked once, so that ``evaluate`` multiplies the
+    stack by omega1 and transforms it in one call.
     """
 
     def __init__(self, f, cfg: FluidConfig, series_tol: float):
@@ -375,8 +357,26 @@ class _Workspace:
         self._decay[:, -1] = 0.0
         near, order = self.near_width, self.self_order = _self_rule(a1, (hi - lo) / h,
                                                                       series_tol, n)
-        self._stack = np.ones((p + order + 1, n))
-        self._lagrange, powers = self._stack[:p], self._stack[p:]
+        # one block for the stack, l_j(f) and (-F_c)^i / i!, the output powers
+        # F_c^j / j! and evaluate's scratch: the samples times the stack, their
+        # spectra, the rows to invert, the series products of one order, the
+        # inverted rows and the near kernels of S0 and S1.  With separate temporaries per evaluation, glibc's allocator
+        # trimmed and refaulted the heap on every call at N = 1024 and 2048 (200
+        # to 1300 page faults per step, against none now).
+        q, half = p + order + 1, len(axi)
+        rows = 2 * q
+        block = np.empty((2 * q + order + 1 + rows + 2 * near) * n
+                         + 2 * (q + rows + order + 1) * half)
+        start, views = 0, []
+        for shape, dtype in (((q, n), float), ((order + 1, n), float), ((q, n), float),
+                             ((q, half), complex), ((rows, half), complex),
+                             ((order + 1, half), complex), ((rows, n), float),
+                             ((2, near, n), float)):
+            size = math.prod(shape) * (2 if dtype is complex else 1)
+            views.append(block[start: start + size].view(dtype).reshape(shape))
+            start += size
+        self._stack, self._powers, *self._scratch, self._near = views
+        self._lagrange = self._stack[:p]
         # l_j(x) = (1/p) (1 + 2 sum_{k=1}^{p-1} T_k(x_j) T_k(x)), T_k(x_j) = cos(k theta_j),
         # T_k(x) by its recurrence; a flat interface (rho = 0) has p = 1 and l_0 = 1
         x = np.clip((self.F - center) / (rho or 1.0), -1.0, 1.0)
@@ -389,32 +389,21 @@ class _Workspace:
         # einsum, not matmul: a p x p product needs no BLAS, whose first call
         # allocates its buffers
         np.einsum("jk,ka->ja", weights, cheb, out=self._lagrange)
-        # F_c^0, ..., F_c^order, one row each, by products (not pow)
+        # F_c^j / j!, one row each, by products (not pow), and their odd rows
+        # negated in the stack
         centred = (self.F - center) / h
+        self._powers[0] = 1.0
         for j in range(1, order + 1):
-            np.multiply(powers[j - 1], centred, out=powers[j])
-        self._powers = powers
-        # evaluate's scratch: the samples times the stack, their spectra, the
-        # rows to invert, the series products, the inverted rows and the near
-        # kernels, in one block.  With separate temporaries per evaluation,
-        # glibc's allocator trimmed and refaulted the heap on every call at
-        # N = 1024 and 2048 (200 to 1300 page faults per step, against none now).
-        q, half = len(self._stack), len(axi)
-        rows, pairs = 2 * (p + order + 1), (order + 1) * (order + 2) // 2
-        block = np.empty(q * n + 2 * (q + rows + pairs) * half + (rows + 2 * near) * n)
-        start, scratch = 0, []
-        for shape, dtype in (((q, n), float), ((q, half), complex), ((rows, half), complex),
-                             ((pairs, half), complex), ((rows, n), float), ((2, near, n), float)):
-            size = math.prod(shape) * (2 if dtype is complex else 1)
-            scratch.append(block[start: start + size].view(dtype).reshape(shape))
-            start += size
-        self._scratch, self._near = scratch[:5], scratch[5]
+            np.multiply(self._powers[j - 1], centred, out=self._powers[j])
+            self._powers[j] /= j
+        self._stack[p:] = self._powers
+        self._stack[p + 1::2] *= -1.0
         if near:
             # the rows m_j = 2 j - N/2 + 1 of odd_offset_rows with |m_j| < K
             self._near_rows = slice(n // 4 - near // 2, n // 4 + near // 2)
             beta, pv = (a[self._near_rows, None] for a in _odd_offset_pv(grid))
             # Delta, then 1 + Delta^2, before pv divides by it
-            k1, k0 = self._near
+            k0, k1 = self._near
             np.subtract(self.F, odd_offset_rows(self.F)[self._near_rows], out=k1)
             k1 /= beta
             np.multiply(k1, k1, out=k0)
@@ -426,18 +415,20 @@ class _Workspace:
         """Every nonlocal operator at samples w1 of omega1, by one batched transform pair.
 
         One forward transform of the stacked rows times w1 gives the spectra of
-        l_j(f) w1 and of F_c^i w1, the first of which, F_c^0 = 1, is omega1's.
-        The permeability-sheet strength is
+        l_j(f) w1 and U_i of (-F_c)^i / i! w1, the first of which, U_0, is
+        omega1's.  The permeability-sheet strength is
         omega2 = -A_kappa sum_j e^{-(h2 + f_j)|xi|} FFT[l_j(f) w1]; the line
         coupling back on the interface is
         sum_j l_j(f(a)) IFFT[pi (1, -i sgn xi) e^{-(h2 + f_j)|xi|} omega2_hat],
-        2p rows, and the far-field series spectra of the self sums S1 and S0
-        (see ``_self_series_mixes``) are the F_c^i w1 spectra contracted with
-        the pv / m^d tables.  All of them go back in one inverse transform.
-        The near field adds its K offset rows of each sum directly.
+        2p rows, and the far field of each self sum is sum_j F_c^j / j! IFFT[A_j]
+        with the Hankel sum A_j = sum_i T_{i+j} U_i over the tables T_d of
+        ``_pv_power_spectra``, the even d for S0 and the odd for S1: one
+        product and one sum per pair (d, i), O(order^2 N).  All of them go
+        back in one inverse transform.  The near field adds its K offset rows
+        of each sum directly.
         """
         n, p, order = self.grid.n_points, self.coupling_nodes, self.self_order
-        x, spectra, z, terms_hat, s = self._scratch
+        x, spectra, z, terms, s = self._scratch
         # unnormalized forward transforms, so N omega2_hat below: spectra divided
         # by N reach the subnormal range in the series products at the decay
         # datum's high modes, which then run up to 7 times slower (N = 2048)
@@ -447,21 +438,21 @@ class _Workspace:
         # sgn(xi) is 1 for k = 1..N/2 - 1, and the Nyquist column is zero already
         np.multiply(z[:p], -1j, out=z[p: 2 * p])
         z[p: 2 * p, 0] = 0.0
-        # (pv / m^d) * (F_c^i w1) over the pairs (d, i), i <= d, in the mix's
-        # column order
-        pv = _pv_power_spectra(self.grid, order, self.near_width)
+        # A_j += T_d U_{d-j}, j = 0..d, into the rows of S0 (d even) or S1 (d odd);
+        # U read backwards so that the writes run forward
+        tables, u = _pv_power_spectra(self.grid, order, self.near_width), spectra[p:]
+        z[2 * p:] = 0.0
+        far = z[2 * p:].reshape(2, order + 1, -1)
         for d in range(order + 1):
-            start = d * (d + 1) // 2
-            np.multiply(pv[d], spectra[p: p + d + 1], out=terms_hat[start: start + d + 1])
-        # the weights are real: one real product on the interleaved spectra
-        np.matmul(_self_series_mixes(order), terms_hat.view(float), out=z[2 * p:].view(float))
+            np.multiply(tables[d], u[d::-1], out=terms[: d + 1])
+            far[d % 2, : d + 1] += terms[: d + 1]
         np.fft.irfft(z, n, out=s)
         pg, cpg = np.einsum("ja,qja->qa", self._lagrange, s[: 2 * p].reshape(2, p, n))
-        # sum_j F_c^j A_j, one group of order + 1 rows per sum, and the near rows
+        # sum_j F_c^j / j! A_j, one group of order + 1 rows per sum, and the near rows
         sums = np.einsum("gja,ja->ga", s[2 * p:].reshape(2, order + 1, n), self._powers)
         if self.near_width:
             sums += np.einsum("gja,ja->ga", self._near, odd_offset_rows(w1)[self._near_rows])
-        s1, s0 = sums
+        s0, s1 = sums
         return _Evaluation(w1, spectra[p] / n, omega2 / n, pg, cpg, self.dF * s0 - s1, s0, s1)
 
 

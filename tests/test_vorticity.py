@@ -90,7 +90,7 @@ def test_omega2_vanishes_without_jump():
     assert np.max(np.abs(w2.coefficients)) < 1e-16
 
 
-def test_omega2_series_vs_quadrature_random_medium():
+def test_omega2_matches_the_oracle_on_random_medium_data():
     rng = np.random.default_rng(101)
     g = GridSpec(256, L12)
     k0, k1 = 0.043, 0.043
@@ -103,7 +103,7 @@ def test_omega2_series_vs_quadrature_random_medium():
     assert diff < 1e-8
 
 
-def test_omega2_series_unavailable_for_large_interface():
+def test_omega2_matches_the_oracle_past_the_height_series_radius():
     # F^{0,1} = 0.6 >= h2 = 0.5 while the interfaces stay separated: no
     # series in the height converges here, and the interpolant still does
     g = GridSpec(128, 2 * np.pi)
@@ -225,7 +225,7 @@ def test_vorticity_bounds_random_sample():
         assert all(c.passed for c in vorticity_bound_check(pair, f, REF_CFG))
 
 
-def test_series_quadrature_equivalence_near_radius():
+def test_omega2_matches_the_oracle_near_the_height_series_radius():
     # F01 just under 0.9 h2, as large as a series in the height could take
     g = GridSpec(256, 2 * np.pi)
     x = g.nodes()
@@ -286,7 +286,7 @@ def test_vorticity_bounds_with_analyticity_weight():
     assert all(c.passed for c in checks)
 
 
-def test_series_path_outpaces_quadrature():
+def test_omega2_outpaces_the_oracle():
     # the O(p N log N) interpolant, workspace included, vs the O(N^2) kernel
     # sum; the ratio at this size is large, asserted with a wide safety margin
     import time
@@ -305,7 +305,7 @@ def test_series_path_outpaces_quadrature():
     assert t_series * 3.0 < t_quad
 
 
-def test_series_and_quadrature_solves_agree_at_large_amplitude():
+def test_solve_matches_the_dense_line_coupling_at_large_amplitude():
     # README grid, bump amplitude 0.88: a Taylor series in the height would
     # need over 170 terms, past the point where n! overflows a double; the
     # interpolant needs a handful of nodes
@@ -320,7 +320,7 @@ def test_series_and_quadrature_solves_agree_at_large_amplitude():
         assert diff < 1e-8 * fourier_norm(b, NormSpec(0.0))
 
 
-def test_target_series_matches_quadrature():
+def test_line_coupling_matches_the_dense_trapezoid_rule():
     # P omega2 and CP omega2 of the evaluation against the dense trapezoid rule
     # on the same omega2, scaled to the size of w1 (omega2 is linear in w1)
     g = GridSpec(256, L12)
@@ -590,6 +590,27 @@ def test_self_series_rule():
     assert _self_rule(4.34e-3, 1.47e-2, 1e-10, 512) == (0, 5)
 
 
+@pytest.mark.parametrize("n, amplitude, rule", [
+    (256, 0.02, (0, 6)), (256, 0.3, (48, 8)), (256, 0.95, (128, 0)),
+    (1024, 0.02, (0, 6)), (1024, 0.3, (48, 8)), (1024, 0.95, (88, 10)),
+    (2048, 0.02, (0, 6)), (2048, 0.3, (48, 8)), (2048, 0.95, (88, 10))])
+def test_self_rule_choices_at_the_status_amplitudes(n, amplitude, rule):
+    # README fluid, spacing and bump: the near width K and the order are
+    # pinned, so that a change of the cost model or of the bounds shows here
+    g = GridSpec(n, L12 * n / 256)
+    ws = _Workspace(gaussian_bump(g, amplitude, 1.5), REF_CFG, DEFAULT_SERIES_TOL)
+    assert (ws.near_width, ws.self_order) == rule
+
+
+def test_self_order_stays_where_the_factorials_are_finite():
+    # the tables carry d!, and 171! overflows a double, while the cost alone
+    # would allow order 171 from N = 45 056
+    for u in np.concatenate((np.linspace(0.0, 0.999, 40), np.logspace(0.0, 0.5, 5))):
+        for r_c in np.concatenate(([0.0], np.logspace(-6.0, 6.0, 49))):
+            assert _self_rule(float(u), float(r_c), DEFAULT_SERIES_TOL, 65536)[1] <= 170
+    assert np.all(np.isfinite(_pv_power_spectra(GridSpec(512, L12), 170, 0)))
+
+
 def test_large_data_fall_back_to_the_rows():
     # README grid at amplitude 0.95: no far field the series could meet is
     # cheaper than the direct sums, K = N/2, whose far-field table is zero
@@ -602,7 +623,7 @@ def test_large_data_fall_back_to_the_rows():
 
 
 @pytest.mark.parametrize("rule, amplitude", [("series", 0.02), ("quadrature", 0.3)],
-                         ids=["series", "quadrature"])
+                         ids=["series-alone", "split"])
 def test_kernel_storage_reused_bit_identically(rule, amplitude):
     # the far-field tables cached per (grid, order, K) and shared by every
     # snapshot: a snapshot summed by its series alone or with a near field
