@@ -13,7 +13,6 @@ are None unless those norms are passed to it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -449,4 +448,8 @@ def certify_datum(f0: "InterfaceField", cfg: "FluidConfig") -> Certificate:
 
 
 def config_hash(cfg_dict: dict) -> str:
+    # imported here: hashlib loads OpenSSL, which certify, linear and
+    # oracle-check never need
+    import hashlib
+
     return hashlib.sha256(json.dumps(cfg_dict, sort_keys=True).encode()).hexdigest()

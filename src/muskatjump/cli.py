@@ -9,7 +9,6 @@ field excluded from reproducibility comparisons.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import math
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, certify, oracle
+from . import __version__, certify
 from .errors import (BlowUpError, ConfigurationError, GeometryError,
                      PicardDivergenceError, RegimeError, StepSizeError, WeightRangeError)
 from .evolution import (TRAJECTORY_COLUMNS, InterfaceField, Schedule, SolverOptions,
@@ -315,6 +314,9 @@ def _measure_mode_rate(k: int, grid: GridSpec, cfg: FluidConfig, opts: SolverOpt
 
 
 def cmd_oracle_check(args) -> int:
+    # the O(N^2) ground truth loads only for the command that runs it
+    from . import oracle
+
     raw = load_config(args.config)
     cfg = fluid_config(raw)
     grid = grid_spec(raw)
@@ -372,6 +374,9 @@ def _sweep_worker(payload):
 
 
 def cmd_sweep(args) -> int:
+    # the process pool, and the logging it brings, load only for a sweep
+    import concurrent.futures
+
     # each config writes to the directory named after its stem
     stems = [Path(p).stem for p in args.configs]
     shared = sorted({s for s in stems if stems.count(s) > 1})

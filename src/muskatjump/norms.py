@@ -8,6 +8,8 @@ discrete convention on both sides of every inequality, so the inequalities
 carry over verbatim (Young's inequality holds for l1 coefficient convolutions).
 A ``NormReport`` checks the two interpolation inequalities its norms must
 satisfy, F^{1,1} <= (F^{0,1} F^{2,1})^(1/2) and F^{3/2,1} <= (F^{1,1} F^{2,1})^(1/2).
+Both fits are the closed-form least-squares slope of a line, so a run calls
+no LAPACK or BLAS routine.
 """
 
 from __future__ import annotations
@@ -82,8 +84,15 @@ def weighted_l2(fld: SpectralField, spec: NormSpec) -> float:
     return float(math.sqrt(fld.grid.domain_length * np.sum(w * np.abs(fld.coefficients) ** 2)))
 
 
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x in closed form, sum (x - mean x) y / sum (x - mean x)^2."""
+    d = x - np.mean(x)
+    return float(np.sum(d * y) / np.sum(d * d))
+
+
 def strip_radius(fld: SpectralField) -> float | None:
-    """Least-squares slope of -log|c_k| against xi_k over modes k >= 1 above the noise floor.
+    """Closed-form least-squares slope of -log|c_k| against xi_k over modes k >= 1 above
+    the noise floor.
 
     The floor is ``NOISE_FLOOR`` times the largest |c_k|, as for the weighted
     norms, so a small interface keeps its fit.  Returns None when fewer than 8
@@ -96,14 +105,12 @@ def strip_radius(fld: SpectralField) -> float | None:
     sel = (k >= 1) & (c > NOISE_FLOOR * np.max(c))
     if int(np.count_nonzero(sel)) < _MIN_FIT_MODES:
         return None
-    x = xi[sel]
-    y = -np.log(c[sel])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(max(slope, 0.0))
+    return max(_slope(xi[sel], -np.log(c[sel])), 0.0)
 
 
 def decay_fit(series) -> float:
-    """Least-squares exponent beta for value ~ C (1+t)^beta.
+    """Least-squares exponent beta for value ~ C (1+t)^beta: the closed-form slope of
+    log value against log(1+t).
 
     Requires at least 10 samples spanning a decade in 1+t and positive values.
     """
@@ -119,7 +126,7 @@ def decay_fit(series) -> float:
     span = (1.0 + t.max()) / (1.0 + t.min())
     if span < 10.0:
         raise DomainError(f"time range must span a decade in 1+t, got factor {span:.3g}")
-    return float(np.polyfit(np.log1p(t), np.log(v), 1)[0])
+    return _slope(np.log1p(t), np.log(v))
 
 
 @dataclass(frozen=True)

@@ -465,10 +465,11 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
     With T(strength_1) = A_mu/pi (self-induction + line-coupling) - 2 A_rho df,
     iterates strength_1 <- strength_1 + M (T(strength_1) - strength_1) from the
     linear strength M (-2 A_rho df), M(xi) = 1/(1 - A_kappa A_mu e^{-2 h2 |xi|})
-    the inverse of T's flat-interface linearization, stopping when the F^{0,1}
-    norm of the update drops below tol.  ``guess``, samples of a nonlinear
-    correction strength_1 - M (-2 A_rho df) (from a previous, nearby solve),
-    moves the start to the linear strength + guess.
+    the inverse of T's flat-interface linearization.  It stops before the
+    update whose F^{0,1} norm drops below tol, and returns the iterate that
+    update would have moved, with that norm as its residual.  ``guess``,
+    samples of a nonlinear correction strength_1 - M (-2 A_rho df) (from a
+    previous, nearby solve), moves the start to the linear strength + guess.
     An update norm that grows in ``_GROWTH_LIMIT`` consecutive iterations, or
     stays above tol for ``max_iter``, raises PicardDivergenceError with the
     update-norm history attached.
@@ -493,9 +494,9 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
             size = np.abs(update)
             delta = float(2.0 * np.sum(size) - size[0] - size[-1])  # its F^{0,1} norm
             history.append(delta)
-            w1 = w1 + np.fft.irfft(update, grid.n_points, norm="forward")
             if len(history) >= 2 and history[-2] > 0:
                 ratio = history[-1] / history[-2]
+            # w1 is returned with its own residual and the evaluation at it
             if delta < tol:
                 break
             grew = grew + 1 if len(history) >= 2 and delta > history[-2] else 0
@@ -503,12 +504,14 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
                 raise PicardDivergenceError(
                     f"no contraction: the update grew in {grew} consecutive iterations "
                     f"(last residual {delta:.3g})", history)
+            w1 = w1 + np.fft.irfft(update, grid.n_points, norm="forward")
         else:
             raise PicardDivergenceError(
                 f"no contraction after {max_iter} iterations (last residual {history[-1]:.3g})",
                 history,
             )
-    ev = ws.evaluate(w1)
+    else:
+        ev = ws.evaluate(w1)
     return VorticityPair(SpectralField(grid, hermitian_extension(ev.omega1, grid)),
                          SpectralField(grid, hermitian_extension(ev.omega2, grid)),
                          residual=delta, iterations=it, contraction_ratio=ratio, evaluation=ev)

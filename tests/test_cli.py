@@ -358,6 +358,44 @@ def test_import_builds_no_parser():
     assert proc.stdout.split() == ["0", "0"]
 
 
+# each loads only for the commands that run it: hashlib (and OpenSSL) for a
+# config hash, the process pool for sweep, the O(N^2) oracle for oracle-check
+_LAZY_MODULES = ["hashlib", "concurrent.futures", "muskatjump.oracle"]
+
+
+def test_import_and_certify_load_no_hashlib_pool_or_oracle(tmp_path):
+    p = write_config(tmp_path / "c.json", grid=_SMALL_GRID)
+    probe = ("import contextlib, io, json, sys\n"
+             "import muskatjump.cli as cli\n"
+             f"lazy = {_LAZY_MODULES!r}\n"
+             "at_import = [m for m in lazy if m in sys.modules]\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cli.main(['certify', '--config', {str(p)!r}])\n"
+             "print(json.dumps([at_import, code, [m for m in lazy if m in sys.modules]]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], EXIT_OK, []]
+
+
+def test_run_needs_no_least_squares_solver(tmp_path, monkeypatch):
+    # the strip-radius fit is a closed-form slope; polyfit would call lstsq
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.lstsq called")
+
+    real = np.linalg.lstsq
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("numpy") and vars(mod).get("lstsq") is real:
+            monkeypatch.setattr(mod, "lstsq", refuse)
+    p = write_config(tmp_path / "c.json", grid=_SMALL_GRID,
+                     schedule={"t_end": 0.06, "dt": 0.03, "snapshot_every": 1})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--output-dir", str(out)]) == EXIT_OK
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    radii = [float(dict(zip(rows[0].split(","), r.split(",")))["strip_radius"])
+             for r in rows[1:]]
+    assert len(radii) == 3 and all(r > 0.0 for r in radii)
+
+
 def test_sweep_runs_configs_in_parallel(tmp_path):
     paths = []
     for i, amp in enumerate((0.005, 0.01)):

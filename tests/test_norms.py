@@ -4,10 +4,10 @@ import pytest
 from muskatjump import (GridSpec, NormSpec, SpectralField, decay_fit, forward, fourier_norm,
                         strip_radius, weighted_l2)
 from muskatjump.errors import DomainError, WeightRangeError
-from muskatjump.norms import NormReport, _power_weights, _weights
+from muskatjump.norms import NOISE_FLOOR, NormReport, _power_weights, _weights
 from muskatjump.spectral import hermitian_symmetrize
 
-from helpers import random_field
+from helpers import decay_packet, exp_spectrum_bump, gaussian_bump, random_field
 
 
 def test_fourier_norm_cosine_s0():
@@ -145,6 +145,48 @@ def test_decay_fit_exact_power_laws():
     assert abs(decay_fit(list(zip(t, (1 + t) ** -1.0))) - (-1.0)) < 1e-8
     assert abs(decay_fit(list(zip(t, 3.0 * (1 + t) ** -2.0))) - (-2.0)) < 1e-8
     assert abs(decay_fit(list(zip(t, np.full_like(t, 4.2))))) < 1e-10
+
+
+def _polyfit_strip_radius(fld):
+    """strip_radius's selection, fitted by numpy's polyfit: the reference slope."""
+    c = np.abs(fld.coefficients)
+    sel = (fld.grid.mode_numbers() >= 1) & (c > NOISE_FLOOR * np.max(c))
+    return max(float(np.polyfit(fld.grid.wavenumbers()[sel], -np.log(c[sel]), 1)[0]), 0.0)
+
+
+def _noisy_bump(n, rng):
+    g = GridSpec(n, 12 * np.pi * n / 256)
+    xi = g.wavenumbers()
+    rate = rng.uniform(0.1, 2.0)
+    noise = 1.0 + 0.3 * rng.standard_normal(n)
+    c = rng.uniform(1e-3, 1.0) * np.exp(-rate * np.abs(xi)) * np.abs(noise)
+    c = c * np.exp(2j * np.pi * rng.random(n))
+    c[g.nyquist_index()] = 0.0
+    return SpectralField(g, hermitian_symmetrize(c))
+
+
+@pytest.mark.parametrize("fld", [
+    # an exact line: -log|c_k| = log 3 + 0.4 xi_k
+    exp_spectrum_bump(GridSpec(256, 12 * np.pi), 3.0, 0.4).f,
+    decay_packet(GridSpec(512, 400 * np.pi)).f,
+    *(gaussian_bump(GridSpec(256, 12 * np.pi), amp, 1.5).f for amp in (0.01, 0.3, 0.95)),
+    *(_noisy_bump(n, np.random.default_rng(seed))
+      for seed, n in enumerate((64, 96, 128, 256, 512, 512))),
+], ids=["line", "decay_packet", "bump_0.01", "bump_0.3", "bump_0.95",
+        *(f"noisy_{i}" for i in range(6))])
+def test_strip_radius_is_the_least_squares_slope(fld):
+    got, want = strip_radius(fld), _polyfit_strip_radius(fld)
+    assert want > 0.0
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_decay_fit_is_the_least_squares_slope(seed):
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 100.0, 40))
+    v = 2.0 * (1.0 + t) ** rng.uniform(-2.0, -0.5) * np.exp(0.1 * rng.standard_normal(40))
+    want = float(np.polyfit(np.log1p(t), np.log(v), 1)[0])
+    assert abs(decay_fit(list(zip(t, v))) - want) <= 1e-12 * abs(want)
 
 
 def test_decay_fit_errors():

@@ -447,8 +447,8 @@ def test_exact_correction_as_guess_converges_in_one_iteration():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.05, 1.0),
        scale=st.floats(0.0, 2.0))
-# the guess is the exact correction: both solves stop at round-off, and
-# differ by 2.19e-18 against a contraction bound of 1.93e-18
+# the guess is the exact correction: both solves stop at round-off, where
+# only the rounding term of the bound is left
 @example(seed=101, frac=0.0703125, scale=1.0)
 def test_warm_and_cold_solves_agree(seed, frac, scale):
     # the guess is the correction of a rescaled datum, as a previous step
@@ -464,16 +464,19 @@ def test_warm_and_cold_solves_agree(seed, frac, scale):
     # flat part, and the iteration is w <- w + M (T(w) - w), M = (1 - D)^{-1}.
     # Its error maps as e -> M N e.  The ledger's q = 1 - 1/C1 bounds D + N
     # in F^{0,1} with |A_kappa A_mu| for D, so N is bounded by
-    # q - |A_kappa A_mu|, and M by 1/(1 - |A_kappa A_mu|).  Each final iterate
-    # lies within q_G/(1-q_G) times its last step of the fixed point, up to
-    # the rounding of the iterates themselves, a few ulps of their size.
+    # q - |A_kappa A_mu|, and M by 1/(1 - |A_kappa A_mu|): the map
+    # G(w) = w + M (T(w) - w) contracts by q_G.  A solve returns the iterate w
+    # whose own update r = ||G(w) - w|| is its residual, so
+    # ||w - w*|| <= r + ||G(w) - G(w*)|| <= r + q_G ||w - w*||, that is
+    # ||w - w*|| <= r / (1 - q_G), up to the rounding of the iterates
+    # themselves, a few ulps of their size.
     led = ledger(fourier_norm(f.f, NormSpec(0.0)), fourier_norm(f.f, NormSpec(1.0)), REF_CFG)
     flat = abs(REF_CFG.a_kappa * REF_CFG.a_mu)
     q_g = (1.0 - 1.0 / led.c1 - flat) / (1.0 - flat)
     diff = fourier_norm(SpectralField(g, warm.omega1.coefficients - cold.omega1.coefficients),
                         NormSpec(0.0))
     rounding = 8.0 * np.finfo(float).eps * fourier_norm(cold.omega1, NormSpec(0.0))
-    assert diff <= q_g / (1.0 - q_g) * (cold.residual + warm.residual) + rounding
+    assert diff <= (cold.residual + warm.residual) / (1.0 - q_g) + rounding
 
 
 def _reference_sums(f, w):
