@@ -6,9 +6,15 @@ Every series here is a power series in the size parameters
     a1 = ||f||_{F^{1,1}}   (radius 1)
 
 summed with a rigorous geometric tail bound below 1e-12; outside its radius a
-series is marked divergent rather than evaluated.  ``ledger`` evaluates every
+series is marked divergent rather than evaluated.  The log-envelope of each
+term comes from a bounded per-depth table.  ``ledger`` evaluates every
 constant once; those that also depend on ||f||_{F^{1/2,1}} or ||f||_{F^{3/2,1}}
 are None unless those norms are passed to it.
+
+``thresholds`` returns the bits of a 60-step bisection for the largest
+admissible point on the diagonal ray, but asks the ledger only near the
+margin's zero: a root solve brackets the zero, and the bisection is replayed
+with the ledger probed only at midpoints inside that bracket.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, RegimeError
@@ -44,21 +51,64 @@ def _log_env_half(n: int, depth: float) -> float:
     return p * (math.log(p / depth) - 1.0) - math.lgamma(n + 1)
 
 
-def _series(term_fn, cap_fn, start: int):
-    """Sum term_fn(n) for n >= start with cap_fn(n) >= sup_{m>=n} term(m+1)/term(m).
+# entries kept per log-envelope table: every term of a series with
+# a0 / depth <= 0.95; a term past them has its envelope computed afresh
+_ENV_TABLE_LEN = 1024
 
-    Returns (value, tail_bound) or None when no geometric tail bound below
-    SERIES_TAIL_TOL can be certified (divergent or at the radius).  Each term
-    is evaluated once: term(n+1) bounds the tail at n and is then summed.
+
+@lru_cache(maxsize=32)
+def _env_table(log_env, depth: float) -> dict:
+    """Memo {n: log_env(n, depth)}, filled by _series up to _ENV_TABLE_LEN entries."""
+    return {}
+
+
+def _env_at(env: dict, log_env, n: int, depth: float) -> float:
+    # log_env(n, depth), kept in env while it has room; an entry is only ever
+    # written whole, so threads that share a table never read a wrong one
+    le = log_env(n, depth)
+    if len(env) < _ENV_TABLE_LEN:
+        env[n] = le
+    return le
+
+
+def _series(a0: float, depth: float, log_env, shift: int, start: int,
+            weight: tuple, ratio: tuple | None):
+    """Sum over n >= start of w(n) exp(log_env(n, depth)) a0^(n - shift).
+
+    w(n) = weight[0] n + weight[1], exact for the weights used (1, n and
+    (n + 1)/2).  With q = a0 / depth, cap(n) = q, or q (n + ratio[0]) /
+    (n + ratio[1]) when ``ratio`` is given, bounds sup_{m>=n} term(m+1)/term(m).
+    Returns (value, tail_bound) or None when q >= 1 or no geometric tail bound
+    below SERIES_TAIL_TOL can be certified (divergent or at the radius).  Each
+    term is evaluated once: term(n+1) bounds the tail at n and is then summed.
+    A term is exp(log_env + power log a0) in log space, since the factors
+    alone can overflow a double even when their product is tame (small h2,
+    a0 near the radius); at a0 = 0 only the power-0 term is nonzero.
     """
-    total = 0.0
+    q = a0 / depth
+    if q >= 1.0:
+        return None
+    env = _env_table(log_env, depth)
+    log_a0 = math.log(a0) if a0 > 0.0 else -math.inf
+    w1, w0 = weight
+    r0, r1 = ratio or (None, None)
+    exp = math.exp
     n = start
-    t = term_fn(n)
+    le = env[n] if n in env else _env_at(env, log_env, n, depth)
+    # the first power, start - shift, is 0 or 1; 0 * log 0 would be nan
+    t = (w1 * n + w0) * (exp(le + (n - shift) * log_a0) if n > shift else exp(le))
+    total = 0.0
+    cap = q
     while n < _SERIES_NMAX:
-        cap = cap_fn(n)
+        if r0 is not None:
+            cap = q * (n + r0) / (n + r1)
         total += t
         n += 1
-        t = term_fn(n)
+        try:
+            le = env[n]
+        except KeyError:
+            le = _env_at(env, log_env, n, depth)
+        t = (w1 * n + w0) * exp(le + (n - shift) * log_a0)
         if cap < 1.0:
             tail = t / (1.0 - cap)
             if tail < SERIES_TAIL_TOL:
@@ -66,56 +116,26 @@ def _series(term_fn, cap_fn, start: int):
     return None
 
 
-def _pow_term(log_env_n: float, a0: float, power: int) -> float:
-    # env * a0^power computed in log space; the factors alone can overflow
-    # a double even when their product is tame (small h2, a0 near the radius)
-    if power == 0:
-        return math.exp(log_env_n)
-    if a0 == 0.0:
-        return 0.0
-    return math.exp(log_env_n + power * math.log(a0))
-
-
 def _c0_series(a0: float, h2: float):
-    q = a0 / h2
-    if q >= 1.0:
-        return None
-    return _series(lambda n: _pow_term(_log_env(n, h2), a0, n),
-                   lambda n: q, start=0)
+    return _series(a0, h2, _log_env, shift=0, start=0, weight=(0, 1.0), ratio=None)
 
 
 def _c2_series(a0: float, h2: float):
-    q = a0 / h2
-    if q >= 1.0:
-        return None
-    return _series(lambda n: n * _pow_term(_log_env(n, h2), a0, n),
-                   lambda n: q * (n + 2) / (n + 1), start=1)
+    return _series(a0, h2, _log_env, shift=0, start=1, weight=(1.0, 0), ratio=(2, 1))
 
 
 def _dc2_series(a0: float, h2: float):
     # sum_{n>=1} n * env(n) * a0^(n-1); finite limit 1/(e h2) at a0 = 0
-    q = a0 / h2
-    if q >= 1.0:
-        return None
-    return _series(lambda n: n * _pow_term(_log_env(n, h2), a0, n - 1),
-                   lambda n: q * (n + 2) / (n + 1), start=1)
+    return _series(a0, h2, _log_env, shift=1, start=1, weight=(1.0, 0), ratio=(2, 1))
 
 
 def _lambda4_series(a0: float, h2: float):
-    q = a0 / (2.0 * h2)
-    if q >= 1.0:
-        return None
-    return _series(lambda n: 0.5 * (n + 1) * _pow_term(_log_env(n, 2.0 * h2), a0, n),
-                   lambda n: q * (n + 2) / (n + 1), start=1)
+    return _series(a0, 2.0 * h2, _log_env, shift=0, start=1, weight=(0.5, 0.5), ratio=(2, 1))
 
 
 def _c8_series(a0: float, h2: float):
     # sum_{n>=1} n * env_half(n) * a0^(n-1); multiplied by ||f||_{F^{1/2,1}} later
-    q = a0 / h2
-    if q >= 1.0:
-        return None
-    return _series(lambda n: n * _pow_term(_log_env_half(n, h2), a0, n - 1),
-                   lambda n: q * (n + 1.5) / max(n, 1), start=1)
+    return _series(a0, h2, _log_env_half, shift=1, start=1, weight=(1.0, 0), ratio=(1.5, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -316,42 +336,148 @@ def ledger(a0: float, a1: float, cfg: "FluidConfig",
 
 # ---------------------------------------------------------------------------
 
-def _admissible_tau(tau: float, cfg: "FluidConfig") -> bool:
+def _margin(tau: float, cfg: "FluidConfig") -> float:
+    """min_s (theta - sigma_s) at the diagonal-ray point tau; -inf where a sigma is None."""
     # on the diagonal ray (tau h2, tau), F^{1/2,1} <= sqrt(a0 a1) = tau sqrt(h2)
     led = ledger(tau * cfg.h2, tau, cfg, f_half=tau * math.sqrt(cfg.h2))
     sig = (led.sigma0, led.sigma1, led.sigma2)
-    return None not in sig and all(led.theta - s > 0.0 for s in sig)
+    return -math.inf if None in sig else min(led.theta - s for s in sig)
+
+
+def _admissible_tau(tau: float, cfg: "FluidConfig") -> bool:
+    return _margin(tau, cfg) > 0.0
 
 
 _THRESHOLD_HAIRCUT = 0.99
 _BISECTION_STEPS = 60
+# a margin g with |g| >= _MARGIN_EPS keeps its sign at every smaller tau
+# (g > 0) or larger tau (g < 0); the ledger rounds g far below it
+_MARGIN_EPS = 1e-13
+# the root solve stops once g(a) - g(b) <= _BRACKET_SPREAD * _MARGIN_EPS
+_BRACKET_SPREAD = 6.0
 _thresholds_cache: dict = {}
+
+
+def _bracket(cfg: "FluidConfig", th: float, g_lo: float) -> tuple[float, float]:
+    """(a, b) around the zero of g = _margin: g(a) >= eps, g(b) <= -eps or -inf.
+
+    A safeguarded root solve (Brent 1973, ch. 4).  The first probe is the
+    zero of the chord from (0, theta), where every sigma is 0, through
+    (1e-6, g_lo).  Later ones interpolate g in tau through a, b and the end
+    replaced last (inverse quadratic) or through a and b (secant), aimed 2 eps
+    toward the end whose |g| is larger so that the probe lands where the
+    sign of g is certain.  A probe takes the midpoint in log tau when the
+    estimate leaves the bracket or the bracket did not halve in log tau over
+    two probes.  A probe with |g| < eps sits on the zero to rounding; from it
+    the solve steps out to each side by 2 eps / |g'|, doubling the step until
+    the sign is certain or the step passes that end.
+    """
+    eps = _MARGIN_EPS
+    a, ga = 1e-6, g_lo
+    # inadmissible (see thresholds), so it is never probed
+    b, gb = math.sqrt(th / (2.0 + th)), None
+    c, gc = b, gb
+    widths = []
+    while gb is None or ga - gb > _BRACKET_SPREAD * eps:
+        widths.append(math.log(b / a))
+        if gb == -math.inf or (len(widths) > 2 and widths[-1] > 0.5 * widths[-3]):
+            t = math.sqrt(a * b)
+        elif gb is None:
+            t = a * th / (th - ga)
+        else:
+            if gc is not None and math.isfinite(gc) and gc not in (ga, gb):
+                t = (a * gb * gc / ((ga - gb) * (ga - gc))
+                     + b * ga * gc / ((gb - ga) * (gb - gc))
+                     + c * ga * gb / ((gc - ga) * (gc - gb)))
+            else:
+                t = a - ga * (b - a) / (gb - ga)
+            t += (2.0 * eps if ga > -gb else -2.0 * eps) * (b - a) / (gb - ga)
+        if not a < t < b:
+            t = math.sqrt(a * b)
+            if not a < t < b:
+                break
+        g = _margin(t, cfg)
+        if g >= eps:
+            c, gc, a, ga = a, ga, t, g
+        elif g <= -eps:
+            c, gc, b, gb = b, gb, t, g
+        else:
+            step = 2.0 * eps * (t - a) / (ga - g)
+            for d in (-step, step):
+                while a < t + d < b:
+                    g = _margin(t + d, cfg)
+                    if g >= eps:
+                        a = t + d
+                        break
+                    if g <= -eps:
+                        b = t + d
+                        break
+                    d *= 2.0
+            break
+    return a, b
 
 
 def thresholds(cfg: "FluidConfig") -> tuple[float, float]:
     """Largest diagonal-ray point (k0, k1) = tau (h2, 1) with positive margins.
 
-    Bisection for the supremum of admissible tau in (0, 1), then a 1% haircut.
-    Cached per (A_kappa, A_mu, h2), the only parameters the margins depend on;
-    a RegimeError is raised again on every call.
+    The value is that of a bisection for the supremum of admissible tau in
+    (1e-6, 1 - 1e-12) over _BISECTION_STEPS midpoints 0.5 (lo + hi), then a 1%
+    haircut.  It is computed in two phases:
+
+    - Bracket: ``_bracket`` solves g(tau) = min_s (theta - sigma_s) = 0, a
+      None sigma counting as g = -inf, for a with g(a) >= eps and b with
+      g(b) <= -eps or -inf (eps = _MARGIN_EPS).  It starts between the
+      admissible 1e-6 and tau_max = sqrt(theta / (2 + theta)), where the
+      bound on sigma0 below reaches theta.
+    - Replay: the bisection's midpoints are replayed exactly.  A midpoint
+      <= a is admissible, one >= b is not, and the ledger is probed only at
+      those strictly between, each of which narrows (a, b) when its |g| >= eps.
+
+    Why the bits are those of probing every midpoint: every series term and
+    every term of the sigma formulas is non-decreasing in tau, and so is each
+    series' stopping index, so the computed g is non-increasing in tau up to
+    rounding, which stays far below eps.  A sigma is None only past the zero
+    of a Neumann denominator, and as that denominator falls to 0 the sigma
+    built on it grows past theta; so it is None, or far above theta, at every
+    larger tau.  The bisection's predicate g > 0 can therefore differ from the
+    sign the bracket implies only where |g| < eps, and the replay probes every
+    midpoint there.  The bisection stops early once a midpoint repeats an end,
+    since every later step would repeat it too.
+
+    Cached per (A_kappa, A_mu, h2), the only parameters the margins depend
+    on; a RegimeError is raised again on every call.
     """
     key = (cfg.a_kappa, cfg.a_mu, cfg.h2)
     if key in _thresholds_cache:
         return _thresholds_cache[key]
-    if theta(cfg) <= 0.0:
+    th = theta(cfg)
+    if th <= 0.0:
         raise RegimeError("theta must be positive")
     lo = 1e-6
-    if not _admissible_tau(lo, cfg):
+    g_lo = _margin(lo, cfg)
+    if not g_lo > 0.0:
         raise RegimeError("no admissible tau >= 1e-6: degenerate regime")
-    # The upper end is never admissible, so it is not probed.  Wherever the
-    # ledger converges, C1 >= 1 (its denominator is <= 1) and every other
-    # term of sigma0 is >= 0 (C0 >= 1, C5 >= 0, lambda1 >= 0), so
-    # sigma0 >= 2 C6 a1 = 2 tau^2 / (1 - tau^2) ~ 1e12 > 1 >= theta there;
-    # where it diverges, sigma2 is None.
+    # No tau >= tau_max is admissible, the bisection's upper end included.
+    # Wherever the ledger converges, C1 >= 1 (its denominator is <= 1) and
+    # every other term of sigma0 is >= 0 (C0 >= 1, C5 >= 0, lambda1 >= 0), so
+    # sigma0 >= 2 C6 a1 = 2 tau^2 / (1 - tau^2), which is >= theta from
+    # tau_max on; where the ledger diverges, sigma2 is None.
+    a, b = _bracket(cfg, th, g_lo)
     hi = 1.0 - 1e-12
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if _admissible_tau(mid, cfg):
+        if mid in (lo, hi):
+            break
+        if a < mid < b:
+            g = _margin(mid, cfg)
+            if g >= _MARGIN_EPS:
+                a = mid
+            elif g <= -_MARGIN_EPS:
+                b = mid
+            admissible = g > 0.0
+        else:
+            admissible = mid <= a
+        if admissible:
             lo = mid
         else:
             hi = mid

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import threading
 import warnings
 from decimal import Decimal, getcontext
 from pathlib import Path
@@ -185,6 +187,21 @@ def test_no_admissible_tau_above_sigma0_bound(tau, ak, am, h2):
     assert not _admissible_tau(tau, FluidConfig(ak, am, 1.0, h2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(u=st.floats(0.0, 1.0, exclude_max=True),
+       ak=st.floats(-0.999, 0.999, exclude_min=True, exclude_max=True),
+       am=st.floats(-0.999, 0.999, exclude_min=True, exclude_max=True),
+       h2=st.floats(0.01, 100.0))
+@example(u=0.0, ak=0.0, am=0.0, h2=1.0)
+@example(u=0.0, ak=0.998, am=-0.998, h2=0.01)
+def test_no_admissible_tau_above_the_bracket_end(u, ak, am, h2):
+    # sigma0 >= 2 tau^2 / (1 - tau^2) >= theta from tau_max = sqrt(theta / (2 + theta))
+    # on, so thresholds' root solve starts below it without probing it
+    cfg = FluidConfig(ak, am, 1.0, h2)
+    tau_max = math.sqrt(theta(cfg) / (2.0 + theta(cfg)))
+    assert not _admissible_tau(tau_max + u * (1.0 - tau_max), cfg)
+
+
 # the constants that need neither f_half nor f_3half
 _A0_A1_CONSTANTS = ("c0", "c1", "c2", "c3", "c4", "c5", "c6", "c9", "c11",
                     *(f"lambda{i}" for i in range(8)))
@@ -209,52 +226,155 @@ def test_ledger_undefined_constants_are_none(ak, am, h2, a0, a1, frac, f_3half):
         assert (led.c7, led.c10, led.c13, led.c14) == (None, None, None, None)
 
 
+# The series as each term went through a lambda, a log-space power and a
+# fresh log-envelope: the reference the table-driven kernels must equal bit
+# for bit.
+
 def _series_reference(term_fn, cap_fn, start: int):
-    # the summation loop as it was before each term was evaluated only once
     total = 0.0
     n = start
+    t = term_fn(n)
     while n < certify._SERIES_NMAX:
-        t = term_fn(n)
         cap = cap_fn(n)
         total += t
+        n += 1
+        t = term_fn(n)
         if cap < 1.0:
-            tail = term_fn(n + 1) / (1.0 - cap)
+            tail = t / (1.0 - cap)
             if tail < certify.SERIES_TAIL_TOL:
                 return total, tail
-        n += 1
     return None
 
 
-_SERIES_FUNCTIONS = ("_c0_series", "_c2_series", "_dc2_series", "_lambda4_series",
-                     "_c8_series")
+def _pow_term(log_env_n: float, a0: float, power: int) -> float:
+    if power == 0:
+        return math.exp(log_env_n)
+    if a0 == 0.0:
+        return 0.0
+    return math.exp(log_env_n + power * math.log(a0))
 
 
-@settings(max_examples=40, deadline=None)
-@given(ratio=st.floats(0.0, 0.9995, exclude_max=True), h2=st.floats(0.1, 5.0))
-@example(ratio=0.0, h2=1.0)
-# C2 and C2/a0 run out of terms here; C0, lambda4 and C8 converge
-@example(ratio=0.9994, h2=1.0)
-def test_series_match_the_reference_loop(ratio, h2):
-    a0 = ratio * h2
-    for name in _SERIES_FUNCTIONS:
-        fast = getattr(certify, name)(a0, h2)
-        with mock.patch.object(certify, "_series", _series_reference):
-            ref = getattr(certify, name)(a0, h2)
+def _c0_reference(a0: float, h2: float):
+    q = a0 / h2
+    if q >= 1.0:
+        return None
+    return _series_reference(lambda n: _pow_term(certify._log_env(n, h2), a0, n),
+                             lambda n: q, start=0)
+
+
+def _c2_reference(a0: float, h2: float):
+    q = a0 / h2
+    if q >= 1.0:
+        return None
+    return _series_reference(lambda n: n * _pow_term(certify._log_env(n, h2), a0, n),
+                             lambda n: q * (n + 2) / (n + 1), start=1)
+
+
+def _dc2_reference(a0: float, h2: float):
+    q = a0 / h2
+    if q >= 1.0:
+        return None
+    return _series_reference(lambda n: n * _pow_term(certify._log_env(n, h2), a0, n - 1),
+                             lambda n: q * (n + 2) / (n + 1), start=1)
+
+
+def _lambda4_reference(a0: float, h2: float):
+    q = a0 / (2.0 * h2)
+    if q >= 1.0:
+        return None
+    return _series_reference(
+        lambda n: 0.5 * (n + 1) * _pow_term(certify._log_env(n, 2.0 * h2), a0, n),
+        lambda n: q * (n + 2) / (n + 1), start=1)
+
+
+def _c8_reference(a0: float, h2: float):
+    q = a0 / h2
+    if q >= 1.0:
+        return None
+    return _series_reference(lambda n: n * _pow_term(certify._log_env_half(n, h2), a0, n - 1),
+                             lambda n: q * (n + 1.5) / max(n, 1), start=1)
+
+
+_REFERENCE_SERIES = {"_c0_series": _c0_reference, "_c2_series": _c2_reference,
+                     "_dc2_series": _dc2_reference, "_lambda4_series": _lambda4_reference,
+                     "_c8_series": _c8_reference}
+
+
+def _assert_series_match(a0: float, h2: float):
+    for name, reference in _REFERENCE_SERIES.items():
+        fast, ref = getattr(certify, name)(a0, h2), reference(a0, h2)
         assert (fast is None) == (ref is None), name
         if ref is not None:
             assert fast == ref, name
 
 
+@settings(max_examples=40, deadline=None)
+@given(ratio=st.floats(0.0, 0.9995, exclude_max=True), h2=st.floats(0.1, 5.0))
+@example(ratio=0.0, h2=1.0)
+@example(ratio=1e-300, h2=1.0)
+# C2 and C2/a0 run out of terms here; C0, lambda4 and C8 converge
+@example(ratio=0.9994, h2=1.0)
+def test_series_match_the_reference_loop(ratio, h2):
+    _assert_series_match(ratio * h2, h2)
+
+
 def test_series_evaluates_each_term_once():
+    # every log-envelope is computed once per depth, in order, and then read
+    # from its table by every later sum at that depth
     seen = []
 
-    def term(n):
+    def log_env(n, depth):
         seen.append(n)
-        return 0.5 ** n
+        return certify._log_env(n, depth)
 
-    value, tail = certify._series(term, lambda n: 0.5, start=1)
+    args = dict(shift=0, start=1, weight=(1.0, 0), ratio=(2, 1))
+    value, tail = certify._series(0.5, 1.0, log_env, **args)
     assert seen == list(range(1, len(seen) + 1))
-    assert (value, tail) == _series_reference(lambda n: 0.5 ** n, lambda n: 0.5, 1)
+    assert (value, tail) == _c2_reference(0.5, 1.0)
+    seen.clear()
+    assert certify._series(0.5, 1.0, log_env, **args) == (value, tail)
+    assert seen == []
+
+
+def test_series_near_the_radius_and_bounded_tables():
+    # q -> 1 takes thousands of terms, past the end of the log-envelope table,
+    # which stops growing at its cap
+    certify._env_table.cache_clear()
+    _assert_series_match(0.999 * 1.25, 1.25)
+    assert len(certify._env_table(certify._log_env, 1.25)) == certify._ENV_TABLE_LEN
+    # certificates at 100 depths make three tables each; the cache keeps 32
+    g = GridSpec(64, 2 * np.pi)
+    for k in range(100):
+        cfg = FluidConfig(0.5, 0.2, 1.0, 0.5 + 0.01 * k)
+        certify_datum(InterfaceField(forward(0.5 * cfg.h2 * np.cos(g.nodes()), g)), cfg)
+    info = certify._env_table.cache_info()
+    assert info.currsize == info.maxsize == 32
+
+
+def test_envelope_tables_shared_by_threads():
+    # threads filling one fresh table at once must all read exact envelopes
+    certify._env_table.cache_clear()
+    a0, h2 = 0.9 * 3.0, 3.0
+    expected = {name: reference(a0, h2) for name, reference in _REFERENCE_SERIES.items()}
+    wrong = []
+
+    def work():
+        for name, value in expected.items():
+            if getattr(certify, name)(a0, h2) != value:
+                wrong.append(name)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert wrong == []
 
 
 def _count_ledger_calls(monkeypatch) -> list:
@@ -269,14 +389,61 @@ def _count_ledger_calls(monkeypatch) -> list:
     return calls
 
 
+# ledger probes of a cold thresholds(REF_CFG); the bisection alone took 61
+REF_CFG_PROBES = 20
+
+
 def test_thresholds_cached_per_config(monkeypatch):
     monkeypatch.setattr(certify, "_thresholds_cache", {})
     calls = _count_ledger_calls(monkeypatch)
     first = thresholds(REF_CFG)
-    assert len(calls) == 1 + certify._BISECTION_STEPS
+    # the 1e-6 probe, the root solve and the replayed midpoints near the zero
+    assert len(calls) == REF_CFG_PROBES
     calls.clear()
     assert thresholds(REF_CFG) == first
     assert calls == []
+
+
+def _bisection_reference(cfg):
+    # the 60-step bisection that probes every midpoint, with its predicate
+    def admissible(tau):
+        led = ledger(tau * cfg.h2, tau, cfg, f_half=tau * math.sqrt(cfg.h2))
+        sig = (led.sigma0, led.sigma1, led.sigma2)
+        return None not in sig and all(led.theta - s > 0.0 for s in sig)
+
+    if theta(cfg) <= 0.0:
+        raise RegimeError("theta must be positive")
+    lo = 1e-6
+    if not admissible(lo):
+        raise RegimeError("no admissible tau >= 1e-6: degenerate regime")
+    hi = 1.0 - 1e-12
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if admissible(mid):
+            lo = mid
+        else:
+            hi = mid
+    tau_star = lo * 0.99
+    return tau_star * cfg.h2, tau_star
+
+
+@settings(max_examples=100, deadline=None)
+@given(ak=st.floats(-0.999, 0.999, exclude_min=True, exclude_max=True),
+       am=st.floats(-0.999, 0.999, exclude_min=True, exclude_max=True),
+       h2=st.floats(0.01, 100.0))
+@example(ak=1.0 - 1e-9, am=0.0, h2=1.0)  # theta ~ 1e-9: degenerate
+def test_thresholds_equal_the_full_bisection(ak, am, h2):
+    cfg = FluidConfig(ak, am, 1.0, h2)
+    try:
+        expected = _bisection_reference(cfg)
+    except RegimeError:
+        expected = RegimeError
+    with mock.patch.object(certify, "_thresholds_cache", {}):
+        if expected is RegimeError:
+            with pytest.raises(RegimeError):
+                thresholds(cfg)
+        else:
+            assert thresholds(cfg) == expected
 
 
 def test_thresholds_independent_of_a_rho(monkeypatch):
