@@ -1,7 +1,7 @@
 """Pseudo-spectral interface evolution over a permeability jump, with admissibility certificates."""
 
 from .spectral import (GridSpec, SpectralField, conj_poisson_hat, derivative, forward,
-                       hilbert, inverse, poisson_hat)
+                       inverse, poisson_hat)
 from .norms import NormReport, NormSpec, decay_fit, fourier_norm, strip_radius, weighted_l2
 from .vorticity import FluidConfig, VorticityPair, solve_vorticity, vorticity_bound_check
 from .certify import Certificate, ConstantLedger, certify_datum, ledger, theta, thresholds
@@ -9,7 +9,7 @@ from .evolution import (InterfaceField, RhsBreakdown, TrajectoryRecord, linear_s
                         rhs, run, step)
 
 __all__ = [
-    "GridSpec", "SpectralField", "forward", "inverse", "hilbert", "derivative",
+    "GridSpec", "SpectralField", "forward", "inverse", "derivative",
     "poisson_hat", "conj_poisson_hat",
     "NormSpec", "NormReport", "fourier_norm", "weighted_l2", "strip_radius", "decay_fit",
     "FluidConfig", "VorticityPair", "solve_vorticity", "vorticity_bound_check",

@@ -344,10 +344,6 @@ def _margin(tau: float, cfg: "FluidConfig") -> float:
     return -math.inf if None in sig else min(led.theta - s for s in sig)
 
 
-def _admissible_tau(tau: float, cfg: "FluidConfig") -> bool:
-    return _margin(tau, cfg) > 0.0
-
-
 _THRESHOLD_HAIRCUT = 0.99
 _BISECTION_STEPS = 60
 # a margin g with |g| >= _MARGIN_EPS keeps its sign at every smaller tau

@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,7 +94,17 @@ def _validate(schema: dict, obj, path: str = "config"):
             raise ConfigurationError(f"{path}.{key} must be {_JSON_TYPES[sub][0]}")
 
 
-def load_config(path) -> dict:
+class Config(NamedTuple):
+    """A validated config: its JSON, and each block it describes, built once."""
+
+    raw: dict
+    fluid: FluidConfig
+    grid: GridSpec
+    solver: SolverOptions
+    schedule: Schedule
+
+
+def load_config(path) -> Config:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -114,41 +125,23 @@ def load_config(path) -> dict:
     width = spec.get("width", 1.0)
     if not 0.0 < width * width < math.inf:
         raise ConfigurationError("config.initial_data.width must have a positive finite square")
-    # the other blocks are checked by their types, so every subcommand rejects
-    # the same configs, even for a block it does not read
-    for build in (fluid_config, grid_spec, solver_options, run_schedule):
-        build(raw)
-    return raw
-
-
-def fluid_config(raw: dict) -> FluidConfig:
-    f = raw["fluid"]
-    return FluidConfig(f["a_kappa"], f["a_mu"], f["a_rho"], f["h2"])
-
-
-def grid_spec(raw: dict) -> GridSpec:
-    g = raw["grid"]
-    return GridSpec(int(g["n_points"]), float(g["domain_length"]))
-
-
-def run_schedule(raw: dict) -> Schedule:
-    s = raw["schedule"]
-    return Schedule(float(s["t_end"]), float(s["dt"]), int(s["snapshot_every"]))
-
-
-def solver_options(raw: dict) -> SolverOptions:
-    """The config's solver block; every subcommand that solves reads it here."""
-    s = dict(raw.get("solver", {}))
+    # every block is built here, so every subcommand rejects the same
+    # configs, even for a block it does not read
+    f, g, s = raw["fluid"], raw["grid"], raw["schedule"]
+    fluid = FluidConfig(f["a_kappa"], f["a_mu"], f["a_rho"], f["h2"])
+    grid = GridSpec(int(g["n_points"]), float(g["domain_length"]))
+    solver = dict(raw.get("solver", {}))
     # version-1 configs may name the integrator; ETDRK2 is the only one
-    order = s.pop("order", 2)
+    order = solver.pop("order", 2)
     if order != 2:
         raise ConfigurationError(f"solver.order must be 2 (ETDRK2 is the only integrator), "
                                  f"got {order!r}")
-    return SolverOptions(**s)
+    return Config(raw, fluid, grid, SolverOptions(**solver),
+                  Schedule(float(s["t_end"]), float(s["dt"]), int(s["snapshot_every"])))
 
 
-def build_initial_data(raw: dict, grid: GridSpec) -> InterfaceField:
-    spec = raw["initial_data"]
+def build_initial_data(conf: Config) -> InterfaceField:
+    spec, grid = conf.raw["initial_data"], conf.grid
     L = grid.domain_length
     x = grid.nodes()
     preset = spec["preset"]
@@ -171,12 +164,12 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_metadata(outdir: Path, raw: dict, cfg: FluidConfig, cert, status: dict,
+def _write_metadata(outdir: Path, conf: Config, cert, status: dict,
                     started: float, finished: float) -> None:
     meta = {
         "schema_version": 1,
-        "config": raw,
-        "config_hash": cfg.hash(),
+        "config": conf.raw,
+        "config_hash": conf.fluid.hash(),
         "nu": None if cert is None or cert.nu is None else cert.nu,
         "certificate": None if cert is None else cert.to_dict(),
         "status": status,
@@ -189,35 +182,37 @@ def _write_metadata(outdir: Path, raw: dict, cfg: FluidConfig, cert, status: dic
 
 
 def cmd_run(args) -> int:
-    raw = load_config(args.config)
-    cfg = fluid_config(raw)
-    grid = grid_spec(raw)
-    opts = solver_options(raw)
-    schedule = run_schedule(raw)
-    outdir = Path(args.output_dir or os.environ.get("MUSKATJUMP_OUTPUT_DIR") or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    ckptdir = outdir / "checkpoints"
-    ckptdir.mkdir(exist_ok=True)
+    conf = load_config(args.config)
+    cfg, schedule = conf.fluid, conf.schedule
     started = time.time()
 
-    f0 = build_initial_data(raw, grid)
+    f0 = build_initial_data(conf)
     resume, start_step = None, 0
     if args.resume:
         state, start_step, dt_saved, monitor = load_checkpoint(args.resume, cfg)
         if dt_saved != schedule.dt:
             raise ConfigurationError("checkpoint dt differs from config dt")
-        if state.f.grid != grid:
+        if state.f.grid != conf.grid:
             raise ConfigurationError(f"checkpoint {args.resume} grid does not match config grid")
+        # the fluid hash does not cover the schedule: a longer run's checkpoint
+        # would end this one past t_end
+        if start_step > schedule.n_steps:
+            raise ConfigurationError(f"checkpoint {args.resume} step {start_step} lies past the "
+                                     f"schedule's last step {schedule.n_steps}")
         # without the accumulators the budget integrals would restart from zero
         if start_step > 0 and monitor is None:
             raise ConfigurationError(f"checkpoint {args.resume} has no monitor block")
         resume = (state, start_step, monitor)
+    outdir = Path(args.output_dir or os.environ.get("MUSKATJUMP_OUTPUT_DIR") or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    ckptdir = outdir / "checkpoints"
+    ckptdir.mkdir(exist_ok=True)
     # a resumed run certifies the initial datum too, so its monitors and
     # metadata match those of the uninterrupted run
     cert = certify.certify_datum(f0, cfg)
     if args.require_certificate and cert.verdict != "admissible":
         print(f"datum is {cert.verdict}; refusing to run", file=sys.stderr)
-        _write_metadata(outdir, raw, cfg, cert,
+        _write_metadata(outdir, conf, cert,
                         {"exit": EXIT_INADMISSIBLE, "reason": cert.verdict},
                         started, time.time())
         return EXIT_INADMISSIBLE
@@ -242,7 +237,7 @@ def cmd_run(args) -> int:
     status = {"exit": EXIT_OK}
     rec = None
     try:
-        rec = run(f0, cfg, schedule, opts, certificate=cert, on_snapshot=on_snapshot,
+        rec = run(f0, cfg, schedule, conf.solver, certificate=cert, on_snapshot=on_snapshot,
                   resume=resume)
     except tuple(_EXIT_CODES) as exc:
         status = {"exit": _exit_code(exc), "reason": str(exc)}
@@ -250,18 +245,15 @@ def cmd_run(args) -> int:
         csv_fh.close()
     if status["exit"] == EXIT_OK and rec is not None and rec.budget_violated:
         status = {"exit": EXIT_BUDGET, "reason": "decay budget inequality violated"}
-    _write_metadata(outdir, raw, cfg, cert, status, started, time.time())
+    _write_metadata(outdir, conf, cert, status, started, time.time())
     if status["exit"] != EXIT_OK:
         print(status["reason"], file=sys.stderr)
     return status["exit"]
 
 
 def cmd_certify(args) -> int:
-    raw = load_config(args.config)
-    cfg = fluid_config(raw)
-    grid = grid_spec(raw)
-    f0 = build_initial_data(raw, grid)
-    cert = certify.certify_datum(f0, cfg)
+    conf = load_config(args.config)
+    cert = certify.certify_datum(build_initial_data(conf), conf.fluid)
     print(cert.to_json())
     print(f"{'quantity':<14}{'value':>18}", file=sys.stderr)
     rows = [("theta", cert.theta), ("a0", cert.a0), ("a1", cert.a1),
@@ -275,10 +267,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_linear(args) -> int:
-    raw = load_config(args.config)
-    cfg = fluid_config(raw)
-    grid = grid_spec(raw)
-    opts = solver_options(raw)
+    conf = load_config(args.config)
+    cfg, grid = conf.fluid, conf.grid
     # above n/2 the grid holds mode k only as its alias n - k
     if args.measure and args.max_mode > grid.n_points // 2:
         raise ConfigurationError(f"--measure needs --max-mode at most n_points/2 = "
@@ -290,7 +280,7 @@ def cmd_linear(args) -> int:
         m_exact = float(linear_symbol(xi, cfg))
         m_meas, rel = float("nan"), float("nan")
         if args.measure:
-            m_meas = _measure_mode_rate(k, grid, cfg, opts)
+            m_meas = _measure_mode_rate(k, grid, cfg, conf.solver)
             rel = abs(m_meas - m_exact) / abs(m_exact)
         lines.append(",".join([str(k), _fmt(xi), _fmt(m_exact), _fmt(m_meas), _fmt(rel)]))
     text = "\n".join(lines) + "\n"
@@ -317,20 +307,18 @@ def cmd_oracle_check(args) -> int:
     # the O(N^2) ground truth loads only for the command that runs it
     from . import oracle
 
-    raw = load_config(args.config)
-    cfg = fluid_config(raw)
-    grid = grid_spec(raw)
-    opts = solver_options(raw)
-    f0 = build_initial_data(raw, grid)
+    conf = load_config(args.config)
+    cfg = conf.fluid
+    f0 = build_initial_data(conf)
     F = f0.samples()
-    L = grid.domain_length
+    L = conf.grid.domain_length
 
     def rel(a, b):
         scale = max(np.max(np.abs(b)), 1e-300)
         return float(np.max(np.abs(a - b)) / scale)
 
     t_fast = time.perf_counter()
-    breakdown = rhs(f0, cfg, opts)
+    breakdown = rhs(f0, cfg, conf.solver)
     t_fast = time.perf_counter() - t_fast
     w1 = inverse(breakdown.pair.omega1)
     w2 = inverse(breakdown.pair.omega2)

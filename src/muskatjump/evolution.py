@@ -240,32 +240,33 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
 def _stepper_coeffs(grid: GridSpec, cfg: FluidConfig, dt: float):
-    """exp(z), dt phi1(z) and dt phi2(z) of the two-stage scheme, z = -m(xi) dt."""
+    """Read-only exp(z), dt phi1(z) and dt phi2(z) of the two-stage scheme, z = -m(xi) dt."""
     z = -linear_symbol(grid.wavenumbers(), cfg) * dt
-    return np.exp(z), dt * _phi1(z), dt * _phi2(z)
+    out = (np.exp(z), dt * _phi1(z), dt * _phi2(z))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def step(state: InterfaceField, dt: float, cfg: FluidConfig,
          opts: SolverOptions | None = None,
-         coeffs: tuple | None = None,
          carry: MonitorState | None = None) -> InterfaceField:
     """One two-stage exponential-integrator (ETDRK2) step.
 
     The linear multiplier is applied through its exact integrating factor; the
-    nonlinear remainder is treated explicitly.  ``coeffs`` are the
-    ``_stepper_coeffs`` of this dt, computed here when not supplied.  Each
-    stage's strength solve starts from the previous one's, across steps too
-    when ``carry``, a run's ``MonitorState``, is kept.  The stage and the new
-    spectrum are exactly Hermitian when the state's is, as the coefficients
-    are real and even in xi.
+    nonlinear remainder is treated explicitly.  Each stage's strength solve
+    starts from the previous one's, across steps too when ``carry``, a run's
+    ``MonitorState``, is kept.  The stage and the new spectrum are exactly
+    Hermitian when the state's is, as the coefficients are real and even in xi.
     """
     opts = opts or SolverOptions()
     carry = carry or MonitorState()
     if dt <= 0:
         raise StepSizeError(f"dt must be positive, got {dt!r}")
     grid = state.f.grid
-    exp_lin, dt_phi1, dt_phi2 = coeffs or _stepper_coeffs(grid, cfg, dt)
+    exp_lin, dt_phi1, dt_phi2 = _stepper_coeffs(grid, cfg, dt)
 
     fhat = state.f.coefficients
     n0 = nonlinear_tendency(state, cfg, opts, carry=carry)
@@ -382,7 +383,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     # the monitors need nu >= 0; an out-of-ledger datum may certify none or a
     # negative one
     nu = max(cert.nu or 0.0, 0.0)
-    th = certify.theta(cfg)
+    th = cert.theta
     # an inadmissible datum may have sigma_s > theta; a negative coefficient
     # would let the budget pass vacuously, so it checks F^{s,1}(t) <= F^{s,1}(0)
     coef = {s: max(cfg.a_rho * (th - cert.sigma[s]) - nu, 0.0)
@@ -391,7 +392,6 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
 
     rec = TrajectoryRecord()
     n_steps = schedule.n_steps
-    coeffs = _stepper_coeffs(f0.f.grid, cfg, schedule.dt)
 
     def take_snapshot(step_index: int, st: InterfaceField):
         t = st.time
@@ -420,7 +420,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
 
     take_snapshot(start_step, state)
     for i in range(start_step, n_steps):
-        state = step(state, schedule.dt, cfg, opts, coeffs=coeffs, carry=monitor)
+        state = step(state, schedule.dt, cfg, opts, carry=monitor)
         # the clock counts whole steps, so a resumed run keeps the same times
         state = InterfaceField(state.f, (i + 1) * schedule.dt)
         if (i + 1) % schedule.snapshot_every == 0 or (i + 1) == n_steps:
@@ -488,7 +488,10 @@ def load_checkpoint(path, cfg: FluidConfig | None = None):
         if monitor is not None and monitor.correction is not None \
                 and monitor.correction.shape != (grid.n_points,):
             raise ConfigurationError("checkpoint strength correction does not match its grid")
-        return state, payload["step_index"], float.fromhex(payload["dt_hex"]), monitor
+        step_index = payload["step_index"]
+        if type(step_index) is not int or step_index < 0:
+            raise ConfigurationError(f"step_index {step_index!r} is not a non-negative integer")
+        return state, step_index, float.fromhex(payload["dt_hex"]), monitor
     except KeyError as exc:
         raise ConfigurationError(f"checkpoint {path} lacks key {exc}") from exc
     except (OSError, ValueError, TypeError, AttributeError) as exc:

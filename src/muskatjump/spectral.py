@@ -18,7 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -89,10 +89,10 @@ class SpectralField:
 
     grid: GridSpec
     coefficients: np.ndarray
-    # accepted and never read, so SpectralField(grid, c, t) still constructs
-    time_tag: float = 0.0
+    # accepted and dropped, so SpectralField(grid, c, t) still constructs
+    time_tag: InitVar[float] = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, time_tag):
         c = np.asarray(self.coefficients, dtype=complex)
         if c.shape != (self.grid.n_points,):
             raise ConfigurationError(
@@ -131,23 +131,11 @@ def hermitian_symmetrize(c: np.ndarray) -> np.ndarray:
     return 0.5 * (c + np.conj(np.concatenate((c[..., :1], c[..., :0:-1]), axis=-1)))
 
 
-def apply_multiplier(fld: SpectralField, multiplier: np.ndarray) -> SpectralField:
-    """Multiply mode-wise and zero the Nyquist slot."""
-    c = fld.coefficients * multiplier
-    c[fld.grid.nyquist_index()] = 0.0
-    return fld.with_coefficients(c)
-
-
-def hilbert(fld: SpectralField) -> SpectralField:
-    """Hilbert transform: multiplier -i sgn(xi); output mean is zero."""
-    xi = fld.grid.wavenumbers()
-    return apply_multiplier(fld, -1j * np.sign(xi))
-
-
 def derivative(fld: SpectralField) -> SpectralField:
     """Spectral derivative: multiplier i xi, Nyquist zeroed."""
-    xi = fld.grid.wavenumbers()
-    return apply_multiplier(fld, 1j * xi)
+    c = fld.coefficients * (1j * fld.grid.wavenumbers())
+    c[fld.grid.nyquist_index()] = 0.0
+    return fld.with_coefficients(c)
 
 
 def poisson_hat(a: float, xi) -> float | np.ndarray:

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muskatjump import FluidConfig, GridSpec, certify, certify_datum, forward, ledger, theta, thresholds
-from muskatjump.certify import _admissible_tau
 from muskatjump.errors import RegimeError
 from muskatjump.evolution import InterfaceField, Schedule, run
 
@@ -184,7 +183,7 @@ def test_thresholds_pinned_bits(cfg, k0_hex, k1_hex, monkeypatch):
 def test_no_admissible_tau_above_sigma0_bound(tau, ak, am, h2):
     # sigma0 >= 2 tau^2 / (1 - tau^2) > 1 >= theta for tau >= 0.6, which is
     # why the bisection never probes its upper end
-    assert not _admissible_tau(tau, FluidConfig(ak, am, 1.0, h2))
+    assert not certify._margin(tau, FluidConfig(ak, am, 1.0, h2)) > 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,7 +198,7 @@ def test_no_admissible_tau_above_the_bracket_end(u, ak, am, h2):
     # on, so thresholds' root solve starts below it without probing it
     cfg = FluidConfig(ak, am, 1.0, h2)
     tau_max = math.sqrt(theta(cfg) / (2.0 + theta(cfg)))
-    assert not _admissible_tau(tau_max + u * (1.0 - tau_max), cfg)
+    assert not certify._margin(tau_max + u * (1.0 - tau_max), cfg) > 0.0
 
 
 # the constants that need neither f_half nor f_3half

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from muskatjump import cli
 from muskatjump.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_GEOMETRY, EXIT_INADMISSIBLE,
-                            EXIT_OK, EXIT_ORACLE, build_initial_data, build_parser, grid_spec,
-                            load_config, main)
+                            EXIT_OK, EXIT_ORACLE, build_initial_data, build_parser, load_config,
+                            main)
 from muskatjump.errors import BlowUpError, PicardDivergenceError
 from muskatjump.evolution import TRAJECTORY_COLUMNS, InterfaceField, save_checkpoint
 from muskatjump.spectral import GridSpec
@@ -121,10 +121,9 @@ def test_certify_command_matches_library(tmp_path, capsys):
     assert blob["verdict"] == "admissible"
 
     from muskatjump import certify_datum
-    from muskatjump.cli import fluid_config
 
-    raw = load_config(p)
-    cert = certify_datum(build_initial_data(raw, grid_spec(raw)), fluid_config(raw))
+    conf = load_config(p)
+    cert = certify_datum(build_initial_data(conf), conf.fluid)
     assert blob["nu"] == cert.nu
     assert blob["margins"] == {k: v for k, v in
                                json.loads(cert.to_json())["margins"].items()}
@@ -263,6 +262,45 @@ def test_resume_needs_the_monitor_block_after_step_zero(tmp_path, capsys):
     assert main(["run", "--config", str(p), "--output-dir", str(out),
                  "--resume", str(out / "checkpoints" / "ckpt_00000000.json")]) == EXIT_OK
     assert (out / "trajectory.csv").read_bytes() == csv
+
+
+@pytest.mark.parametrize("command", ["certify", "run"])
+def test_each_command_builds_the_fluid_block_once(tmp_path, monkeypatch, command):
+    p = write_config(tmp_path / "c.json")
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return FluidConfig(*args)
+
+    monkeypatch.setattr(cli, "FluidConfig", counted)
+    argv = ["run", "--output-dir", str(tmp_path / "out")] if command == "run" else [command]
+    assert main([*argv, "--config", str(p)]) == EXIT_OK
+    assert built == [(0.5, 0.2, 1.0, 1.0)]
+
+
+def test_resume_past_the_schedule_end_is_a_configuration_error(checkpointed_run, tmp_path,
+                                                               capsys):
+    # the checkpoint of step 10 of a run whose config now ends at step 5: the
+    # fluid hash matches, the schedule does not
+    config, full = checkpointed_run
+    raw = json.loads(config.read_text())
+    raw["schedule"]["t_end"] = 0.15
+    shorter = tmp_path / "shorter.json"
+    shorter.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    shutil.copytree(full, out)
+
+    def files():
+        return {q.relative_to(out): q.read_bytes() for q in out.rglob("*") if q.is_file()}
+
+    before = files()
+    ck = out / "checkpoints" / "ckpt_00000010.json"
+    assert main(["run", "--config", str(shorter), "--output-dir", str(out),
+                 "--resume", str(ck)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(ck) in err
+    assert files() == before
 
 
 def test_from_file_initial_data(tmp_path):

@@ -219,6 +219,24 @@ def test_run_budget_and_monotone_norms():
                    for row in rec.rows)
 
 
+def test_run_is_bare_steps_with_the_cached_stepper_coefficients():
+    g = GridSpec(128, L12)
+    coeffs = evolution._stepper_coeffs(g, REF_CFG, 0.05)
+    assert evolution._stepper_coeffs(GridSpec(128, L12), REF_CFG, 0.05) is coeffs
+    for a in coeffs:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # one carried monitor and the run's clock of whole steps
+    f0 = gaussian_bump(g, 0.01, 1.5)
+    sched = Schedule(t_end=0.5, dt=0.05, snapshot_every=10)
+    rec = run(f0, REF_CFG, sched)
+    state, carry = f0, MonitorState()
+    for i in range(10):
+        state = InterfaceField(step(state, sched.dt, REF_CFG, carry=carry).f, (i + 1) * sched.dt)
+    assert np.array_equal(state.f.coefficients, rec.final_state.f.coefficients)
+    assert state.time == rec.final_state.time
+
+
 def test_run_rejects_unsatisfiable_geometry():
     g = GridSpec(128, 2 * np.pi)
     f0 = InterfaceField.from_samples(np.full(128, -0.99), g)
@@ -270,6 +288,16 @@ def test_checkpoint_config_mismatch(tmp_path):
     other = FluidConfig(0.3, 0.2, 1.0, 1.0)
     with pytest.raises(ConfigurationError):
         load_checkpoint(path, other)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, "5", True, None])
+def test_checkpoint_step_index_must_be_a_non_negative_integer(tmp_path, bad):
+    g = GridSpec(32, L12)
+    path = tmp_path / "ck.json"
+    payload = checkpoint_payload(gaussian_bump(g, 0.02, 1.5), REF_CFG, 0, 0.05)
+    path.write_text(json.dumps({**payload, "step_index": bad}))
+    with pytest.raises(ConfigurationError, match="step_index"):
+        load_checkpoint(path, REF_CFG)
 
 
 def test_restart_reproduces_state_bitwise(tmp_path):
