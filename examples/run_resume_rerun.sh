@@ -7,9 +7,10 @@
 # Run from the repository root with RUNNER_TEMP set to a writable directory.
 # The runs go to $RUNNER_TEMP/NAME, $RUNNER_TEMP/NAME-resumed and
 # $RUNNER_TEMP/NAME-rerun.  The resume starts from the checkpoint of step
-# RESUME_STEP; the resumed trajectory.csv and the checkpoint of step
-# FINAL_STEP must equal the first run's.  The rerun must reproduce every
-# artifact, metadata.json apart from its timestamps.
+# RESUME_STEP and writes every checkpoint after it again, up to FINAL_STEP;
+# the resumed trajectory.csv and every checkpoint must equal the first run's.
+# The rerun must reproduce every artifact, metadata.json apart from its
+# timestamps.
 set -euo pipefail
 
 name=$1
@@ -25,9 +26,15 @@ cli() {
 cli run --config "$config" --output-dir "$out"
 
 cp -r "$out" "$out-resumed"
+for ckpt in "$out-resumed"/checkpoints/ckpt_*.json; do
+    if [[ "$(basename "$ckpt")" > "$resume" ]]; then
+        rm "$ckpt"
+    fi
+done
 cli run --config "$config" --output-dir "$out-resumed" --resume "$out-resumed/checkpoints/$resume"
 cmp "$out/trajectory.csv" "$out-resumed/trajectory.csv"
-cmp "$out/checkpoints/$final" "$out-resumed/checkpoints/$final"
+test -f "$out/checkpoints/$final"
+diff -r "$out/checkpoints" "$out-resumed/checkpoints"
 
 cli run --config "$config" --output-dir "$out-rerun"
 diff -r --exclude=metadata.json "$out" "$out-rerun"

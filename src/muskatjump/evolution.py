@@ -40,6 +40,8 @@ class InterfaceField:
     A spectrum within 1e-10 of Hermitian symmetry is accepted and stored as
     its exact projection, so the height is real by construction and the
     step keeps it so; the projection leaves ``forward``'s spectra bit for bit.
+    The states that ``step`` and ``run`` build are exactly Hermitian and
+    finite already, so they skip the check (``_trusted``).
     """
 
     f: SpectralField
@@ -58,6 +60,15 @@ class InterfaceField:
     @classmethod
     def from_samples(cls, samples, grid: GridSpec) -> "InterfaceField":
         return cls(forward(np.asarray(samples, dtype=float), grid))
+
+    @classmethod
+    def _trusted(cls, f: SpectralField, time: float) -> "InterfaceField":
+        """A state whose spectrum is exactly Hermitian and finite by construction: not
+        checked, copied or projected again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "f", f)
+        object.__setattr__(state, "time", time)
+        return state
 
     def samples(self) -> np.ndarray:
         return inverse(self.f)
@@ -144,8 +155,9 @@ def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
     the solve's last evaluation is the right-hand side's: it holds the two
     self sums S0, S1 and the line coupling P omega2, CP omega2, so
     I1 = S0, I2 = df S1, I3 = CP omega2 and I4 = df P omega2 take one batched
-    transform.  With a ``carry`` the solve starts from its correction, which
-    is updated here.
+    transform.  The four ``parts`` are half spectra k = 0..N/2, and only
+    their sum is extended to the full N.  With a ``carry`` the solve starts
+    from its correction, which is updated here.
     """
     grid = f.f.grid
     carry = carry or MonitorState()
@@ -156,12 +168,12 @@ def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
     carry.correction = ev.w1 - ws.linear
     spectra = np.fft.rfft([ev.s0, ws.dF * ev.s1, ev.cp, ws.dF * ev.p], norm="forward")
     keep = dealias_mask(grid)[: grid.nyquist_index() + 1]
-    parts = hermitian_extension(np.where(keep, spectra, 0.0), grid)
+    parts = np.where(keep, spectra, 0.0)
     # both sides of the split live on the dealiased band, so the remainder is
     # identically zero above the 2/3 cutoff and high modes evolve purely by
     # the integrating factor
     linear_hat = _dealiased_linear(grid, cfg) * f.f.coefficients
-    nonlinear_hat = sum(parts) / (2.0 * np.pi) - linear_hat
+    nonlinear_hat = hermitian_extension(sum(parts), grid) / (2.0 * np.pi) - linear_hat
     return pair, parts, linear_hat, nonlinear_hat
 
 
@@ -171,7 +183,7 @@ def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) 
     grid = f.f.grid
     check_leakage(f, opts.leakage_threshold)
     pair, parts, linear_hat, nonlinear_hat = _assemble(f, cfg, opts)
-    i1f, i2f, i3f, i4f = (SpectralField(grid, c) for c in parts)
+    i1f, i2f, i3f, i4f = (SpectralField(grid, c) for c in hermitian_extension(parts, grid))
     return RhsBreakdown(
         i1=i1f, i2=i2f, i3=i3f, i4=i4f,
         linear_part=SpectralField(grid, linear_hat),
@@ -259,7 +271,10 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
     nonlinear remainder is treated explicitly.  Each stage's strength solve
     starts from the previous one's, across steps too when ``carry``, a run's
     ``MonitorState``, is kept.  The stage and the new spectrum are exactly
-    Hermitian when the state's is, as the coefficients are real and even in xi.
+    Hermitian when the state's is, as the coefficients are real and even in xi,
+    and finite: both tendencies and the new spectrum are checked, and the
+    stage is the damped state plus at most dt times a tendency.  So neither
+    is checked or projected again.
     """
     opts = opts or SolverOptions()
     carry = carry or MonitorState()
@@ -282,14 +297,14 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
         )
 
     stage = exp_lin * fhat + dt_phi1 * n0
-    fld = InterfaceField(SpectralField(grid, stage), state.time)
+    fld = InterfaceField._trusted(SpectralField._adopt(grid, stage), state.time)
     n1 = nonlinear_tendency(fld, cfg, opts, carry=carry)
     if not np.all(np.isfinite(n1)):
         raise BlowUpError("non-finite nonlinear tendency (stage two)", state)
     new_hat = stage + dt_phi2 * (n1 - n0)
     if not np.all(np.isfinite(new_hat)):
         raise BlowUpError("non-finite coefficients after step", state)
-    return InterfaceField(SpectralField(grid, new_hat), state.time + dt)
+    return InterfaceField._trusted(SpectralField._adopt(grid, new_hat), state.time + dt)
 
 
 # one trajectory row per snapshot, in the column order of trajectory.csv
@@ -343,12 +358,6 @@ class MonitorState:
 
     integral: dict = field(default_factory=lambda: {0: 0.0, 1: 0.0})
     correction: np.ndarray | None = None
-
-    def to_payload(self) -> dict:
-        payload = {"integral": [float(self.integral[0]).hex(), float(self.integral[1]).hex()]}
-        if self.correction is not None:
-            payload["correction"] = list(map(float.hex, self.correction.tolist()))
-        return payload
 
     @classmethod
     def from_payload(cls, p: dict) -> "MonitorState":
@@ -422,7 +431,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     for i in range(start_step, n_steps):
         state = step(state, schedule.dt, cfg, opts, carry=monitor)
         # the clock counts whole steps, so a resumed run keeps the same times
-        state = InterfaceField(state.f, (i + 1) * schedule.dt)
+        state = InterfaceField._trusted(state.f, (i + 1) * schedule.dt)
         if (i + 1) % schedule.snapshot_every == 0 or (i + 1) == n_steps:
             take_snapshot(i + 1, state)
 
@@ -436,31 +445,98 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
 CHECKPOINT_SCHEMA = "muskatjump-checkpoint-v1"
 
 
-def checkpoint_payload(state: InterfaceField, cfg: FluidConfig, step_index: int,
-                       dt: float, monitor: MonitorState | None = None) -> dict:
-    c = state.f.coefficients
-    payload = {
-        "schema": CHECKPOINT_SCHEMA,
-        "config_hash": cfg.hash(),
-        "step_index": step_index,
-        "dt_hex": float(dt).hex(),
-        "time_hex": float(state.time).hex(),
-        "n_points": state.f.grid.n_points,
-        "domain_length_hex": float(state.f.grid.domain_length).hex(),
-        "coeff_re_hex": list(map(float.hex, c.real.tolist())),
-        "coeff_im_hex": list(map(float.hex, c.imag.tolist())),
-    }
-    if monitor is not None:
-        payload["monitor"] = monitor.to_payload()
-    return payload
+@lru_cache(maxsize=1)
+def _hex_pieces() -> tuple[np.ndarray, np.ndarray]:
+    """The head and tail texts of a double in a JSON list, NUL-padded to 8 bytes each.
+
+    As float.hex writes it, the text is ' "', the sign and the leading digit
+    0x1. or 0x0. (subnormal or zero), the 13 hex digits of the mantissa, and
+    p with the exponent of each biased exponent 0..2046, then '",'.  Zero is
+    0x0.0p+0.
+    """
+    pieces = []
+    for texts in ((' "0x0.', ' "0x1.', ' "-0x0.', ' "-0x1.'),
+                  (f'p{max(e, 1) - 1023:+d}",' for e in range(2047))):
+        # one text at a time: a list of all 2047 would lift the peak RSS by 0.3 MB
+        table = bytearray()
+        for text in texts:
+            table += text.encode().ljust(8, b"\0")
+        pieces.append(np.frombuffer(bytes(table), np.uint64))
+    return tuple(pieces)
+
+
+def _hex_lists(*arrays: np.ndarray) -> list[str]:
+    """``json.dumps([float.hex(v) for v in a])`` of each array, built from the bit patterns
+    of all of them at once.
+
+    Each double is a row of 32 bytes: its head, the 16 hex digits of its
+    52-bit mantissa, of which the first 3 are always 0, and its tail.  NUL
+    pads the rest, and the NULs are dropped at the end.
+    """
+    bits = np.concatenate(arrays, dtype=float).view(np.uint64)
+    if not np.all(np.isfinite(bits.view(float))):
+        return [json.dumps(list(map(float.hex, a.tolist()))) for a in arrays]
+    heads, tails = _hex_pieces()
+    n = len(bits)
+    rows = np.empty((n, 4), np.uint64)
+    exponent = (bits >> np.uint64(52)) & np.uint64(0x7ff)
+    zero = (bits << np.uint64(1)) == 0
+    rows[:, 0] = heads[(bits >> np.uint64(63)) * np.uint64(2) + (exponent != 0)]
+    digits = (bits & np.uint64((1 << 52) - 1)).astype(">u8").tobytes().hex().encode()
+    rows[:, 1:3] = np.frombuffer(digits, np.uint64).reshape(n, 2)
+    exponent[zero] = 1023
+    rows[:, 3] = tails[exponent]
+    text = rows.view(np.uint8).reshape(n, 32)
+    text[:, 8:11] = 0
+    text[zero, 12:24] = 0
+    out, start = [], 0
+    for a in arrays:
+        # a list of k values drops the first row's space and the last row's comma
+        rows_text = text[start: start + len(a)].tobytes().translate(None, b"\0")
+        out.append("[" + rows_text[1:-1].decode() + "]")
+        start += len(a)
+    return out
+
+
+def _json_object(members: dict) -> str:
+    """JSON object of members whose values are JSON text already, as
+    ``json.dumps(..., sort_keys=True)`` writes it."""
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in sorted(members.items())) + "}"
 
 
 def save_checkpoint(path, state: InterfaceField, cfg: FluidConfig, step_index: int,
                     dt: float, monitor: MonitorState | None = None) -> None:
-    # one dumps call: json.dump streams through the pure-Python encoder
-    text = json.dumps(checkpoint_payload(state, cfg, step_index, dt, monitor), sort_keys=True)
+    """Write what ``load_checkpoint`` reads, every double as its ``float.hex`` string.
+
+    The file is ``json.dumps(payload, sort_keys=True)`` of the payload, written
+    in one pass: the spectrum and the strength correction are encoded together
+    by ``_hex_lists``.
+    """
+    c = state.f.coefficients
+    correction = [] if monitor is None or monitor.correction is None else [monitor.correction]
+    re_hex, im_hex, *correction_hex = _hex_lists(c.real, c.imag, *correction)
+
+    def hex_text(v) -> str:
+        return json.dumps(float(v).hex())
+
+    members = {
+        "schema": json.dumps(CHECKPOINT_SCHEMA),
+        "config_hash": json.dumps(cfg.hash()),
+        "step_index": json.dumps(step_index),
+        "dt_hex": hex_text(dt),
+        "time_hex": hex_text(state.time),
+        "n_points": json.dumps(state.f.grid.n_points),
+        "domain_length_hex": hex_text(state.f.grid.domain_length),
+        "coeff_re_hex": re_hex,
+        "coeff_im_hex": im_hex,
+    }
+    if monitor is not None:
+        accumulators = {"integral": json.dumps([float(monitor.integral[s]).hex() for s in (0, 1)])}
+        if correction_hex:
+            accumulators["correction"] = correction_hex[0]
+        members["monitor"] = _json_object(accumulators)
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(_json_object(members))
 
 
 def load_checkpoint(path, cfg: FluidConfig | None = None):

@@ -53,13 +53,14 @@ def _power_weights(grid: GridSpec, s: float) -> np.ndarray:
     return pw
 
 
-def _weights(fld: SpectralField, spec: NormSpec) -> np.ndarray:
-    pw = _power_weights(fld.grid, spec.s)
+def _weights(grid: GridSpec, spec: NormSpec, c: np.ndarray) -> np.ndarray:
+    """Weights of the F^{s,1}_nu sum over the coefficient moduli ``c``."""
+    pw = _power_weights(grid, spec.s)
     nu_t = spec.nu * spec.time
     # exp(0) * pw is pw bit for bit
     if nu_t == 0.0:
         return pw
-    arg = nu_t * np.abs(fld.grid.wavenumbers())
+    arg = nu_t * np.abs(grid.wavenumbers())
     if arg.size and np.max(arg) > _EXP_GUARD:
         raise WeightRangeError(
             f"weight exponent nu*t*xi_max = {np.max(arg):.3g} at t = {spec.time:g} "
@@ -68,20 +69,27 @@ def _weights(fld: SpectralField, spec: NormSpec) -> np.ndarray:
     # e^37 is about 1e16: past nu t xi of about 37 the weight lifts round-off
     # coefficients to the size of the signal, so only those above the noise
     # floor count
-    c = np.abs(fld.coefficients)
     return np.where(c > NOISE_FLOOR * np.max(c), np.exp(arg) * pw, 0.0)
+
+
+def _fourier_sum(grid: GridSpec, spec: NormSpec, c: np.ndarray) -> float:
+    return float(np.sum(_weights(grid, spec, c) * c))
+
+
+def _l2_sum(grid: GridSpec, spec: NormSpec, c: np.ndarray) -> float:
+    # |exp(nu t |xi|) c|^2 is |c|^2 under the weight at 2 nu
+    w = _weights(grid, NormSpec(0.0, 2.0 * spec.nu, spec.time), c)
+    return float(math.sqrt(grid.domain_length * np.sum(w * c ** 2)))
 
 
 def fourier_norm(fld: SpectralField, spec: NormSpec) -> float:
     """sum_k exp(nu t |xi_k|) |xi_k|^s |c_k|  (mode zero counts only for s = 0)."""
-    return float(np.sum(_weights(fld, spec) * np.abs(fld.coefficients)))
+    return _fourier_sum(fld.grid, spec, np.abs(fld.coefficients))
 
 
 def weighted_l2(fld: SpectralField, spec: NormSpec) -> float:
     """Weighted Parseval sum, scaled by L so nu = 0 is the physical L2 norm."""
-    # |exp(nu t |xi|) c|^2 is |c|^2 under the weight at 2 nu
-    w = _weights(fld, NormSpec(0.0, 2.0 * spec.nu, spec.time))
-    return float(math.sqrt(fld.grid.domain_length * np.sum(w * np.abs(fld.coefficients) ** 2)))
+    return _l2_sum(fld.grid, spec, np.abs(fld.coefficients))
 
 
 def _slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -99,13 +107,14 @@ def strip_radius(fld: SpectralField) -> float | None:
     usable modes remain (diagnostic unavailable, not a failure).  Clamped
     below at zero.
     """
-    k = fld.grid.mode_numbers()
-    xi = fld.grid.wavenumbers()
-    c = np.abs(fld.coefficients)
-    sel = (k >= 1) & (c > NOISE_FLOOR * np.max(c))
+    return _strip_radius(fld.grid, np.abs(fld.coefficients))
+
+
+def _strip_radius(grid: GridSpec, c: np.ndarray) -> float | None:
+    sel = (grid.mode_numbers() >= 1) & (c > NOISE_FLOOR * np.max(c))
     if int(np.count_nonzero(sel)) < _MIN_FIT_MODES:
         return None
-    return max(_slope(xi[sel], -np.log(c[sel])), 0.0)
+    return max(_slope(grid.wavenumbers()[sel], -np.log(c[sel])), 0.0)
 
 
 def decay_fit(series) -> float:
@@ -152,11 +161,13 @@ class NormReport:
 
 
 def norm_report(fld: SpectralField, nu: float, time: float) -> NormReport:
+    """The five norms and the strip radius of one snapshot, from one pass of |c_k|."""
+    grid, c = fld.grid, np.abs(fld.coefficients)
     return NormReport(
-        f01=fourier_norm(fld, NormSpec(0.0, nu, time)),
-        f11=fourier_norm(fld, NormSpec(1.0, nu, time)),
-        f21=fourier_norm(fld, NormSpec(2.0, nu, time)),
-        f3half=fourier_norm(fld, NormSpec(1.5, nu, time)),
-        l2nu=weighted_l2(fld, NormSpec(0.0, nu, time)),
-        strip_radius=strip_radius(fld),
+        f01=_fourier_sum(grid, NormSpec(0.0, nu, time), c),
+        f11=_fourier_sum(grid, NormSpec(1.0, nu, time), c),
+        f21=_fourier_sum(grid, NormSpec(2.0, nu, time), c),
+        f3half=_fourier_sum(grid, NormSpec(1.5, nu, time), c),
+        l2nu=_l2_sum(grid, NormSpec(0.0, nu, time), c),
+        strip_radius=_strip_radius(grid, c),
     )

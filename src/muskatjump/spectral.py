@@ -105,6 +105,15 @@ class SpectralField:
     def with_coefficients(self, c: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, c)
 
+    @classmethod
+    def _adopt(cls, grid: GridSpec, c: np.ndarray) -> "SpectralField":
+        """Field over ``c``, a complex array of n_points that no one else writes: no copy."""
+        fld = object.__new__(cls)
+        c.flags.writeable = False
+        object.__setattr__(fld, "grid", grid)
+        object.__setattr__(fld, "coefficients", c)
+        return fld
+
 
 def forward(samples: np.ndarray, grid: GridSpec) -> SpectralField:
     """Transform real collocation samples to Fourier-series coefficients.

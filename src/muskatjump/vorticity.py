@@ -48,14 +48,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import certify
 from .errors import ConfigurationError, GeometryError, PicardDivergenceError, RegimeError
-from .norms import NormSpec, fourier_norm
+from .norms import NormSpec, _power_weights, fourier_norm
 from .spectral import (GridSpec, SpectralField, hermitian_extension, odd_offset_rows,
                        odd_offsets, pv_kernel_periodic)
 
@@ -116,15 +116,26 @@ class VorticityPair:
 
     ``evaluation`` is the solve's last ``_Workspace.evaluate`` pass, at the
     returned strength: its samples of omega1, the line coupling and the two
-    self sums, which a consumer reads instead of transforming again.
+    self sums, which a consumer reads instead of transforming again.  The
+    spectra ``omega1`` and ``omega2`` are extended from its half spectra on
+    first read, which the step never makes.
     """
 
-    omega1: SpectralField
-    omega2: SpectralField
+    grid: GridSpec
     residual: float
     iterations: int
+    evaluation: _Evaluation = field(repr=False, compare=False)
     contraction_ratio: float | None = None
-    evaluation: _Evaluation | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def omega1(self) -> SpectralField:
+        return SpectralField._adopt(self.grid, hermitian_extension(self.evaluation.omega1,
+                                                                   self.grid))
+
+    @cached_property
+    def omega2(self) -> SpectralField:
+        return SpectralField._adopt(self.grid, hermitian_extension(self.evaluation.omega2,
+                                                                   self.grid))
 
 
 class _Evaluation(NamedTuple):
@@ -150,18 +161,24 @@ class _Evaluation(NamedTuple):
 
 def check_geometry(samples: np.ndarray, cfg: FluidConfig) -> None:
     """Raise GeometryError unless the interface samples keep min f + h2 > 0."""
-    gap = float(np.min(samples)) + cfg.h2
+    _check_gap(float(np.min(samples)), cfg)
+
+
+def _check_gap(lowest: float, cfg: FluidConfig) -> None:
+    gap = lowest + cfg.h2
     if gap <= 0.0:
         raise GeometryError(f"interface touches the permeability line (min f + h2 = {gap:.3g})")
 
 
 @lru_cache(maxsize=32)
-def _flat_spectra(grid: GridSpec, cfg: FluidConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only preconditioner M(xi) and |xi|, both on k = 0..N/2."""
-    axi = np.abs(grid.wavenumbers()[: grid.nyquist_index() + 1])
+def _flat_spectra(grid: GridSpec, cfg: FluidConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only preconditioner M(xi), |xi| and i xi, all on k = 0..N/2."""
+    xi = grid.wavenumbers()[: grid.nyquist_index() + 1]
+    axi = np.abs(xi)
     multiplier = 1.0 / (1.0 - cfg.a_kappa * cfg.a_mu * np.exp(-2.0 * cfg.h2 * axi))
-    multiplier.flags.writeable = axi.flags.writeable = False
-    return multiplier, axi
+    ixi = 1j * xi
+    multiplier.flags.writeable = axi.flags.writeable = ixi.flags.writeable = False
+    return multiplier, axi, ixi
 
 
 @lru_cache(maxsize=32)
@@ -316,7 +333,8 @@ class _Workspace:
     Checks the geometry and builds once what every strength evaluation reads.
     The samples of f, df and the linear strength M (-2 A_rho df) come from one
     inverse transform of their half spectra, with the preconditioner
-    ``multiplier`` M(xi) on k = 0..N/2 cached per (grid, fluid).  The line
+    ``multiplier`` M(xi) on k = 0..N/2 cached per (grid, fluid); the solve's
+    ``forcing`` -2 A_rho df is kept with them.  The line
     coupling keeps the Poisson symbols e^{-(h2 + f_j)|xi|} at the
     ``coupling_nodes`` Chebyshev points f_j on k = 0..N/2 (Nyquist zeroed) and
     the Lagrange values l_j(f(a)), from the discrete orthogonality of T_k at
@@ -337,16 +355,18 @@ class _Workspace:
         grid = fld.grid
         self.grid, self.cfg = grid, cfg
         n, h = grid.n_points, grid.spacing
-        self.multiplier, axi = _flat_spectra(grid, cfg)
+        self.multiplier, axi, ixi = _flat_spectra(grid, cfg)
         # f, df (i xi, Nyquist zeroed) and M (-2 A_rho df) on k = 0..N/2
         c = fld.coefficients[: len(axi)]
-        dc = c * (1j * grid.wavenumbers()[: len(axi)])
+        dc = c * ixi
         dc[-1] = 0.0
         self.F, self.dF, self.linear = np.fft.irfft(
             np.array((c, dc, -2.0 * cfg.a_rho * self.multiplier * dc)), n, norm="forward")
-        check_geometry(self.F, cfg)
-        a1 = fourier_norm(fld, NormSpec(1.0))
+        self.forcing = -2.0 * cfg.a_rho * self.dF
         lo, hi = float(np.min(self.F)), float(np.max(self.F))
+        _check_gap(lo, cfg)
+        # ||f||_{F^{1,1}}
+        a1 = float(np.sum(_power_weights(grid, 1.0) * np.abs(fld.coefficients)))
         center, rho = 0.5 * (hi + lo), 0.5 * (hi - lo)
         # strength norms scale like 2 A_rho C1 a1; keep the bound honest for
         # large density contrasts
@@ -357,6 +377,7 @@ class _Workspace:
         self._decay[:, -1] = 0.0
         near, order = self.near_width, self.self_order = _self_rule(a1, (hi - lo) / h,
                                                                       series_tol, n)
+        self._tables = _pv_power_spectra(grid, order, near)
         # one block for the stack, l_j(f) and (-F_c)^i / i!, the output powers
         # F_c^j / j! and evaluate's scratch: the samples times the stack, their
         # spectra, the rows to invert, the series products of one order, the
@@ -440,7 +461,7 @@ class _Workspace:
         z[p: 2 * p, 0] = 0.0
         # A_j += T_d U_{d-j}, j = 0..d, into the rows of S0 (d even) or S1 (d odd);
         # U read backwards so that the writes run forward
-        tables, u = _pv_power_spectra(self.grid, order, self.near_width), spectra[p:]
+        tables, u = self._tables, spectra[p:]
         z[2 * p:] = 0.0
         far = z[2 * p:].reshape(2, order + 1, -1)
         for d in range(order + 1):
@@ -478,19 +499,26 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
     """
     ws = workspace or _Workspace(f, cfg, DEFAULT_SERIES_TOL)
     grid = ws.grid
-    forcing = -2.0 * cfg.a_rho * ws.dF
     w1 = ws.linear
     history: list[float] = []
     ratio = None
     delta, it, grew = 0.0, 1, 0
     if cfg.a_mu != 0.0:
-        if guess is not None:
-            w1 = w1 + guess
+        # a fresh iterate, updated in place below
+        w1 = w1 + guess if guess is not None else w1.copy()
+        coupling = cfg.a_mu / np.pi
         for it in range(1, max_iter + 1):
             ev = ws.evaluate(w1)
-            t1 = (cfg.a_mu / np.pi) * (ev.self_term + ws.dF * ev.cp - ev.p) + forcing
+            # (a_mu / pi) (self_term + df cp - p) + forcing - w1, in that order
+            t1 = ws.dF * ev.cp
+            t1 += ev.self_term
+            t1 -= ev.p
+            t1 *= coupling
+            t1 += ws.forcing
+            t1 -= w1
             # on k = 0..N/2; modes 1..N/2-1 stand for their mirrors too
-            update = np.fft.rfft(t1 - w1, norm="forward") * ws.multiplier
+            update = np.fft.rfft(t1, norm="forward")
+            update *= ws.multiplier
             size = np.abs(update)
             delta = float(2.0 * np.sum(size) - size[0] - size[-1])  # its F^{0,1} norm
             history.append(delta)
@@ -504,7 +532,7 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
                 raise PicardDivergenceError(
                     f"no contraction: the update grew in {grew} consecutive iterations "
                     f"(last residual {delta:.3g})", history)
-            w1 = w1 + np.fft.irfft(update, grid.n_points, norm="forward")
+            w1 += np.fft.irfft(update, grid.n_points, norm="forward")
         else:
             raise PicardDivergenceError(
                 f"no contraction after {max_iter} iterations (last residual {history[-1]:.3g})",
@@ -512,9 +540,8 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
             )
     else:
         ev = ws.evaluate(w1)
-    return VorticityPair(SpectralField(grid, hermitian_extension(ev.omega1, grid)),
-                         SpectralField(grid, hermitian_extension(ev.omega2, grid)),
-                         residual=delta, iterations=it, contraction_ratio=ratio, evaluation=ev)
+    return VorticityPair(grid, residual=delta, iterations=it, evaluation=ev,
+                         contraction_ratio=ratio)
 
 
 @dataclass(frozen=True)

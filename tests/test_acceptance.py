@@ -14,8 +14,8 @@ import pytest
 import muskatjump as mj
 from muskatjump import FluidConfig, GridSpec, inverse
 from muskatjump import oracle
-from muskatjump.cli import EXIT_OK, main
-from muskatjump.evolution import (InterfaceField, Schedule, SolverOptions, rhs, run, step)
+from muskatjump.cli import EXIT_OK, _measure_mode_rate, main
+from muskatjump.evolution import (InterfaceField, Schedule, SolverOptions, rhs, run)
 from muskatjump.norms import decay_fit
 from muskatjump.spectral import SpectralField, hermitian_symmetrize
 from muskatjump.vorticity import solve_vorticity, vorticity_bound_check
@@ -33,25 +33,13 @@ def _report(idx, name, ok, detail):
     assert ok, line
 
 
-def _measured_rate(k, grid, cfg, amplitude=1e-6, t_end=0.2, dt=0.01):
-    x = grid.nodes()
-    state = InterfaceField.from_samples(
-        amplitude * np.cos(2 * np.pi * k * x / grid.domain_length), grid)
-    c0 = abs(state.f.coefficients[k])
-    n = int(round(t_end / dt))
-    for _ in range(n):
-        state = step(state, dt, cfg)
-    c1 = abs(state.f.coefficients[k])
-    return float(-(np.log(c1) - np.log(c0)) / (n * dt))
-
-
 def test_criterion_01_linear_dispersion():
     t0 = time.time()
     g = GridSpec(256, 2 * np.pi)
     worst = 0.0
     for k in range(1, 9):
         exact = mj.linear_symbol(float(k), REF_CFG)
-        measured = _measured_rate(k, g, REF_CFG)
+        measured = _measure_mode_rate(k, g, REF_CFG, SolverOptions())
         worst = max(worst, abs(measured - exact) / exact)
     elapsed = time.time() - t0
     _report(1, "linear dispersion", worst < 0.01 and elapsed < 60.0,
@@ -64,7 +52,7 @@ def test_criterion_02_classical_limit():
     worst = 0.0
     for k in range(1, 9):
         exact = cfg.a_rho * k
-        measured = _measured_rate(k, g, cfg)
+        measured = _measure_mode_rate(k, g, cfg, SolverOptions())
         worst = max(worst, abs(measured - exact) / exact)
     _report(2, "uniform-permeability limit", worst < 0.01,
             f"worst rel err {worst:.2e} against A_rho |xi|")

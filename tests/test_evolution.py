@@ -14,8 +14,8 @@ from muskatjump import (FluidConfig, GridSpec, SpectralField, evolution, inverse
 from muskatjump.certify import thresholds
 from muskatjump.errors import BlowUpError, ConfigurationError, StepSizeError
 from muskatjump.evolution import (InterfaceField, MonitorState, Schedule, SolverOptions,
-                                  checkpoint_payload, leakage, load_checkpoint,
-                                  nonlinear_tendency, rhs, run, save_checkpoint, step)
+                                  leakage, load_checkpoint, nonlinear_tendency, rhs, run,
+                                  save_checkpoint, step)
 from muskatjump.vorticity import DEFAULT_SERIES_TOL, _Workspace, solve_vorticity
 
 from muskatjump.spectral import hermitian_symmetrize
@@ -257,27 +257,50 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 
 
 def test_checkpoint_bytes_match_the_streaming_encoder(tmp_path):
-    # save_checkpoint encodes in one json.dumps call; the file must be the one
-    # json.dump(..., sort_keys=True) streams out
-    import json
-
+    # save_checkpoint builds its text in one bulk pass; the file must be the
+    # one json.dumps(..., sort_keys=True) writes for what it holds
     g = GridSpec(32, L12)
     state = step(gaussian_bump(g, 0.02, 1.5), 0.05, REF_CFG)
     rng = np.random.default_rng(7)
     correction = rng.standard_normal(g.n_points)
     correction[:3] = -0.0, 5e-324, 1e300
     mon = MonitorState(integral={0: 1.25e-7, 1: -0.0}, correction=correction)
-    path, ref = tmp_path / "ck.json", tmp_path / "ref.json"
+    path = tmp_path / "ck.json"
     save_checkpoint(path, state, REF_CFG, 7, 0.05, mon)
-    payload = checkpoint_payload(state, REF_CFG, 7, 0.05, mon)
-    with open(ref, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    assert path.read_bytes() == ref.read_bytes()
+    text = path.read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True)
     # each double as float(v).hex() of its numpy scalar, one by one
     c = state.f.coefficients
     for key, values in (("coeff_re_hex", c.real), ("coeff_im_hex", c.imag)):
         assert payload[key] == [float(v).hex() for v in values]
     assert payload["monitor"]["correction"] == [float(v).hex() for v in correction]
+    assert payload["monitor"]["integral"] == [(1.25e-7).hex(), (-0.0).hex()]
+
+
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+_HEX_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, math.nextafter(_SMALLEST_NORMAL, 0.0),
+                 _SMALLEST_NORMAL, float(np.finfo(float).max), -float(np.finfo(float).max)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns=st.lists(st.integers(0, 2 ** 64 - 1), max_size=80),
+       split=st.integers(0, 80))
+def test_bulk_hex_text_equals_json_of_float_hex(patterns, split):
+    # finite doubles from arbitrary bit patterns, plus +-0, the smallest and
+    # largest subnormal, the smallest normal and the largest finite double,
+    # encoded as two lists in one pass
+    a = np.array(patterns, dtype=np.uint64).view(float)
+    a = np.concatenate((a[np.isfinite(a)], _HEX_EXTREMES))
+    head, tail = a[:split], a[split:]
+    assert evolution._hex_lists(head, tail) == [json.dumps([float.hex(v) for v in x.tolist()])
+                                                for x in (head, tail)]
+
+
+def test_bulk_hex_text_of_non_finite_doubles():
+    a = np.array([1.5, math.inf, -math.inf, math.nan, -0.0])
+    assert evolution._hex_lists(a, a[:1]) == [json.dumps([float.hex(v) for v in x.tolist()])
+                                              for x in (a, a[:1])]
 
 
 def test_checkpoint_config_mismatch(tmp_path):
@@ -294,7 +317,8 @@ def test_checkpoint_config_mismatch(tmp_path):
 def test_checkpoint_step_index_must_be_a_non_negative_integer(tmp_path, bad):
     g = GridSpec(32, L12)
     path = tmp_path / "ck.json"
-    payload = checkpoint_payload(gaussian_bump(g, 0.02, 1.5), REF_CFG, 0, 0.05)
+    save_checkpoint(path, gaussian_bump(g, 0.02, 1.5), REF_CFG, 0, 0.05)
+    payload = json.loads(path.read_text())
     path.write_text(json.dumps({**payload, "step_index": bad}))
     with pytest.raises(ConfigurationError, match="step_index"):
         load_checkpoint(path, REF_CFG)
@@ -388,26 +412,35 @@ def test_step_blowup_detector(monkeypatch):
     assert err.value.last_valid_state is f
 
 
-def _assert_step_spectra_hermitian(f: InterfaceField):
-    """Every spectrum the step and rhs hand on equals its symmetrization bit for bit.
+def _assert_step_spectra_hermitian(f: InterfaceField, steps: int = 3):
+    """Every spectrum the steps and rhs hand on equals its symmetrization.
 
-    Random data are not localized, so the leakage check is off.
+    The states, each stage and each new state, are equal bit for bit, signed
+    zeros at k = 0 and N/2 included: the step hands them on without
+    projecting them again, as a projection would leave them.  Random data
+    are not localized, so the leakage check is off.
     """
     opts = SolverOptions(leakage_threshold=math.inf)
     tendency = evolution.nonlinear_tendency
-    seen = []
+    states, tendencies = [], []
 
     def recording(state, *args, **kwargs):
         out = tendency(state, *args, **kwargs)
-        seen.append((state.f.coefficients, out))
+        states.append(state.f.coefficients)
+        tendencies.append(out)
         return out
 
+    state, carry = f, MonitorState()
     with mock.patch.object(evolution, "nonlinear_tendency", recording):
-        new = step(f, 0.02, REF_CFG, opts)
-    (fhat, n0), (stage, n1) = seen
+        for _ in range(steps):
+            state = step(state, 0.02, REF_CFG, opts, carry=carry)
+            states.append(state.f.coefficients)
+    # per step: the state, the stage and the new state
+    assert len(states) == 3 * steps
+    for c in states:
+        assert np.array_equal(c.view(np.uint64), hermitian_symmetrize(c).view(np.uint64))
     br = rhs(f, REF_CFG, opts)
-    for c in (fhat, n0, stage, n1, new.f.coefficients,
-              br.linear_part.coefficients, br.nonlinear_part.coefficients):
+    for c in tendencies + [br.linear_part.coefficients, br.nonlinear_part.coefficients]:
         assert np.array_equal(c, hermitian_symmetrize(c))
 
 
@@ -519,7 +552,7 @@ def test_loaded_checkpoint_spectrum_is_exactly_hermitian(tmp_path):
     path = tmp_path / "c.json"
     save_checkpoint(path, f, REF_CFG, 0, 0.02)
     assert np.array_equal(load_checkpoint(path, REF_CFG)[0].f.coefficients, f.f.coefficients)
-    payload = checkpoint_payload(f, REF_CFG, 0, 0.02)
+    payload = json.loads(path.read_text())
     c = f.f.coefficients
     payload["coeff_im_hex"][0] = float(c[0].imag + 1e-13).hex()
     payload["coeff_re_hex"][3] = float(c[3].real + 2e-13).hex()

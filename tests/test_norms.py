@@ -4,7 +4,7 @@ import pytest
 from muskatjump import (GridSpec, NormSpec, SpectralField, decay_fit, forward, fourier_norm,
                         strip_radius, weighted_l2)
 from muskatjump.errors import DomainError, WeightRangeError
-from muskatjump.norms import NOISE_FLOOR, NormReport, _power_weights, _weights
+from muskatjump.norms import NOISE_FLOOR, NormReport, _power_weights, _weights, norm_report
 from muskatjump.spectral import hermitian_symmetrize
 
 from helpers import decay_packet, exp_spectrum_bump, gaussian_bump, random_field
@@ -56,7 +56,7 @@ def test_fourier_norm_matches_the_inline_formula_bitwise(s, nu_t):
 def test_cached_power_weights_are_read_only():
     g = GridSpec(64, 12 * np.pi)
     f = random_field(g, np.random.default_rng(4))
-    for w in (_power_weights(g, 1.5), _weights(f, NormSpec(1.5))):
+    for w in (_power_weights(g, 1.5), _weights(g, NormSpec(1.5), np.abs(f.coefficients))):
         with pytest.raises(ValueError):
             w[1] = 0.0
 
@@ -281,6 +281,20 @@ def test_exponential_splitting():
         p = _exact_product(a, b)
         lhs = fourier_norm(p, spec)
         assert lhs <= fourier_norm(a, spec) * fourier_norm(b, spec) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("time", [0.0, 40.0])
+def test_norm_report_equals_the_single_norms_bitwise(time):
+    # one |c| serves the report; each entry is the public norm's value, with
+    # nu t = 0 and with nu t = 2, where the noise floor drops the datum's zero
+    # modes k = 0 and N/2
+    f = decay_packet(GridSpec(256, 400 * np.pi)).f
+    nu = 0.05
+    rep = norm_report(f, nu, time)
+    for got, s in ((rep.f01, 0.0), (rep.f11, 1.0), (rep.f21, 2.0), (rep.f3half, 1.5)):
+        assert got.hex() == fourier_norm(f, NormSpec(s, nu, time)).hex()
+    assert rep.l2nu.hex() == weighted_l2(f, NormSpec(0.0, nu, time)).hex()
+    assert rep.strip_radius == strip_radius(f)
 
 
 def test_norm_report_validates_interpolation():
