@@ -9,6 +9,7 @@ field excluded from reproducibility comparisons.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -131,13 +132,24 @@ def load_config(path) -> Config:
     fluid = FluidConfig(f["a_kappa"], f["a_mu"], f["a_rho"], f["h2"])
     grid = GridSpec(int(g["n_points"]), float(g["domain_length"]))
     solver = dict(raw.get("solver", {}))
-    # version-1 configs may name the integrator; ETDRK2 is the only one
+    # version-1 configs may name the integrator's order; ETD2 is the only one
     order = solver.pop("order", 2)
     if order != 2:
-        raise ConfigurationError(f"solver.order must be 2 (ETDRK2 is the only integrator), "
-                                 f"got {order!r}")
+        raise ConfigurationError(f"solver.order must be 2 (ETD2, the exponential "
+                                 f"Adams-Bashforth scheme, is the only integrator), got {order!r}")
     return Config(raw, fluid, grid, SolverOptions(**solver),
                   Schedule(float(s["t_end"]), float(s["dt"]), int(s["snapshot_every"])))
+
+
+def _run_hash(conf: Config) -> str:
+    """Hash of the config without ``schedule.t_end``: the blocks as built, defaults named,
+    every number a float.  A run's checkpoints carry it, so that a resume continues only
+    the run that wrote them."""
+    blocks = {"fluid": conf.fluid.to_dict(), "grid": conf.raw["grid"],
+              "initial_data": conf.raw["initial_data"], "solver": dataclasses.asdict(conf.solver),
+              "schedule": {"dt": conf.schedule.dt, "snapshot_every": conf.schedule.snapshot_every},
+              "seed": conf.raw.get("seed")}
+    return certify.config_hash(json.loads(json.dumps(blocks), parse_int=float))
 
 
 def build_initial_data(conf: Config) -> InterfaceField:
@@ -187,15 +199,12 @@ def cmd_run(args) -> int:
     started = time.time()
 
     f0 = build_initial_data(conf)
+    run_hash = _run_hash(conf)
     resume, start_step = None, 0
     if args.resume:
-        state, start_step, dt_saved, monitor = load_checkpoint(args.resume, cfg)
-        if dt_saved != schedule.dt:
-            raise ConfigurationError("checkpoint dt differs from config dt")
-        if state.f.grid != conf.grid:
-            raise ConfigurationError(f"checkpoint {args.resume} grid does not match config grid")
-        # the fluid hash does not cover the schedule: a longer run's checkpoint
-        # would end this one past t_end
+        # the run hash covers the datum, grid, solver and dt, not t_end: a
+        # longer run's checkpoint would end this one past t_end
+        state, start_step, _, monitor = load_checkpoint(args.resume, run_hash)
         if start_step > schedule.n_steps:
             raise ConfigurationError(f"checkpoint {args.resume} step {start_step} lies past the "
                                      f"schedule's last step {schedule.n_steps}")
@@ -231,7 +240,7 @@ def cmd_run(args) -> int:
         csv_fh.flush()
         if step_index % (schedule.snapshot_every * args.checkpoint_every) == 0 \
                 or step_index == schedule.n_steps:
-            save_checkpoint(ckptdir / f"ckpt_{step_index:08d}.json", state, cfg,
+            save_checkpoint(ckptdir / f"ckpt_{step_index:08d}.json", state, run_hash,
                             step_index, schedule.dt, mon)
 
     status = {"exit": EXIT_OK}

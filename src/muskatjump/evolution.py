@@ -7,7 +7,8 @@ series, split once per snapshot), and the line-coupling integrals I3, I4 by
 the snapshot's Chebyshev interpolant in the height (``muskatjump.vorticity``),
 which raises a ``GeometryError`` where it would need more than N nodes.
 The exact linear multiplier m(xi) is removed and handled by the integrating
-factor of an ETDRK2 scheme.
+factor of the exponential Adams-Bashforth scheme ETD2 (Cox & Matthews, JCP
+176, 2002), one nonlinear tendency per step.
 """
 
 from __future__ import annotations
@@ -157,15 +158,20 @@ def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
     I1 = S0, I2 = df S1, I3 = CP omega2 and I4 = df P omega2 take one batched
     transform.  The four ``parts`` are half spectra k = 0..N/2, and only
     their sum is extended to the full N.  With a ``carry`` the solve starts
-    from its correction, which is updated here.
+    from the quadratic extrapolation 3c_n - 3c_{n-1} + c_{n-2} of its last
+    corrections (2c_n - c_{n-1}, or c_n, while fewer are known), and its own
+    correction is appended here.
     """
     grid = f.f.grid
     carry = carry or MonitorState()
+    c = carry.corrections
+    guess = (3.0 * c[-1] - 3.0 * c[-2] + c[-3] if len(c) >= 3
+             else 2.0 * c[-1] - c[-2] if len(c) == 2 else c[-1] if c else None)
     ws = _Workspace(f, cfg, opts.series_tol)
     pair = solve_vorticity(f, cfg, tol=opts.picard_tol, max_iter=opts.picard_max_iter,
-                           workspace=ws, guess=carry.correction)
+                           workspace=ws, guess=guess)
     ev = pair.evaluation
-    carry.correction = ev.w1 - ws.linear
+    carry.corrections = [*c[-2:], ev.w1 - ws.linear]
     spectra = np.fft.rfft([ev.s0, ws.dF * ev.s1, ev.cp, ws.dF * ev.p], norm="forward")
     keep = dealias_mask(grid)[: grid.nyquist_index() + 1]
     parts = np.where(keep, spectra, 0.0)
@@ -222,7 +228,7 @@ def nonlinear_tendency(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
                        carry: MonitorState | None = None) -> np.ndarray:
     """Coefficients of the nonlinear remainder N(f) = rhs - linear part.
 
-    ``carry`` warm-starts the strength solve from the previous evaluation's.
+    ``carry`` warm-starts the strength solve from the previous evaluations'.
     The spectrum is exactly Hermitian when the interface's is: every part is
     the Hermitian extension of a half spectrum, and the linear part a real
     even multiplier times the interface's spectrum.
@@ -254,8 +260,9 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _stepper_coeffs(grid: GridSpec, cfg: FluidConfig, dt: float):
-    """Read-only exp(z), dt phi1(z) and dt phi2(z) of the two-stage scheme, z = -m(xi) dt."""
-    z = -linear_symbol(grid.wavenumbers(), cfg) * dt
+    """Read-only exp(z), dt phi1(z) and dt phi2(z) on the half spectrum k = 0..N/2,
+    z = -m(xi) dt."""
+    z = -linear_symbol(grid.wavenumbers()[: grid.nyquist_index() + 1], cfg) * dt
     out = (np.exp(z), dt * _phi1(z), dt * _phi2(z))
     for a in out:
         a.flags.writeable = False
@@ -265,45 +272,46 @@ def _stepper_coeffs(grid: GridSpec, cfg: FluidConfig, dt: float):
 def step(state: InterfaceField, dt: float, cfg: FluidConfig,
          opts: SolverOptions | None = None,
          carry: MonitorState | None = None) -> InterfaceField:
-    """One two-stage exponential-integrator (ETDRK2) step.
+    """One step of the exponential Adams-Bashforth scheme ETD2, one nonlinear tendency.
 
-    The linear multiplier is applied through its exact integrating factor; the
-    nonlinear remainder is treated explicitly.  Each stage's strength solve
-    starts from the previous one's, across steps too when ``carry``, a run's
-    ``MonitorState``, is kept.  The stage and the new spectrum are exactly
-    Hermitian when the state's is, as the coefficients are real and even in xi,
-    and finite: both tendencies and the new spectrum are checked, and the
-    stage is the damped state plus at most dt times a tendency.  So neither
-    is checked or projected again.
+    The linear multiplier is applied through its exact integrating factor e^z,
+    the nonlinear remainder N explicitly:
+    f_{n+1} = e^z f_n + dt phi1 N_n + dt phi2 (N_n - N_{n-1}).  ``carry``, a
+    run's ``MonitorState`` at one dt, holds N_{n-1} and the solve's start;
+    without N_{n-1} (a run's first step, or no ``carry``) the step is ETD1,
+    e^z f_n + dt phi1 N_n.  The update runs on the half spectrum k = 0..N/2;
+    the new state is built from it as ``load_checkpoint`` builds one, exactly
+    Hermitian, and is checked finite, so it is not checked again.
     """
     opts = opts or SolverOptions()
     carry = carry or MonitorState()
     if dt <= 0:
         raise StepSizeError(f"dt must be positive, got {dt!r}")
     grid = state.f.grid
+    half = grid.nyquist_index() + 1
     exp_lin, dt_phi1, dt_phi2 = _stepper_coeffs(grid, cfg, dt)
 
-    fhat = state.f.coefficients
-    n0 = nonlinear_tendency(state, cfg, opts, carry=carry)
+    n_prev = carry.tendency
+    n0 = nonlinear_tendency(state, cfg, opts, carry=carry)[:half]
     if not np.all(np.isfinite(n0)):
         raise BlowUpError("non-finite nonlinear tendency", state)
 
-    speed = float(np.max(np.abs(np.fft.irfft(n0[: grid.nyquist_index() + 1], grid.n_points,
-                                             norm="forward"))))
+    speed = float(np.max(np.abs(np.fft.irfft(n0, grid.n_points, norm="forward"))))
     xi_max = float(np.max(np.abs(grid.wavenumbers())))
     if dt * speed * xi_max > opts.cfl_bound:
         raise StepSizeError(
             f"dt*max|N|*xi_max = {dt * speed * xi_max:.3g} exceeds bound {opts.cfl_bound}"
         )
 
-    stage = exp_lin * fhat + dt_phi1 * n0
-    fld = InterfaceField._trusted(SpectralField._adopt(grid, stage), state.time)
-    n1 = nonlinear_tendency(fld, cfg, opts, carry=carry)
-    if not np.all(np.isfinite(n1)):
-        raise BlowUpError("non-finite nonlinear tendency (stage two)", state)
-    new_hat = stage + dt_phi2 * (n1 - n0)
-    if not np.all(np.isfinite(new_hat)):
+    new_half = exp_lin * state.f.coefficients[:half] + dt_phi1 * n0
+    if n_prev is not None:
+        new_half += dt_phi2 * (n0 - n_prev)
+    if not np.all(np.isfinite(new_half)):
         raise BlowUpError("non-finite coefficients after step", state)
+    carry.tendency = n0
+    # with no -0.0 in the half (+ 0.0 makes each +0.0) the projection keeps
+    # it, and a projection of the new state leaves that, bit for bit
+    new_hat = hermitian_symmetrize(hermitian_extension(new_half + 0.0, grid))
     return InterfaceField._trusted(SpectralField._adopt(grid, new_hat), state.time + dt)
 
 
@@ -344,27 +352,35 @@ class Schedule:
 
 @dataclass
 class MonitorState:
-    """What one run carries from snapshot to snapshot and from solve to solve.
+    """What one run carries from snapshot to snapshot and from step to step.
 
     The monitors' accumulators compare against constants of the initial
     datum's certificate, which a resume recomputes instead of reading back.
-    ``correction`` holds samples of the last strength solve's nonlinear part,
-    omega1 minus its linear strength M (-2 A_rho df); the next solve starts
-    from its own linear strength plus it, and a payload without it starts
-    cold.  One written before the solve was preconditioned (omega1 +
-    2 A_rho df) still loads as a start, reaching the same strengths, though
-    not bit for bit.
+    ``corrections`` holds, oldest first, samples of the last (at most three)
+    strength solves' nonlinear parts, omega1 minus its linear strength M
+    (-2 A_rho df); the next solve starts from its own linear strength plus
+    their extrapolation.  ``tendency`` is the last step's nonlinear tendency
+    N_{n-1}, a half spectrum k = 0..N/2.  A payload without them starts the
+    solve cold and the next step as ETD1.
     """
 
     integral: dict = field(default_factory=lambda: {0: 0.0, 1: 0.0})
-    correction: np.ndarray | None = None
+    corrections: list = field(default_factory=list)
+    tendency: np.ndarray | None = None
 
     @classmethod
-    def from_payload(cls, p: dict) -> "MonitorState":
+    def from_payload(cls, p: dict, grid: GridSpec) -> "MonitorState":
         fh = float.fromhex
-        return cls(integral={0: fh(p["integral"][0]), 1: fh(p["integral"][1])},
-                   correction=(np.array([fh(v) for v in p["correction"]])
-                               if "correction" in p else None))
+        mon = cls(integral={0: fh(p["integral"][0]), 1: fh(p["integral"][1])},
+                  corrections=[_from_hex(v, "<f8") for v in p.get("corrections", [])],
+                  tendency=_from_hex(p["tendency"], "<c16") if "tendency" in p else None)
+        if "correction" in p:
+            # a v1 file's one correction, as float.hex strings
+            mon.corrections = [np.array([fh(v) for v in p["correction"]])]
+        if any(c.shape != (grid.n_points,) for c in mon.corrections) or (
+                mon.tendency is not None and mon.tendency.shape != (grid.nyquist_index() + 1,)):
+            raise ConfigurationError("checkpoint history does not match its grid")
+        return mon
 
 
 def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
@@ -378,10 +394,11 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     it is taken.  The budget checks use nu from the certificate of ``f0``
     (computed here when not supplied) and the time integral of F^{s+1,1}_nu by
     the trapezoid rule over snapshots.  Budget violations are flagged, never
-    silently dropped.  Every strength solve starts from the previous one's
-    correction.  ``resume = (state, step_index, monitor)``, as checkpointed,
-    continues a previous run of the same ``f0`` with bitwise-identical
-    arithmetic; a monitor of None starts the accumulators at zero.
+    silently dropped.  Every strength solve starts from the extrapolation of
+    the previous ones, and every step after the first is ETD2.
+    ``resume = (state, step_index, monitor)``, as checkpointed, continues a
+    previous run of the same ``f0`` with bitwise-identical arithmetic; a
+    monitor of None starts the accumulators at zero.
     """
     opts = opts or SolverOptions()
     state, start_step, monitor = resume or (f0, 0, None)
@@ -440,130 +457,87 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
 
 
 # ---------------------------------------------------------------------------
-# Checkpointing: exact round-trip of doubles via hex floats.
+# Checkpointing: exact round-trip of doubles as their raw little-endian bytes.
 
-CHECKPOINT_SCHEMA = "muskatjump-checkpoint-v1"
-
-
-@lru_cache(maxsize=1)
-def _hex_pieces() -> tuple[np.ndarray, np.ndarray]:
-    """The head and tail texts of a double in a JSON list, NUL-padded to 8 bytes each.
-
-    As float.hex writes it, the text is ' "', the sign and the leading digit
-    0x1. or 0x0. (subnormal or zero), the 13 hex digits of the mantissa, and
-    p with the exponent of each biased exponent 0..2046, then '",'.  Zero is
-    0x0.0p+0.
-    """
-    pieces = []
-    for texts in ((' "0x0.', ' "0x1.', ' "-0x0.', ' "-0x1.'),
-                  (f'p{max(e, 1) - 1023:+d}",' for e in range(2047))):
-        # one text at a time: a list of all 2047 would lift the peak RSS by 0.3 MB
-        table = bytearray()
-        for text in texts:
-            table += text.encode().ljust(8, b"\0")
-        pieces.append(np.frombuffer(bytes(table), np.uint64))
-    return tuple(pieces)
+CHECKPOINT_SCHEMA = "muskatjump-checkpoint-v2"
+_CHECKPOINT_SCHEMA_V1 = "muskatjump-checkpoint-v1"
 
 
-def _hex_lists(*arrays: np.ndarray) -> list[str]:
-    """``json.dumps([float.hex(v) for v in a])`` of each array, built from the bit patterns
-    of all of them at once.
-
-    Each double is a row of 32 bytes: its head, the 16 hex digits of its
-    52-bit mantissa, of which the first 3 are always 0, and its tail.  NUL
-    pads the rest, and the NULs are dropped at the end.
-    """
-    bits = np.concatenate(arrays, dtype=float).view(np.uint64)
-    if not np.all(np.isfinite(bits.view(float))):
-        return [json.dumps(list(map(float.hex, a.tolist()))) for a in arrays]
-    heads, tails = _hex_pieces()
-    n = len(bits)
-    rows = np.empty((n, 4), np.uint64)
-    exponent = (bits >> np.uint64(52)) & np.uint64(0x7ff)
-    zero = (bits << np.uint64(1)) == 0
-    rows[:, 0] = heads[(bits >> np.uint64(63)) * np.uint64(2) + (exponent != 0)]
-    digits = (bits & np.uint64((1 << 52) - 1)).astype(">u8").tobytes().hex().encode()
-    rows[:, 1:3] = np.frombuffer(digits, np.uint64).reshape(n, 2)
-    exponent[zero] = 1023
-    rows[:, 3] = tails[exponent]
-    text = rows.view(np.uint8).reshape(n, 32)
-    text[:, 8:11] = 0
-    text[zero, 12:24] = 0
-    out, start = [], 0
-    for a in arrays:
-        # a list of k values drops the first row's space and the last row's comma
-        rows_text = text[start: start + len(a)].tobytes().translate(None, b"\0")
-        out.append("[" + rows_text[1:-1].decode() + "]")
-        start += len(a)
-    return out
+def _to_hex(a: np.ndarray, dtype: str) -> str:
+    return np.asarray(a, dtype).tobytes().hex()
 
 
-def _json_object(members: dict) -> str:
-    """JSON object of members whose values are JSON text already, as
-    ``json.dumps(..., sort_keys=True)`` writes it."""
-    return "{" + ", ".join(f'"{key}": {value}' for key, value in sorted(members.items())) + "}"
+def _from_hex(text: str, dtype: str) -> np.ndarray:
+    return np.frombuffer(bytes.fromhex(text), dtype)
 
 
-def save_checkpoint(path, state: InterfaceField, cfg: FluidConfig, step_index: int,
+def save_checkpoint(path, state: InterfaceField, binding: "str | FluidConfig", step_index: int,
                     dt: float, monitor: MonitorState | None = None) -> None:
-    """Write what ``load_checkpoint`` reads, every double as its ``float.hex`` string.
+    """Write what ``load_checkpoint`` reads, as ``muskatjump-checkpoint-v2``.
 
-    The file is ``json.dumps(payload, sort_keys=True)`` of the payload, written
-    in one pass: the spectrum and the strength correction are encoded together
-    by ``_hex_lists``.
+    ``binding``, the hash ``cli`` takes of a run's config, is stored so that
+    only that run resumes from the file; data written outside a run pass
+    their ``FluidConfig``, whose hash binds the fluid only.  The half spectrum
+    k = 0..N/2, the corrections and N_{n-1} are the hex of their
+    little-endian doubles, the scalars ``float.hex`` strings.
     """
-    c = state.f.coefficients
-    correction = [] if monitor is None or monitor.correction is None else [monitor.correction]
-    re_hex, im_hex, *correction_hex = _hex_lists(c.real, c.imag, *correction)
-
-    def hex_text(v) -> str:
-        return json.dumps(float(v).hex())
-
-    members = {
-        "schema": json.dumps(CHECKPOINT_SCHEMA),
-        "config_hash": json.dumps(cfg.hash()),
-        "step_index": json.dumps(step_index),
-        "dt_hex": hex_text(dt),
-        "time_hex": hex_text(state.time),
-        "n_points": json.dumps(state.f.grid.n_points),
-        "domain_length_hex": hex_text(state.f.grid.domain_length),
-        "coeff_re_hex": re_hex,
-        "coeff_im_hex": im_hex,
+    grid = state.f.grid
+    payload = {
+        "schema": CHECKPOINT_SCHEMA,
+        "config_hash": binding if isinstance(binding, str) else binding.hash(),
+        "step_index": step_index,
+        "dt_hex": float(dt).hex(),
+        "time_hex": float(state.time).hex(),
+        "n_points": grid.n_points,
+        "domain_length_hex": float(grid.domain_length).hex(),
+        "spectrum": _to_hex(state.f.coefficients[: grid.nyquist_index() + 1], "<c16"),
     }
     if monitor is not None:
-        accumulators = {"integral": json.dumps([float(monitor.integral[s]).hex() for s in (0, 1)])}
-        if correction_hex:
-            accumulators["correction"] = correction_hex[0]
-        members["monitor"] = _json_object(accumulators)
+        payload["monitor"] = {
+            "integral": [float(monitor.integral[s]).hex() for s in (0, 1)],
+            "corrections": [_to_hex(c, "<f8") for c in monitor.corrections],
+        }
+        if monitor.tendency is not None:
+            payload["monitor"]["tendency"] = _to_hex(monitor.tendency, "<c16")
     with open(path, "w") as fh:
-        fh.write(_json_object(members))
+        fh.write(json.dumps(payload))
 
 
-def load_checkpoint(path, cfg: FluidConfig | None = None):
-    """State, step index, dt and monitor accumulators of a checkpoint file.
+def load_checkpoint(path, binding: "str | FluidConfig | None" = None):
+    """State, step index, dt and monitor of a v2 or v1 checkpoint file.
 
-    Monitor keys other than the accumulators, written by older versions, are
-    ignored.  A file that is missing, not JSON or incomplete raises
-    ConfigurationError naming the path.  The state holds the exact Hermitian
-    projection of the stored spectrum (see ``InterfaceField``); one written
-    by ``save_checkpoint`` already is Hermitian, bit for bit.
+    With a ``binding`` (see ``save_checkpoint``) the file must carry its
+    hash; a v1 file carries the fluid's.  Other monitor keys, written by older
+    versions, are ignored.  A file that is missing, not JSON or incomplete
+    raises ConfigurationError naming the path.  The state holds the exact
+    Hermitian projection of the stored spectrum (``InterfaceField``), a v2
+    file's extended from k = 0..N/2; one ``step`` built loads bit for bit.
     """
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        if payload.get("schema") != CHECKPOINT_SCHEMA:
-            raise ConfigurationError(f"unknown checkpoint schema {payload.get('schema')!r}")
-        if cfg is not None and payload["config_hash"] != cfg.hash():
-            raise ConfigurationError("checkpoint was written under a different configuration")
+        schema = payload.get("schema")
+        if schema not in (CHECKPOINT_SCHEMA, _CHECKPOINT_SCHEMA_V1):
+            raise ConfigurationError(f"unknown checkpoint schema {schema!r}")
+        v1 = schema == _CHECKPOINT_SCHEMA_V1
+        if binding is not None and payload["config_hash"] != (
+                binding if isinstance(binding, str) else binding.hash()):
+            raise ConfigurationError(
+                "checkpoint was written under a different configuration"
+                + (" (a v1 checkpoint binds only the fluid)" if v1 else ""))
         grid = GridSpec(payload["n_points"], float.fromhex(payload["domain_length_hex"]))
-        re = np.array([float.fromhex(v) for v in payload["coeff_re_hex"]])
-        im = np.array([float.fromhex(v) for v in payload["coeff_im_hex"]])
-        state = InterfaceField(SpectralField(grid, re + 1j * im),
-                               float.fromhex(payload["time_hex"]))
-        monitor = MonitorState.from_payload(payload["monitor"]) if "monitor" in payload else None
-        if monitor is not None and monitor.correction is not None \
-                and monitor.correction.shape != (grid.n_points,):
-            raise ConfigurationError("checkpoint strength correction does not match its grid")
+        if v1:
+            c = (np.array([float.fromhex(v) for v in payload["coeff_re_hex"]])
+                 + 1j * np.array([float.fromhex(v) for v in payload["coeff_im_hex"]]))
+        else:
+            half = _from_hex(payload["spectrum"], "<c16")
+            if half.shape != (grid.nyquist_index() + 1,):
+                raise ConfigurationError("checkpoint spectrum does not match its grid")
+            # built as ``step`` builds a state (+ 0.0 makes each -0.0 +0.0)
+            c = hermitian_extension(half + 0.0, grid)
+        state = InterfaceField(SpectralField(grid, c), float.fromhex(payload["time_hex"]))
+        monitor = MonitorState.from_payload(payload["monitor"], grid) \
+            if "monitor" in payload else None
         step_index = payload["step_index"]
         if type(step_index) is not int or step_index < 0:
             raise ConfigurationError(f"step_index {step_index!r} is not a non-negative integer")

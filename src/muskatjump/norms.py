@@ -53,32 +53,42 @@ def _power_weights(grid: GridSpec, s: float) -> np.ndarray:
     return pw
 
 
-def _weights(grid: GridSpec, spec: NormSpec, c: np.ndarray) -> np.ndarray:
-    """Weights of the F^{s,1}_nu sum over the coefficient moduli ``c``."""
+@functools.lru_cache(maxsize=2)
+def _growth(grid: GridSpec, nu_t: float, time: float) -> np.ndarray:
+    """Read-only exp(nu t |xi_k|); the norms of one snapshot share it, at nu and at 2 nu."""
+    arg = nu_t * np.abs(grid.wavenumbers())
+    if arg.size and np.max(arg) > _EXP_GUARD:
+        raise WeightRangeError(
+            f"weight exponent nu*t*xi_max = {np.max(arg):.3g} at t = {time:g} "
+            f"exceeds the exponential guard {_EXP_GUARD}"
+        )
+    out = np.exp(arg)
+    out.flags.writeable = False
+    return out
+
+
+def _weights(grid: GridSpec, spec: NormSpec, c: np.ndarray, keep=None) -> np.ndarray:
+    """Weights of the F^{s,1}_nu sum over the coefficient moduli ``c``, whose noise mask
+    ``keep`` is taken here when not given."""
     pw = _power_weights(grid, spec.s)
     nu_t = spec.nu * spec.time
     # exp(0) * pw is pw bit for bit
     if nu_t == 0.0:
         return pw
-    arg = nu_t * np.abs(grid.wavenumbers())
-    if arg.size and np.max(arg) > _EXP_GUARD:
-        raise WeightRangeError(
-            f"weight exponent nu*t*xi_max = {np.max(arg):.3g} at t = {spec.time:g} "
-            f"exceeds the exponential guard {_EXP_GUARD}"
-        )
     # e^37 is about 1e16: past nu t xi of about 37 the weight lifts round-off
     # coefficients to the size of the signal, so only those above the noise
     # floor count
-    return np.where(c > NOISE_FLOOR * np.max(c), np.exp(arg) * pw, 0.0)
+    keep = c > NOISE_FLOOR * np.max(c) if keep is None else keep
+    return np.where(keep, _growth(grid, nu_t, spec.time) * pw, 0.0)
 
 
-def _fourier_sum(grid: GridSpec, spec: NormSpec, c: np.ndarray) -> float:
-    return float(np.sum(_weights(grid, spec, c) * c))
+def _fourier_sum(grid: GridSpec, spec: NormSpec, c: np.ndarray, keep=None) -> float:
+    return float(np.sum(_weights(grid, spec, c, keep) * c))
 
 
-def _l2_sum(grid: GridSpec, spec: NormSpec, c: np.ndarray) -> float:
+def _l2_sum(grid: GridSpec, spec: NormSpec, c: np.ndarray, keep=None) -> float:
     # |exp(nu t |xi|) c|^2 is |c|^2 under the weight at 2 nu
-    w = _weights(grid, NormSpec(0.0, 2.0 * spec.nu, spec.time), c)
+    w = _weights(grid, NormSpec(0.0, 2.0 * spec.nu, spec.time), c, keep)
     return float(math.sqrt(grid.domain_length * np.sum(w * c ** 2)))
 
 
@@ -161,13 +171,15 @@ class NormReport:
 
 
 def norm_report(fld: SpectralField, nu: float, time: float) -> NormReport:
-    """The five norms and the strip radius of one snapshot, from one pass of |c_k|."""
+    """The five norms and the strip radius of one snapshot, from one pass of |c_k|, one
+    noise mask and one exponential weight at nu and one at 2 nu (``_growth``)."""
     grid, c = fld.grid, np.abs(fld.coefficients)
+    keep = c > NOISE_FLOOR * np.max(c)
     return NormReport(
-        f01=_fourier_sum(grid, NormSpec(0.0, nu, time), c),
-        f11=_fourier_sum(grid, NormSpec(1.0, nu, time), c),
-        f21=_fourier_sum(grid, NormSpec(2.0, nu, time), c),
-        f3half=_fourier_sum(grid, NormSpec(1.5, nu, time), c),
-        l2nu=_l2_sum(grid, NormSpec(0.0, nu, time), c),
+        f01=_fourier_sum(grid, NormSpec(0.0, nu, time), c, keep),
+        f11=_fourier_sum(grid, NormSpec(1.0, nu, time), c, keep),
+        f21=_fourier_sum(grid, NormSpec(2.0, nu, time), c, keep),
+        f3half=_fourier_sum(grid, NormSpec(1.5, nu, time), c, keep),
+        l2nu=_l2_sum(grid, NormSpec(0.0, nu, time), c, keep),
         strip_radius=_strip_radius(grid, c),
     )

@@ -282,7 +282,7 @@ def test_each_command_builds_the_fluid_block_once(tmp_path, monkeypatch, command
 def test_resume_past_the_schedule_end_is_a_configuration_error(checkpointed_run, tmp_path,
                                                                capsys):
     # the checkpoint of step 10 of a run whose config now ends at step 5: the
-    # fluid hash matches, the schedule does not
+    # run hash, which leaves t_end out, matches; the schedule does not
     config, full = checkpointed_run
     raw = json.loads(config.read_text())
     raw["schedule"]["t_end"] = 0.15
@@ -301,6 +301,75 @@ def test_resume_past_the_schedule_end_is_a_configuration_error(checkpointed_run,
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and str(ck) in err
     assert files() == before
+
+
+def _files(out: Path) -> dict:
+    return {q.relative_to(out): q.read_bytes() for q in out.rglob("*") if q.is_file()}
+
+
+@pytest.mark.parametrize("block, key, value", [("initial_data", "amplitude", 0.03),
+                                               ("grid", "n_points", 128),
+                                               ("fluid", "h2", 2.0),
+                                               ("solver", "picard_tol", 1e-9),
+                                               ("schedule", "dt", 0.015),
+                                               ("schedule", "snapshot_every", 2)])
+def test_resume_under_another_config_is_a_configuration_error(checkpointed_run, tmp_path,
+                                                              capsys, block, key, value):
+    # a run's checkpoint binds its whole config but t_end: under another
+    # datum, grid, fluid, solver, dt or snapshot cadence the resume is
+    # refused before anything is written
+    config, full = checkpointed_run
+    raw = json.loads(config.read_text())
+    raw.setdefault(block, {})[key] = value
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    shutil.copytree(full, out)
+    before = _files(out)
+    ck = out / "checkpoints" / "ckpt_00000005.json"
+    assert main(["run", "--config", str(other), "--output-dir", str(out),
+                 "--resume", str(ck)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(ck) in err
+    assert "different configuration" in err
+    assert _files(out) == before
+
+
+def test_resume_binds_the_canonical_config_without_t_end(checkpointed_run, tmp_path):
+    # the same config written with its defaults named, integral floats as
+    # integers and a later t_end is the same run: its checkpoint resumes it,
+    # and the rows both runs take are the same
+    config, full = checkpointed_run
+    raw = json.loads(config.read_text())
+    raw["schedule"]["t_end"] = 0.45
+    raw["fluid"]["a_rho"] = 1
+    raw["solver"] = {"picard_tol": 1e-11, "picard_max_iter": 80, "order": 2}
+    longer = tmp_path / "longer.json"
+    longer.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    shutil.copytree(full, out)
+    assert main(["run", "--config", str(longer), "--output-dir", str(out),
+                 "--resume", str(out / "checkpoints" / "ckpt_00000005.json")]) == EXIT_OK
+    rows = (full / "trajectory.csv").read_text()
+    assert (out / "trajectory.csv").read_text().startswith(rows)
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 17
+    last = "checkpoints/ckpt_00000010.json"
+    assert (out / last).read_bytes() == (full / last).read_bytes()
+
+
+def test_checkpoint_of_data_written_outside_a_run_is_initial_data_only(tmp_path, capsys):
+    # save_checkpoint with a FluidConfig, as for generated data, binds the
+    # fluid only: the file serves as from_file data, and no run resumes it
+    g = GridSpec(128, 12 * np.pi)
+    datum = InterfaceField.from_samples(0.01 * np.exp(-((g.nodes() - 6 * np.pi) ** 2) / 4.5), g)
+    ck = tmp_path / "datum.json"
+    save_checkpoint(ck, datum, FluidConfig(0.5, 0.2, 1.0, 1.0), 0, 0.03)
+    p = write_config(tmp_path / "c.json", initial_data={"preset": "from_file", "path": str(ck)})
+    assert main(["run", "--config", str(p), "--output-dir", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["run", "--config", str(p), "--output-dir", str(tmp_path / "b"),
+                 "--resume", str(ck)]) == EXIT_CONFIG
+    assert "different configuration" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
 
 
 def test_from_file_initial_data(tmp_path):
@@ -561,12 +630,12 @@ def _run_exit(tmp_path, capsys, **overrides):
 
 
 def test_solver_order_accepts_only_two(tmp_path, capsys):
-    # version-1 configs may keep "order": 2; ETDRK2 is the only integrator
+    # version-1 configs may keep "order": 2; ETD2 is the only integrator
     assert _run_exit(tmp_path, capsys, solver={"order": 2})[0] == EXIT_OK
     for order in (4, 3):
         code, err = _run_exit(tmp_path, capsys, solver={"order": order})
         assert code == EXIT_CONFIG
-        assert err.startswith("configuration error:") and "ETDRK2" in err
+        assert err.startswith("configuration error:") and "ETD2" in err
 
 
 def test_picard_max_iter_zero_is_a_configuration_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,7 +20,7 @@ from muskatjump.evolution import (InterfaceField, MonitorState, Schedule, Solver
                                   save_checkpoint, step)
 from muskatjump.vorticity import DEFAULT_SERIES_TOL, _Workspace, solve_vorticity
 
-from muskatjump.spectral import hermitian_symmetrize
+from muskatjump.spectral import hermitian_extension, hermitian_symmetrize
 
 from helpers import REF_CFG, decay_packet, gaussian_bump, random_admissible_interface
 
@@ -171,15 +173,17 @@ def test_step_rejects_bad_dt():
 
 
 def test_step_convergence_second_order():
-    # self-convergence: halving dt reduces the terminal error by ~4x
+    # self-convergence: halving dt reduces the terminal error by ~4x; the
+    # carry hands N_{n-1} from step to step, so every step after the first
+    # (ETD1) is ETD2
     g = GridSpec(128, L12)
     f0 = gaussian_bump(g, 0.03, 1.5)
     t_end = 0.4
 
     def terminal(dt):
-        state = f0
+        state, carry = f0, MonitorState()
         for _ in range(int(round(t_end / dt))):
-            state = step(state, dt, REF_CFG)
+            state = step(state, dt, REF_CFG, carry=carry)
         return state.f.coefficients
 
     ref = terminal(0.0125)
@@ -256,51 +260,86 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert loaded.time == state.time
 
 
-def test_checkpoint_bytes_match_the_streaming_encoder(tmp_path):
-    # save_checkpoint builds its text in one bulk pass; the file must be the
-    # one json.dumps(..., sort_keys=True) writes for what it holds
-    g = GridSpec(32, L12)
-    state = step(gaussian_bump(g, 0.02, 1.5), 0.05, REF_CFG)
-    rng = np.random.default_rng(7)
-    correction = rng.standard_normal(g.n_points)
-    correction[:3] = -0.0, 5e-324, 1e300
-    mon = MonitorState(integral={0: 1.25e-7, 1: -0.0}, correction=correction)
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, state, REF_CFG, 7, 0.05, mon)
-    text = path.read_text()
-    payload = json.loads(text)
-    assert text == json.dumps(payload, sort_keys=True)
-    # each double as float(v).hex() of its numpy scalar, one by one
-    c = state.f.coefficients
-    for key, values in (("coeff_re_hex", c.real), ("coeff_im_hex", c.imag)):
-        assert payload[key] == [float(v).hex() for v in values]
-    assert payload["monitor"]["correction"] == [float(v).hex() for v in correction]
-    assert payload["monitor"]["integral"] == [(1.25e-7).hex(), (-0.0).hex()]
-
-
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
-_HEX_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, math.nextafter(_SMALLEST_NORMAL, 0.0),
-                 _SMALLEST_NORMAL, float(np.finfo(float).max), -float(np.finfo(float).max)]
+_EXTREME_PATTERNS = [float(v) for v in (0.0, -0.0, 5e-324, -5e-324,
+                                        math.nextafter(_SMALLEST_NORMAL, 0.0), _SMALLEST_NORMAL,
+                                        np.finfo(float).max, -np.finfo(float).max)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(patterns=st.lists(st.integers(0, 2 ** 64 - 1), max_size=80),
-       split=st.integers(0, 80))
-def test_bulk_hex_text_equals_json_of_float_hex(patterns, split):
-    # finite doubles from arbitrary bit patterns, plus +-0, the smallest and
-    # largest subnormal, the smallest normal and the largest finite double,
-    # encoded as two lists in one pass
-    a = np.array(patterns, dtype=np.uint64).view(float)
-    a = np.concatenate((a[np.isfinite(a)], _HEX_EXTREMES))
-    head, tail = a[:split], a[split:]
-    assert evolution._hex_lists(head, tail) == [json.dumps([float.hex(v) for v in x.tolist()])
-                                                for x in (head, tail)]
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
-def test_bulk_hex_text_of_non_finite_doubles():
-    a = np.array([1.5, math.inf, -math.inf, math.nan, -0.0])
-    assert evolution._hex_lists(a, a[:1]) == [json.dumps([float.hex(v) for v in x.tolist()])
-                                              for x in (a, a[:1])]
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_corrections=st.integers(0, 3), with_tendency=st.booleans())
+def test_checkpoint_v2_round_trips_every_bit_pattern(tmp_path_factory, data, n_corrections,
+                                                     with_tendency):
+    # the corrections and N_{n-1} hold arbitrary 64-bit patterns (NaN payloads
+    # included), +-0 and subnormals among them; the state holds the finite
+    # ones below 1e300, whose Hermitian projection is exact, with real k = 0
+    # and N/2 modes and +0.0 for -0.0, as the step builds a state; the
+    # float.hex scalars hold any non-NaN double
+    g = GridSpec(16, L12)
+    h = g.nyquist_index() + 1
+
+    def patterns(n):
+        extra = data.draw(st.lists(st.sampled_from(_EXTREME_PATTERNS), max_size=n))
+        raw = data.draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=n - len(extra),
+                                 max_size=n - len(extra)))
+        a = np.concatenate((np.array(raw, dtype=np.uint64).view(float), extra))
+        return data.draw(st.permutations(a.tolist()), label="order")
+
+    with np.errstate(invalid="ignore"):
+        spectrum = np.array(patterns(2 * h)).view(complex)
+        spectrum = np.where(np.abs(spectrum) < 1e300, spectrum, 0.0)
+    spectrum[0] = spectrum[0].real
+    spectrum[-1] = spectrum[-1].real
+    state = InterfaceField(SpectralField(g, hermitian_extension(spectrum + 0.0, g)),
+                           data.draw(st.floats(0.0, 1e300)))
+    scalars = st.floats(allow_nan=False)
+    mon = MonitorState(integral={0: data.draw(scalars), 1: data.draw(scalars)},
+                       corrections=[np.array(patterns(g.n_points)) for _ in range(n_corrections)],
+                       tendency=np.array(patterns(2 * h)).view(complex) if with_tendency else None)
+    step_index, dt = data.draw(st.integers(0, 2 ** 62)), data.draw(st.floats(5e-324, 1e300))
+    path = tmp_path_factory.mktemp("ck") / "ck.json"
+    save_checkpoint(path, state, "run hash", step_index, dt, mon)
+    loaded, idx, dt_loaded, got = load_checkpoint(path, "run hash")
+    assert json.loads(path.read_text())["schema"] == "muskatjump-checkpoint-v2"
+    assert (idx, dt_loaded.hex(), loaded.time.hex()) == (step_index, dt.hex(), state.time.hex())
+    assert np.array_equal(_bits(loaded.f.coefficients), _bits(state.f.coefficients))
+    assert [v.hex() for v in got.integral.values()] == [v.hex() for v in mon.integral.values()]
+    assert len(got.corrections) == n_corrections
+    for a, b in zip(got.corrections, mon.corrections):
+        assert np.array_equal(_bits(a), _bits(b))
+    assert (got.tendency is None) == (not with_tendency)
+    if with_tendency:
+        assert np.array_equal(_bits(got.tendency), _bits(mon.tendency))
+
+
+_V1_CHECKPOINT = Path(__file__).parent / "checkpoint_v1.json"
+
+
+def test_committed_v1_checkpoint_loads_the_state_it_holds_bit_for_bit():
+    # written by the ETDRK2 version at step 2 of a run of the README fluid on
+    # a 32-point bump; the digests are those of that version's load
+    payload = json.loads(_V1_CHECKPOINT.read_text())
+    state, idx, dt, mon = load_checkpoint(_V1_CHECKPOINT, REF_CFG)
+    c = state.f.coefficients
+    fh = float.fromhex
+    assert np.array_equal(_bits(c.real), _bits([fh(v) for v in payload["coeff_re_hex"]]))
+    assert np.array_equal(_bits(c.imag), _bits([fh(v) for v in payload["coeff_im_hex"]]))
+    assert hashlib.sha256(np.asarray(c, "<c16").tobytes()).hexdigest() == \
+        "bd6a738ec25dd6a8c1d620b9f4c36e8b41a86a43d9d165e80d8e0a9d004ba119"
+    assert (idx, dt, state.time) == (2, 0.05, 0.1)
+    assert mon.integral == {0: 0.0010267765796595693, 1: 0.0008544414381586229}
+    assert len(mon.corrections) == 1 and mon.tendency is None
+    assert hashlib.sha256(np.asarray(mon.corrections[0], "<f8").tobytes()).hexdigest() == \
+        "1841269070f0dba5f6f848ebb2cafe257d973a237c44fa7aa2bea34dd7ec3278"
+    # a v1 file binds the fluid only, so no run's hash matches it
+    with pytest.raises(ConfigurationError, match="v1 checkpoint binds only the fluid"):
+        load_checkpoint(_V1_CHECKPOINT, "run hash")
+    with pytest.raises(ConfigurationError, match="different configuration"):
+        load_checkpoint(_V1_CHECKPOINT, FluidConfig(0.3, 0.2, 1.0, 1.0))
 
 
 def test_checkpoint_config_mismatch(tmp_path):
@@ -358,7 +397,9 @@ def test_restart_reproduces_state_bitwise(tmp_path):
 
 
 def test_checkpoint_without_correction_resumes_cold(tmp_path):
-    # checkpoints written before the strength solve carried its correction
+    # checkpoints written before the strength solve carried its corrections;
+    # N_{n-1} is kept, so the resumed steps are the same scheme and differ
+    # only by the solve's tolerance
     import json
 
     g = GridSpec(128, L12)
@@ -372,19 +413,22 @@ def test_checkpoint_without_correction_resumes_cold(tmp_path):
 
     full = run(f0, REF_CFG, sched, on_snapshot=keep)
     payload = json.loads(path.read_text())
-    assert len(payload["monitor"].pop("correction")) == g.n_points
+    corrections = payload["monitor"].pop("corrections")
+    assert [len(c) for c in corrections] == [16 * g.n_points] * 3
+    assert "tendency" in payload["monitor"]
     path.write_text(json.dumps(payload))
     mid, start, _, monitor = load_checkpoint(path, REF_CFG)
-    assert monitor.correction is None
+    assert monitor.corrections == [] and monitor.tendency is not None
     resumed = run(f0, REF_CFG, sched, resume=(mid, start, monitor))
     assert resumed.rows[-1]["t"] == full.rows[-1]["t"]
     diff = resumed.final_state.f.coefficients - full.final_state.f.coefficients
     assert np.max(np.abs(diff)) <= 1e-9 * np.max(np.abs(full.final_state.f.coefficients))
-    # a correction of the wrong length is refused, not broadcast
-    payload["monitor"]["correction"] = ["0x0p+0"] * (g.n_points // 2)
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ConfigurationError):
-        load_checkpoint(path, REF_CFG)
+    # a correction or a tendency of the wrong length is refused, not broadcast
+    for key, value in (("corrections", [corrections[0][: 8 * g.n_points]]),
+                       ("tendency", payload["monitor"]["tendency"][:32])):
+        path.write_text(json.dumps({**payload, "monitor": {**payload["monitor"], key: value}}))
+        with pytest.raises(ConfigurationError, match="history does not match its grid"):
+            load_checkpoint(path, REF_CFG)
 
 
 def test_leakage_diagnostic():
@@ -415,10 +459,10 @@ def test_step_blowup_detector(monkeypatch):
 def _assert_step_spectra_hermitian(f: InterfaceField, steps: int = 3):
     """Every spectrum the steps and rhs hand on equals its symmetrization.
 
-    The states, each stage and each new state, are equal bit for bit, signed
-    zeros at k = 0 and N/2 included: the step hands them on without
-    projecting them again, as a projection would leave them.  Random data
-    are not localized, so the leakage check is off.
+    The states each step reads and each new state, over several ETD2 steps,
+    are equal bit for bit, signed zeros at k = 0 and N/2 included: the step
+    hands them on without projecting them again, as a projection would leave
+    them.  Random data are not localized, so the leakage check is off.
     """
     opts = SolverOptions(leakage_threshold=math.inf)
     tendency = evolution.nonlinear_tendency
@@ -435,8 +479,9 @@ def _assert_step_spectra_hermitian(f: InterfaceField, steps: int = 3):
         for _ in range(steps):
             state = step(state, 0.02, REF_CFG, opts, carry=carry)
             states.append(state.f.coefficients)
-    # per step: the state, the stage and the new state
-    assert len(states) == 3 * steps
+    # per step: the state and the new state, with one tendency
+    assert len(states) == 2 * steps and len(tendencies) == steps
+    assert all(a is b for a, b in zip(states[1:-1:2], states[2::2]))
     for c in states:
         assert np.array_equal(c.view(np.uint64), hermitian_symmetrize(c).view(np.uint64))
     br = rhs(f, REF_CFG, opts)
@@ -453,7 +498,7 @@ def test_decay_step_allocates_no_row_storage():
     assert (ws.near_width, ws.self_order) == (0, 5)
     carry = MonitorState()
     step(f, 0.1, REF_CFG, SolverOptions(leakage_threshold=1e-3), carry=carry)
-    assert carry.correction is not None
+    assert len(carry.corrections) == 1
 
 
 def test_warm_tendency_takes_nine_transforms_at_most(monkeypatch):
@@ -466,7 +511,7 @@ def test_warm_tendency_takes_nine_transforms_at_most(monkeypatch):
     opts = SolverOptions(leakage_threshold=1e-3)
     carry = MonitorState()
     nonlinear_tendency(f, REF_CFG, opts, carry=carry)
-    assert solve_vorticity(f, REF_CFG, guess=carry.correction).iterations == 1
+    assert solve_vorticity(f, REF_CFG, guess=carry.corrections[-1]).iterations == 1
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         def counted(*args, _real=getattr(np.fft, name), **kwargs):
@@ -546,19 +591,50 @@ def test_fluid_density_contrast_and_depth_must_be_finite():
 
 def test_loaded_checkpoint_spectrum_is_exactly_hermitian(tmp_path):
     # a file whose spectrum is off Hermitian by round-off loads as its exact
-    # projection, so the step keeps it real; a saved state loads bit for bit
+    # projection, so the step keeps it real; a saved state loads bit for bit.
+    # A v2 file holds k = 0..N/2, so only the k = 0 and N/2 modes can be off;
+    # a v1 file holds all N
     g = GridSpec(128, L12)
     f = gaussian_bump(g, 0.01, 1.5)
     path = tmp_path / "c.json"
     save_checkpoint(path, f, REF_CFG, 0, 0.02)
     assert np.array_equal(load_checkpoint(path, REF_CFG)[0].f.coefficients, f.f.coefficients)
     payload = json.loads(path.read_text())
-    c = f.f.coefficients
-    payload["coeff_im_hex"][0] = float(c[0].imag + 1e-13).hex()
-    payload["coeff_re_hex"][3] = float(c[3].real + 2e-13).hex()
-    path.write_text(json.dumps(payload))
-    state = load_checkpoint(path, REF_CFG)[0]
-    for _ in range(3):
-        c = state.f.coefficients
-        assert np.array_equal(c, hermitian_symmetrize(c))
-        state = step(state, 0.02, REF_CFG)
+    half = np.frombuffer(bytes.fromhex(payload["spectrum"]), "<c16").copy()
+    half[0] += 1e-13j
+    half[-1] += 2e-13j
+    payload["spectrum"] = half.tobytes().hex()
+    v2 = tmp_path / "v2.json"
+    v2.write_text(json.dumps(payload))
+    payload = json.loads(_V1_CHECKPOINT.read_text())
+    payload["coeff_im_hex"][0] = (1e-20).hex()
+    payload["coeff_re_hex"][3] = (float.fromhex(payload["coeff_re_hex"][3]) + 2e-15).hex()
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(payload))
+    for path in (v2, v1):
+        state, carry = load_checkpoint(path, REF_CFG)[0], MonitorState()
+        assert state.f.coefficients[0].imag == 0.0
+        for _ in range(3):
+            c = state.f.coefficients
+            assert np.array_equal(c.view(np.uint64), hermitian_symmetrize(c).view(np.uint64))
+            state = step(state, 0.02, REF_CFG, carry=carry)
+
+
+@pytest.mark.parametrize("z0", [1e-12, 1e-8, 3e-5, 9.99e-5, 1.0001e-4, 3e-4, 1e-2, 0.7, 5.0,
+                                60.0, 700.0])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_phi_functions_match_mpmath(z0, sign):
+    # phi1 = (e^z - 1)/z and phi2 = (e^z - 1 - z)/z^2 on both sides of the
+    # series cutoff |z| = 1e-4, where the truncated series err by less than
+    # |z|^4/120 < 1e-18; the direct forms lose eps/|z| of phi2 to the
+    # cancellation in e^z - 1 - z.  Bound: 8 eps below the cutoff and
+    # 8 eps (1 + 1/|z|) above it
+    eps = np.finfo(float).eps
+    z = np.array([sign * z0])
+    for fn, exact in ((evolution._phi1, lambda w: mp.expm1(w) / w),
+                      (evolution._phi2, lambda w: (mp.expm1(w) - w) / w ** 2)):
+        with mp.workdps(80):
+            want = exact(mp.mpf(float(z[0])))
+        got = fn(z)[0]
+        bound = 8 * eps * (1.0 if z0 < evolution._PHI_SERIES_CUTOFF else 1.0 + 1.0 / z0)
+        assert abs(mp.mpf(float(got)) - want) <= bound * abs(want)
