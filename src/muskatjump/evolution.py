@@ -40,7 +40,9 @@ class InterfaceField:
 
     A spectrum within 1e-10 of Hermitian symmetry is accepted and stored as
     its exact projection, so the height is real by construction and the
-    step keeps it so; the projection leaves ``forward``'s spectra bit for bit.
+    step keeps it so; the projection leaves ``forward``'s spectra bit for
+    bit, and is the extension of its half spectrum k = 0..N/2, which a v2
+    checkpoint stores.
     The states that ``step`` and ``run`` build are exactly Hermitian and
     finite already, so they skip the check (``_trusted``).
     """
@@ -142,58 +144,78 @@ def linear_symbol(xi, cfg: FluidConfig):
 
 @lru_cache(maxsize=32)
 def _dealiased_linear(grid: GridSpec, cfg: FluidConfig) -> np.ndarray:
-    """Read-only -m(xi) in FFT order, zero above the 2/3 cutoff."""
-    out = np.where(dealias_mask(grid), -linear_symbol(grid.wavenumbers(), cfg), 0.0)
+    """Read-only -m(xi) on k = 0..N/2, zero above the 2/3 cutoff."""
+    half = grid.nyquist_index() + 1
+    out = np.where(dealias_mask(grid)[:half], -linear_symbol(grid.wavenumbers()[:half], cfg), 0.0)
     out.flags.writeable = False
     return out
 
 
 def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
               carry: MonitorState | None = None):
-    """Strength pair, four dealiased integral spectra and the linear/nonlinear split.
+    """Strength solve, its workspace and the linear/nonlinear split on k = 0..N/2.
 
-    One kernel backend serves the strength solve and all four integrals, and
+    One kernel backend serves the strength solve and the right-hand side, and
     the solve's last evaluation is the right-hand side's: it holds the two
-    self sums S0, S1 and the line coupling P omega2, CP omega2, so
-    I1 = S0, I2 = df S1, I3 = CP omega2 and I4 = df P omega2 take one batched
-    transform.  The four ``parts`` are half spectra k = 0..N/2, and only
-    their sum is extended to the full N.  With a ``carry`` the solve starts
-    from the quadratic extrapolation 3c_n - 3c_{n-1} + c_{n-2} of its last
-    corrections (2c_n - c_{n-1}, or c_n, while fewer are known), and its own
-    correction is appended here.
+    self sums S0, S1 and the line coupling P omega2, CP omega2, so the sum
+    I1 + I2 + I3 + I4 = S0 + CP omega2 + df (S1 + P omega2) is one transform
+    of its samples.  The linear part and the nonlinear remainder are half
+    spectra k = 0..N/2.  With a ``carry`` the solve starts from the cubic
+    extrapolation 4c_n - 6c_{n-1} + 4c_{n-2} - c_{n-3} of its last
+    corrections (the quadratic 3c_n - 3c_{n-1} + c_{n-2}, 2c_n - c_{n-1}, or
+    c_n while fewer are known), and its own is appended here: the strength
+    plus the update the stop test measured at it, minus the linear strength.
+    That next iterate is one contraction past the tolerance, so the
+    corrections' noise, which the extrapolation lifts, lies far below it.
     """
     grid = f.f.grid
     carry = carry or MonitorState()
     c = carry.corrections
-    guess = (3.0 * c[-1] - 3.0 * c[-2] + c[-3] if len(c) >= 3
+    guess = (4.0 * c[-1] - 6.0 * c[-2] + 4.0 * c[-3] - c[-4] if len(c) >= 4
+             else 3.0 * c[-1] - 3.0 * c[-2] + c[-3] if len(c) == 3
              else 2.0 * c[-1] - c[-2] if len(c) == 2 else c[-1] if c else None)
     ws = _Workspace(f, cfg, opts.series_tol)
     pair = solve_vorticity(f, cfg, tol=opts.picard_tol, max_iter=opts.picard_max_iter,
                            workspace=ws, guess=guess)
     ev = pair.evaluation
-    carry.corrections = [*c[-2:], ev.w1 - ws.linear]
-    spectra = np.fft.rfft([ev.s0, ws.dF * ev.s1, ev.cp, ws.dF * ev.p], norm="forward")
-    keep = dealias_mask(grid)[: grid.nyquist_index() + 1]
-    parts = np.where(keep, spectra, 0.0)
+    ahead = ev.w1 if pair.update is None else (
+        ev.w1 + np.fft.irfft(pair.update, grid.n_points, norm="forward"))
+    carry.corrections = [*c[-3:], ahead - ws.linear]
+    half = grid.nyquist_index() + 1
+    # I1 + I2 + I3 + I4 in sample space
+    total = ev.s1 + ev.p
+    total *= ws.dF
+    total += ev.s0
+    total += ev.cp
     # both sides of the split live on the dealiased band, so the remainder is
     # identically zero above the 2/3 cutoff and high modes evolve purely by
     # the integrating factor
-    linear_hat = _dealiased_linear(grid, cfg) * f.f.coefficients
-    nonlinear_hat = hermitian_extension(sum(parts), grid) / (2.0 * np.pi) - linear_hat
-    return pair, parts, linear_hat, nonlinear_hat
+    linear_half = _dealiased_linear(grid, cfg) * f.f.coefficients[:half]
+    nonlinear_half = np.where(dealias_mask(grid)[:half], np.fft.rfft(total, norm="forward"), 0.0)
+    nonlinear_half /= 2.0 * np.pi
+    nonlinear_half -= linear_half
+    return pair, ws, linear_half, nonlinear_half
 
 
 def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) -> RhsBreakdown:
-    """Assemble the interface right-hand side, its linear/nonlinear split and strengths."""
+    """Assemble the interface right-hand side, its linear/nonlinear split and strengths.
+
+    The split is the step's, extended to the full N; the four integrals
+    I1 = S0, I2 = df S1, I3 = CP omega2 and I4 = df P omega2 take one
+    batched transform of their own.
+    """
     opts = opts or SolverOptions()
     grid = f.f.grid
     check_leakage(f, opts.leakage_threshold)
-    pair, parts, linear_hat, nonlinear_hat = _assemble(f, cfg, opts)
+    pair, ws, linear_half, nonlinear_half = _assemble(f, cfg, opts)
+    ev = pair.evaluation
+    spectra = np.fft.rfft([ev.s0, ws.dF * ev.s1, ev.cp, ws.dF * ev.p], norm="forward")
+    parts = np.where(dealias_mask(grid)[: grid.nyquist_index() + 1], spectra, 0.0)
     i1f, i2f, i3f, i4f = (SpectralField(grid, c) for c in hermitian_extension(parts, grid))
     return RhsBreakdown(
         i1=i1f, i2=i2f, i3=i3f, i4=i4f,
-        linear_part=SpectralField(grid, linear_hat),
-        nonlinear_part=SpectralField(grid, nonlinear_hat),
+        linear_part=SpectralField(grid, hermitian_extension(linear_half, grid)),
+        nonlinear_part=SpectralField(grid, hermitian_extension(nonlinear_half, grid)),
         pair=pair,
     )
 
@@ -226,12 +248,10 @@ def _nonlinear_diagnostics(f: InterfaceField, cfg: FluidConfig, pair: VorticityP
 
 def nonlinear_tendency(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
                        carry: MonitorState | None = None) -> np.ndarray:
-    """Coefficients of the nonlinear remainder N(f) = rhs - linear part.
+    """Half spectrum k = 0..N/2 of the nonlinear remainder N(f) = rhs - linear part.
 
     ``carry`` warm-starts the strength solve from the previous evaluations'.
-    The spectrum is exactly Hermitian when the interface's is: every part is
-    the Hermitian extension of a half spectrum, and the linear part a real
-    even multiplier times the interface's spectrum.
+    ``hermitian_extension`` gives the full spectrum, which ``rhs`` reports.
     """
     return _assemble(f, cfg, opts, carry=carry)[3]
 
@@ -269,6 +289,12 @@ def _stepper_coeffs(grid: GridSpec, cfg: FluidConfig, dt: float):
     return out
 
 
+@lru_cache(maxsize=32)
+def _xi_max(grid: GridSpec) -> float:
+    """The largest |xi| of the grid, the CFL check's."""
+    return float(np.max(np.abs(grid.wavenumbers())))
+
+
 def step(state: InterfaceField, dt: float, cfg: FluidConfig,
          opts: SolverOptions | None = None,
          carry: MonitorState | None = None) -> InterfaceField:
@@ -281,7 +307,11 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
     without N_{n-1} (a run's first step, or no ``carry``) the step is ETD1,
     e^z f_n + dt phi1 N_n.  The update runs on the half spectrum k = 0..N/2;
     the new state is built from it as ``load_checkpoint`` builds one, exactly
-    Hermitian, and is checked finite, so it is not checked again.
+    Hermitian, and is checked finite, so it is not checked again.  The CFL
+    check dt max|N| xi_max <= ``cfl_bound`` bounds max|N| first by
+    |n_0| + 2 |n_1| + ... + 2 |n_{N/2-1}| + |n_{N/2}|, and transforms N only
+    where that bound is above half the limit: past the margin the bound's
+    rounding cannot pass a step that the exact check rejects.
     """
     opts = opts or SolverOptions()
     carry = carry or MonitorState()
@@ -292,26 +322,30 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
     exp_lin, dt_phi1, dt_phi2 = _stepper_coeffs(grid, cfg, dt)
 
     n_prev = carry.tendency
-    n0 = nonlinear_tendency(state, cfg, opts, carry=carry)[:half]
-    if not np.all(np.isfinite(n0)):
-        raise BlowUpError("non-finite nonlinear tendency", state)
-
-    speed = float(np.max(np.abs(np.fft.irfft(n0, grid.n_points, norm="forward"))))
-    xi_max = float(np.max(np.abs(grid.wavenumbers())))
-    if dt * speed * xi_max > opts.cfl_bound:
-        raise StepSizeError(
-            f"dt*max|N|*xi_max = {dt * speed * xi_max:.3g} exceeds bound {opts.cfl_bound}"
-        )
-
+    n0 = nonlinear_tendency(state, cfg, opts, carry=carry)
     new_half = exp_lin * state.f.coefficients[:half] + dt_phi1 * n0
     if n_prev is not None:
         new_half += dt_phi2 * (n0 - n_prev)
-    if not np.all(np.isfinite(new_half)):
+    # e^z, dt phi1, dt phi2 and the state are finite, so a non-finite n_k
+    # leaves the new mode k non-finite: one pass finds either blow-up
+    finite = bool(np.all(np.isfinite(new_half)))
+    if not finite and not np.all(np.isfinite(n0)):
+        raise BlowUpError("non-finite nonlinear tendency", state)
+
+    xi_max = _xi_max(grid)
+    size = np.abs(n0)
+    if dt * xi_max * float(2.0 * np.sum(size) - size[0] - size[-1]) > 0.5 * opts.cfl_bound:
+        speed = float(np.max(np.abs(np.fft.irfft(n0, grid.n_points, norm="forward"))))
+        if dt * speed * xi_max > opts.cfl_bound:
+            raise StepSizeError(
+                f"dt*max|N|*xi_max = {dt * speed * xi_max:.3g} exceeds bound {opts.cfl_bound}"
+            )
+    if not finite:
         raise BlowUpError("non-finite coefficients after step", state)
     carry.tendency = n0
-    # with no -0.0 in the half (+ 0.0 makes each +0.0) the projection keeps
-    # it, and a projection of the new state leaves that, bit for bit
-    new_hat = hermitian_symmetrize(hermitian_extension(new_half + 0.0, grid))
+    # real k = 0 and N/2 modes make the extension its own projection, bit for bit
+    new_half.imag[[0, -1]] = 0.0
+    new_hat = hermitian_extension(new_half, grid)
     return InterfaceField._trusted(SpectralField._adopt(grid, new_hat), state.time + dt)
 
 
@@ -356,9 +390,10 @@ class MonitorState:
 
     The monitors' accumulators compare against constants of the initial
     datum's certificate, which a resume recomputes instead of reading back.
-    ``corrections`` holds, oldest first, samples of the last (at most three)
-    strength solves' nonlinear parts, omega1 minus its linear strength M
-    (-2 A_rho df); the next solve starts from its own linear strength plus
+    ``corrections`` holds, oldest first, samples of the last (at most four)
+    strength solves' nonlinear parts: each solve's next iterate, its strength
+    plus the update its stop test measured, minus its linear strength M
+    (-2 A_rho df).  The next solve starts from its own linear strength plus
     their extrapolation.  ``tendency`` is the last step's nonlinear tendency
     N_{n-1}, a half spectrum k = 0..N/2.  A payload without them starts the
     solve cold and the next step as ETD1.
@@ -511,7 +546,7 @@ def load_checkpoint(path, binding: "str | FluidConfig | None" = None):
     versions, are ignored.  A file that is missing, not JSON or incomplete
     raises ConfigurationError naming the path.  The state holds the exact
     Hermitian projection of the stored spectrum (``InterfaceField``), a v2
-    file's extended from k = 0..N/2; one ``step`` built loads bit for bit.
+    file's extended from k = 0..N/2; every saved state loads bit for bit.
     """
     try:
         with open(path) as fh:
@@ -533,8 +568,7 @@ def load_checkpoint(path, binding: "str | FluidConfig | None" = None):
             half = _from_hex(payload["spectrum"], "<c16")
             if half.shape != (grid.nyquist_index() + 1,):
                 raise ConfigurationError("checkpoint spectrum does not match its grid")
-            # built as ``step`` builds a state (+ 0.0 makes each -0.0 +0.0)
-            c = hermitian_extension(half + 0.0, grid)
+            c = hermitian_extension(half, grid)
         state = InterfaceField(SpectralField(grid, c), float.fromhex(payload["time_hex"]))
         monitor = MonitorState.from_payload(payload["monitor"], grid) \
             if "monitor" in payload else None

@@ -135,9 +135,22 @@ def inverse(fld: SpectralField) -> np.ndarray:
 
 
 def hermitian_symmetrize(c: np.ndarray) -> np.ndarray:
-    # along the last axis, the mirror [c_0, c_{n-1}, ..., c_1] is c_{-k mod n}
-    # without an index array
-    return 0.5 * (c + np.conj(np.concatenate((c[..., :1], c[..., :0:-1]), axis=-1)))
+    """(c_k + conj c_{-k}) / 2 along the last axis, idempotent bit for bit.
+
+    The real and imaginary parts are halved apart (a complex multiply by 0.5
+    adds 0 times the other part, which moves the sign of a zero part), and
+    the modes past n/2 are the exact conjugates of those below, signed zeros
+    included: the projection is the Hermitian extension of its own half.
+    """
+    n = c.shape[-1]
+    # the mirror [c_0, c_{n-1}, ..., c_1] is c_{-k mod n} without an index array
+    mirror = np.concatenate((c[..., :1], c[..., :0:-1]), axis=-1)
+    out = np.empty(mirror.shape, dtype=complex)
+    np.multiply(0.5, np.add(c.real, mirror.real), out=out.real)
+    np.multiply(0.5, np.subtract(c.imag, mirror.imag), out=out.imag)
+    upper = n // 2 + 1
+    np.negative(out.imag[..., n - upper: 0: -1], out=out.imag[..., upper:])
+    return out
 
 
 def derivative(fld: SpectralField) -> SpectralField:

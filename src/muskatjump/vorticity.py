@@ -116,9 +116,13 @@ class VorticityPair:
 
     ``evaluation`` is the solve's last ``_Workspace.evaluate`` pass, at the
     returned strength: its samples of omega1, the line coupling and the two
-    self sums, which a consumer reads instead of transforming again.  The
-    spectra ``omega1`` and ``omega2`` are extended from its half spectra on
-    first read, which the step never makes.
+    self sums, which a consumer reads instead of transforming again.
+    ``update`` is the preconditioned update M (T(omega1) - omega1) on
+    k = 0..N/2 that the stop test measured there (None at A_mu = 0, where
+    nothing is solved): omega1 plus it is the next iterate, one contraction
+    closer to the fixed point.  The spectra ``omega1`` and ``omega2`` are
+    extended from the evaluation's half spectra on first read, which the
+    step never makes.
     """
 
     grid: GridSpec
@@ -126,6 +130,7 @@ class VorticityPair:
     iterations: int
     evaluation: _Evaluation = field(repr=False, compare=False)
     contraction_ratio: float | None = None
+    update: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def omega1(self) -> SpectralField:
@@ -495,14 +500,15 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
     stays above tol for ``max_iter``, raises PicardDivergenceError with the
     update-norm history attached.
     ``workspace`` is the snapshot's kernel backend, built here when not given;
-    its last evaluation, at the returned strength, is the pair's ``evaluation``.
+    its last evaluation, at the returned strength, is the pair's ``evaluation``,
+    and the update it measured the pair's ``update``.
     """
     ws = workspace or _Workspace(f, cfg, DEFAULT_SERIES_TOL)
     grid = ws.grid
     w1 = ws.linear
     history: list[float] = []
     ratio = None
-    delta, it, grew = 0.0, 1, 0
+    delta, it, grew, update = 0.0, 1, 0, None
     if cfg.a_mu != 0.0:
         # a fresh iterate, updated in place below
         w1 = w1 + guess if guess is not None else w1.copy()
@@ -541,7 +547,7 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
     else:
         ev = ws.evaluate(w1)
     return VorticityPair(grid, residual=delta, iterations=it, evaluation=ev,
-                         contraction_ratio=ratio)
+                         contraction_ratio=ratio, update=update)
 
 
 @dataclass(frozen=True)

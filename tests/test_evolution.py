@@ -119,13 +119,16 @@ def test_rhs_parts_are_the_four_integrals(amplitude):
 
 @pytest.mark.parametrize("amplitude", [0.02, 0.3])
 def test_rhs_and_tendency_are_one_assembly(amplitude):
-    # the breakdown's nonlinear part is the step's tendency bit for bit, with
-    # the self terms by their series alone (amplitude 0.02) and with a near
-    # field (0.3)
-    f = gaussian_bump(GridSpec(256, L12), amplitude, 1.5)
+    # the breakdown's nonlinear part is the extension of the step's tendency,
+    # a half spectrum k = 0..N/2, bit for bit, with the self terms by their
+    # series alone (amplitude 0.02) and with a near field (0.3)
+    g = GridSpec(256, L12)
+    f = gaussian_bump(g, amplitude, 1.5)
     opts = SolverOptions()
-    assert np.array_equal(rhs(f, REF_CFG, opts).nonlinear_part.coefficients,
-                          nonlinear_tendency(f, REF_CFG, opts))
+    tendency = nonlinear_tendency(f, REF_CFG, opts)
+    assert tendency.shape == (g.nyquist_index() + 1,)
+    assert np.array_equal(_bits(rhs(f, REF_CFG, opts).nonlinear_part.coefficients),
+                          _bits(hermitian_extension(tendency, g)))
 
 
 @pytest.mark.parametrize("amplitude", [0.95, 1.05])
@@ -158,7 +161,7 @@ def test_step_pure_linear_decay_is_exact(monkeypatch):
     k, dt = 3, 0.05
     f = InterfaceField.from_samples(1e-3 * np.cos(k * g.nodes()), g)
     monkeypatch.setattr(evo, "nonlinear_tendency",
-                        lambda state, cfg, opts, carry=None: np.zeros(128, complex))
+                        lambda state, cfg, opts, carry=None: np.zeros(65, complex))
     out = evo.step(f, dt, REF_CFG)
     ratio = out.f.coefficients[k] / f.f.coefficients[k]
     want = np.exp(-linear_symbol(float(k), REF_CFG) * dt)
@@ -271,13 +274,13 @@ def _bits(a) -> np.ndarray:
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n_corrections=st.integers(0, 3), with_tendency=st.booleans())
+@given(data=st.data(), n_corrections=st.integers(0, 4), with_tendency=st.booleans())
 def test_checkpoint_v2_round_trips_every_bit_pattern(tmp_path_factory, data, n_corrections,
                                                      with_tendency):
     # the corrections and N_{n-1} hold arbitrary 64-bit patterns (NaN payloads
     # included), +-0 and subnormals among them; the state holds the finite
-    # ones below 1e300, whose Hermitian projection is exact, with real k = 0
-    # and N/2 modes and +0.0 for -0.0, as the step builds a state; the
+    # ones below 1e300, whose Hermitian projection is exact, signed zeros
+    # included, with real k = 0 and N/2 modes, as the step builds a state; the
     # float.hex scalars hold any non-NaN double
     g = GridSpec(16, L12)
     h = g.nyquist_index() + 1
@@ -294,7 +297,7 @@ def test_checkpoint_v2_round_trips_every_bit_pattern(tmp_path_factory, data, n_c
         spectrum = np.where(np.abs(spectrum) < 1e300, spectrum, 0.0)
     spectrum[0] = spectrum[0].real
     spectrum[-1] = spectrum[-1].real
-    state = InterfaceField(SpectralField(g, hermitian_extension(spectrum + 0.0, g)),
+    state = InterfaceField(SpectralField(g, hermitian_extension(spectrum, g)),
                            data.draw(st.floats(0.0, 1e300)))
     scalars = st.floats(allow_nan=False)
     mon = MonitorState(integral={0: data.draw(scalars), 1: data.draw(scalars)},
@@ -314,6 +317,26 @@ def test_checkpoint_v2_round_trips_every_bit_pattern(tmp_path_factory, data, n_c
     assert (got.tendency is None) == (not with_tendency)
     if with_tendency:
         assert np.array_equal(_bits(got.tendency), _bits(mon.tendency))
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                  st.floats(-1e3, 1e3)), min_size=16, max_size=16),
+       even=st.booleans())
+def test_any_state_goes_through_a_checkpoint_bit_for_bit(tmp_path_factory, samples, even):
+    # a state from samples, not built by a step: its projection is the
+    # extension of its half spectrum, so the v2 file's half extends back to
+    # the same bits, signed zeros included (even data make exact zeros in
+    # the imaginary parts of both mirrors)
+    g = GridSpec(16, L12)
+    x = np.array(samples)
+    if even:
+        x = 0.5 * (x + np.roll(x[::-1], 1))
+    state = InterfaceField.from_samples(x, g)
+    path = tmp_path_factory.mktemp("ck") / "ck.json"
+    save_checkpoint(path, state, REF_CFG, 0, 0.05)
+    assert np.array_equal(_bits(load_checkpoint(path, REF_CFG)[0].f.coefficients),
+                          _bits(state.f.coefficients))
 
 
 _V1_CHECKPOINT = Path(__file__).parent / "checkpoint_v1.json"
@@ -414,7 +437,7 @@ def test_checkpoint_without_correction_resumes_cold(tmp_path):
     full = run(f0, REF_CFG, sched, on_snapshot=keep)
     payload = json.loads(path.read_text())
     corrections = payload["monitor"].pop("corrections")
-    assert [len(c) for c in corrections] == [16 * g.n_points] * 3
+    assert [len(c) for c in corrections] == [16 * g.n_points] * 4
     assert "tendency" in payload["monitor"]
     path.write_text(json.dumps(payload))
     mid, start, _, monitor = load_checkpoint(path, REF_CFG)
@@ -446,7 +469,7 @@ def test_step_blowup_detector(monkeypatch):
     f = InterfaceField.from_samples(1e-3 * np.cos(g.nodes()), g)
 
     def bad_tendency(state, cfg, opts, carry=None):
-        out = np.zeros(128, complex)
+        out = np.zeros(65, complex)
         out[1] = np.nan
         return out
 
@@ -485,7 +508,9 @@ def _assert_step_spectra_hermitian(f: InterfaceField, steps: int = 3):
     for c in states:
         assert np.array_equal(c.view(np.uint64), hermitian_symmetrize(c).view(np.uint64))
     br = rhs(f, REF_CFG, opts)
-    for c in tendencies + [br.linear_part.coefficients, br.nonlinear_part.coefficients]:
+    grid = f.f.grid
+    for c in [hermitian_extension(t, grid) for t in tendencies] + [
+            br.linear_part.coefficients, br.nonlinear_part.coefficients]:
         assert np.array_equal(c, hermitian_symmetrize(c))
 
 
@@ -501,11 +526,11 @@ def test_decay_step_allocates_no_row_storage():
     assert len(carry.corrections) == 1
 
 
-def test_warm_tendency_takes_nine_transforms_at_most(monkeypatch):
-    # one right-hand side on the decay datum with a warm one-iteration solve:
-    # the workspace's samples, the iteration's evaluation and update, the last
-    # evaluation and the parts formed in sample space (16 calls when each
-    # operator issued its own)
+def test_warm_tendency_takes_six_transforms(monkeypatch):
+    # one tendency on the decay datum with a warm one-iteration solve: the
+    # workspace's samples, the evaluation (a forward and an inverse batch),
+    # the update, the carried next iterate and the summed integrals (16 calls
+    # when each operator issued its own, 9 before the tendency was one sum)
     g = GridSpec(512, 400 * np.pi)
     f = decay_packet(g)
     opts = SolverOptions(leakage_threshold=1e-3)
@@ -519,7 +544,128 @@ def test_warm_tendency_takes_nine_transforms_at_most(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     nonlinear_tendency(f, REF_CFG, opts, carry=carry)
-    assert 0 < len(calls) <= 9
+    assert calls == ["irfft", "rfft", "irfft", "rfft", "irfft", "rfft"]
+
+
+def test_decay_steps_take_about_one_strength_evaluation_each(monkeypatch):
+    # 90 steps of the acceptance decay datum: the first solve is cold, and the
+    # cubic start from the carried next iterates passes the stop test at its
+    # first evaluation on nearly every later step (182 evaluations from the
+    # quadratic in the solves' own iterates, 118 here)
+    evaluate, calls = _Workspace.evaluate, []
+
+    def counted(self, w1):
+        calls.append(1)
+        return evaluate(self, w1)
+
+    monkeypatch.setattr(_Workspace, "evaluate", counted)
+    state, carry = decay_packet(GridSpec(512, 400 * np.pi)), MonitorState()
+    opts = SolverOptions(leakage_threshold=1e-3)
+    for _ in range(90):
+        state = step(state, 0.1, REF_CFG, opts, carry=carry)
+    assert len(carry.corrections) == 4
+    assert len(calls) <= 125
+
+
+def test_carried_correction_is_the_solves_next_iterate():
+    # the carried correction is the returned strength plus the irfft of the
+    # update its stop test measured, minus the linear strength, bit for bit:
+    # after a cold multi-iteration solve and a warm one-iteration one.  The
+    # strength returned stays the iterate checked, with the norm of that
+    # update as its residual, and the next iterate is what a solve to the
+    # tighter tolerance returns
+    g = GridSpec(512, 400 * np.pi)
+    f = decay_packet(g)
+    opts = SolverOptions(leakage_threshold=1e-3)
+    carry = MonitorState()
+    for iterations in ("many", "one"):
+        guess = carry.corrections[-1] if carry.corrections else None
+        pair, ws, _, _ = evolution._assemble(f, REF_CFG, opts, carry=carry)
+        assert (pair.iterations > 2) == (iterations == "many")
+        assert (pair.iterations == 1) == (iterations == "one")
+        w1, u = pair.evaluation.w1, pair.update
+        assert u.shape == (g.nyquist_index() + 1,)
+        assert pair.residual == 2.0 * np.sum(np.abs(u)) - abs(u[0]) - abs(u[-1]) < opts.picard_tol
+        ahead = w1 + np.fft.irfft(u, g.n_points, norm="forward")
+        assert np.array_equal(_bits(carry.corrections[-1]), _bits(ahead - ws.linear))
+        tighter = solve_vorticity(f, REF_CFG, tol=pair.residual, workspace=ws, guess=guess,
+                                  max_iter=pair.iterations + 1)
+        assert tighter.iterations == pair.iterations + 1
+        assert np.array_equal(_bits(tighter.evaluation.w1), _bits(ahead))
+
+
+def _chirp_tendency(grid: GridSpec, modes: int) -> np.ndarray:
+    # |n_k| = 1 on k = 1..modes with quadratic phases: max|N| is a few
+    # sqrt(modes), far below the bound 2 modes
+    k = np.arange(1, modes + 1)
+    n = np.zeros(grid.nyquist_index() + 1, complex)
+    n[k] = np.exp(1j * np.pi * k * k / modes)
+    return n
+
+
+def test_cfl_check_transforms_the_tendency_only_past_its_bound(monkeypatch):
+    import muskatjump.evolution as evo
+
+    g = GridSpec(128, 2 * np.pi)
+    f = InterfaceField.from_samples(1e-3 * np.cos(g.nodes()), g)
+    n = _chirp_tendency(g, 40)
+    monkeypatch.setattr(evo, "nonlinear_tendency", lambda state, cfg, opts, carry=None: n)
+    bound = 2.0 * np.sum(np.abs(n))
+    speed = np.max(np.abs(np.fft.irfft(n, g.n_points, norm="forward")))
+    assert speed < bound / 4.0
+    xi_max = float(np.max(np.abs(g.wavenumbers())))
+    irfft, transforms = np.fft.irfft, []
+
+    def counted(*args, **kwargs):
+        transforms.append(1)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    dt = 1e-3
+    # the bound passes with its margin: no transform
+    evo.step(f, dt, REF_CFG, SolverOptions(cfl_bound=2.01 * dt * xi_max * bound))
+    assert transforms == []
+    # the bound fails outright, the exact speed passes: one transform, and a step
+    out = evo.step(f, dt, REF_CFG, SolverOptions(cfl_bound=2.0 * dt * xi_max * speed))
+    assert transforms == [1] and np.all(np.isfinite(out.f.coefficients))
+    with pytest.raises(StepSizeError, match="exceeds bound"):
+        evo.step(f, dt, REF_CFG, SolverOptions(cfl_bound=0.99 * dt * xi_max * speed))
+    with pytest.raises(StepSizeError, match="exceeds bound 1e-300"):
+        evo.step(f, dt, REF_CFG, SolverOptions(cfl_bound=1e-300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(modes=st.integers(1, 32), seed=st.integers(0, 2 ** 32 - 1),
+       ratio=st.floats(0.5, 4.0))
+def test_cfl_check_rejects_what_the_exact_check_rejects(modes, seed, ratio):
+    # a step passes the CFL check iff dt max|N| xi_max <= cfl_bound, with
+    # max|N| from the exact transform, near the limit and on either side of
+    # it; N is transformed only where its bound is above half the limit
+    g = GridSpec(64, L12)
+    rng = np.random.default_rng(seed)
+    n = np.zeros(g.nyquist_index() + 1, complex)
+    n[:modes] = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
+    n[0] = n[0].real
+    f = InterfaceField.from_samples(np.zeros(g.n_points), g)
+    dt, xi_max = 0.01, float(np.max(np.abs(g.wavenumbers())))
+    speed = float(np.max(np.abs(np.fft.irfft(n, g.n_points, norm="forward"))))
+    cfl = ratio * dt * speed * xi_max
+    bound = 2.0 * np.sum(np.abs(n)) - abs(n[0]) - abs(n[-1])
+    irfft, transforms = np.fft.irfft, []
+
+    def counted(*args, **kwargs):
+        transforms.append(1)
+        return irfft(*args, **kwargs)
+
+    with mock.patch.object(evolution, "nonlinear_tendency",
+                           lambda state, cfg, opts, carry=None: n), \
+            mock.patch.object(np.fft, "irfft", counted):
+        if dt * speed * xi_max > cfl:
+            with pytest.raises(StepSizeError):
+                step(f, dt, REF_CFG, SolverOptions(cfl_bound=cfl))
+        else:
+            step(f, dt, REF_CFG, SolverOptions(cfl_bound=cfl))
+    assert len(transforms) == (dt * xi_max * bound > 0.5 * cfl)
 
 
 @pytest.mark.parametrize("amplitude", [0.01, 0.3])

@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muskatjump import (GridSpec, SpectralField, conj_poisson_hat, derivative, forward, inverse,
                         poisson_hat)
 from muskatjump.errors import ConfigurationError, DomainError
-from muskatjump.spectral import dealias_mask, odd_offset_rows, odd_offsets, pv_kernel_periodic
+from muskatjump.spectral import (dealias_mask, hermitian_symmetrize, odd_offset_rows, odd_offsets,
+                                 pv_kernel_periodic)
 
 
 def test_forward_constant():
@@ -60,6 +63,29 @@ def test_reality_symmetry_exact():
     g = GridSpec(64, 2 * np.pi)
     c = forward(rng.standard_normal(64), g).coefficients
     assert np.array_equal(c, np.conj(np.concatenate((c[:1], c[:0:-1]))))
+
+
+_ZEROS_AND_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, float(np.finfo(float).tiny), 1e300, -1e300]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3, 8, 16]), rows=st.integers(1, 3))
+def test_hermitian_symmetrize_is_idempotent_bit_for_bit(data, n, rows):
+    # real and imaginary parts from finite doubles up to 1e300 in magnitude
+    # (their pair sums stay finite), with signed zeros and subnormals mixed in;
+    # a second projection leaves the first one's bits, the signs of zeros
+    # included, on every row, and the modes past n/2 are the conjugates of
+    # those below to the bit
+    parts = data.draw(st.lists(st.one_of(st.sampled_from(_ZEROS_AND_EXTREMES),
+                                         st.floats(-1e300, 1e300)),
+                               min_size=2 * n * rows, max_size=2 * n * rows))
+    c = np.array(parts).view(complex).reshape(rows, n)
+    once = hermitian_symmetrize(c)
+    assert np.array_equal(once.view(np.uint64), hermitian_symmetrize(once).view(np.uint64))
+    assert np.array_equal(once, 0.5 * (c + np.conj(np.concatenate((c[:, :1], c[:, :0:-1]), 1))))
+    upper = n // 2 + 1
+    assert np.array_equal(once[:, upper:].view(np.uint64),
+                          np.conj(once[:, n - upper: 0: -1]).view(np.uint64))
 
 
 def test_spectral_field_holds_no_time():
