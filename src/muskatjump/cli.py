@@ -211,6 +211,10 @@ def cmd_run(args) -> int:
         # without the accumulators the budget integrals would restart from zero
         if start_step > 0 and monitor is None:
             raise ConfigurationError(f"checkpoint {args.resume} has no monitor block")
+        # run() times step i at i * dt, bit for bit, and so must the state it resumes
+        if state.time != start_step * schedule.dt:
+            raise ConfigurationError(f"checkpoint {args.resume} time {state.time!r} is not its "
+                                     f"step {start_step} times dt {schedule.dt!r}")
         resume = (state, start_step, monitor)
     outdir = Path(args.output_dir or os.environ.get("MUSKATJUMP_OUTPUT_DIR") or ".")
     outdir.mkdir(parents=True, exist_ok=True)

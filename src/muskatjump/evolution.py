@@ -56,8 +56,8 @@ class InterfaceField:
         # c - sym is half of c minus its conjugate mirror; a NaN fails the test
         if not 2.0 * np.max(np.abs(c - sym)) <= 1e-10 * max(np.max(np.abs(c)), 1.0):
             raise ConfigurationError("interface height must be real-symmetric")
-        if self.time < 0:
-            raise ConfigurationError("time must be nonnegative")
+        if not 0.0 <= self.time < math.inf:
+            raise ConfigurationError(f"time must be nonnegative and finite, got {self.time!r}")
         object.__setattr__(self, "f", self.f.with_coefficients(sym))
 
     @classmethod
@@ -103,14 +103,12 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RhsBreakdown:
-    """The four interface integrals, their linear/nonlinear split and the strengths solved."""
+    """The four interface integrals I1..I4, dealiased, and the strengths solved."""
 
     i1: SpectralField
     i2: SpectralField
     i3: SpectralField
     i4: SpectralField
-    linear_part: SpectralField
-    nonlinear_part: SpectralField
     pair: VorticityPair
 
 
@@ -128,17 +126,14 @@ def check_leakage(f: InterfaceField, threshold: float) -> None:
         raise GeometryError(f"boundary leakage {leak:.3g} exceeds threshold {threshold:.3g}")
 
 
-def _depth_growth(axi, cfg: FluidConfig):
-    """exp(2 h2 |xi|); inf past the double range, where every quotient by it is its limit 0."""
-    with np.errstate(over="ignore"):
-        return np.exp(2.0 * cfg.h2 * axi)
-
-
 def linear_symbol(xi, cfg: FluidConfig):
     """Exact decay rate m(xi) of the linearized evolution; the linear part is -m(xi) f_hat."""
     axi = np.abs(xi)
+    # exp(2 h2 |xi|) is inf past the double range, where the quotient by it is its limit 0
+    with np.errstate(over="ignore"):
+        growth = np.exp(2.0 * cfg.h2 * axi)
     return cfg.a_rho * axi * (
-        1.0 - cfg.a_kappa * (1.0 - cfg.a_mu) / (_depth_growth(axi, cfg) - cfg.a_kappa * cfg.a_mu)
+        1.0 - cfg.a_kappa * (1.0 - cfg.a_mu) / (growth - cfg.a_kappa * cfg.a_mu)
     )
 
 
@@ -153,14 +148,14 @@ def _dealiased_linear(grid: GridSpec, cfg: FluidConfig) -> np.ndarray:
 
 def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
               carry: MonitorState | None = None):
-    """Strength solve, its workspace and the linear/nonlinear split on k = 0..N/2.
+    """Strength solve, its workspace and the nonlinear remainder on k = 0..N/2.
 
     One kernel backend serves the strength solve and the right-hand side, and
     the solve's last evaluation is the right-hand side's: it holds the two
     self sums S0, S1 and the line coupling P omega2, CP omega2, so the sum
     I1 + I2 + I3 + I4 = S0 + CP omega2 + df (S1 + P omega2) is one transform
-    of its samples.  The linear part and the nonlinear remainder are half
-    spectra k = 0..N/2.  With a ``carry`` the solve starts from the cubic
+    of its samples, and the remainder is its dealiased half spectrum over 2pi
+    minus the linear part.  With a ``carry`` the solve starts from the cubic
     extrapolation 4c_n - 6c_{n-1} + 4c_{n-2} - c_{n-3} of its last
     corrections (the quadratic 3c_n - 3c_{n-1} + c_{n-2}, 2c_n - c_{n-1}, or
     c_n while fewer are known), and its own is appended here: the strength
@@ -190,70 +185,38 @@ def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
     # both sides of the split live on the dealiased band, so the remainder is
     # identically zero above the 2/3 cutoff and high modes evolve purely by
     # the integrating factor
-    linear_half = _dealiased_linear(grid, cfg) * f.f.coefficients[:half]
     nonlinear_half = np.where(dealias_mask(grid)[:half], np.fft.rfft(total, norm="forward"), 0.0)
     nonlinear_half /= 2.0 * np.pi
-    nonlinear_half -= linear_half
-    return pair, ws, linear_half, nonlinear_half
+    nonlinear_half -= _dealiased_linear(grid, cfg) * f.f.coefficients[:half]
+    return pair, ws, nonlinear_half
 
 
 def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) -> RhsBreakdown:
-    """Assemble the interface right-hand side, its linear/nonlinear split and strengths.
+    """Assemble the four interface integrals, dealiased, and the strengths solved.
 
-    The split is the step's, extended to the full N; the four integrals
-    I1 = S0, I2 = df S1, I3 = CP omega2 and I4 = df P omega2 take one
-    batched transform of their own.
+    I1 = S0, I2 = df S1, I3 = CP omega2 and I4 = df P omega2 are read off the
+    strength solve's last evaluation, as the step's tendency is, and take one
+    batched transform of their own; ``nonlinear_tendency`` gives their split.
     """
     opts = opts or SolverOptions()
     grid = f.f.grid
     check_leakage(f, opts.leakage_threshold)
-    pair, ws, linear_half, nonlinear_half = _assemble(f, cfg, opts)
+    pair, ws, _ = _assemble(f, cfg, opts)
     ev = pair.evaluation
     spectra = np.fft.rfft([ev.s0, ws.dF * ev.s1, ev.cp, ws.dF * ev.p], norm="forward")
     parts = np.where(dealias_mask(grid)[: grid.nyquist_index() + 1], spectra, 0.0)
     i1f, i2f, i3f, i4f = (SpectralField(grid, c) for c in hermitian_extension(parts, grid))
-    return RhsBreakdown(
-        i1=i1f, i2=i2f, i3=i3f, i4=i4f,
-        linear_part=SpectralField(grid, hermitian_extension(linear_half, grid)),
-        nonlinear_part=SpectralField(grid, hermitian_extension(nonlinear_half, grid)),
-        pair=pair,
-    )
-
-
-def _nonlinear_diagnostics(f: InterfaceField, cfg: FluidConfig, pair: VorticityPair,
-                           i1f: SpectralField, i3f: SpectralField) -> dict:
-    """F^{0,1} sizes of the named nonlinear pieces of the mode-space split."""
-    grid = f.f.grid
-    xi = grid.wavenumbers()
-    axi = np.abs(xi)
-    decay = np.exp(-cfg.h2 * axi)
-    w1hat, w2hat = pair.omega1.coefficients, pair.omega2.coefficients
-    fhat = f.f.coefficients
-    n_w2 = w2hat - (-cfg.a_kappa * decay * w1hat)
-    n_w1 = w1hat - (-cfg.a_mu * decay * w2hat - 2.0 * cfg.a_rho * (1j * xi) * fhat)
-    denom = _depth_growth(axi, cfg) - cfg.a_kappa * cfg.a_mu
-    sgn = np.sign(xi)
-    n1 = -0.5j * sgn * decay * n_w2
-    n2 = 0.5j * sgn * cfg.a_kappa / denom * n_w1
-    n3 = 0.5j * sgn * cfg.a_kappa * cfg.a_mu * decay / denom * n_w2
-    n0 = i1f.coefficients / (2.0 * np.pi) - 0.5 * (-1j * sgn) * w1hat
-    n4 = i3f.coefficients / (2.0 * np.pi) - 0.5 * (-1j * sgn) * decay * w2hat
-
-    def size(c):
-        return float(np.sum(np.abs(c)))
-
-    return {"N0": size(n0), "N1": size(n1), "N2": size(n2), "N3": size(n3),
-            "N4": size(n4), "N(omega1)": size(n_w1), "N(omega2)": size(n_w2)}
+    return RhsBreakdown(i1=i1f, i2=i2f, i3=i3f, i4=i4f, pair=pair)
 
 
 def nonlinear_tendency(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
                        carry: MonitorState | None = None) -> np.ndarray:
-    """Half spectrum k = 0..N/2 of the nonlinear remainder N(f) = rhs - linear part.
+    """Half spectrum k = 0..N/2 of the nonlinear remainder N(f), the one linear/nonlinear
+    split: ``rhs``'s (I1 + I2 + I3 + I4)/2pi minus the linear part -m(xi) f_hat.
 
     ``carry`` warm-starts the strength solve from the previous evaluations'.
-    ``hermitian_extension`` gives the full spectrum, which ``rhs`` reports.
     """
-    return _assemble(f, cfg, opts, carry=carry)[3]
+    return _assemble(f, cfg, opts, carry=carry)[2]
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:

@@ -38,8 +38,9 @@ class GridSpec:
 
     def __post_init__(self):
         n, L = self.n_points, self.domain_length
-        if not isinstance(n, (int, np.integer)) or n <= 0 or n % 2 != 0:
-            raise ConfigurationError(f"n_points must be a positive even integer, got {n!r}")
+        # the alternating pv rule needs odd offsets symmetric about zero
+        if not isinstance(n, (int, np.integer)) or n <= 0 or n % 4 != 0:
+            raise ConfigurationError(f"n_points must be a positive multiple of 4, got {n!r}")
         if not np.isfinite(L) or L <= 0:
             raise ConfigurationError(f"domain_length must be finite and positive, got {L!r}")
         # past this length xi_1^2 is no normal double: F^{2,1} and the strip-radius fit fail
@@ -185,14 +186,11 @@ def pv_kernel_periodic(beta, L: float):
 def odd_offsets(grid: GridSpec) -> np.ndarray:
     """Integer offsets for the alternating-point principal-value rule.
 
-    Odd multiples of the grid spacing covering one period; requires n
-    divisible by 4 so the offset set is symmetric about zero.  With the
-    periodized pv kernel this rule reproduces the Hilbert multiplier
-    -i pi sgn(k) exactly for |k| < n/2.
+    Odd multiples of the grid spacing covering one period, symmetric about
+    zero since n is a multiple of 4.  With the periodized pv kernel this rule
+    reproduces the Hilbert multiplier -i pi sgn(k) exactly for |k| < n/2.
     """
     n = grid.n_points
-    if n % 4 != 0:
-        raise ConfigurationError("alternating pv rule requires n_points divisible by 4")
     m = np.arange(-n // 2 + 1, n // 2 + 1)
     return m[m % 2 != 0]
 

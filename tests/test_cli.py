@@ -335,6 +335,42 @@ def test_resume_under_another_config_is_a_configuration_error(checkpointed_run, 
     assert _files(out) == before
 
 
+@pytest.mark.parametrize("time", [math.nan, 0.7])
+def test_resume_from_a_checkpoint_off_the_run_clock_is_a_configuration_error(
+        checkpointed_run, tmp_path, capsys, time):
+    # run() times step i at i * dt; a checkpoint of step 5 whose time is NaN
+    # or another step's is refused before anything is written
+    config, full = checkpointed_run
+    out = tmp_path / "out"
+    shutil.copytree(full, out)
+    ck = out / "checkpoints" / "ckpt_00000005.json"
+    payload = json.loads(ck.read_text())
+    payload["time_hex"] = float(time).hex()
+    ck.write_text(json.dumps(payload))
+    before = _files(out)
+    assert main(["run", "--config", str(config), "--output-dir", str(out),
+                 "--resume", str(ck)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(ck) in err
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("n_points", [6, 130])
+@pytest.mark.parametrize("command", ["run", "certify", "linear"])
+def test_grid_off_the_alternating_rule_is_refused_before_anything_runs(tmp_path, capsys,
+                                                                       command, n_points):
+    # a grid the pv rule cannot use is refused when the config is loaded: no
+    # command runs on it and none writes anything
+    p = write_config(tmp_path / "c.json", grid={"n_points": n_points, "domain_length": 12 * np.pi})
+    argv = [command, "--config", str(p)]
+    if command != "certify":
+        argv += ["--output-dir" if command == "run" else "--output", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "multiple of 4" in captured.err
+    assert sorted(tmp_path.iterdir()) == [p]
+
+
 def test_resume_binds_the_canonical_config_without_t_end(checkpointed_run, tmp_path):
     # the same config written with its defaults named, integral floats as
     # integers and a later t_end is the same run: its checkpoint resumes it,

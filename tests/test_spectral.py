@@ -54,6 +54,10 @@ def test_forward_length_mismatch():
 def test_grid_invariants():
     with pytest.raises(ConfigurationError):
         GridSpec(33, 1.0)
+    # even, but off the alternating rule, whose odd offsets need n = 4j
+    for n in (6, 130):
+        with pytest.raises(ConfigurationError, match="multiple of 4"):
+            GridSpec(n, 1.0)
     with pytest.raises(ConfigurationError):
         GridSpec(32, -1.0)
 
