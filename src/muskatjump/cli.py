@@ -369,9 +369,10 @@ def cmd_oracle_check(args) -> int:
 
 
 def _sweep_worker(payload):
+    # each config takes the one path from argv to exit code, so that a failing
+    # config ends in its own exit code and not the whole sweep
     config_path, outdir = payload
-    args = _parser().parse_args(["run", "--config", config_path, "--output-dir", outdir])
-    return config_path, cmd_run(args)
+    return config_path, main(["run", "--config", config_path, "--output-dir", outdir])
 
 
 def cmd_sweep(args) -> int:

@@ -155,27 +155,14 @@ def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
     self sums S0, S1 and the line coupling P omega2, CP omega2, so the sum
     I1 + I2 + I3 + I4 = S0 + CP omega2 + df (S1 + P omega2) is one transform
     of its samples, and the remainder is its dealiased half spectrum over 2pi
-    minus the linear part.  With a ``carry`` the solve starts from the cubic
-    extrapolation 4c_n - 6c_{n-1} + 4c_{n-2} - c_{n-3} of its last
-    corrections (the quadratic 3c_n - 3c_{n-1} + c_{n-2}, 2c_n - c_{n-1}, or
-    c_n while fewer are known), and its own is appended here: the strength
-    plus the update the stop test measured at it, minus the linear strength.
-    That next iterate is one contraction past the tolerance, so the
-    corrections' noise, which the extrapolation lifts, lies far below it.
+    minus the linear part.  With a ``carry`` the solve starts from, and
+    appends to, its corrections (``solve_vorticity``).
     """
     grid = f.f.grid
-    carry = carry or MonitorState()
-    c = carry.corrections
-    guess = (4.0 * c[-1] - 6.0 * c[-2] + 4.0 * c[-3] - c[-4] if len(c) >= 4
-             else 3.0 * c[-1] - 3.0 * c[-2] + c[-3] if len(c) == 3
-             else 2.0 * c[-1] - c[-2] if len(c) == 2 else c[-1] if c else None)
     ws = _Workspace(f, cfg, opts.series_tol)
     pair = solve_vorticity(f, cfg, tol=opts.picard_tol, max_iter=opts.picard_max_iter,
-                           workspace=ws, guess=guess)
+                           workspace=ws, corrections=carry.corrections if carry else None)
     ev = pair.evaluation
-    ahead = ev.w1 if pair.update is None else (
-        ev.w1 + np.fft.irfft(pair.update, grid.n_points, norm="forward"))
-    carry.corrections = [*c[-3:], ahead - ws.linear]
     half = grid.nyquist_index() + 1
     # I1 + I2 + I3 + I4 in sample space
     total = ev.s1 + ev.p
@@ -353,11 +340,9 @@ class MonitorState:
 
     The monitors' accumulators compare against constants of the initial
     datum's certificate, which a resume recomputes instead of reading back.
-    ``corrections`` holds, oldest first, samples of the last (at most four)
-    strength solves' nonlinear parts: each solve's next iterate, its strength
-    plus the update its stop test measured, minus its linear strength M
-    (-2 A_rho df).  The next solve starts from its own linear strength plus
-    their extrapolation.  ``tendency`` is the last step's nonlinear tendency
+    ``corrections`` holds, oldest first, the last (at most four) strength
+    solves' corrections (``solve_vorticity``), from which the next solve
+    starts.  ``tendency`` is the last step's nonlinear tendency
     N_{n-1}, a half spectrum k = 0..N/2.  A payload without them starts the
     solve cold and the next step as ETD1.
     """

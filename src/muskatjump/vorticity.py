@@ -7,8 +7,8 @@ diagonal Fourier map omega1 -> A_kappa A_mu e^{-2 h2 |xi|} omega1 - 2 A_rho df/d
 so the solve is a Richardson iteration preconditioned by that exact
 linearization: omega1 <- omega1 + M (T(omega1) - omega1) with
 M(xi) = 1 / (1 - A_kappa A_mu e^{-2 h2 |xi|}), seeded at the linear strength
-M (-2 A_rho df/da) plus the nonlinear correction of a previous solve when one
-is at hand.  An update that grows in ``_GROWTH_LIMIT`` consecutive iterations
+M (-2 A_rho df/da) plus the extrapolated corrections of earlier solves when a
+run has them.  An update that grows in ``_GROWTH_LIMIT`` consecutive iterations
 ends the solve as a divergence.
 
 The line couples to the interface only through the Poisson kernel at depth
@@ -116,11 +116,9 @@ class VorticityPair:
 
     ``evaluation`` is the solve's last ``_Workspace.evaluate`` pass, at the
     returned strength: its samples of omega1, the line coupling and the two
-    self sums, which a consumer reads instead of transforming again.
-    ``update`` is the preconditioned update M (T(omega1) - omega1) on
-    k = 0..N/2 that the stop test measured there (None at A_mu = 0, where
-    nothing is solved): omega1 plus it is the next iterate, one contraction
-    closer to the fixed point.  The spectra ``omega1`` and ``omega2`` are
+    self sums, which a consumer reads instead of transforming again.  The
+    solve's correction, its next iterate, goes to the caller's list
+    (``solve_vorticity``).  The spectra ``omega1`` and ``omega2`` are
     extended from the evaluation's half spectra on first read, which the
     step never makes.
     """
@@ -130,7 +128,6 @@ class VorticityPair:
     iterations: int
     evaluation: _Evaluation = field(repr=False, compare=False)
     contraction_ratio: float | None = None
-    update: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def omega1(self) -> SpectralField:
@@ -485,33 +482,43 @@ class _Workspace:
 def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
                     max_iter: int = DEFAULT_PICARD_MAX_ITER,
                     workspace: _Workspace | None = None,
-                    guess: np.ndarray | None = None) -> VorticityPair:
+                    corrections: list[np.ndarray] | None = None) -> VorticityPair:
     """Preconditioned Picard solve of the coupled sheet-strength system.
 
     With T(strength_1) = A_mu/pi (self-induction + line-coupling) - 2 A_rho df,
-    iterates strength_1 <- strength_1 + M (T(strength_1) - strength_1) from the
-    linear strength M (-2 A_rho df), M(xi) = 1/(1 - A_kappa A_mu e^{-2 h2 |xi|})
-    the inverse of T's flat-interface linearization.  It stops before the
-    update whose F^{0,1} norm drops below tol, and returns the iterate that
-    update would have moved, with that norm as its residual.  ``guess``,
-    samples of a nonlinear correction strength_1 - M (-2 A_rho df) (from a
-    previous, nearby solve), moves the start to the linear strength + guess.
-    An update norm that grows in ``_GROWTH_LIMIT`` consecutive iterations, or
-    stays above tol for ``max_iter``, raises PicardDivergenceError with the
-    update-norm history attached.
-    ``workspace`` is the snapshot's kernel backend, built here when not given;
-    its last evaluation, at the returned strength, is the pair's ``evaluation``,
-    and the update it measured the pair's ``update``.
+    iterates strength_1 <- strength_1 + M (T(strength_1) - strength_1),
+    M(xi) = 1/(1 - A_kappa A_mu e^{-2 h2 |xi|}) the inverse of T's
+    flat-interface linearization.  It stops before the update whose F^{0,1}
+    norm drops below tol, and returns the iterate that update would have
+    moved, with that norm as its residual.  An update norm that grows in
+    ``_GROWTH_LIMIT`` consecutive iterations, or stays above tol for
+    ``max_iter``, raises PicardDivergenceError with the update-norm history
+    attached.  ``workspace`` is the snapshot's kernel backend, built here when
+    not given; its last evaluation, at the returned strength, is the pair's
+    ``evaluation``.
+
+    A solve's correction is its next iterate, the returned strength plus the
+    update its stop test measured, minus the linear strength M (-2 A_rho df):
+    one contraction past the tolerance, so the noise that extrapolation lifts
+    lies far below it.  The solve starts from the linear strength plus the
+    cubic extrapolation 4c_n - 6c_{n-1} + 4c_{n-2} - c_{n-3} of
+    ``corrections``, a run's list of them, oldest first (the quadratic
+    3c_n - 3c_{n-1} + c_{n-2}, 2c_n - c_{n-1}, or c_n while fewer are known);
+    once converged it keeps the last three and appends its own, in place.  At
+    A_mu = 0 the strength is the linear one and its correction zero.  A solve
+    that raises leaves the list as it was; one without a list starts cold.
     """
     ws = workspace or _Workspace(f, cfg, DEFAULT_SERIES_TOL)
-    grid = ws.grid
-    w1 = ws.linear
+    c = corrections or []
+    w1 = ahead = ws.linear
     history: list[float] = []
-    ratio = None
-    delta, it, grew, update = 0.0, 1, 0, None
+    delta, it, grew, ratio = 0.0, 1, 0, None
     if cfg.a_mu != 0.0:
+        start = (4.0 * c[-1] - 6.0 * c[-2] + 4.0 * c[-3] - c[-4] if len(c) >= 4
+                 else 3.0 * c[-1] - 3.0 * c[-2] + c[-3] if len(c) == 3
+                 else 2.0 * c[-1] - c[-2] if len(c) == 2 else c[-1] if c else None)
         # a fresh iterate, updated in place below
-        w1 = w1 + guess if guess is not None else w1.copy()
+        w1 = w1 + start if start is not None else w1.copy()
         coupling = cfg.a_mu / np.pi
         for it in range(1, max_iter + 1):
             ev = ws.evaluate(w1)
@@ -532,22 +539,23 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
                 ratio = history[-1] / history[-2]
             # w1 is returned with its own residual and the evaluation at it
             if delta < tol:
+                ahead = w1 + np.fft.irfft(update, ws.grid.n_points, norm="forward")
                 break
             grew = grew + 1 if len(history) >= 2 and delta > history[-2] else 0
             if grew == _GROWTH_LIMIT:
                 raise PicardDivergenceError(
                     f"no contraction: the update grew in {grew} consecutive iterations "
                     f"(last residual {delta:.3g})", history)
-            w1 += np.fft.irfft(update, grid.n_points, norm="forward")
+            w1 += np.fft.irfft(update, ws.grid.n_points, norm="forward")
         else:
-            raise PicardDivergenceError(
-                f"no contraction after {max_iter} iterations (last residual {history[-1]:.3g})",
-                history,
-            )
+            raise PicardDivergenceError(f"no contraction after {max_iter} iterations "
+                                        f"(last residual {history[-1]:.3g})", history)
     else:
         ev = ws.evaluate(w1)
-    return VorticityPair(grid, residual=delta, iterations=it, evaluation=ev,
-                         contraction_ratio=ratio, update=update)
+    if corrections is not None:
+        corrections[:] = [*c[-3:], ahead - ws.linear]
+    return VorticityPair(ws.grid, residual=delta, iterations=it, evaluation=ev,
+                         contraction_ratio=ratio)
 
 
 @dataclass(frozen=True)

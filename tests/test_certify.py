@@ -431,6 +431,8 @@ def _bisection_reference(cfg):
        am=st.floats(-0.999, 0.999, exclude_min=True, exclude_max=True),
        h2=st.floats(0.01, 100.0))
 @example(ak=1.0 - 1e-9, am=0.0, h2=1.0)  # theta ~ 1e-9: degenerate
+# a root-solve probe lands within _MARGIN_EPS of the margin's zero, at tau = 0.0586
+@example(ak=-0.6970838025498458, am=0.26242917366727003, h2=1.055301156032362)
 def test_thresholds_equal_the_full_bisection(ak, am, h2):
     cfg = FluidConfig(ak, am, 1.0, h2)
     try:
@@ -443,6 +445,40 @@ def test_thresholds_equal_the_full_bisection(ak, am, h2):
                 thresholds(cfg)
         else:
             assert thresholds(cfg) == expected
+
+
+@pytest.mark.parametrize("fluid, probes", [
+    ((-0.6970838025498458, 0.26242917366727003, 1.0, 1.055301156032362), 21),
+    ((-0.809774828331853, 0.21099309254536658, 1.0, 0.28156043908367345), 22),
+    ((0.9984087092125052, 0.9911485436571587, 1.0, 63.541673552706115), 10)])
+def test_root_solve_steps_out_from_a_probe_on_the_zero(monkeypatch, fluid, probes):
+    # a probe of the root solve whose |g| is below _MARGIN_EPS sits on the
+    # margin's zero; the solve steps out to both sides from it, and the
+    # thresholds stay the bisection's
+    cfg = FluidConfig(*fluid)
+    expected = _bisection_reference(cfg)
+    monkeypatch.setattr(certify, "_thresholds_cache", {})
+    calls = _count_ledger_calls(monkeypatch)
+    margin, bracket, inside, margins = certify._margin, certify._bracket, [], []
+
+    def recording_margin(tau, c):
+        g = margin(tau, c)
+        if inside:
+            margins.append(g)
+        return g
+
+    def recording_bracket(*args):
+        inside.append(True)
+        try:
+            return bracket(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(certify, "_margin", recording_margin)
+    monkeypatch.setattr(certify, "_bracket", recording_bracket)
+    assert thresholds(cfg) == expected
+    assert len(calls) == probes
+    assert any(abs(g) < certify._MARGIN_EPS for g in margins)
 
 
 def test_thresholds_independent_of_a_rho(monkeypatch):

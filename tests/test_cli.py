@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from muskatjump import cli
+from muskatjump import certify, cli, evolution
 from muskatjump.cli import (EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_GEOMETRY, EXIT_INADMISSIBLE,
                             EXIT_OK, EXIT_ORACLE, build_initial_data, build_parser, load_config,
                             main)
@@ -554,6 +554,25 @@ def test_sweep_runs_configs_in_parallel(tmp_path):
         assert (out / f"s{i}" / "metadata.json").exists()
 
 
+def test_sweep_reports_every_configs_exit_code(tmp_path, capsys):
+    # a config refused on load ends in its own exit code, and the other
+    # configs still run, each as it runs alone
+    bad = _readme_variant(tmp_path / "bad.json", grid__n_points=130, schedule__t_end=0.04)
+    good = _readme_variant(tmp_path / "good.json", schedule__t_end=0.04)
+    out = tmp_path / "out"
+    assert main(["sweep", str(bad), str(good), "--output-dir", str(out),
+                 "--threads", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().out.splitlines() == [f"{bad}: exit 2", f"{good}: exit 0"]
+    assert not (out / "bad").exists()
+    alone = tmp_path / "alone"
+    assert main(["run", "--config", str(good), "--output-dir", str(alone)]) == EXIT_OK
+    swept, kept = _files(out / "good"), _files(alone)
+    metadata = [json.loads(files.pop(Path("metadata.json"))) for files in (swept, kept)]
+    for meta in metadata:
+        del meta["timestamps"]
+    assert swept == kept and metadata[0] == metadata[1]
+
+
 def test_sweep_rejects_configs_that_share_an_output_directory(tmp_path, capsys):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -571,6 +590,44 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("MUSKATJUMP_OUTPUT_DIR", str(target))
     assert main(["run", "--config", str(p)]) == EXIT_OK
     assert (target / "trajectory.csv").exists()
+
+
+def test_linear_output_file_holds_the_bytes_of_stdout(tmp_path, capsys):
+    p = write_config(tmp_path / "c.json")
+    argv = ["linear", "--config", str(p), "--max-mode", "4"]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    table = tmp_path / "linear.csv"
+    assert main([*argv, "--output", str(table)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert table.read_bytes() == printed.encode()
+
+
+def test_oracle_check_without_viscosity_contrast_has_no_tangential_residual(tmp_path, capsys):
+    # at A_mu = 0 the fluid sheet's strength is the linear one, and the
+    # Birkhoff-Rott identity it would be checked against divides by A_mu
+    p = _readme_variant(tmp_path / "c.json", fluid__a_mu=0.0)
+    assert main(["oracle-check", "--config", str(p)]) == EXIT_OK
+    assert "br_tangential_abs: 0.000000e+00\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case, message", [
+    ("missing_key", "missing key config.schedule"), ("unreadable", "cannot read config"),
+    ("not_json", "cannot read config"), ("version", "unsupported config version 2")])
+def test_unusable_config_is_a_configuration_error(tmp_path, capsys, case, message):
+    p = tmp_path / "c.json"
+    raw = copy.deepcopy(_FUZZ_BASE)
+    if case == "missing_key":
+        del raw["schedule"]
+    elif case == "version":
+        raw["version"] = 2
+    if case == "not_json":
+        p.write_text("{not json")
+    elif case != "unreadable":
+        p.write_text(json.dumps(raw))
+    assert main(["certify", "--config", str(p)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}")
 
 
 def test_linear_measure_stops_at_the_grids_highest_mode(tmp_path, capsys):
@@ -657,6 +714,45 @@ def test_run_leakage_exit_code(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(p), "--output-dir", str(out)]) == EXIT_GEOMETRY
     assert (out / "metadata.json").exists()
+
+
+def test_run_leakage_past_the_first_snapshot_ends_the_run_there(tmp_path, capsys):
+    # at width 4 the README datum's leakage is 1.28e-6 at t = 0 and 1.13e-4 at
+    # t = 0.7: the run keeps the rows and checkpoints up to that snapshot
+    p = _readme_variant(tmp_path / "c.json", initial_data__width=4.0, schedule__t_end=1.0)
+    out = tmp_path / "out"
+    reason = "boundary leakage 0.000113 exceeds threshold 0.0001 at t=0.7"
+    code, status = _run_with_metadata(p, out)
+    assert code == EXIT_GEOMETRY
+    assert status == {"exit": EXIT_GEOMETRY, "reason": reason}
+    assert capsys.readouterr().err == reason + "\n"
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.1 * i for i in range(8)])
+    assert sorted(ck.name for ck in (out / "checkpoints").iterdir())[-1] == "ckpt_00000035.json"
+
+
+def _halved_budget(conf):
+    """The certificate of a config's datum with a0 halved: its budget fails at t = 0."""
+    cert = certify.certify_datum(build_initial_data(conf), conf.fluid)
+    return dataclasses.replace(cert, a0=0.5 * cert.a0)
+
+
+def test_run_flags_a_violated_budget():
+    conf = load_config(ROOT / "examples" / "readme.json")
+    rec = evolution.run(build_initial_data(conf), conf.fluid, conf.schedule, conf.solver,
+                        certificate=_halved_budget(conf))
+    assert rec.budget_violated
+
+
+def test_violated_budget_ends_the_run_in_exit_5(tmp_path, monkeypatch, capsys):
+    config = ROOT / "examples" / "readme.json"
+    cert = _halved_budget(load_config(config))
+    monkeypatch.setattr(certify, "certify_datum", lambda f0, cfg: cert)
+    reason = "decay budget inequality violated"
+    code, status = _run_with_metadata(config, tmp_path / "out")
+    assert code == cli.EXIT_BUDGET
+    assert status == {"exit": cli.EXIT_BUDGET, "reason": reason}
+    assert capsys.readouterr().err == reason + "\n"
 
 
 def _run_exit(tmp_path, capsys, **overrides):

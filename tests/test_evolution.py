@@ -14,7 +14,7 @@ import mpmath as mp
 from muskatjump import (FluidConfig, GridSpec, SpectralField, evolution, inverse, linear_symbol,
                         oracle)
 from muskatjump.certify import thresholds
-from muskatjump.errors import BlowUpError, ConfigurationError, StepSizeError
+from muskatjump.errors import BlowUpError, ConfigurationError, PicardDivergenceError, StepSizeError
 from muskatjump.evolution import (InterfaceField, MonitorState, Schedule, SolverOptions,
                                   leakage, load_checkpoint, nonlinear_tendency, rhs, run,
                                   save_checkpoint, step)
@@ -371,6 +371,18 @@ def test_checkpoint_config_mismatch(tmp_path):
         load_checkpoint(path, other)
 
 
+@pytest.mark.parametrize("entry, value, message", [
+    ("schema", "muskatjump-checkpoint-v3", "unknown checkpoint schema"),
+    ("spectrum", "00" * 16 * 16, "spectrum does not match its grid")])
+def test_checkpoint_of_another_schema_or_grid_is_refused(tmp_path, entry, value, message):
+    # a 32-point grid stores 17 modes of the half spectrum, not 16
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, gaussian_bump(GridSpec(32, L12), 0.02, 1.5), REF_CFG, 0, 0.05)
+    path.write_text(json.dumps({**json.loads(path.read_text()), entry: value}))
+    with pytest.raises(ConfigurationError, match=message):
+        load_checkpoint(path, REF_CFG)
+
+
 @pytest.mark.parametrize("bad", [-1, 2.5, "5", True, None])
 def test_checkpoint_step_index_must_be_a_non_negative_integer(tmp_path, bad):
     g = GridSpec(32, L12)
@@ -532,7 +544,7 @@ def test_warm_tendency_takes_six_transforms(monkeypatch):
     opts = SolverOptions(leakage_threshold=1e-3)
     carry = MonitorState()
     nonlinear_tendency(f, REF_CFG, opts, carry=carry)
-    assert solve_vorticity(f, REF_CFG, guess=carry.corrections[-1]).iterations == 1
+    assert solve_vorticity(f, REF_CFG, corrections=list(carry.corrections)).iterations == 1
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         def counted(*args, _real=getattr(np.fft, name), **kwargs):
@@ -564,30 +576,35 @@ def test_decay_steps_take_about_one_strength_evaluation_each(monkeypatch):
 
 
 def test_carried_correction_is_the_solves_next_iterate():
-    # the carried correction is the returned strength plus the irfft of the
-    # update its stop test measured, minus the linear strength, bit for bit:
-    # after a cold multi-iteration solve and a warm one-iteration one.  The
-    # strength returned stays the iterate checked, with the norm of that
-    # update as its residual, and the next iterate is what a solve to the
-    # tighter tolerance returns
+    # the carried correction is the solve's next iterate minus the linear
+    # strength, bit for bit: what a solve from the same start to the tighter
+    # tolerance pair.residual returns, one iteration later, after a cold
+    # multi-iteration solve and a warm one-iteration one.  The strength
+    # returned stays the iterate checked: capped at its iteration count, that
+    # tighter solve fails at the residual returned, and leaves its list as it was
     g = GridSpec(512, 400 * np.pi)
     f = decay_packet(g)
     opts = SolverOptions(leakage_threshold=1e-3)
     carry = MonitorState()
     for iterations in ("many", "one"):
-        guess = carry.corrections[-1] if carry.corrections else None
+        before = list(carry.corrections)
         pair, ws, _ = evolution._assemble(f, REF_CFG, opts, carry=carry)
         assert (pair.iterations > 2) == (iterations == "many")
         assert (pair.iterations == 1) == (iterations == "one")
-        w1, u = pair.evaluation.w1, pair.update
-        assert u.shape == (g.nyquist_index() + 1,)
-        assert pair.residual == 2.0 * np.sum(np.abs(u)) - abs(u[0]) - abs(u[-1]) < opts.picard_tol
-        ahead = w1 + np.fft.irfft(u, g.n_points, norm="forward")
-        assert np.array_equal(_bits(carry.corrections[-1]), _bits(ahead - ws.linear))
-        tighter = solve_vorticity(f, REF_CFG, tol=pair.residual, workspace=ws, guess=guess,
-                                  max_iter=pair.iterations + 1)
+        assert pair.residual < opts.picard_tol
+        assert len(carry.corrections) == len(before[-3:]) + 1
+        assert all(a is b for a, b in zip(carry.corrections, before[-3:]))
+        tighter = solve_vorticity(f, REF_CFG, tol=pair.residual, workspace=ws,
+                                  corrections=list(before), max_iter=pair.iterations + 1)
         assert tighter.iterations == pair.iterations + 1
-        assert np.array_equal(_bits(tighter.evaluation.w1), _bits(ahead))
+        assert np.array_equal(_bits(carry.corrections[-1]),
+                              _bits(tighter.evaluation.w1 - ws.linear))
+        kept = list(before)
+        with pytest.raises(PicardDivergenceError) as failed:
+            solve_vorticity(f, REF_CFG, tol=pair.residual, workspace=ws, corrections=kept,
+                            max_iter=pair.iterations)
+        assert failed.value.residual_history[-1] == pair.residual
+        assert len(kept) == len(before) and all(a is b for a, b in zip(kept, before))
 
 
 def _chirp_tendency(grid: GridSpec, modes: int) -> np.ndarray:

@@ -439,7 +439,7 @@ def test_exact_correction_as_guess_converges_in_one_iteration():
     f = random_admissible_interface(g, np.random.default_rng(1), REF_CFG, k0, k1)
     tight = solve_vorticity(f, REF_CFG, tol=1e-15)
     cold = solve_vorticity(f, REF_CFG)
-    warm = solve_vorticity(f, REF_CFG, guess=_correction(f, tight))
+    warm = solve_vorticity(f, REF_CFG, corrections=[_correction(f, tight)])
     assert cold.iterations > warm.iterations == 1
     assert warm.residual < 1e-11
 
@@ -447,19 +447,19 @@ def test_exact_correction_as_guess_converges_in_one_iteration():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.05, 1.0),
        scale=st.floats(0.0, 2.0))
-# the guess is the exact correction: both solves stop at round-off, where
+# the start is the exact correction: both solves stop at round-off, where
 # only the rounding term of the bound is left
 @example(seed=101, frac=0.0703125, scale=1.0)
 def test_warm_and_cold_solves_agree(seed, frac, scale):
-    # the guess is the correction of a rescaled datum, as a previous step
-    # would leave it; the guess moves the start, not the fixed point
+    # the one known correction is that of a rescaled datum, as a previous
+    # step would leave it; it moves the start, not the fixed point
     k0, k1 = thresholds(REF_CFG)
     g = GridSpec(256, L12)
     f = random_admissible_interface(g, np.random.default_rng(seed), REF_CFG, k0, k1, frac)
     prev = InterfaceField(SpectralField(g, scale * f.f.coefficients, 0.0), 0.0)
-    guess = _correction(prev, solve_vorticity(prev, REF_CFG))
+    start = _correction(prev, solve_vorticity(prev, REF_CFG))
     cold = solve_vorticity(f, REF_CFG)
-    warm = solve_vorticity(f, REF_CFG, guess=guess)
+    warm = solve_vorticity(f, REF_CFG, corrections=[start])
     # T(w) = D w + N w - 2 A_rho df with D = A_kappa A_mu e^{-2 h2 |xi|} its
     # flat part, and the iteration is w <- w + M (T(w) - w), M = (1 - D)^{-1}.
     # Its error maps as e -> M N e.  The ledger's q = 1 - 1/C1 bounds D + N
