@@ -539,7 +539,8 @@ def solve_vorticity(f, cfg: FluidConfig, tol: float = DEFAULT_PICARD_TOL,
                 ratio = history[-1] / history[-2]
             # w1 is returned with its own residual and the evaluation at it
             if delta < tol:
-                ahead = w1 + np.fft.irfft(update, ws.grid.n_points, norm="forward")
+                if corrections is not None:
+                    ahead = w1 + np.fft.irfft(update, ws.grid.n_points, norm="forward")
                 break
             grew = grew + 1 if len(history) >= 2 and delta > history[-2] else 0
             if grew == _GROWTH_LIMIT:

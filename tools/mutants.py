@@ -12,11 +12,10 @@ A mutant that no named test kills is a gap in the tests: close it with a
 test, not by dropping the entry.  An entry whose old text is gone fails the
 script, so a refactor that moves the code moves the entry with it.
 
-usage: python tools/mutants.py [NAME ...]     (from the repository root)
+usage: python tools/mutants.py     (from the repository root)
 
 It prints one row per entry and exits 1 if any mutant survives, any old text
-is missing or not unique, or any named test fails unmutated (2 for a NAME
-that is no entry's).
+is missing or not unique, or any named test fails unmutated.
 """
 
 from __future__ import annotations
@@ -118,24 +117,19 @@ def check(mutant: Mutant) -> str:
     return "killed"
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    width = max(len(m.name) for m in chosen)
+def main() -> int:
+    width = max(len(m.name) for m in MUTANTS)
     print(f"{'mutant':<{width}}  {'file':<13}{'tests':>6}{'s':>7}  verdict")
     bad = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         verdict = check(mutant)
         bad += verdict != "killed"
         print(f"{mutant.name:<{width}}  {mutant.file:<13}{len(mutant.tests):>6}"
               f"{time.perf_counter() - start:>7.1f}  {verdict}", flush=True)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
