@@ -25,7 +25,8 @@ from . import __version__, certify
 from .errors import (BlowUpError, ConfigurationError, GeometryError,
                      PicardDivergenceError, RegimeError, StepSizeError, WeightRangeError)
 from .evolution import (TRAJECTORY_COLUMNS, InterfaceField, Schedule, SolverOptions,
-                        linear_symbol, load_checkpoint, rhs, run, save_checkpoint, step)
+                        linear_symbol, load_checkpoint, rhs, run, save_checkpoint, step,
+                        write_atomic)
 from .spectral import GridSpec, derivative, inverse
 from .vorticity import FluidConfig
 
@@ -189,8 +190,7 @@ def _write_metadata(outdir: Path, conf: Config, cert, status: dict,
                      "python": ".".join(map(str, sys.version_info[:3]))},
         "timestamps": {"started": started, "finished": finished},
     }
-    with open(outdir / "metadata.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
+    write_atomic(outdir / "metadata.json", json.dumps(meta, sort_keys=True, indent=1))
 
 
 def cmd_run(args) -> int:
@@ -231,13 +231,13 @@ def cmd_run(args) -> int:
         return EXIT_INADMISSIBLE
 
     csv_path = outdir / "trajectory.csv"
-    # a resume keeps the complete rows before its checkpoint; run() writes the
-    # checkpoint's own row again
+    # a resume keeps the complete rows before its checkpoint, on disk at every
+    # instant; run() appends the checkpoint's own row again
     rows = csv_path.read_text().splitlines(True)[1:] if args.resume and csv_path.exists() else []
     kept = [r for r in rows
             if r.endswith("\n") and round(float(r.split(",", 1)[0]) / schedule.dt) < start_step]
-    csv_fh = open(csv_path, "w")
-    csv_fh.write(",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(kept))
+    write_atomic(csv_path, ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(kept))
+    csv_fh = open(csv_path, "a")
 
     def on_snapshot(step_index, state, row, mon):
         csv_fh.write(",".join(_fmt(row[c]) for c in TRAJECTORY_COLUMNS) + "\n")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -343,8 +344,9 @@ class MonitorState:
     ``corrections`` holds, oldest first, the last (at most four) strength
     solves' corrections (``solve_vorticity``), from which the next solve
     starts.  ``tendency`` is the last step's nonlinear tendency
-    N_{n-1}, a half spectrum k = 0..N/2.  A payload without them starts the
-    solve cold and the next step as ETD1.
+    N_{n-1}, a half spectrum k = 0..N/2.  ``from_payload`` reads the monitor
+    block of a v2 checkpoint; one without them starts the solve cold and the
+    next step as ETD1.
     """
 
     integral: dict = field(default_factory=lambda: {0: 0.0, 1: 0.0})
@@ -357,9 +359,6 @@ class MonitorState:
         mon = cls(integral={0: fh(p["integral"][0]), 1: fh(p["integral"][1])},
                   corrections=[_from_hex(v, "<f8") for v in p.get("corrections", [])],
                   tendency=_from_hex(p["tendency"], "<c16") if "tendency" in p else None)
-        if "correction" in p:
-            # a v1 file's one correction, as float.hex strings
-            mon.corrections = [np.array([fh(v) for v in p["correction"]])]
         if any(c.shape != (grid.n_points,) for c in mon.corrections) or (
                 mon.tendency is not None and mon.tendency.shape != (grid.nyquist_index() + 1,)):
             raise ConfigurationError("checkpoint history does not match its grid")
@@ -387,7 +386,9 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     state, start_step, monitor = resume or (f0, 0, None)
     monitor = monitor or MonitorState()
     check_geometry(state.samples(), cfg)
-    check_leakage(state, opts.leakage_threshold)
+    # a resumed run's first snapshot checks its leakage after writing its row
+    if resume is None:
+        check_leakage(state, opts.leakage_threshold)
     cert = certificate or certify.certify_datum(f0, cfg)
     # the monitors need nu >= 0; an out-of-ledger datum may certify none or a
     # negative one
@@ -443,7 +444,15 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
 # Checkpointing: exact round-trip of doubles as their raw little-endian bytes.
 
 CHECKPOINT_SCHEMA = "muskatjump-checkpoint-v2"
-_CHECKPOINT_SCHEMA_V1 = "muskatjump-checkpoint-v1"
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it, renamed onto it."""
+    # a kill leaves the file under its final name whole, old or new
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def _to_hex(a: np.ndarray, dtype: str) -> str:
@@ -482,42 +491,35 @@ def save_checkpoint(path, state: InterfaceField, binding: "str | FluidConfig", s
         }
         if monitor.tendency is not None:
             payload["monitor"]["tendency"] = _to_hex(monitor.tendency, "<c16")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload))
+    write_atomic(path, json.dumps(payload))
 
 
 def load_checkpoint(path, binding: "str | FluidConfig | None" = None):
-    """State, step index, dt and monitor of a v2 or v1 checkpoint file.
+    """State, step index, dt and monitor of a ``muskatjump-checkpoint-v2`` file.
 
     With a ``binding`` (see ``save_checkpoint``) the file must carry its
-    hash; a v1 file carries the fluid's.  Other monitor keys, written by older
-    versions, are ignored.  A file that is missing, not JSON or incomplete
-    raises ConfigurationError naming the path.  The state holds the exact
-    Hermitian projection of the stored spectrum (``InterfaceField``), a v2
-    file's extended from k = 0..N/2; every saved state loads bit for bit.
+    hash.  Other monitor keys, written by older versions, are ignored.  A
+    file that is missing, not JSON or incomplete raises ConfigurationError
+    naming the path; a file of another schema, v1 included, raises one naming
+    that schema.  The state holds the exact Hermitian projection of the
+    stored half spectrum k = 0..N/2, extended (``InterfaceField``); every
+    saved state loads bit for bit.
     """
     try:
         with open(path) as fh:
             payload = json.load(fh)
         schema = payload.get("schema")
-        if schema not in (CHECKPOINT_SCHEMA, _CHECKPOINT_SCHEMA_V1):
+        if schema != CHECKPOINT_SCHEMA:
             raise ConfigurationError(f"unknown checkpoint schema {schema!r}")
-        v1 = schema == _CHECKPOINT_SCHEMA_V1
         if binding is not None and payload["config_hash"] != (
                 binding if isinstance(binding, str) else binding.hash()):
-            raise ConfigurationError(
-                "checkpoint was written under a different configuration"
-                + (" (a v1 checkpoint binds only the fluid)" if v1 else ""))
+            raise ConfigurationError("checkpoint was written under a different configuration")
         grid = GridSpec(payload["n_points"], float.fromhex(payload["domain_length_hex"]))
-        if v1:
-            c = (np.array([float.fromhex(v) for v in payload["coeff_re_hex"]])
-                 + 1j * np.array([float.fromhex(v) for v in payload["coeff_im_hex"]]))
-        else:
-            half = _from_hex(payload["spectrum"], "<c16")
-            if half.shape != (grid.nyquist_index() + 1,):
-                raise ConfigurationError("checkpoint spectrum does not match its grid")
-            c = hermitian_extension(half, grid)
-        state = InterfaceField(SpectralField(grid, c), float.fromhex(payload["time_hex"]))
+        half = _from_hex(payload["spectrum"], "<c16")
+        if half.shape != (grid.nyquist_index() + 1,):
+            raise ConfigurationError("checkpoint spectrum does not match its grid")
+        state = InterfaceField(SpectralField(grid, hermitian_extension(half, grid)),
+                               float.fromhex(payload["time_hex"]))
         monitor = MonitorState.from_payload(payload["monitor"], grid) \
             if "monitor" in payload else None
         step_index = payload["step_index"]

@@ -1,4 +1,4 @@
-"""Weighted Wiener norms, per-snapshot norm reports, strip-radius and decay-rate fits.
+"""Weighted Wiener norms, per-snapshot norm reports and the strip-radius fit.
 
 The continuum norm  sum-type ``F^{s,1}_nu(t) = || exp(nu t |xi|) |xi|^s g_hat ||_L1``
 is realized on Fourier-series coefficients as ``sum_k exp(nu t |xi_k|) |xi_k|^s |c_k|``;
@@ -8,7 +8,7 @@ discrete convention on both sides of every inequality, so the inequalities
 carry over verbatim (Young's inequality holds for l1 coefficient convolutions).
 A ``NormReport`` checks the two interpolation inequalities its norms must
 satisfy, F^{1,1} <= (F^{0,1} F^{2,1})^(1/2) and F^{3/2,1} <= (F^{1,1} F^{2,1})^(1/2).
-Both fits are the closed-form least-squares slope of a line, so a run calls
+The fit is the closed-form least-squares slope of a line, so a run calls
 no LAPACK or BLAS routine.
 """
 
@@ -97,55 +97,25 @@ def fourier_norm(fld: SpectralField, spec: NormSpec) -> float:
     return _fourier_sum(fld.grid, spec, np.abs(fld.coefficients))
 
 
-def weighted_l2(fld: SpectralField, spec: NormSpec) -> float:
-    """Weighted Parseval sum, scaled by L so nu = 0 is the physical L2 norm."""
-    return _l2_sum(fld.grid, spec, np.abs(fld.coefficients))
-
-
 def _slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y against x in closed form, sum (x - mean x) y / sum (x - mean x)^2."""
     d = x - np.mean(x)
     return float(np.sum(d * y) / np.sum(d * d))
 
 
-def strip_radius(fld: SpectralField) -> float | None:
+def _strip_radius(grid: GridSpec, c: np.ndarray) -> float | None:
     """Closed-form least-squares slope of -log|c_k| against xi_k over modes k >= 1 above
-    the noise floor.
+    the noise floor, for the coefficient moduli ``c``.
 
     The floor is ``NOISE_FLOOR`` times the largest |c_k|, as for the weighted
     norms, so a small interface keeps its fit.  Returns None when fewer than 8
     usable modes remain (diagnostic unavailable, not a failure).  Clamped
     below at zero.
     """
-    return _strip_radius(fld.grid, np.abs(fld.coefficients))
-
-
-def _strip_radius(grid: GridSpec, c: np.ndarray) -> float | None:
     sel = (grid.mode_numbers() >= 1) & (c > NOISE_FLOOR * np.max(c))
     if int(np.count_nonzero(sel)) < _MIN_FIT_MODES:
         return None
     return max(_slope(grid.wavenumbers()[sel], -np.log(c[sel])), 0.0)
-
-
-def decay_fit(series) -> float:
-    """Least-squares exponent beta for value ~ C (1+t)^beta: the closed-form slope of
-    log value against log(1+t).
-
-    Requires at least 10 samples spanning a decade in 1+t and positive values.
-    """
-    pts = list(series)
-    if len(pts) < 10:
-        raise DomainError("decay_fit needs at least 10 samples")
-    t = np.array([p[0] for p in pts], dtype=float)
-    v = np.array([p[1] for p in pts], dtype=float)
-    if np.any(v <= 0):
-        raise DomainError("decay_fit requires positive values")
-    if np.any(t < 0):
-        raise DomainError("decay_fit requires nonnegative times")
-    span = (1.0 + t.max()) / (1.0 + t.min())
-    if span < 10.0:
-        raise DomainError(f"time range must span a decade in 1+t, got factor {span:.3g}")
-    return _slope(np.log1p(t), np.log(v))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 _SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
 _SQRT_MAX = float(np.sqrt(np.finfo(float).max))
@@ -159,20 +159,6 @@ def derivative(fld: SpectralField) -> SpectralField:
     c = fld.coefficients * (1j * fld.grid.wavenumbers())
     c[fld.grid.nyquist_index()] = 0.0
     return fld.with_coefficients(c)
-
-
-def poisson_hat(a: float, xi) -> float | np.ndarray:
-    """Whole-line transform of a/(x^2+a^2): pi exp(-a|xi|)."""
-    if a <= 0:
-        raise DomainError(f"kernel depth a must be positive, got {a!r}")
-    return np.pi * np.exp(-a * np.abs(xi))
-
-
-def conj_poisson_hat(a: float, xi) -> complex | np.ndarray:
-    """Whole-line transform of x/(x^2+a^2): -i pi sgn(xi) exp(-a|xi|), sgn(0) = 0."""
-    if a <= 0:
-        raise DomainError(f"kernel depth a must be positive, got {a!r}")
-    return -1j * np.pi * np.sign(xi) * np.exp(-a * np.abs(xi))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Shared builders for test data."""
+"""Shared builders for test data, and the closed forms and fits the tests compare against."""
 
 import numpy as np
 
-from muskatjump import FluidConfig, GridSpec, SpectralField
+from muskatjump import FluidConfig, GridSpec, NormSpec, SpectralField, norms
+from muskatjump.errors import DomainError
 from muskatjump.evolution import InterfaceField
 from muskatjump.spectral import hermitian_symmetrize
 
@@ -89,3 +90,49 @@ def random_admissible_interface(grid: GridSpec, rng: np.random.Generator,
     a1 = np.sum(xi * np.abs(fld.coefficients))
     scale = frac * min(k0 / a0, k1 / a1)
     return InterfaceField(SpectralField(grid, fld.coefficients * scale, 0.0), 0.0)
+
+
+def poisson_hat(a: float, xi) -> float | np.ndarray:
+    """Whole-line transform of a/(x^2+a^2): pi exp(-a|xi|)."""
+    if a <= 0:
+        raise DomainError(f"kernel depth a must be positive, got {a!r}")
+    return np.pi * np.exp(-a * np.abs(xi))
+
+
+def conj_poisson_hat(a: float, xi) -> complex | np.ndarray:
+    """Whole-line transform of x/(x^2+a^2): -i pi sgn(xi) exp(-a|xi|), sgn(0) = 0."""
+    if a <= 0:
+        raise DomainError(f"kernel depth a must be positive, got {a!r}")
+    return -1j * np.pi * np.sign(xi) * np.exp(-a * np.abs(xi))
+
+
+def weighted_l2(fld: SpectralField, spec: NormSpec) -> float:
+    """Weighted Parseval sum, scaled by L so nu = 0 is the physical L2 norm: the sum
+    behind ``norm_report``'s ``l2nu``."""
+    return norms._l2_sum(fld.grid, spec, np.abs(fld.coefficients))
+
+
+def strip_radius(fld: SpectralField) -> float | None:
+    """``norm_report``'s strip-radius fit of one field."""
+    return norms._strip_radius(fld.grid, np.abs(fld.coefficients))
+
+
+def decay_fit(series) -> float:
+    """Least-squares exponent beta for value ~ C (1+t)^beta: the closed-form slope of
+    log value against log(1+t).
+
+    Requires at least 10 samples spanning a decade in 1+t and positive values.
+    """
+    pts = list(series)
+    if len(pts) < 10:
+        raise DomainError("decay_fit needs at least 10 samples")
+    t = np.array([p[0] for p in pts], dtype=float)
+    v = np.array([p[1] for p in pts], dtype=float)
+    if np.any(v <= 0):
+        raise DomainError("decay_fit requires positive values")
+    if np.any(t < 0):
+        raise DomainError("decay_fit requires nonnegative times")
+    span = (1.0 + t.max()) / (1.0 + t.min())
+    if span < 10.0:
+        raise DomainError(f"time range must span a decade in 1+t, got factor {span:.3g}")
+    return norms._slope(np.log1p(t), np.log(v))

@@ -731,22 +731,78 @@ def test_run_leakage_past_the_first_snapshot_ends_the_run_there(tmp_path, capsys
     assert sorted(ck.name for ck in (out / "checkpoints").iterdir())[-1] == "ckpt_00000035.json"
 
 
-def _halved_budget(conf):
-    """The certificate of a config's datum with a0 halved: its budget fails at t = 0."""
+def test_resume_from_the_leaking_snapshot_keeps_its_row(tmp_path, capsys):
+    # the run above, resumed in a copy of its directory from the checkpoint of
+    # the snapshot that ended it, writes that row again and ends alike
+    p = _readme_variant(tmp_path / "c.json", initial_data__width=4.0, schedule__t_end=1.0)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--output-dir", str(out)]) == EXIT_GEOMETRY
+    resumed = tmp_path / "resumed"
+    shutil.copytree(out, resumed)
+    capsys.readouterr()
+    assert main(["run", "--config", str(p), "--output-dir", str(resumed),
+                 "--resume", str(resumed / "checkpoints" / "ckpt_00000035.json")]) == EXIT_GEOMETRY
+    assert capsys.readouterr().err == \
+        "boundary leakage 0.000113 exceeds threshold 0.0001 at t=0.7\n"
+    runs = [_files(d) for d in (out, resumed)]
+    for files in runs:
+        meta = json.loads(files.pop(Path("metadata.json")))
+        meta.pop("timestamps")
+        files["metadata"] = meta
+    assert runs[0] == runs[1]
+
+
+def test_killed_resume_keeps_the_rows_before_its_checkpoint(tmp_path):
+    # a resume killed before its first snapshot, as run() starts: the rows it
+    # keeps are on disk, and a later resume ends with the uninterrupted CSV
+    config = ROOT / "examples" / "readme.json"
+    full = tmp_path / "full"
+    assert main(["run", "--config", str(config), "--output-dir", str(full)]) == EXIT_OK
+    out = tmp_path / "out"
+    shutil.copytree(full, out)
+    resume = ["run", "--config", str(config), "--output-dir", str(out),
+              "--resume", str(out / "checkpoints" / "ckpt_00000025.json")]
+    probe = ("import os, signal, sys\n"
+             "from muskatjump import cli\n"
+             "cli.run = lambda *a, **k: os.kill(os.getpid(), signal.SIGKILL)\n"
+             f"cli.main({resume!r})\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == -9, proc.stderr
+    rows = (full / "trajectory.csv").read_text().splitlines(True)
+    assert (out / "trajectory.csv").read_text() == "".join(rows[:6])
+    assert [float(r.split(",")[0]) for r in rows[1:6]] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
+    assert main(resume) == EXIT_OK
+    assert (out / "trajectory.csv").read_bytes() == (full / "trajectory.csv").read_bytes()
+
+
+def _scaled_budget(conf, factor: float):
+    """The certificate of a config's datum with a0 scaled by ``factor``: below 1 its budget
+    fails at t = 0."""
     cert = certify.certify_datum(build_initial_data(conf), conf.fluid)
-    return dataclasses.replace(cert, a0=0.5 * cert.a0)
+    return dataclasses.replace(cert, a0=factor * cert.a0)
 
 
 def test_run_flags_a_violated_budget():
     conf = load_config(ROOT / "examples" / "readme.json")
     rec = evolution.run(build_initial_data(conf), conf.fluid, conf.schedule, conf.solver,
-                        certificate=_halved_budget(conf))
+                        certificate=_scaled_budget(conf, 0.5))
+    assert rec.budget_violated
+
+
+def test_run_flags_a_budget_violated_by_a_thousandth():
+    # a0 scaled by 1 - 1e-3 puts the t = 0 row's F01 at 1.001 times the
+    # budget's right side, inside a slack of 1e-2
+    conf = load_config(ROOT / "examples" / "readme.json")
+    rec = evolution.run(build_initial_data(conf), conf.fluid, conf.schedule, conf.solver,
+                        certificate=_scaled_budget(conf, 1 - 1e-3))
+    row = rec.rows[0]
+    assert row["budget_s0_lhs"] / row["budget_s0_rhs"] == pytest.approx(1.001001, rel=1e-6)
     assert rec.budget_violated
 
 
 def test_violated_budget_ends_the_run_in_exit_5(tmp_path, monkeypatch, capsys):
     config = ROOT / "examples" / "readme.json"
-    cert = _halved_budget(load_config(config))
+    cert = _scaled_budget(load_config(config), 0.5)
     monkeypatch.setattr(certify, "certify_datum", lambda f0, cfg: cert)
     reason = "decay budget inequality violated"
     code, status = _run_with_metadata(config, tmp_path / "out")
@@ -861,7 +917,7 @@ def test_unusable_checkpoint_is_a_configuration_error(tmp_path, capsys, entry, c
     if case == "not_json":
         ck.write_text("{not json")
     elif case == "incomplete":
-        ck.write_text(json.dumps({"schema": "muskatjump-checkpoint-v1"}))
+        ck.write_text(json.dumps({"schema": evolution.CHECKPOINT_SCHEMA}))
     elif case == "other_grid":
         # the config hash covers the fluid only; the config's grid has 128 points
         flat = InterfaceField.from_samples(np.zeros(64), GridSpec(64, 12 * np.pi))

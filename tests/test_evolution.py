@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -11,8 +10,8 @@ from hypothesis import strategies as st
 
 import mpmath as mp
 
-from muskatjump import (FluidConfig, GridSpec, SpectralField, evolution, inverse, linear_symbol,
-                        oracle)
+from muskatjump import (FluidConfig, GridSpec, SpectralField, cli, evolution, inverse,
+                        linear_symbol, oracle)
 from muskatjump.certify import thresholds
 from muskatjump.errors import BlowUpError, ConfigurationError, PicardDivergenceError, StepSizeError
 from muskatjump.evolution import (InterfaceField, MonitorState, Schedule, SolverOptions,
@@ -338,27 +337,25 @@ def test_any_state_goes_through_a_checkpoint_bit_for_bit(tmp_path_factory, sampl
 _V1_CHECKPOINT = Path(__file__).parent / "checkpoint_v1.json"
 
 
-def test_committed_v1_checkpoint_loads_the_state_it_holds_bit_for_bit():
+def test_committed_v1_checkpoint_is_refused(tmp_path, capsys):
     # written by the ETDRK2 version at step 2 of a run of the README fluid on
-    # a 32-point bump; the digests are those of that version's load
-    payload = json.loads(_V1_CHECKPOINT.read_text())
-    state, idx, dt, mon = load_checkpoint(_V1_CHECKPOINT, REF_CFG)
-    c = state.f.coefficients
-    fh = float.fromhex
-    assert np.array_equal(_bits(c.real), _bits([fh(v) for v in payload["coeff_re_hex"]]))
-    assert np.array_equal(_bits(c.imag), _bits([fh(v) for v in payload["coeff_im_hex"]]))
-    assert hashlib.sha256(np.asarray(c, "<c16").tobytes()).hexdigest() == \
-        "bd6a738ec25dd6a8c1d620b9f4c36e8b41a86a43d9d165e80d8e0a9d004ba119"
-    assert (idx, dt, state.time) == (2, 0.05, 0.1)
-    assert mon.integral == {0: 0.0010267765796595693, 1: 0.0008544414381586229}
-    assert len(mon.corrections) == 1 and mon.tendency is None
-    assert hashlib.sha256(np.asarray(mon.corrections[0], "<f8").tobytes()).hexdigest() == \
-        "1841269070f0dba5f6f848ebb2cafe257d973a237c44fa7aa2bea34dd7ec3278"
-    # a v1 file binds the fluid only, so no run's hash matches it
-    with pytest.raises(ConfigurationError, match="v1 checkpoint binds only the fluid"):
-        load_checkpoint(_V1_CHECKPOINT, "run hash")
-    with pytest.raises(ConfigurationError, match="different configuration"):
-        load_checkpoint(_V1_CHECKPOINT, FluidConfig(0.3, 0.2, 1.0, 1.0))
+    # a 32-point bump; no reader of that format is left, so the file is
+    # refused by its schema, as initial data too, before anything is written
+    with pytest.raises(ConfigurationError, match="unknown checkpoint schema "
+                                                 "'muskatjump-checkpoint-v1'"):
+        load_checkpoint(_V1_CHECKPOINT)
+    config = json.loads((Path(__file__).parents[1] / "examples" / "readme.json").read_text())
+    config["grid"]["n_points"] = 32
+    config["initial_data"] = {"preset": "from_file", "path": str(_V1_CHECKPOINT)}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+    assert cli.main(["certify", "--config", str(path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("unknown checkpoint schema 'muskatjump-checkpoint-v1'") == 2
 
 
 def test_checkpoint_config_mismatch(tmp_path):
@@ -765,8 +762,7 @@ def test_fluid_density_contrast_and_depth_must_be_finite():
 def test_loaded_checkpoint_spectrum_is_exactly_hermitian(tmp_path):
     # a file whose spectrum is off Hermitian by round-off loads as its exact
     # projection, so the step keeps it real; a saved state loads bit for bit.
-    # A v2 file holds k = 0..N/2, so only the k = 0 and N/2 modes can be off;
-    # a v1 file holds all N
+    # A v2 file holds k = 0..N/2, so only the k = 0 and N/2 modes can be off
     g = GridSpec(128, L12)
     f = gaussian_bump(g, 0.01, 1.5)
     path = tmp_path / "c.json"
@@ -779,18 +775,12 @@ def test_loaded_checkpoint_spectrum_is_exactly_hermitian(tmp_path):
     payload["spectrum"] = half.tobytes().hex()
     v2 = tmp_path / "v2.json"
     v2.write_text(json.dumps(payload))
-    payload = json.loads(_V1_CHECKPOINT.read_text())
-    payload["coeff_im_hex"][0] = (1e-20).hex()
-    payload["coeff_re_hex"][3] = (float.fromhex(payload["coeff_re_hex"][3]) + 2e-15).hex()
-    v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps(payload))
-    for path in (v2, v1):
-        state, carry = load_checkpoint(path, REF_CFG)[0], MonitorState()
-        assert state.f.coefficients[0].imag == 0.0
-        for _ in range(3):
-            c = state.f.coefficients
-            assert np.array_equal(c.view(np.uint64), hermitian_symmetrize(c).view(np.uint64))
-            state = step(state, 0.02, REF_CFG, carry=carry)
+    state, carry = load_checkpoint(v2, REF_CFG)[0], MonitorState()
+    assert state.f.coefficients[0].imag == 0.0
+    for _ in range(3):
+        c = state.f.coefficients
+        assert np.array_equal(c.view(np.uint64), hermitian_symmetrize(c).view(np.uint64))
+        state = step(state, 0.02, REF_CFG, carry=carry)
 
 
 @pytest.mark.parametrize("z0", [1e-12, 1e-8, 3e-5, 9.99e-5, 1.0001e-4, 3e-4, 1e-2, 0.7, 5.0,

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from muskatjump import (GridSpec, NormSpec, SpectralField, decay_fit, forward, fourier_norm,
-                        strip_radius, weighted_l2)
+from muskatjump import GridSpec, NormSpec, SpectralField, forward, fourier_norm
 from muskatjump.errors import DomainError, WeightRangeError
 from muskatjump.norms import NOISE_FLOOR, NormReport, _power_weights, _weights, norm_report
 from muskatjump.spectral import hermitian_symmetrize
 
-from helpers import decay_packet, exp_spectrum_bump, gaussian_bump, random_field
+from helpers import (decay_fit, decay_packet, exp_spectrum_bump, gaussian_bump, random_field,
+                     strip_radius, weighted_l2)
 
 
 def test_fourier_norm_cosine_s0():

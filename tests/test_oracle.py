@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from muskatjump import (FluidConfig, GridSpec, SpectralField, conj_poisson_hat, inverse,
-                        solve_vorticity, thresholds)
+from muskatjump import (FluidConfig, GridSpec, SpectralField, inverse, solve_vorticity,
+                        thresholds)
 from muskatjump import oracle
 from muskatjump.errors import ConfigurationError, GeometryError
 from muskatjump.evolution import InterfaceField, SolverOptions, rhs
 
-from helpers import REF_CFG, gaussian_bump, random_admissible_interface
+from helpers import REF_CFG, conj_poisson_hat, gaussian_bump, random_admissible_interface
 
 L12 = 12 * np.pi
 

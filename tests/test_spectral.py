@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muskatjump import (GridSpec, SpectralField, conj_poisson_hat, derivative, forward, inverse,
-                        poisson_hat)
+from muskatjump import GridSpec, SpectralField, derivative, forward, inverse
 from muskatjump.errors import ConfigurationError, DomainError
 from muskatjump.spectral import (dealias_mask, hermitian_symmetrize, odd_offset_rows, odd_offsets,
                                  pv_kernel_periodic)
+
+from helpers import conj_poisson_hat, poisson_hat
 
 
 def test_forward_constant():

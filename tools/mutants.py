@@ -76,6 +76,18 @@ MUTANTS = (
     Mutant("leakage unchecked at later snapshots", "evolution.py",
            'if row["leakage"] > opts.leakage_threshold:', "if False:",
            ("tests/test_cli.py::test_run_leakage_past_the_first_snapshot_ends_the_run_there",)),
+    Mutant("leakage checked before a resume's first row", "evolution.py",
+           "    if resume is None:\n        check_leakage(", "    if True:\n        check_leakage(",
+           ("tests/test_cli.py::test_resume_from_the_leaking_snapshot_keeps_its_row",)),
+    Mutant("budget slack 1e-6 -> 1e-2", "evolution.py",
+           "rhs0[s] * (1.0 + 1e-6)", "rhs0[s] * (1.0 + 1e-2)",
+           ("tests/test_cli.py::test_run_flags_a_budget_violated_by_a_thousandth",)),
+    Mutant("CFL shortcut margin 1/2 -> 1", "evolution.py",
+           "> 0.5 * opts.cfl_bound", "> 1.0 * opts.cfl_bound",
+           ("tests/test_evolution.py::test_cfl_check_rejects_what_the_exact_check_rejects",)),
+    Mutant("noise floor 1e-14 -> 1e-10", "norms.py",
+           "NOISE_FLOOR = 1e-14", "NOISE_FLOOR = 1e-10",
+           ("tests/test_cli.py::test_strip_radius_floor_is_relative",)),
 )
 
 _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.MULTILINE)
