@@ -27,8 +27,7 @@ from .norms import norm_report
 from .spectral import (GridSpec, SpectralField, dealias_mask, forward, hermitian_extension,
                        hermitian_symmetrize, inverse)
 from .vorticity import (DEFAULT_PICARD_MAX_ITER, DEFAULT_PICARD_TOL, DEFAULT_SERIES_TOL,
-                        FluidConfig, VorticityPair, _Workspace, check_geometry,
-                        solve_vorticity)
+                        FluidConfig, VorticityPair, _check_gap, _Workspace, solve_vorticity)
 
 DEFAULT_LEAKAGE_THRESHOLD = 1e-4
 DEFAULT_CFL_BOUND = 1.0
@@ -147,22 +146,52 @@ def _dealiased_linear(grid: GridSpec, cfg: FluidConfig) -> np.ndarray:
     return out
 
 
-def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
-              carry: MonitorState | None = None):
-    """Strength solve, its workspace and the nonlinear remainder on k = 0..N/2.
+def _solve(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
+           carry: MonitorState | None = None):
+    """Strength solve and its workspace.
 
     One kernel backend serves the strength solve and the right-hand side, and
     the solve's last evaluation is the right-hand side's: it holds the two
-    self sums S0, S1 and the line coupling P omega2, CP omega2, so the sum
-    I1 + I2 + I3 + I4 = S0 + CP omega2 + df (S1 + P omega2) is one transform
-    of its samples, and the remainder is its dealiased half spectrum over 2pi
-    minus the linear part.  With a ``carry`` the solve starts from, and
-    appends to, its corrections (``solve_vorticity``).
+    self sums S0, S1 and the line coupling P omega2, CP omega2.  With a
+    ``carry`` the solve starts from, and appends to, its corrections
+    (``solve_vorticity``).
     """
-    grid = f.f.grid
     ws = _Workspace(f, cfg, opts.series_tol)
     pair = solve_vorticity(f, cfg, tol=opts.picard_tol, max_iter=opts.picard_max_iter,
                            workspace=ws, corrections=carry.corrections if carry else None)
+    return pair, ws
+
+
+def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) -> RhsBreakdown:
+    """Assemble the four interface integrals, dealiased, and the strengths solved.
+
+    I1 = S0, I2 = df S1, I3 = CP omega2 and I4 = df P omega2 are read off the
+    strength solve's last evaluation, as the step's tendency is, and take one
+    batched transform of their own; ``nonlinear_tendency`` gives their split.
+    """
+    opts = opts or SolverOptions()
+    grid = f.f.grid
+    check_leakage(f, opts.leakage_threshold)
+    pair, ws = _solve(f, cfg, opts)
+    ev = pair.evaluation
+    spectra = np.fft.rfft([ev.s0, ws.dF * ev.s1, ev.cp, ws.dF * ev.p], norm="forward")
+    parts = np.where(dealias_mask(grid)[: grid.nyquist_index() + 1], spectra, 0.0)
+    i1f, i2f, i3f, i4f = (SpectralField(grid, c) for c in hermitian_extension(parts, grid))
+    return RhsBreakdown(i1=i1f, i2=i2f, i3=i3f, i4=i4f, pair=pair)
+
+
+def nonlinear_tendency(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
+                       carry: MonitorState | None = None) -> np.ndarray:
+    """Half spectrum k = 0..N/2 of the nonlinear remainder N(f), the one linear/nonlinear
+    split: ``rhs``'s (I1 + I2 + I3 + I4)/2pi minus the linear part -m(xi) f_hat.
+
+    The sum I1 + I2 + I3 + I4 = S0 + CP omega2 + df (S1 + P omega2) is one
+    transform of the solve's last evaluation, and the remainder is its
+    dealiased half spectrum over 2pi minus the linear part.  ``carry``
+    warm-starts the strength solve from the previous evaluations'.
+    """
+    grid = f.f.grid
+    pair, ws = _solve(f, cfg, opts, carry=carry)
     ev = pair.evaluation
     half = grid.nyquist_index() + 1
     # I1 + I2 + I3 + I4 in sample space
@@ -176,57 +205,22 @@ def _assemble(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
     nonlinear_half = np.where(dealias_mask(grid)[:half], np.fft.rfft(total, norm="forward"), 0.0)
     nonlinear_half /= 2.0 * np.pi
     nonlinear_half -= _dealiased_linear(grid, cfg) * f.f.coefficients[:half]
-    return pair, ws, nonlinear_half
+    return nonlinear_half
 
 
-def rhs(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions | None = None) -> RhsBreakdown:
-    """Assemble the four interface integrals, dealiased, and the strengths solved.
-
-    I1 = S0, I2 = df S1, I3 = CP omega2 and I4 = df P omega2 are read off the
-    strength solve's last evaluation, as the step's tendency is, and take one
-    batched transform of their own; ``nonlinear_tendency`` gives their split.
-    """
-    opts = opts or SolverOptions()
-    grid = f.f.grid
-    check_leakage(f, opts.leakage_threshold)
-    pair, ws, _ = _assemble(f, cfg, opts)
-    ev = pair.evaluation
-    spectra = np.fft.rfft([ev.s0, ws.dF * ev.s1, ev.cp, ws.dF * ev.p], norm="forward")
-    parts = np.where(dealias_mask(grid)[: grid.nyquist_index() + 1], spectra, 0.0)
-    i1f, i2f, i3f, i4f = (SpectralField(grid, c) for c in hermitian_extension(parts, grid))
-    return RhsBreakdown(i1=i1f, i2=i2f, i3=i3f, i4=i4f, pair=pair)
-
-
-def nonlinear_tendency(f: InterfaceField, cfg: FluidConfig, opts: SolverOptions,
-                       carry: MonitorState | None = None) -> np.ndarray:
-    """Half spectrum k = 0..N/2 of the nonlinear remainder N(f), the one linear/nonlinear
-    split: ``rhs``'s (I1 + I2 + I3 + I4)/2pi minus the linear part -m(xi) f_hat.
-
-    ``carry`` warm-starts the strength solve from the previous evaluations'.
-    """
-    return _assemble(f, cfg, opts, carry=carry)[2]
-
-
-def _phi1(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def _phi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2, from one e^z - 1."""
+    phi1, phi2 = np.empty_like(z), np.empty_like(z)
     small = np.abs(z) < _PHI_SERIES_CUTOFF
-    zs = z[small]
-    out[small] = 1.0 + zs / 2.0 + zs ** 2 / 6.0 + zs ** 3 / 24.0
-    zb = z[~small]
-    out[~small] = np.expm1(zb) / zb
-    return out
-
-
-def _phi2(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    small = np.abs(z) < _PHI_SERIES_CUTOFF
-    zs = z[small]
-    out[small] = 0.5 + zs / 6.0 + zs ** 2 / 24.0 + zs ** 3 / 120.0
-    zb = z[~small]
+    zs, zb = z[small], z[~small]
+    phi1[small] = 1.0 + zs / 2.0 + zs ** 2 / 6.0 + zs ** 3 / 24.0
+    phi2[small] = 0.5 + zs / 6.0 + zs ** 2 / 24.0 + zs ** 3 / 120.0
+    em1 = np.expm1(zb)
+    phi1[~small] = em1 / zb
     # past |z| = 1.3e154 z^2 is inf, and the quotient its limit 0
     with np.errstate(over="ignore"):
-        out[~small] = (np.expm1(zb) - zb) / zb ** 2
-    return out
+        phi2[~small] = (em1 - zb) / zb ** 2
+    return phi1, phi2
 
 
 @lru_cache(maxsize=32)
@@ -234,16 +228,11 @@ def _stepper_coeffs(grid: GridSpec, cfg: FluidConfig, dt: float):
     """Read-only exp(z), dt phi1(z) and dt phi2(z) on the half spectrum k = 0..N/2,
     z = -m(xi) dt."""
     z = -linear_symbol(grid.wavenumbers()[: grid.nyquist_index() + 1], cfg) * dt
-    out = (np.exp(z), dt * _phi1(z), dt * _phi2(z))
+    phi1, phi2 = _phi(z)
+    out = (np.exp(z), dt * phi1, dt * phi2)
     for a in out:
         a.flags.writeable = False
     return out
-
-
-@lru_cache(maxsize=32)
-def _xi_max(grid: GridSpec) -> float:
-    """The largest |xi| of the grid, the CFL check's."""
-    return float(np.max(np.abs(grid.wavenumbers())))
 
 
 def step(state: InterfaceField, dt: float, cfg: FluidConfig,
@@ -270,20 +259,21 @@ def step(state: InterfaceField, dt: float, cfg: FluidConfig,
         raise StepSizeError(f"dt must be positive, got {dt!r}")
     grid = state.f.grid
     half = grid.nyquist_index() + 1
-    exp_lin, dt_phi1, dt_phi2 = _stepper_coeffs(grid, cfg, dt)
+    exp_lin, phi1_dt, phi2_dt = _stepper_coeffs(grid, cfg, dt)
 
     n_prev = carry.tendency
     n0 = nonlinear_tendency(state, cfg, opts, carry=carry)
-    new_half = exp_lin * state.f.coefficients[:half] + dt_phi1 * n0
+    new_half = exp_lin * state.f.coefficients[:half] + phi1_dt * n0
     if n_prev is not None:
-        new_half += dt_phi2 * (n0 - n_prev)
+        new_half += phi2_dt * (n0 - n_prev)
     # e^z, dt phi1, dt phi2 and the state are finite, so a non-finite n_k
     # leaves the new mode k non-finite: one pass finds either blow-up
     finite = bool(np.all(np.isfinite(new_half)))
     if not finite and not np.all(np.isfinite(n0)):
         raise BlowUpError("non-finite nonlinear tendency", state)
 
-    xi_max = _xi_max(grid)
+    # the largest |xi|, at the Nyquist slot, which carries -N/2
+    xi_max = float(-grid.wavenumbers()[grid.nyquist_index()])
     size = np.abs(n0)
     if dt * xi_max * float(2.0 * np.sum(size) - size[0] - size[-1]) > 0.5 * opts.cfl_bound:
         speed = float(np.max(np.abs(np.fft.irfft(n0, grid.n_points, norm="forward"))))
@@ -385,7 +375,7 @@ def run(f0: InterfaceField, cfg: FluidConfig, schedule: Schedule,
     opts = opts or SolverOptions()
     state, start_step, monitor = resume or (f0, 0, None)
     monitor = monitor or MonitorState()
-    check_geometry(state.samples(), cfg)
+    _check_gap(float(np.min(state.samples())), cfg)
     # a resumed run's first snapshot checks its leakage after writing its row
     if resume is None:
         check_leakage(state, opts.leakage_threshold)

@@ -59,7 +59,7 @@ def _growth(grid: GridSpec, nu_t: float, time: float) -> np.ndarray:
     arg = nu_t * np.abs(grid.wavenumbers())
     if arg.size and np.max(arg) > _EXP_GUARD:
         raise WeightRangeError(
-            f"weight exponent nu*t*xi_max = {np.max(arg):.3g} at t = {time:g} "
+            f"weight exponent {np.max(arg):.3g} at t = {time:g} "
             f"exceeds the exponential guard {_EXP_GUARD}"
         )
     out = np.exp(arg)

@@ -161,12 +161,8 @@ class _Evaluation(NamedTuple):
     s1: np.ndarray
 
 
-def check_geometry(samples: np.ndarray, cfg: FluidConfig) -> None:
-    """Raise GeometryError unless the interface samples keep min f + h2 > 0."""
-    _check_gap(float(np.min(samples)), cfg)
-
-
 def _check_gap(lowest: float, cfg: FluidConfig) -> None:
+    """Raise GeometryError unless the lowest interface sample keeps f + h2 > 0."""
     gap = lowest + cfg.h2
     if gap <= 0.0:
         raise GeometryError(f"interface touches the permeability line (min f + h2 = {gap:.3g})")

@@ -25,6 +25,15 @@ LATTICE_AM = [-0.8, -0.4, 0.0, 0.4, 0.8]
 LATTICE_H2 = [0.5, 1.0, 2.0]
 
 
+@pytest.mark.parametrize("field", ["a_kappa", "a_mu", "a_rho", "h2"])
+def test_fluid_hash_covers_every_field(field):
+    # the config_hash of metadata.json, and the binding of a checkpoint
+    # written outside a run: fluids that differ in one field hash apart
+    base = FluidConfig(0.5, 0.2, 1.0, 1.0)
+    other = dataclasses.replace(base, **{field: getattr(base, field) + 0.25})
+    assert other.hash() != base.hash()
+
+
 def test_theta_no_permeability_jump():
     assert theta(FluidConfig(0.0, 0.3, 1.0, 1.0)) == 1.0
 

@@ -934,8 +934,8 @@ def test_unusable_checkpoint_is_a_configuration_error(tmp_path, capsys, entry, c
     assert err.startswith("configuration error:") and str(ck) in err
 
 
-@pytest.mark.parametrize("argv", [["run", "--config", "c.json", "--checkpoint-every", "0"],
-                                  ["run", "--config", "c.json", "--checkpoint-every", "-2"],
+@pytest.mark.parametrize("argv", [["linear", "--config", "c.json", "--max-mode", "-2"],
+                                  ["sweep", "c.json", "--output-dir", "out", "--threads", "-3"],
                                   ["sweep", "c.json", "--output-dir", "out", "--threads", "0"],
                                   ["sweep", "c.json", "--output-dir", "out", "--threads", "-1"],
                                   ["linear", "--config", "c.json", "--max-mode", "0"]])
@@ -946,6 +946,31 @@ def test_counts_below_one_are_argument_errors(tmp_path, monkeypatch, capsys, arg
     assert exc.value.code == EXIT_CONFIG
     assert "must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--config", "c.json", "--checkpoint-every", "2"],
+                                  ["oracle-check", "--config", "c.json", "--bound", "1"]])
+def test_removed_options_are_unknown_arguments(tmp_path, monkeypatch, capsys, argv):
+    # a run checkpoints every snapshot, and oracle-check holds criterion 3's bound
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def test_readme_run_writes_one_checkpoint_per_csv_row(tmp_path):
+    # every row has a checkpoint to resume from, at the row's step and time
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(ROOT / "examples" / "readme.json"),
+                 "--output-dir", str(out)]) == EXIT_OK
+    times = [float(r.split(",", 1)[0])
+             for r in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    ckpts = sorted((out / "checkpoints").iterdir())
+    assert [c.name for c in ckpts] == [f"ckpt_{5 * i:08d}.json" for i in range(11)]
+    for t, ckpt in zip(times, ckpts, strict=True):
+        state, step_index, dt, _ = evolution.load_checkpoint(ckpt)
+        assert state.time == t == step_index * dt
 
 
 _README_EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_GEOMETRY, cli.EXIT_DIVERGENCE,
@@ -1063,6 +1088,8 @@ def test_weighted_norm_past_the_exponential_guard_ends_in_exit_5(tmp_path, capsy
     assert code == cli.EXIT_BUDGET
     assert status["exit"] == code
     assert "exponential guard" in status["reason"] and "t = 7 " in status["reason"]
+    # the L2nu weight's exponent, at 2 nu
+    assert status["reason"] == "weight exponent 719 at t = 7 exceeds the exponential guard 700.0"
     assert "exponential guard" in capsys.readouterr().err
 
 

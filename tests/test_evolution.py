@@ -585,7 +585,7 @@ def test_carried_correction_is_the_solves_next_iterate():
     carry = MonitorState()
     for iterations in ("many", "one"):
         before = list(carry.corrections)
-        pair, ws, _ = evolution._assemble(f, REF_CFG, opts, carry=carry)
+        pair, ws = evolution._solve(f, REF_CFG, opts, carry=carry)
         assert (pair.iterations > 2) == (iterations == "many")
         assert (pair.iterations == 1) == (iterations == "one")
         assert pair.residual < opts.picard_tol
@@ -794,10 +794,10 @@ def test_phi_functions_match_mpmath(z0, sign):
     # 8 eps (1 + 1/|z|) above it
     eps = np.finfo(float).eps
     z = np.array([sign * z0])
-    for fn, exact in ((evolution._phi1, lambda w: mp.expm1(w) / w),
-                      (evolution._phi2, lambda w: (mp.expm1(w) - w) / w ** 2)):
+    phi1, phi2 = evolution._phi(z)
+    for got, exact in ((phi1[0], lambda w: mp.expm1(w) / w),
+                       (phi2[0], lambda w: (mp.expm1(w) - w) / w ** 2)):
         with mp.workdps(80):
             want = exact(mp.mpf(float(z[0])))
-        got = fn(z)[0]
         bound = 8 * eps * (1.0 if z0 < evolution._PHI_SERIES_CUTOFF else 1.0 + 1.0 / z0)
         assert abs(mp.mpf(float(got)) - want) <= bound * abs(want)

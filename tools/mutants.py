@@ -2,11 +2,12 @@
 
 Each entry names a defect, the file under ``src/muskatjump`` it goes into,
 the exact text it replaces, the replacement, and the tier-1 test ids that
-must catch it.  For each entry the script copies ``src/`` to a temporary
-directory and requires the old text to occur there exactly once; it runs the
-named tests on the unmutated copy and requires them to pass, then applies
-the mutation and requires pytest to exit 1 with every named id failing (a
-parametrized id counts as failing when one of its cases fails).
+must catch it.  The script copies ``src/`` to a temporary directory once and
+requires every entry's old text to occur there exactly once.  It runs the
+union of the named tests on the unmutated copy in one pytest launch and
+requires them to pass.  Then, one launch per entry, it applies the mutation,
+requires pytest to exit 1 with every named id failing (a parametrized id
+counts as failing when one of its cases fails), and restores the file.
 
 A mutant that no named test kills is a gap in the tests: close it with a
 test, not by dropping the entry.  An entry whose old text is gone fails the
@@ -85,9 +86,21 @@ MUTANTS = (
     Mutant("CFL shortcut margin 1/2 -> 1", "evolution.py",
            "> 0.5 * opts.cfl_bound", "> 1.0 * opts.cfl_bound",
            ("tests/test_evolution.py::test_cfl_check_rejects_what_the_exact_check_rejects",)),
+    Mutant("CFL xi_max one mode below Nyquist", "evolution.py",
+           "float(-grid.wavenumbers()[grid.nyquist_index()])",
+           "float(grid.wavenumbers()[grid.nyquist_index() - 1])",
+           ("tests/test_evolution.py::test_cfl_check_rejects_what_the_exact_check_rejects",
+            "tests/test_evolution.py::test_cfl_check_transforms_the_tendency_only_past_its_bound")),
     Mutant("noise floor 1e-14 -> 1e-10", "norms.py",
            "NOISE_FLOOR = 1e-14", "NOISE_FLOOR = 1e-10",
            ("tests/test_cli.py::test_strip_radius_floor_is_relative",)),
+    Mutant("fluid hash without h2", "certify.py",
+           "json.dumps(cfg_dict, sort_keys=True)",
+           'json.dumps({k: v for k, v in cfg_dict.items() if k != "h2"}, sort_keys=True)',
+           ("tests/test_certify.py::test_fluid_hash_covers_every_field",)),
+    Mutant("threshold margin over sigma0, sigma1 only", "certify.py",
+           "min(led.theta - s for s in sig)", "min(led.theta - s for s in sig[:2])",
+           ("tests/test_certify.py::test_thresholds_postcondition_replay",)),
 )
 
 _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.MULTILINE)
@@ -109,36 +122,49 @@ def _failed(test: str, outcomes: dict) -> bool:
                if node == test or node.startswith(test + "["))
 
 
-def check(mutant: Mutant) -> str:
-    """'killed', or why the entry fails."""
-    with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        path = src / "muskatjump" / mutant.file
-        text = path.read_text()
-        if text.count(mutant.old) != 1:
-            return f"old text occurs {text.count(mutant.old)} times"
+def check(src: Path, mutant: Mutant) -> str:
+    """'killed', or why the entry fails, with the mutation applied to the copy ``src`` and
+    then undone."""
+    path = src / "muskatjump" / mutant.file
+    text = path.read_text()
+    path.write_text(text.replace(mutant.old, mutant.new))
+    try:
         code, outcomes = _pytest(src, mutant.tests)
-        if code != 0:
-            return f"unmutated tests exit {code}"
-        path.write_text(text.replace(mutant.old, mutant.new))
-        code, outcomes = _pytest(src, mutant.tests)
-        missed = [t for t in mutant.tests if not _failed(t, outcomes)]
-        if code != 1 or missed:
-            return f"survived: pytest exit {code}, not failing {', '.join(missed) or '-'}"
+    finally:
+        path.write_text(text)
+    missed = [t for t in mutant.tests if not _failed(t, outcomes)]
+    if code != 1 or missed:
+        return f"survived: pytest exit {code}, not failing {', '.join(missed) or '-'}"
     return "killed"
 
 
 def main() -> int:
-    width = max(len(m.name) for m in MUTANTS)
-    print(f"{'mutant':<{width}}  {'file':<13}{'tests':>6}{'s':>7}  verdict")
-    bad = 0
-    for mutant in MUTANTS:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        missing = [f"{m.name}: old text occurs {n} times" for m in MUTANTS
+                   if (n := (src / "muskatjump" / m.file).read_text().count(m.old)) != 1]
+        if missing:
+            print("\n".join(missing))
+            return 1
+        tests = tuple(sorted({t for m in MUTANTS for t in m.tests}))
         start = time.perf_counter()
-        verdict = check(mutant)
-        bad += verdict != "killed"
-        print(f"{mutant.name:<{width}}  {mutant.file:<13}{len(mutant.tests):>6}"
-              f"{time.perf_counter() - start:>7.1f}  {verdict}", flush=True)
+        code, outcomes = _pytest(src, tests)
+        print(f"{len(tests)} named tests unmutated: pytest exit {code} "
+              f"in {time.perf_counter() - start:.1f} s")
+        if code != 0:
+            failing = [t for t in tests if _failed(t, outcomes)]
+            print(f"failing unmutated: {', '.join(failing) or '-'}")
+            return 1
+        width = max(len(m.name) for m in MUTANTS)
+        print(f"{'mutant':<{width}}  {'file':<13}{'tests':>6}{'s':>7}  verdict")
+        bad = 0
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            verdict = check(src, mutant)
+            bad += verdict != "killed"
+            print(f"{mutant.name:<{width}}  {mutant.file:<13}{len(mutant.tests):>6}"
+                  f"{time.perf_counter() - start:>7.1f}  {verdict}", flush=True)
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
